@@ -1,8 +1,8 @@
-#include "service/wire.hpp"
+#include "core/harness/frame.hpp"
 
 #include <cstring>
 
-namespace locpriv::service::wire {
+namespace locpriv::harness {
 
 namespace {
 
@@ -87,4 +87,4 @@ bool FrameDecoder::next(std::vector<std::string>& fields) {
   return true;
 }
 
-}  // namespace locpriv::service::wire
+}  // namespace locpriv::harness

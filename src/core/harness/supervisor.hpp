@@ -1,13 +1,14 @@
 // Process-isolated supervised execution of sweep cells. A Supervisor runs
 // each cell either in-process (the historical path, now with work-stealing
 // dispatch and retry/quarantine bookkeeping) or — under --isolate — in a
-// forked child per attempt, so a segfault, runaway allocation, or busy-hang
-// in one cell cannot take down the run. Children are capped with
-// setrlimit(2) (RLIMIT_AS, RLIMIT_CPU) and a preemptive wall-clock deadline
-// (SIGTERM, a grace period, then SIGKILL); results travel back over a pipe
-// as length-prefixed field frames and land in the same RunLedger /
-// AtomicFileWriter path as in-process runs, so isolated, resumed, and
-// in-process executions of the same sweep produce byte-identical artifacts.
+// forked child per attempt (a harness::ChildProcess), so a segfault, runaway
+// allocation, or busy-hang in one cell cannot take down the run. Children
+// are capped with setrlimit(2) (RLIMIT_AS, RLIMIT_CPU) and a preemptive
+// wall-clock deadline (SIGTERM, a grace period, then SIGKILL); results
+// travel back over a pipe as one frame (core/harness/frame.hpp) and land in
+// the same RunLedger / AtomicFileWriter path as in-process runs, so
+// isolated, resumed, and in-process executions of the same sweep produce
+// byte-identical artifacts.
 //
 // Failed attempts retry with deterministic exponential backoff (jitter is
 // derived from the run seed and cell key, never from wall-clock entropy).
@@ -59,8 +60,6 @@ struct SupervisorOptions {
   /// Seed for the backoff jitter, normally the run seed: identical runs
   /// schedule identical retries.
   std::uint64_t backoff_seed = 0;
-  /// Bytes of each attempt's captured stderr kept in the quarantine record.
-  std::size_t stderr_tail = 512;
 };
 
 /// Computes one cell attempt and returns its serialized result fields (the
@@ -81,11 +80,12 @@ struct SupervisorOutcome {
 };
 
 /// The deterministic retry delay before attempt `attempt` (2-based: the
-/// first retry) of `cell`: exponential in the attempt number with jitter
-/// derived from (backoff_seed, cell, attempt) via splitmix64. Exposed for
-/// tests; no wall-clock or hardware entropy is involved.
-std::chrono::milliseconds backoff_delay(const SupervisorOptions& options,
-                                        const std::string& cell, int attempt);
+/// first retry) of `key` (a cell, or a locprivd shard): `base` times
+/// 2^(attempt-2) plus jitter in [0, base) derived from (seed, key, attempt)
+/// via splitmix64. No wall-clock or hardware entropy is involved.
+std::chrono::milliseconds backoff_delay(std::chrono::milliseconds base,
+                                        std::uint64_t seed,
+                                        const std::string& key, int attempt);
 
 class Supervisor {
  public:

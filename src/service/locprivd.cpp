@@ -1,20 +1,16 @@
 #include "service/locprivd.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 
+#include "core/harness/child_process.hpp"
 #include "core/harness/file_ops.hpp"
 #include "core/harness/supervisor.hpp"
 #include "service/shard_child.hpp"
 #include "service/snapshot.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
@@ -24,17 +20,9 @@ using Clock = std::chrono::steady_clock;
 
 volatile std::sig_atomic_t g_shutdown = 0;
 
-constexpr std::size_t kOutbufCompactBytes = 1 << 20;
 constexpr std::size_t kMaxRecoveryRecords = 4096;
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+/// Smoothing factor of the per-shard batch-turnaround EWMA.
+constexpr double kEwmaAlpha = 0.2;
 
 std::uint64_t parse_u64(const std::string& token) {
   char* end = nullptr;
@@ -43,38 +31,6 @@ std::uint64_t parse_u64(const std::string& token) {
     throw Error(ErrorCode::kInternal,
                 "bad integer in shard response: " + token);
   return value;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) ::close(fd);
-  fd = -1;
-}
-
-std::string signal_name(int signal) {
-  switch (signal) {
-    case SIGSEGV: return "SIGSEGV";
-    case SIGABRT: return "SIGABRT";
-    case SIGBUS: return "SIGBUS";
-    case SIGFPE: return "SIGFPE";
-    case SIGILL: return "SIGILL";
-    case SIGKILL: return "SIGKILL";
-    case SIGTERM: return "SIGTERM";
-    case SIGINT: return "SIGINT";
-    case SIGXCPU: return "SIGXCPU";
-    default: return "signal " + std::to_string(signal);
-  }
-}
-
-std::string describe_status(int status) {
-  if (WIFSIGNALED(status))
-    return "killed by " + signal_name(WTERMSIG(status));
-  if (WIFEXITED(status)) return "exit " + std::to_string(WEXITSTATUS(status));
-  return "wait status " + std::to_string(status);
 }
 
 double ms_between(Clock::time_point from, Clock::time_point to) {
@@ -99,17 +55,12 @@ struct LocprivService::Shard {
   unsigned index = 0;
   std::string name;
   State state = State::kIdle;
-  pid_t pid = -1;
+  /// The current incarnation's process. Respawns reuse it, so its stderr
+  /// tail spans every incarnation (the quarantine record journals it).
+  harness::ChildProcess proc;
   int incarnation = 0;  ///< Spawn count; the fault plan's attempt window.
   int deaths = 0;
-  int cmd_fd = -1;   ///< Parent write end (nonblocking).
-  int resp_fd = -1;  ///< Parent read end (nonblocking).
-  int err_fd = -1;   ///< Parent read end of captured stderr (nonblocking).
 
-  std::string outbuf;  ///< Encoded commands awaiting pipe capacity.
-  std::size_t out_off = 0;
-  wire::FrameDecoder decoder;
-  RollingTail stderr_tail;
   std::deque<PendingOp> pending;
   std::deque<RetainedBatch> retained;  ///< Accepted but not yet snapshotted.
 
@@ -150,15 +101,13 @@ struct LocprivService::Shard {
   bool death_clock_running = false;
   Clock::time_point death_time{};
   Clock::time_point respawn_at{};
-  Clock::time_point term_deadline{};
   Clock::time_point last_ping_sent{};
   Clock::time_point next_snapshot_at{};
 
   std::vector<std::vector<std::string>> report_rows;
   bool report_ready = false;
 
-  Shard(unsigned index, std::size_t tail_cap)
-      : index(index), name(shard_name(index)), stderr_tail(tail_cap) {}
+  explicit Shard(unsigned index) : index(index), name(shard_name(index)) {}
 
   bool alive() const {
     return state == State::kRunning || state == State::kTerminating;
@@ -216,27 +165,14 @@ LocprivService::LocprivService(ServiceOptions options,
   for (unsigned k = 0; k < options_.shards; ++k)
     // One Shard per configured shard, fixed for the service lifetime.
     // locpriv-lint: allow(unbounded-growth)
-    shards_.push_back(
-        std::make_unique<Shard>(k, options_.stderr_tail_cap));
+    shards_.push_back(std::make_unique<Shard>(k));
   if (resume)
     for (auto& shard : shards_) resume_pointer(*shard);
   for (auto& shard : shards_) spawn(*shard);
 }
 
-LocprivService::~LocprivService() {
-  for (auto& owned : shards_) {
-    Shard& shard = *owned;
-    if (shard.pid > 0) {
-      ::kill(shard.pid, SIGKILL);
-      int status = 0;
-      while (::waitpid(shard.pid, &status, 0) < 0 && errno == EINTR) {}
-      shard.pid = -1;
-    }
-    close_fd(shard.cmd_fd);
-    close_fd(shard.resp_fd);
-    close_fd(shard.err_fd);
-  }
-}
+// Each shard's ChildProcess SIGKILLs and reaps a still-running child.
+LocprivService::~LocprivService() = default;
 
 std::string LocprivService::shard_name(unsigned shard) {
   return "shard" + std::to_string(shard);
@@ -246,7 +182,7 @@ unsigned LocprivService::shard_of(const std::string& user_id) const {
   const auto it = user_shard_.find(user_id);
   if (it != user_shard_.end()) return it->second;
   const auto shard =
-      static_cast<unsigned>(fnv1a(user_id) % options_.shards);
+      static_cast<unsigned>(util::fnv1a(user_id) % options_.shards);
   user_shard_.emplace(user_id, shard);
   return shard;
 }
@@ -294,63 +230,18 @@ void LocprivService::resume_pointer(Shard& shard) {
 }
 
 void LocprivService::spawn(Shard& shard) {
-  int cmd[2] = {-1, -1};
-  int resp[2] = {-1, -1};
-  int err[2] = {-1, -1};
-  if (::pipe(cmd) != 0 || ::pipe(resp) != 0 || ::pipe(err) != 0) {
-    for (int* pair : {cmd, resp, err})
-      for (int i = 0; i < 2; ++i)
-        if (pair[i] >= 0) ::close(pair[i]);
-    throw Error(ErrorCode::kIo,
-                "cannot create pipes for " + shard.name + errno_detail());
-  }
-
-  ShardChildConfig config;
-  config.shard = shard.index;
-  config.name = shard.name;
-  config.incarnation = shard.incarnation + 1;
-  config.cmd_fd = cmd[0];
-  config.resp_fd = resp[1];
-  config.err_fd = err[1];
-
-  pid_t pid = -1;
-  {
-    // Fork-safety bracket: no other thread may be mid-log-emission at the
-    // instant of the fork, or the child inherits the sink mutex locked.
-    // Every spawn goes through here, so the *respawn* path is as fork-safe
-    // as the initial one.
-    util::LogForkGuard guard;
-    pid = ::fork();
-  }
-  if (pid < 0) {
-    for (int* pair : {cmd, resp, err})
-      for (int i = 0; i < 2; ++i) ::close(pair[i]);
-    throw Error(ErrorCode::kInternal,
-                "cannot fork " + shard.name + errno_detail());
-  }
-  if (pid == 0) {
-    ::close(cmd[1]);
-    ::close(resp[0]);
-    ::close(err[0]);
-    shard_child_main(config, analyzer_, options_);  // [[noreturn]]
-  }
-  ::close(cmd[0]);
-  ::close(resp[1]);
-  ::close(err[1]);
-  set_nonblocking(cmd[1]);
-  set_nonblocking(resp[0]);
-  set_nonblocking(err[0]);
-
-  shard.pid = pid;
-  shard.cmd_fd = cmd[1];
-  shard.resp_fd = resp[0];
-  shard.err_fd = err[0];
+  // The body runs in the child, on its copy of this frame: the incarnation
+  // it reads is the one this spawn creates.
+  shard.proc.spawn(
+      [&](int cmd_fd, int resp_fd) {
+        return shard_child_main({shard.index, shard.name,
+                                 shard.incarnation + 1, cmd_fd, resp_fd},
+                                analyzer_, options_);
+      },
+      options_.shard_rlimit_mb, options_.shard_cpu_s);
   ++shard.incarnation;
   if (shard.incarnation > 1) ++stats_.respawns;
   shard.state = Shard::State::kRunning;
-  shard.decoder = wire::FrameDecoder();
-  shard.outbuf.clear();
-  shard.out_off = 0;
   shard.pending.clear();
   shard.report_ready = false;
   shard.report_rows.clear();
@@ -379,7 +270,8 @@ void LocprivService::spawn(Shard& shard) {
   pump_submits(shard);
   queue_ping(shard);
   LOCPRIV_LOG(kInfo, "locprivd")
-      << shard.name << " incarnation " << shard.incarnation << " pid " << pid
+      << shard.name << " incarnation " << shard.incarnation << " pid "
+      << shard.proc.pid()
       << (shard.restore_expect_seq > 0
               ? " restoring snapshot " +
                     std::to_string(shard.restore_expect_seq) + ", replaying " +
@@ -388,7 +280,7 @@ void LocprivService::spawn(Shard& shard) {
 }
 
 void LocprivService::send(Shard& shard, const std::vector<std::string>& fields) {
-  shard.outbuf += wire::encode_message(fields);
+  shard.proc.write(wire::encode_message(fields));
 }
 
 bool LocprivService::window_full(const Shard& shard) const {
@@ -555,7 +447,7 @@ void LocprivService::pump_submits(Shard& shard) {
     if (options_.max_inflight_batches > 0 &&
         shard.sent_times.size() >= options_.max_inflight_batches)
       break;  // Window edge: encoding resumes as acks arrive.
-    shard.outbuf += it->frame;
+    shard.proc.write(it->frame);
     shard.sent_seq = it->seq;
     // Every encoded submit carries an in-order ack obligation with the
     // heartbeat budget: a wedged shard is detected by its oldest unacked
@@ -568,7 +460,7 @@ void LocprivService::pump_submits(Shard& shard) {
   stats_.pending_ops_peak =
       std::max(stats_.pending_ops_peak, shard.pending.size());
   stats_.outbuf_bytes_peak =
-      std::max(stats_.outbuf_bytes_peak, shard.outbuf.size() - shard.out_off);
+      std::max(stats_.outbuf_bytes_peak, shard.proc.queued());
 }
 
 void LocprivService::tick(std::chrono::milliseconds budget) {
@@ -590,73 +482,28 @@ void LocprivService::pump(std::chrono::milliseconds timeout) {
   // (nonblocking) pipes.
   for (auto& owned : shards_) {
     pump_submits(*owned);
-    if (owned->alive()) flush_out(*owned);
+    if (owned->alive()) owned->proc.flush();
   }
 
-  // 2. Wait for responses / stderr, bounded by the caller's budget.
-  std::vector<pollfd> fds;
-  std::vector<std::pair<Shard*, bool>> owners;  ///< (shard, is_resp).
+  // 2. Wait for responses / stderr, bounded by the caller's budget, and
+  // dispatch every complete response.
+  std::vector<harness::ChildProcess*> procs;
+  for (auto& owned : shards_) procs.push_back(&owned->proc);
+  harness::ChildProcess::poll_all(procs, timeout);
   for (auto& owned : shards_) {
     Shard& shard = *owned;
-    if (shard.resp_fd >= 0) {
-      fds.push_back({shard.resp_fd, POLLIN, 0});
-      owners.emplace_back(&shard, true);
+    std::vector<std::string> fields;
+    while (shard.proc.output().next(fields)) dispatch_response(shard, fields);
+    if (shard.proc.output().corrupt() && shard.alive()) {
+      shard.last_failure = "corrupt response stream";
+      shard.proc.kill();
     }
-    if (shard.err_fd >= 0) {
-      fds.push_back({shard.err_fd, POLLIN, 0});
-      owners.emplace_back(&shard, false);
-    }
-  }
-  if (!fds.empty()) {
-    int n = 0;
-    for (;;) {
-      n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                 static_cast<int>(timeout.count()));
-      if (n >= 0 || errno != EINTR) break;
-    }
-    if (n > 0) {
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        Shard& shard = *owners[i].first;
-        char chunk[65536];
-        for (;;) {
-          const ssize_t got = ::read(fds[i].fd, chunk, sizeof(chunk));
-          if (got > 0) {
-            if (owners[i].second)
-              shard.decoder.feed(chunk, static_cast<std::size_t>(got));
-            else
-              shard.stderr_tail.append(chunk, static_cast<std::size_t>(got));
-            continue;
-          }
-          if (got < 0 && errno == EINTR) continue;
-          break;  // EAGAIN (drained) or EOF (child gone; the reaper acts).
-        }
-        if (owners[i].second) {
-          std::vector<std::string> fields;
-          while (shard.decoder.next(fields)) dispatch_response(shard, fields);
-          if (shard.decoder.corrupt() && shard.alive()) {
-            shard.last_failure = "corrupt response stream";
-            ::kill(shard.pid, SIGKILL);
-          }
-        }
-      }
-    }
-  } else if (timeout.count() > 0) {
-    // Nothing to watch (all shards dead or quarantined): honour the budget
-    // so respawn backoff timers still make progress without spinning. The
-    // budget is <= 20ms, so finishing the sleep after EINTR is harmless.
-    while (::poll(nullptr, 0, static_cast<int>(timeout.count())) < 0 &&
-           errno == EINTR) {}
   }
 
   // 3. Reap exits.
-  for (auto& owned : shards_) {
-    Shard& shard = *owned;
-    if (shard.pid <= 0) continue;
-    int status = 0;
-    const pid_t reaped = ::waitpid(shard.pid, &status, WNOHANG);
-    if (reaped == shard.pid) handle_death(shard, status);
-  }
+  for (auto& owned : shards_)
+    if (const auto status = owned->proc.try_reap())
+      handle_death(*owned, *status);
 
   // 4. Health: escalate unresponsive shards, finish overdue terminations.
   for (auto& owned : shards_) health_check(*owned);
@@ -698,76 +545,37 @@ void LocprivService::pump(std::chrono::milliseconds timeout) {
   }
 }
 
-void LocprivService::flush_out(Shard& shard) {
-  while (shard.out_off < shard.outbuf.size()) {
-    const ssize_t n =
-        ::write(shard.cmd_fd, shard.outbuf.data() + shard.out_off,
-                shard.outbuf.size() - shard.out_off);
-    if (n > 0) {
-      shard.out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EAGAIN (pipe full) or EPIPE (child dead; the reaper acts).
-  }
-  if (shard.out_off == shard.outbuf.size()) {
-    shard.outbuf.clear();
-    shard.out_off = 0;
-  } else if (shard.out_off > kOutbufCompactBytes) {
-    shard.outbuf.erase(0, shard.out_off);
-    shard.out_off = 0;
-  }
-}
-
 void LocprivService::health_check(Shard& shard) {
   const auto now = Clock::now();
   if (shard.state == Shard::State::kTerminating) {
     // SIGTERM was delivered; a shard that ignores it (busy-hang) is
     // reclaimed by SIGKILL once the grace expires.
-    if (now >= shard.term_deadline) ::kill(shard.pid, SIGKILL);
+    shard.proc.escalate();
     return;
   }
   if (shard.state != Shard::State::kRunning) return;
   if (shard.pending.empty()) return;
   const PendingOp& front = shard.pending.front();
   if (now < front.deadline) return;
-  shard.last_failure = "unresponsive: no " + front.verb + " within " +
-                       std::to_string(front.budget.count()) + "ms";
+  terminate(shard, "unresponsive: no " + front.verb + " within " +
+                       std::to_string(front.budget.count()) + "ms");
+}
+
+void LocprivService::terminate(Shard& shard, std::string failure) {
+  shard.last_failure = std::move(failure);
   shard.state = Shard::State::kTerminating;
-  shard.term_deadline = now + options_.term_grace;
   shard.death_clock_running = true;
-  shard.death_time = now;  // Recovery latency counts from *detection*.
-  ::kill(shard.pid, SIGTERM);
+  // Recovery latency counts from *detection*.
+  shard.death_time = Clock::now();
+  shard.proc.terminate(options_.term_grace);
 }
 
 void LocprivService::handle_death(Shard& shard, int status) {
-  // Salvage what the child fully wrote before dying: complete response
-  // frames (a snapshot published just before a crash is valid — the file
-  // was committed atomically before the response) and the stderr tail.
-  for (const bool is_resp : {true, false}) {
-    const int fd = is_resp ? shard.resp_fd : shard.err_fd;
-    if (fd < 0) continue;
-    char chunk[65536];
-    for (;;) {
-      const ssize_t got = ::read(fd, chunk, sizeof(chunk));
-      if (got > 0) {
-        if (is_resp)
-          shard.decoder.feed(chunk, static_cast<std::size_t>(got));
-        else
-          shard.stderr_tail.append(chunk, static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got < 0 && errno == EINTR) continue;
-      break;
-    }
-  }
+  // The reap salvaged what the child fully wrote before dying: complete
+  // response frames (a snapshot published just before a crash is valid —
+  // the file was committed atomically before the response) and stderr.
   std::vector<std::string> fields;
-  while (shard.decoder.next(fields)) dispatch_response(shard, fields);
-
-  shard.pid = -1;
-  close_fd(shard.cmd_fd);
-  close_fd(shard.resp_fd);
-  close_fd(shard.err_fd);
+  while (shard.proc.output().next(fields)) dispatch_response(shard, fields);
 
   if (shard.state == Shard::State::kDrained ||
       shard.state == Shard::State::kQuarantined)
@@ -775,7 +583,7 @@ void LocprivService::handle_death(Shard& shard, int status) {
 
   ++stats_.shard_deaths;
   ++shard.deaths;
-  const std::string cause = describe_status(status);
+  const std::string cause = harness::ChildProcess::describe(status);
   shard.last_failure =
       shard.last_failure.empty() ? cause : shard.last_failure + "; " + cause;
   shard.pending.clear();
@@ -803,30 +611,23 @@ void LocprivService::handle_death(Shard& shard, int status) {
     return;
   }
   // Deterministic backoff, same jitter derivation as supervised cells.
-  harness::SupervisorOptions backoff;
-  backoff.backoff_base = options_.backoff_base;
-  backoff.backoff_seed = options_.backoff_seed;
   shard.state = Shard::State::kDead;
-  shard.respawn_at = Clock::now() +
-                     harness::backoff_delay(backoff, shard.name,
+  shard.respawn_at =
+      Clock::now() + harness::backoff_delay(options_.backoff_base,
+                                            options_.backoff_seed, shard.name,
                                             shard.deaths + 1);
 }
 
 void LocprivService::quarantine(Shard& shard, std::string reason) {
-  if (shard.pid > 0) {
-    ::kill(shard.pid, SIGKILL);
-    int status = 0;
-    while (::waitpid(shard.pid, &status, 0) < 0 && errno == EINTR) {}
-    shard.pid = -1;
+  if (shard.proc.running()) {
+    shard.proc.kill();
+    shard.proc.reap();
   }
-  close_fd(shard.cmd_fd);
-  close_fd(shard.resp_fd);
-  close_fd(shard.err_fd);
   std::vector<std::string> details;
   details.push_back(std::move(reason));
   if (!shard.last_failure.empty())
     details.push_back("last failure: " + shard.last_failure);
-  const std::string tail = shard.stderr_tail.one_line();
+  const std::string tail = shard.proc.stderr_tail().one_line();
   if (!tail.empty()) details.push_back("stderr: " + tail);
   ledger_->record_quarantine(shard.name, details);
   shard.state = Shard::State::kQuarantined;
@@ -1109,7 +910,8 @@ void LocprivService::drain() {
     for (auto& owned : shards_) {
       Shard& shard = *owned;
       if (shard.state == Shard::State::kQuarantined) continue;
-      if (shard.state == Shard::State::kDrained && shard.pid <= 0) continue;
+      if (shard.state == Shard::State::kDrained && !shard.proc.running())
+        continue;
       all_done = false;
       // Dead shards are respawned by the pump (restore + replay) and then
       // drained, so their retained batches reach a final snapshot too. The
@@ -1149,8 +951,8 @@ void LocprivService::drain() {
 }
 
 void LocprivService::note_turnaround(Shard& shard, double sample_ms) {
-  shard.ewma_ms = ewma_update(shard.ewma_ms, sample_ms, options_.ewma_alpha,
-                              shard.ewma_init);
+  shard.ewma_ms =
+      ewma_update(shard.ewma_ms, sample_ms, kEwmaAlpha, shard.ewma_init);
   shard.ewma_init = true;
   if (options_.slow_restart_ms.count() > 0 &&
       shard.ewma_ms >= static_cast<double>(options_.slow_restart_ms.count()) &&
@@ -1159,14 +961,9 @@ void LocprivService::note_turnaround(Shard& shard, double sample_ms) {
     // it the same SIGTERM -> grace -> SIGKILL respawn a missed ping earns.
     // The respawn replays the retained suffix, so nothing is lost.
     ++stats_.slow_restarts;
-    shard.last_failure = "slow: turnaround EWMA " +
+    terminate(shard, "slow: turnaround EWMA " +
                          std::to_string(static_cast<long>(shard.ewma_ms)) +
-                         "ms exceeded restart threshold";
-    shard.state = Shard::State::kTerminating;
-    shard.term_deadline = Clock::now() + options_.term_grace;
-    shard.death_clock_running = true;
-    shard.death_time = Clock::now();
-    ::kill(shard.pid, SIGTERM);
+                         "ms exceeded restart threshold");
     return;
   }
   if (options_.degraded_ms.count() > 0) {

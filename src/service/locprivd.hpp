@@ -39,7 +39,6 @@
 
 #include "core/analyzer.hpp"
 #include "core/harness/run_ledger.hpp"
-#include "service/rolling_tail.hpp"
 #include "service/wire.hpp"
 #include "sim/faults/process_plan.hpp"
 
@@ -93,8 +92,6 @@ struct ServiceOptions {
   /// RLIMIT_AS (MiB) / RLIMIT_CPU (s) applied inside each shard; 0 = off.
   std::size_t shard_rlimit_mb = 0;
   unsigned shard_cpu_s = 0;
-  /// Rolling stderr bytes retained per shard lifetime (all incarnations).
-  std::size_t stderr_tail_cap = 4096;
   /// Deterministic shard misbehaviour for failover rehearsal: plan keys are
   /// shard names ("shard0"), the attempt window counts incarnations.
   sim::ProcessFaultPlan fault_plan;
@@ -110,8 +107,6 @@ struct ServiceOptions {
   std::size_t max_retained_bytes = 0;
   /// Shedding policy for shed-eligible (synthetic/soak) admission.
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  /// Smoothing factor for the per-shard batch-turnaround EWMA.
-  double ewma_alpha = 0.2;
   /// Turnaround EWMA above this marks the shard degraded and triggers one
   /// out-of-band snapshot per degraded episode. 0 disables.
   std::chrono::milliseconds degraded_ms{0};
@@ -316,6 +311,9 @@ class LocprivService {
   void account_shed(Shard& shard, const std::string& user, std::size_t fixes,
                     ShedCause cause);
   void note_turnaround(Shard& shard, double sample_ms);
+  /// Starts SIGTERM -> grace -> SIGKILL on an unhealthy shard; the reaper
+  /// then respawns it. `failure` becomes its last_failure.
+  void terminate(Shard& shard, std::string failure);
   void resume_pointer(Shard& shard);
   void handle_death(Shard& shard, int status);
   void quarantine(Shard& shard, std::string reason);
@@ -330,7 +328,6 @@ class LocprivService {
                                bool was_drain);
   void queue_snapshot(Shard& shard, const char* verb);
   void queue_ping(Shard& shard);
-  void flush_out(Shard& shard);
   void health_check(Shard& shard);
   void record_snapshot(Shard& shard, const std::vector<std::string>& fields);
   std::filesystem::path snapshot_path(const Shard& shard,

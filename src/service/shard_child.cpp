@@ -1,45 +1,26 @@
 #include "service/shard_child.hpp"
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <csignal>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/harness/atomic_file.hpp"
+#include "core/harness/child_process.hpp"
 #include "core/harness/error.hpp"
 #include "service/driver.hpp"
 #include "service/snapshot.hpp"
-#include "util/logging.hpp"
 
 namespace locpriv::service {
 
 namespace {
 
-void write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::_exit(1);  // Parent gone; nothing left to report to.
-    }
-    data += static_cast<std::size_t>(n);
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
 void respond(int fd, const std::vector<std::string>& fields) {
-  const std::string message = wire::encode_message(fields);
-  write_all(fd, message.data(), message.size());
-}
-
-void note(const std::string& text) {
-  const std::string line = text + "\n";
-  write_all(STDERR_FILENO, line.data(), line.size());
+  if (!harness::write_all(fd, wire::encode_message(fields)))
+    throw Error(ErrorCode::kIo, "response pipe closed" + errno_detail());
 }
 
 double parse_coord(const std::string& token) {
@@ -193,93 +174,51 @@ struct ShardState {
   }
 };
 
-void apply_shard_rlimits(const ServiceOptions& options) {
-  if (options.shard_rlimit_mb > 0) {
-    struct rlimit limit {};
-    limit.rlim_cur = limit.rlim_max =
-        static_cast<rlim_t>(options.shard_rlimit_mb) * 1024 * 1024;
-    ::setrlimit(RLIMIT_AS, &limit);
-  }
-  if (options.shard_cpu_s > 0) {
-    struct rlimit limit {};
-    limit.rlim_cur = limit.rlim_max = options.shard_cpu_s;
-    ::setrlimit(RLIMIT_CPU, &limit);
-  }
-}
-
 }  // namespace
 
-void shard_child_main(const ShardChildConfig& config,
-                      const core::PrivacyAnalyzer& analyzer,
-                      const ServiceOptions& options) {
-  // Same fork discipline as the supervisor children: silence the cloned
-  // logger before anything can log, route stderr into the capture pipe,
-  // restore default signal dispositions so SIGTERM terminates us, then cap
-  // the process. The parent holds LogForkGuard across the fork itself.
-  util::set_log_level(util::LogLevel::kOff);
-  ::dup2(config.err_fd, STDERR_FILENO);
-  if (config.err_fd != STDERR_FILENO) ::close(config.err_fd);
-  struct sigaction dfl {};
-  dfl.sa_handler = SIG_DFL;
-  ::sigemptyset(&dfl.sa_mask);
-  ::sigaction(SIGINT, &dfl, nullptr);
-  ::sigaction(SIGTERM, &dfl, nullptr);
-  apply_shard_rlimits(options);
-
-  try {
-    ShardState state(config, analyzer, options);
-    wire::FrameDecoder decoder;
-    std::vector<std::string> cmd;
-    char chunk[4096];
-    for (;;) {
-      while (decoder.next(cmd)) {
-        if (cmd.empty()) continue;
-        const std::string& verb = cmd[0];
-        if (verb == wire::kCmdSubmit) {
-          state.handle_submit(cmd);
-        } else if (verb == wire::kCmdPing) {
-          respond(config.resp_fd,
-                  {wire::kRspPong, cmd[1], std::to_string(state.ingested),
-                   std::to_string(state.state_bytes())});
-        } else if (verb == wire::kCmdRestore) {
-          state.handle_restore(cmd);
-        } else if (verb == wire::kCmdSnapshot) {
-          state.write_snapshot(cmd, wire::kRspSnapped);
-        } else if (verb == wire::kCmdReport) {
-          state.handle_report(cmd);
-        } else if (verb == wire::kCmdDrain) {
-          // Only exit once the final snapshot actually published; a failed
-          // drain keeps the shard alive so the parent can retry (or give up
-          // with a taxonomy exit) without losing the in-memory state.
-          if (state.write_snapshot(cmd, wire::kRspDrained)) ::_exit(0);
-        } else {
-          note("shard " + config.name + ": unknown command " + verb);
-          ::_exit(exit_code(ErrorCode::kInternal));
-        }
+int shard_child_main(const ShardChildConfig& config,
+                     const core::PrivacyAnalyzer& analyzer,
+                     const ServiceOptions& options) {
+  ShardState state(config, analyzer, options);
+  wire::FrameDecoder decoder;
+  std::vector<std::string> cmd;
+  char chunk[4096];
+  for (;;) {
+    while (decoder.next(cmd)) {
+      if (cmd.empty()) continue;
+      const std::string& verb = cmd[0];
+      if (verb == wire::kCmdSubmit) {
+        state.handle_submit(cmd);
+      } else if (verb == wire::kCmdPing) {
+        respond(config.resp_fd,
+                {wire::kRspPong, cmd[1], std::to_string(state.ingested),
+                 std::to_string(state.state_bytes())});
+      } else if (verb == wire::kCmdRestore) {
+        state.handle_restore(cmd);
+      } else if (verb == wire::kCmdSnapshot) {
+        state.write_snapshot(cmd, wire::kRspSnapped);
+      } else if (verb == wire::kCmdReport) {
+        state.handle_report(cmd);
+      } else if (verb == wire::kCmdDrain) {
+        // Only exit once the final snapshot actually published; a failed
+        // drain keeps the shard alive so the parent can retry (or give up
+        // with a taxonomy exit) without losing the in-memory state.
+        if (state.write_snapshot(cmd, wire::kRspDrained)) return 0;
+      } else {
+        throw Error(ErrorCode::kInternal,
+                    "shard " + config.name + ": unknown command " + verb);
       }
-      if (decoder.corrupt()) {
-        note("shard " + config.name + ": corrupt command stream");
-        ::_exit(exit_code(ErrorCode::kInternal));
-      }
-      const ssize_t n = ::read(config.cmd_fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        decoder.feed(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      ::_exit(0);  // EOF: the parent closed the pipe (or died); clean stop.
     }
-  } catch (const Error& e) {
-    note(e.what());
-    ::_exit(e.exit_code());
-  } catch (const std::exception& e) {
-    note(e.what());
-    ::_exit(exit_code(ErrorCode::kInternal));
-    // The child must never unwind into the cloned parent stack; the
-    // non-zero _exit IS the report. locpriv-lint: allow(swallowed-catch)
-  } catch (...) {
-    note("non-std exception in shard worker");
-    ::_exit(exit_code(ErrorCode::kInternal));
+    if (decoder.corrupt())
+      throw Error(ErrorCode::kInternal,
+                  "shard " + config.name + ": corrupt command stream");
+    const ssize_t n = ::read(config.cmd_fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      decoder.feed(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return 0;  // EOF: the parent closed the pipe (or died); clean stop.
   }
 }
 

@@ -1,8 +1,9 @@
-// The shard worker body. Runs inside a process fork(2)ed by LocprivService:
-// a blocking command loop over the shard's pipe pair that applies submit
-// batches to per-user fix state, answers heartbeat pings, writes snapshots,
-// runs the audit pipeline for reports, and exits on drain. Never returns —
-// all exits are _exit(2), so the cloned parent stack is never unwound.
+// The shard worker body. Runs as the body of the harness::ChildProcess that
+// LocprivService forks per shard incarnation: a blocking command loop over
+// the shard's pipe pair that applies submit batches to per-user fix state,
+// answers heartbeat pings, writes snapshots, runs the audit pipeline for
+// reports, and returns its exit code on drain or when the parent closes the
+// command pipe.
 #pragma once
 
 #include "core/analyzer.hpp"
@@ -16,11 +17,12 @@ struct ShardChildConfig {
   int incarnation = 1;  ///< 1-based spawn count, the fault attempt window.
   int cmd_fd = -1;      ///< Read end: commands from the parent.
   int resp_fd = -1;     ///< Write end: responses to the parent.
-  int err_fd = -1;      ///< Write end: captured stderr.
 };
 
-[[noreturn]] void shard_child_main(const ShardChildConfig& config,
-                                   const core::PrivacyAnalyzer& analyzer,
-                                   const ServiceOptions& options);
+/// Runs the command loop and returns the exit code. Throws Error on a
+/// corrupt command stream, an unknown verb, or a closed response pipe.
+int shard_child_main(const ShardChildConfig& config,
+                     const core::PrivacyAnalyzer& analyzer,
+                     const ServiceOptions& options);
 
 }  // namespace locpriv::service

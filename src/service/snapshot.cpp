@@ -6,21 +6,13 @@
 
 #include "core/harness/error.hpp"
 #include "core/harness/file_ops.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
 namespace {
 
 constexpr char kMagic[] = "locprivd-snapshot v1";
-
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 std::string hex64(std::uint64_t value) {
   char buffer[17];
@@ -87,13 +79,13 @@ std::string encode_snapshot(const ShardSnapshot& snapshot) {
               std::to_string(fix.timestamp_s) + "\n";
     }
   }
-  return std::string(kMagic) + " checksum " + hex64(fnv1a(body)) + "\n" + body;
+  return std::string(kMagic) + " checksum " + hex64(util::fnv1a(body)) + "\n" + body;
 }
 
 std::string snapshot_checksum(const std::string& encoded) {
   const std::size_t eol = encoded.find('\n');
   if (eol == std::string::npos) corrupt("no header line");
-  return hex64(fnv1a(encoded.substr(eol + 1)));
+  return hex64(util::fnv1a(encoded.substr(eol + 1)));
 }
 
 ShardSnapshot parse_snapshot(const std::string& encoded) {
@@ -104,7 +96,7 @@ ShardSnapshot parse_snapshot(const std::string& encoded) {
   if (header.rfind(expected_prefix, 0) != 0) corrupt("bad magic");
   const std::string recorded = header.substr(expected_prefix.size());
   const std::string body = encoded.substr(eol + 1);
-  if (hex64(fnv1a(body)) != recorded) corrupt("checksum mismatch");
+  if (hex64(util::fnv1a(body)) != recorded) corrupt("checksum mismatch");
 
   std::istringstream in(body);
   ShardSnapshot snapshot;

@@ -84,6 +84,9 @@ void ProcessFaultPlan::trigger(const std::string& cell, int attempt,
   if (fault == nullptr) return;
   switch (fault->kind) {
     case ProcessFaultKind::kCrash:
+      // The default disposition first: a sanitizer's SEGV handler would
+      // otherwise turn the crash into an ordinary exit 1.
+      std::signal(SIGSEGV, SIG_DFL);
       std::raise(SIGSEGV);
       return;  // Unreachable unless SIGSEGV is blocked; fall through safely.
     case ProcessFaultKind::kHang: {

@@ -86,4 +86,13 @@ std::string format_percent(double fraction, int digits) {
   return format_fixed(fraction * 100.0, digits) + "%";
 }
 
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 }  // namespace locpriv::util

@@ -1,6 +1,7 @@
 // Small string utilities shared by parsers and report writers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,5 +38,9 @@ std::string format_fixed(double value, int digits);
 
 /// Formats a fraction in [0,1] as a percentage string like "27.5%".
 std::string format_percent(double fraction, int digits = 1);
+
+/// 64-bit FNV-1a. Shard routing, snapshot checksums and backoff jitter all
+/// depend on its exact values, so it must never change.
+std::uint64_t fnv1a(std::string_view text);
 
 }  // namespace locpriv::util

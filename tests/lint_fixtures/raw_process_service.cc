@@ -1,7 +1,7 @@
-// Full shard-lifecycle surface (fork + kill + waitpid): flagged as three
-// raw-process findings in library code, but legal under src/service/ where
-// locprivd supervises its own shard children. The waitpid is EINTR-correct
-// so only the raw-process rule fires.
+// Full shard-lifecycle surface (fork + kill + waitpid): three raw-process
+// findings anywhere outside src/core/harness/, src/service/ included —
+// locprivd runs its shards through harness::ChildProcess. The waitpid is
+// EINTR-correct so only the raw-process rule fires.
 #include <cerrno>
 #include <csignal>
 #include <sys/wait.h>

@@ -108,15 +108,18 @@ TEST(LocprivLint, HarnessDirectoryMayForkAndReap) {
   EXPECT_TRUE(lint_source("src/core/harness/supervisor.cpp", content).empty());
 }
 
-TEST(LocprivLint, ServiceDirectoryMayForkAndReap) {
-  // locprivd shards users across fork(2)-managed workers, so src/service/
-  // shares the raw-process waiver — but only that one: the raw-write rule
-  // still applies there (snapshots must go through AtomicFileWriter).
+TEST(LocprivLint, ServiceDirectoryForkAndReapAreFlagged) {
+  // locprivd runs its shards through harness::ChildProcess, so src/service/
+  // gets no raw-process waiver: the fixture's fork, kill and waitpid are
+  // flagged there exactly as in any library file. The raw-write rule
+  // applies there too (snapshots must go through AtomicFileWriter).
   const std::string content = read_fixture("raw_process_service.cc");
-  const auto library = lint_source("src/sample.cpp", content);
-  EXPECT_EQ(library.size(), 3u);
-  for (const Finding& finding : library) EXPECT_EQ(finding.rule, "raw-process");
-  EXPECT_TRUE(lint_source("src/service/locprivd.cpp", content).empty());
+  for (const char* path : {"src/sample.cpp", "src/service/locprivd.cpp"}) {
+    const auto findings = lint_source(path, content);
+    EXPECT_EQ(findings.size(), 3u) << path;
+    for (const Finding& finding : findings)
+      EXPECT_EQ(finding.rule, "raw-process") << path;
+  }
   const auto raw_write = lint_source("src/service/snapshot.cpp",
                                      read_fixture("raw_write_bad.cc"));
   ASSERT_EQ(raw_write.size(), 1u);

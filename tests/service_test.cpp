@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -18,19 +19,22 @@
 
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
+#include "core/harness/child_process.hpp"
 #include "core/harness/error.hpp"
+#include "core/harness/run_ledger.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
 #include "service/locprivd.hpp"
-#include "service/rolling_tail.hpp"
 #include "service/snapshot.hpp"
 #include "service/wire.hpp"
 #include "sim/faults/process_plan.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 namespace {
 
 namespace fs = std::filesystem;
+using harness::RollingTail;
 
 fs::path fresh_dir(const std::string& name) {
   // Per-pid: the chaos_locprivd aggregate runs these tests in a second
@@ -361,13 +365,27 @@ TEST(ServiceFailover, FlappingShardIsQuarantinedAndTheRestSurvive) {
   options.fault_plan = sim::ProcessFaultPlan::parse("crash@shard0");
   options.fault_after_batches = 1;
   const auto traffic = quick_traffic();
-  LocprivService daemon(options, analyzer, fresh_dir("flap"), false);
+  const fs::path run_dir = fresh_dir("flap");
+  LocprivService daemon(options, analyzer, run_dir, false);
   drive_traffic(daemon, analyzer, traffic);
   const auto rows = daemon.collect_reports();
   daemon.drain();
   ASSERT_EQ(daemon.quarantined_shards(),
             std::vector<std::string>{"shard0"});
   EXPECT_EQ(daemon.stats().shard_deaths, 2);  // Budget of 1 respawn + 1.
+  // The journaled quarantine record names how the last incarnation died.
+  std::ifstream in(run_dir / "ledger.jsonl", std::ios::binary);
+  std::stringstream ledger;
+  ledger << in.rdbuf();
+  const harness::LedgerReplay replay = harness::replay_ledger(ledger.str());
+  ASSERT_EQ(replay.quarantine.count("shard0"), 1u);
+  const std::vector<std::string>& record = replay.quarantine.at("shard0");
+  EXPECT_TRUE(std::any_of(record.begin(), record.end(),
+                          [](const std::string& line) {
+                            return line.find("killed by SIGSEGV") !=
+                                   std::string::npos;
+                          }))
+      << util::join(record, " | ");
   // shard1's users still audit with full parity; shard0's are omitted.
   std::size_t shard1_users = 0;
   for (std::size_t i = 0; i < analyzer.user_count(); ++i)

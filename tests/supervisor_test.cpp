@@ -97,35 +97,31 @@ SupervisorOptions quick_options(bool isolate, unsigned workers) {
 // ---- deterministic backoff ---------------------------------------------
 
 TEST(BackoffDelay, ExponentialWithDeterministicBoundedJitter) {
-  SupervisorOptions options;
-  options.backoff_base = std::chrono::milliseconds(100);
-  options.backoff_seed = 42;
+  const std::chrono::milliseconds base(100);
+  const std::uint64_t seed = 42;
 
   // Attempt 1 is the first try, not a retry: no delay.
-  EXPECT_EQ(backoff_delay(options, "cell", 1).count(), 0);
+  EXPECT_EQ(backoff_delay(base, seed, "cell", 1).count(), 0);
 
   for (int attempt = 2; attempt <= 6; ++attempt) {
-    const auto delay = backoff_delay(options, "cell", attempt);
+    const auto delay = backoff_delay(base, seed, "cell", attempt);
     const std::int64_t floor = 100LL << (attempt - 2);
     EXPECT_GE(delay.count(), floor) << "attempt " << attempt;
     EXPECT_LT(delay.count(), floor + 100) << "attempt " << attempt;
     // Pure arithmetic: the same inputs always schedule the same delay.
-    EXPECT_EQ(delay, backoff_delay(options, "cell", attempt));
+    EXPECT_EQ(delay, backoff_delay(base, seed, "cell", attempt));
   }
 
   // Jitter depends on the seed and the cell, so concurrent retries of
   // different cells (or reruns under a different seed) do not stampede.
-  SupervisorOptions reseeded = options;
-  reseeded.backoff_seed = 43;
-  EXPECT_NE(backoff_delay(options, "cell", 2),
-            backoff_delay(reseeded, "cell", 2));
-  EXPECT_NE(backoff_delay(options, "cell_a", 2),
-            backoff_delay(options, "cell_b", 2));
+  EXPECT_NE(backoff_delay(base, seed, "cell", 2),
+            backoff_delay(base, seed + 1, "cell", 2));
+  EXPECT_NE(backoff_delay(base, seed, "cell_a", 2),
+            backoff_delay(base, seed, "cell_b", 2));
 
   // Disabling the base disables the wait entirely.
-  SupervisorOptions no_backoff;
-  no_backoff.backoff_base = std::chrono::milliseconds(0);
-  EXPECT_EQ(backoff_delay(no_backoff, "cell", 5).count(), 0);
+  EXPECT_EQ(
+      backoff_delay(std::chrono::milliseconds(0), seed, "cell", 5).count(), 0);
 }
 
 // ---- process fault plans -----------------------------------------------

@@ -89,6 +89,14 @@ TEST(Strings, Formatting) {
   EXPECT_EQ(format_percent(1.0, 0), "100%");
 }
 
+TEST(Strings, Fnv1aKnownAnswers) {
+  // The published FNV-1a 64 vectors. Shard routing and journaled snapshot
+  // checksums are these exact values.
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+}
+
 TEST(Csv, ParseSimpleWithHeader) {
   const auto doc = parse_csv("a,b\n1,2\n3,4\n", /*has_header=*/true);
   ASSERT_EQ(doc.header.size(), 2u);

@@ -1,7 +1,9 @@
-// libFuzzer harness for the locprivd wire FrameDecoder. The decoder sits
-// directly on the shard pipes, so every byte a (possibly dying, possibly
-// wedged) child writes reaches it unfiltered: arbitrary lengths, torn
-// frames, garbage after a kill. The harness replays fuzz input as a chunked
+// libFuzzer harness for the FrameDecoder (core/harness/frame.hpp, reached
+// here through service/wire.hpp). The decoder sits directly on every
+// ChildProcess output pipe — locprivd's shards and the supervisor's
+// isolated cells alike — so every byte a (possibly dying, possibly wedged)
+// child writes reaches it unfiltered: arbitrary lengths, torn frames,
+// garbage after a kill. The harness replays fuzz input as a chunked
 // stream (chunk size derived from the first byte, so minimization explores
 // reassembly boundaries) and checks two invariants on top of
 // "never crash":

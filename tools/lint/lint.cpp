@@ -188,15 +188,6 @@ bool is_harness_path(std::string_view path) {
   return std::string(path).find("src/core/harness/") != std::string::npos;
 }
 
-// The raw-process rule alone is also waived under src/service/: locprivd IS
-// a process supervisor (fork/kill/waitpid are its job, with the same
-// reap-and-escalate discipline as the harness). Everything else — atomic
-// writes, deterministic RNG, ordered serialization — still applies there.
-bool may_own_processes(std::string_view path) {
-  return is_harness_path(path) ||
-         std::string(path).find("src/service/") != std::string::npos;
-}
-
 bool is_service_path(std::string_view path) {
   return std::string(path).find("src/service/") != std::string::npos;
 }
@@ -674,7 +665,6 @@ FileAnalysis analyze_source(std::string_view path, std::string_view content) {
   analysis.suppressions.errors.clear();
 
   const bool harness_file = is_harness_path(path);
-  const bool process_owner_file = may_own_processes(path);
   const bool longlived_file = is_longlived_state_path(path);
   const bool main_file = std::regex_search(code_view, main_definition_re());
   const bool serializes = std::regex_search(code_view, serialize_sink_re());
@@ -705,7 +695,7 @@ FileAnalysis analyze_source(std::string_view path, std::string_view content) {
       add(line, kExitCall,
           "exit() outside a main() file skips destructors and the "
           "locpriv::Error exit-code taxonomy; throw instead");
-    if (!process_owner_file) {
+    if (!harness_file) {
       for (auto match = std::sregex_iterator(code.begin(), code.end(),
                                              raw_process_re());
            match != std::sregex_iterator(); ++match) {
@@ -714,9 +704,9 @@ FileAnalysis analyze_source(std::string_view path, std::string_view content) {
           continue;
         add(line, kRawProcess,
             "raw " + (*match)[1].str() +
-                "() outside src/core/harness/ or src/service/; run children "
-                "through harness::Supervisor or service::LocprivService so "
-                "rlimits, reaping, and graceful shutdown stay centralized");
+                "() outside src/core/harness/; run children through "
+                "harness::ChildProcess so rlimits, reaping, and graceful "
+                "shutdown stay centralized");
         break;  // One finding per line, matching the other rules.
       }
     }
@@ -1114,9 +1104,9 @@ const std::vector<RuleInfo>& rules() {
        "std::rand/srand/random_device/time(nullptr): nondeterministic source "
        "breaks resume byte-identity; derive randomness from a seeded stats::Rng"},
       {kRawProcess,
-       "direct fork/exec/waitpid/kill outside src/core/harness/ or "
-       "src/service/; process lifecycle belongs to harness::Supervisor or "
-       "service::LocprivService (rlimits, reaping, graceful shutdown)"},
+       "direct fork/exec/waitpid/kill outside src/core/harness/; process "
+       "lifecycle belongs to harness::ChildProcess (rlimits, reaping, "
+       "graceful shutdown)"},
       {kRawWrite,
        "raw std::ofstream/fopen/rename artifact write outside src/core/harness/; "
        "route artifacts through AtomicFileWriter (torn-write invariant)"},

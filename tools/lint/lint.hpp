@@ -19,7 +19,7 @@
 //                       std::current_exception, nor aborts.
 //   exit-call           exit() outside a file that defines main().
 //   raw-process         direct fork/exec*/waitpid/kill outside
-//                       src/core/harness/ and src/service/.
+//                       src/core/harness/.
 //   unbounded-growth    push/emplace onto long-lived member state with no
 //                       cap or trim in sight (service + harness dirs only).
 //
