@@ -9,13 +9,15 @@
 //   bench_micro --json BENCH_micro.json [--scale 100000] [--baseline FILE]
 //
 // which times each indexed hot path against its "before" linear scan at
-// `--scale` points, asserts the outputs are identical (the index is a pure
-// perf change), and writes the standardized BENCH_micro.json artifact with
+// `--scale` points (and the one-pass prefix sweep against the per-probe
+// loop it replaced), asserts the outputs are identical (both are pure perf
+// changes), and writes the standardized BENCH_micro.json artifact with
 // before/after nanoseconds and speedups. With --baseline it re-reads a
 // committed artifact and exits non-zero if any kernel regressed by more
 // than 2x — the CI perf-smoke gate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -363,6 +365,25 @@ bool pois_identical(const std::vector<poi::Poi>& a, const std::vector<poi::Poi>&
   return true;
 }
 
+// The identification sweep as it ran before the one-pass prefix stream:
+// every probe cuts its prefix and reruns decimate, extract, cluster and
+// build on it.
+privacy::DetectionOutcome per_probe_identification(
+    const std::vector<trace::TracePoint>& points, const privacy::Adversary& adversary,
+    std::size_t user, privacy::Pattern pattern, const privacy::DetectionConfig& config) {
+  for (const double fraction : config.fractions) {
+    const auto prefix = trace::take_prefix_fraction(points, fraction);
+    if (prefix.empty()) continue;
+    const auto observed = privacy::observed_histogram(prefix, pattern, config.extraction,
+                                                      config.grid, config.interval_s);
+    if (observed.empty()) continue;
+    const auto result = adversary.identify(observed, pattern, config.match);
+    if (result.matched.size() == 1 && result.matched.front() == user)
+      return {true, fraction};
+  }
+  return {};
+}
+
 std::vector<KernelResult> run_kernels(std::size_t scale) {
   std::vector<KernelResult> results;
   const auto query_centers = scatter(256, 23);
@@ -460,6 +481,47 @@ std::vector<KernelResult> run_kernels(std::size_t scale) {
         benchmark::DoNotOptimize(tree.query_knn(c, 16));
     });
     results.push_back(knn);
+  }
+
+  {
+    // Figure 4's identification sweep over every bench_analyzer() user and
+    // both patterns at 1 s (a fixed corpus; --scale does not apply).
+    const auto& analyzer = bench_analyzer();
+    privacy::DetectionConfig config(analyzer.grid());
+    config.extraction = analyzer.config().extraction;
+    config.match = analyzer.config().match;
+    std::int64_t fixes = 0;
+    for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+      fixes += static_cast<std::int64_t>(analyzer.reference(u).points.size());
+    const auto sweep_all = [&](auto&& sweep) {
+      std::vector<privacy::DetectionOutcome> outcomes;
+      for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+        for (const auto pattern : {privacy::Pattern::kVisits, privacy::Pattern::kMovements})
+          outcomes.push_back(sweep(analyzer.reference(u).points, u, pattern));
+      return outcomes;
+    };
+    KernelResult r{"prefix_sweep", fixes,
+                   static_cast<std::int64_t>(2 * analyzer.user_count()), 0.0, 0.0};
+    std::vector<privacy::DetectionOutcome> scan, indexed;
+    r.scan_ns = time_ns([&] {
+      scan = sweep_all([&](const auto& points, std::size_t u, privacy::Pattern pattern) {
+        return per_probe_identification(points, analyzer.adversary(), u, pattern, config);
+      });
+    });
+    r.indexed_ns = time_ns([&] {
+      indexed = sweep_all([&](const auto& points, std::size_t u, privacy::Pattern pattern) {
+        return privacy::earliest_identification(points, analyzer.adversary(), u, pattern,
+                                                config);
+      });
+    });
+    r.identical = std::equal(scan.begin(), scan.end(), indexed.begin(), indexed.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.detected == b.detected && a.fraction == b.fraction;
+                             });
+    std::fprintf(stderr, "prefix_sweep: %zu users, %lld fixes, %.1fms per-probe / %.1fms one-pass\n",
+                 analyzer.user_count(), static_cast<long long>(fixes), r.scan_ns / 1e6,
+                 r.indexed_ns / 1e6);
+    results.push_back(r);
   }
 
   return results;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "geo/latlon.hpp"
@@ -46,10 +47,60 @@ struct ExtractionParams {
 /// The paper's Table III parameter grid, in order (set ids 1..6).
 std::vector<ExtractionParams> table3_parameter_sets();
 
-/// Extracts stay points from a time-ordered fix stream using the
-/// three-buffer Spatio-Temporal algorithm described above.
-/// Preconditions: points time-ordered; params.radius_m > 0,
-/// params.min_visit_s > 0, params.window_fixes >= 4 and even.
+/// The three-buffer Spatio-Temporal extractor described above, fed one fix
+/// at a time. It holds the entry/exit window, the open stay's running sums
+/// and the stays closed so far, so a growing prefix of a trace is extracted
+/// once rather than once per prefix.
+class StayPointStream {
+ public:
+  /// Preconditions: params.radius_m > 0, params.min_visit_s > 0,
+  /// params.window_fixes >= 4 and even.
+  explicit StayPointStream(const ExtractionParams& params);
+
+  /// Feeds the next fix; fixes must arrive in time order.
+  void push(const trace::TracePoint& point);
+
+  /// The stays extract_stay_points returns for the fixes pushed so far: the
+  /// closed stays, plus the open stay as the end of the stream closes it.
+  /// Mutates nothing, so pushing may continue afterwards.
+  std::vector<StayPoint> peek_close() const;
+
+ private:
+  /// The fixes attributed to the open stay: their position sums in
+  /// attribution order, their count, and the last one's time.
+  struct Attributed {
+    double lat_sum = 0.0;
+    double lon_sum = 0.0;
+    std::size_t count = 0;
+    std::int64_t last_s = 0;
+    void add(const trace::TracePoint& point);
+  };
+
+  const trace::TracePoint& at(std::size_t i) const { return ring_[(head_ + i) & mask_]; }
+  void pop_front();
+  geo::LatLon centroid_of(std::size_t begin, std::size_t end) const;
+  /// The open stay closed after the first `overlap` window fixes join it,
+  /// if it lasted min_visit_s. Mutates nothing.
+  std::optional<StayPoint> closed_stay(std::size_t overlap) const;
+
+  double radius_m_;
+  std::int64_t min_visit_s_;
+  std::size_t window_size_;
+  std::size_t half_;
+  /// Entry window (outside a stay) or exit window (inside one): a ring of
+  /// bit_ceil(window_size_ + 1) slots, indexed with a mask.
+  std::vector<trace::TracePoint> ring_;
+  std::size_t mask_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  bool inside_ = false;
+  Attributed stay_;
+  std::int64_t enter_s_ = 0;
+  std::vector<StayPoint> stays_;
+};
+
+/// Extracts stay points from a time-ordered fix stream: every fix through a
+/// StayPointStream, then its peek_close(). Preconditions as the stream's.
 std::vector<StayPoint> extract_stay_points(const std::vector<trace::TracePoint>& points,
                                            const ExtractionParams& params);
 

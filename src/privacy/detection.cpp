@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "poi/clustering.hpp"
+#include "poi/staypoint.hpp"
 #include "trace/sampling.hpp"
 #include "util/expect.hpp"
 
@@ -26,24 +27,52 @@ PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points
   return build_histogram(pattern, pois, grid);
 }
 
+namespace {
+
+/// Walks growing prefixes of `points` in one pass. The fixes an app polling
+/// at `interval_s` collects are decimated on the fly (greedy decimation
+/// anchored at the first fix keeps the same fixes of a prefix as of the
+/// whole trace) and pushed into one stay-point stream. At each probe the
+/// stream's stays are clustered and histogrammed, and the first probe whose
+/// histogram `fires` is the outcome; later fixes are never read.
+template <typename Fires>
+DetectionOutcome sweep_prefixes(const std::vector<trace::TracePoint>& points,
+                                Pattern pattern, const DetectionConfig& config,
+                                Fires&& fires) {
+  LOCPRIV_EXPECT(std::is_sorted(config.fractions.begin(), config.fractions.end()));
+  poi::StayPointStream stream(config.extraction);
+  std::size_t pushed = 0;
+  std::int64_t next_due = points.empty() ? 0 : points.front().timestamp_s;
+  for (const double fraction : config.fractions) {
+    const std::size_t keep = trace::prefix_length(points.size(), fraction);
+    if (keep == 0) continue;
+    for (; pushed < keep; ++pushed) {
+      // trace::decimate's rule one fix at a time; interval_s <= 1 keeps
+      // every fix, as observed_histogram does.
+      const trace::TracePoint& point = points[pushed];
+      if (config.interval_s > 1) {
+        if (point.timestamp_s < next_due) continue;
+        next_due = point.timestamp_s + config.interval_s;
+      }
+      stream.push(point);
+    }
+    const auto pois =
+        poi::cluster_stay_points(stream.peek_close(), config.extraction.radius_m);
+    if (fires(build_histogram(pattern, pois, config.grid)))
+      return {.detected = true, .fraction = fraction};
+  }
+  return {};
+}
+
+}  // namespace
+
 DetectionOutcome earliest_detection(const std::vector<trace::TracePoint>& points,
                                     const PatternHistogram& profile, Pattern pattern,
                                     const DetectionConfig& config) {
-  LOCPRIV_EXPECT(std::is_sorted(config.fractions.begin(), config.fractions.end()));
-  DetectionOutcome outcome;
-  for (const double fraction : config.fractions) {
-    const auto prefix = trace::take_prefix_fraction(points, fraction);
-    if (prefix.empty()) continue;
-    const PatternHistogram observed = observed_histogram(
-        prefix, pattern, config.extraction, config.grid, config.interval_s);
+  return sweep_prefixes(points, pattern, config, [&](const PatternHistogram& observed) {
     const MatchResult match = match_histograms(observed, profile, config.match);
-    if (match.attempted && match.matches) {
-      outcome.detected = true;
-      outcome.fraction = fraction;
-      return outcome;
-    }
-  }
-  return outcome;
+    return match.attempted && match.matches;
+  });
 }
 
 DetectionOutcome earliest_identification(const std::vector<trace::TracePoint>& points,
@@ -51,36 +80,12 @@ DetectionOutcome earliest_identification(const std::vector<trace::TracePoint>& p
                                          std::size_t true_user, Pattern pattern,
                                          const DetectionConfig& config) {
   LOCPRIV_EXPECT(true_user < adversary.profile_count());
-  LOCPRIV_EXPECT(std::is_sorted(config.fractions.begin(), config.fractions.end()));
-  DetectionOutcome outcome;
-  for (const double fraction : config.fractions) {
-    const auto prefix = trace::take_prefix_fraction(points, fraction);
-    if (prefix.empty()) continue;
-    const PatternHistogram observed = observed_histogram(
-        prefix, pattern, config.extraction, config.grid, config.interval_s);
-    if (observed.empty()) continue;
+  return sweep_prefixes(points, pattern, config, [&](const PatternHistogram& observed) {
+    if (observed.empty()) return false;
     const IdentificationResult result =
         adversary.identify(observed, pattern, config.match);
-    if (result.matched.size() == 1 && result.matched.front() == true_user) {
-      outcome.detected = true;
-      outcome.fraction = fraction;
-      return outcome;
-    }
-  }
-  return outcome;
-}
-
-DetectionOutcome combined_detection(const std::vector<trace::TracePoint>& points,
-                                    const PatternHistogram& visit_profile,
-                                    const PatternHistogram& movement_profile,
-                                    const DetectionConfig& config) {
-  const DetectionOutcome visits =
-      earliest_detection(points, visit_profile, Pattern::kVisits, config);
-  const DetectionOutcome movements =
-      earliest_detection(points, movement_profile, Pattern::kMovements, config);
-  if (!visits.detected) return movements;
-  if (!movements.detected) return visits;
-  return visits.fraction <= movements.fraction ? visits : movements;
+    return result.matched.size() == 1 && result.matched.front() == true_user;
+  });
 }
 
 }  // namespace locpriv::privacy

@@ -62,11 +62,4 @@ DetectionOutcome earliest_identification(const std::vector<trace::TracePoint>& p
                                          std::size_t true_user, Pattern pattern,
                                          const DetectionConfig& config);
 
-/// Combined detector per the paper's conclusion: alert as soon as *either*
-/// pattern matches; returns the smaller detection fraction.
-DetectionOutcome combined_detection(const std::vector<trace::TracePoint>& points,
-                                    const PatternHistogram& visit_profile,
-                                    const PatternHistogram& movement_profile,
-                                    const DetectionConfig& config);
-
 }  // namespace locpriv::privacy

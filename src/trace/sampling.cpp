@@ -26,11 +26,14 @@ std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
   return decimate(points, interval_s, points.front().timestamp_s);
 }
 
+std::size_t prefix_length(std::size_t size, double fraction) {
+  LOCPRIV_EXPECT(fraction >= 0.0 && fraction <= 1.0);
+  return static_cast<std::size_t>(std::llround(fraction * static_cast<double>(size)));
+}
+
 std::vector<TracePoint> take_prefix_fraction(const std::vector<TracePoint>& points,
                                              double fraction) {
-  LOCPRIV_EXPECT(fraction >= 0.0 && fraction <= 1.0);
-  const auto keep = static_cast<std::size_t>(
-      std::llround(fraction * static_cast<double>(points.size())));
+  const std::size_t keep = prefix_length(points.size(), fraction);
   return {points.begin(), points.begin() + static_cast<std::ptrdiff_t>(keep)};
 }
 

@@ -27,7 +27,12 @@ std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
 std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s);
 
-/// First `fraction` of the points (by count). fraction in [0, 1].
+/// Length of the first `fraction` of `size` points: fraction * size,
+/// rounded to nearest. fraction in [0, 1].
+std::size_t prefix_length(std::size_t size, double fraction);
+
+/// First `fraction` of the points (by count, prefix_length of them).
+/// fraction in [0, 1].
 std::vector<TracePoint> take_prefix_fraction(const std::vector<TracePoint>& points,
                                              double fraction);
 

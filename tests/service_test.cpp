@@ -433,15 +433,28 @@ TEST(ServiceFailover, DrainedRunResumesWithNoMetricDivergence) {
 TEST(ServiceFailover, TornLedgerTailFallsBackToPreviousSnapshot) {
   const auto& analyzer = test_analyzer();
   auto options = quick_options(1);
-  options.snapshot_interval = std::chrono::milliseconds(50);
+  // No cadence: the only snapshots are one taken mid-traffic and the drain's,
+  // so the one the torn tail falls back to never covers the last batch.
+  options.snapshot_interval = std::chrono::milliseconds(0);
   const auto traffic = quick_traffic();
-  auto paced = traffic;
-  paced.pace = std::chrono::milliseconds(1);  // Several snapshot cadences.
   const fs::path run_dir = fresh_dir("torn");
-  std::uint64_t full_watermark = 0;
+  std::uint64_t last_submitted = 0;
   {
     LocprivService daemon(options, analyzer, run_dir, false);
-    drive_traffic(daemon, analyzer, paced);
+    bool snapshotted = false;
+    const auto snapshot_midway = [&] {
+      if (!snapshotted && daemon.stats().batches_offered >= 40) {
+        snapshotted = true;
+        daemon.snapshot_now();
+        while (daemon.stats().snapshots < 1) daemon.tick(std::chrono::milliseconds(1));
+      }
+      return false;
+    };
+    const TrafficOutcome outcome =
+        drive_traffic(daemon, analyzer, traffic, snapshot_midway);
+    ASSERT_TRUE(snapshotted);
+    ASSERT_GT(outcome.batches, 40u);
+    last_submitted = daemon.shard_load(0).submit_seq;
     daemon.drain();
     ASSERT_GE(daemon.stats().snapshots, 2u);
   }
@@ -468,9 +481,9 @@ TEST(ServiceFailover, TornLedgerTailFallsBackToPreviousSnapshot) {
   }
 
   LocprivService resumed(options, analyzer, run_dir, true);
-  full_watermark = resumed.restored_seq(0);
-  EXPECT_GT(full_watermark, 0u)
-      << "previous snapshot was not restored after the torn tail";
+  const std::uint64_t restored = resumed.restored_seq(0);
+  EXPECT_GT(restored, 0u) << "previous snapshot was not restored after the torn tail";
+  ASSERT_LT(restored, last_submitted);
   const TrafficOutcome replay = drive_traffic(resumed, analyzer, traffic);
   EXPECT_GT(replay.accepted, 0u);  // The torn-off suffix is re-applied.
   expect_parity(analyzer, options, traffic, resumed.collect_reports());
