@@ -1,5 +1,6 @@
 #include "core/harness/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace locpriv::harness {
@@ -64,7 +65,8 @@ bool FrameDecoder::next(std::vector<std::string>& fields) {
     return false;
   }
   fields.clear();
-  fields.reserve(count);
+  // Bounded by the bytes present (4 per field), not by the claimed count.
+  fields.reserve(std::min<std::size_t>(count, (payload_size - 4) / 4));
   for (std::uint32_t i = 0; i < count; ++i) {
     if (payload_size - offset < 4) {
       corrupt_ = true;

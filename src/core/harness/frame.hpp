@@ -1,10 +1,10 @@
-// Length-prefixed field frames over a pipe byte stream. A message is a u32
+// Length-prefixed field frames over a byte stream. A message is a u32
 // payload length, then a payload of u32 field count followed by (u32 length,
-// bytes) per field. Pipes deliver partial reads, so the decoder reassembles
-// messages incrementally. Everything is process-local (a parent and its
-// forked children share byte order), so fields travel verbatim with no
-// escaping. The supervisor's result frames and locprivd's shard wire
-// (service/wire.hpp) both use this codec.
+// bytes) per field, lengths in host byte order. Pipes deliver partial reads,
+// so the decoder reassembles messages incrementally; fields travel verbatim
+// with no escaping. The supervisor's result frames and locprivd's shard wire
+// (service/wire.hpp) both use this codec, and locprivd's snapshot bodies
+// persist frames on disk, so service/wire.hpp asserts a little-endian host.
 #pragma once
 
 #include <cstddef>

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstdlib>
 
 #include "core/harness/child_process.hpp"
-#include "core/harness/file_ops.hpp"
 #include "core/harness/supervisor.hpp"
 #include "service/shard_child.hpp"
 #include "service/snapshot.hpp"
@@ -23,15 +21,6 @@ volatile std::sig_atomic_t g_shutdown = 0;
 constexpr std::size_t kMaxRecoveryRecords = 4096;
 /// Smoothing factor of the per-shard batch-turnaround EWMA.
 constexpr double kEwmaAlpha = 0.2;
-
-std::uint64_t parse_u64(const std::string& token) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
-    throw Error(ErrorCode::kInternal,
-                "bad integer in shard response: " + token);
-  return value;
-}
 
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -202,23 +191,12 @@ void LocprivService::resume_pointer(Shard& shard) {
   for (std::uint64_t seq = newest; seq > 0 && seq + 2 > newest; --seq) {
     const std::vector<std::string>* fields =
         ledger_->fields(shard.name + "/snap/" + std::to_string(seq));
-    if (fields == nullptr || fields->size() < 5) continue;
-    const std::string& file = (*fields)[0];
-    // Through the FileOps layer, so read-path fault plans (bit-flips, EIO)
-    // exercise the newest-two fallback below.
-    std::string encoded;
-    if (!harness::read_file_through_ops(file, encoded)) continue;
-    try {
-      const ShardSnapshot snapshot = parse_snapshot(encoded);
-      if (snapshot.shard != shard.index || snapshot.seq != seq ||
-          snapshot_checksum(encoded) != (*fields)[4])
-        continue;
-    } catch (const Error&) {
+    if (fields == nullptr ||
+        !check_journaled_snapshot(*fields, shard.index, seq).empty())
       continue;
-    }
-    shard.restore_file = file;
+    shard.restore_file = (*fields)[0];
     shard.restore_expect_seq = seq;
-    shard.restored_seq = parse_u64((*fields)[1]);
+    shard.restored_seq = wire::field_u64((*fields)[1]);
     shard.snap_seq = newest;
     shard.queued_snap_seq = newest;
     shard.snap_last_seq = shard.restored_seq;
@@ -400,20 +378,10 @@ Admission LocprivService::submit(const std::string& user_id,
     }
   }
 
-  std::vector<std::string> fields;
-  fields.reserve(4 + fixes.size() * 3);
-  fields.push_back(wire::kCmdSubmit);
-  fields.push_back(std::to_string(seq));
-  fields.push_back(user_id);
-  fields.push_back(std::to_string(fixes.size()));
-  for (const trace::TracePoint& fix : fixes) {
-    fields.push_back(format_coord(fix.position.lat_deg));
-    fields.push_back(format_coord(fix.position.lon_deg));
-    fields.push_back(std::to_string(fix.timestamp_s));
-  }
   RetainedBatch batch;
   batch.seq = seq;
-  batch.frame = wire::encode_message(fields);
+  batch.frame = wire::encode_message({wire::kCmdSubmit, std::to_string(seq),
+                                      user_id, wire::pack_fixes(fixes)});
   batch.fixes = fixes.size();
   batch.user = user_id;
   shard.retained_bytes += batch.frame.size();
@@ -659,7 +627,7 @@ void LocprivService::dispatch_response(Shard& shard,
     shard.pop_op();
 
   if (verb == wire::kRspAck && fields.size() >= 3) {
-    const std::uint64_t seq = parse_u64(fields[1]);
+    const std::uint64_t seq = wire::field_u64(fields[1]);
     if (seq > shard.acked_seq) shard.acked_seq = seq;
     // Turnaround sample: encode-to-ack latency of this batch. Acks arrive
     // in order; anything older without a sample was reset by a respawn.
@@ -677,8 +645,8 @@ void LocprivService::dispatch_response(Shard& shard,
   }
 
   if (verb == wire::kRspPong && fields.size() >= 4) {
-    shard.ingested = parse_u64(fields[2]);
-    shard.state_bytes = static_cast<std::size_t>(parse_u64(fields[3]));
+    shard.ingested = wire::field_u64(fields[2]);
+    shard.state_bytes = static_cast<std::size_t>(wire::field_u64(fields[3]));
     std::size_t total = 0;
     for (const auto& owned : shards_) total += owned->state_bytes;
     stats_.state_bytes = total;
@@ -720,8 +688,8 @@ void LocprivService::dispatch_response(Shard& shard,
     }
     handle_snapshot_failure(shard, fields[2], was_drain);
   } else if (verb == wire::kRspReports && fields.size() >= 4) {
-    const std::size_t rows = static_cast<std::size_t>(parse_u64(fields[2]));
-    const std::size_t cols = static_cast<std::size_t>(parse_u64(fields[3]));
+    const std::size_t rows = static_cast<std::size_t>(wire::field_u64(fields[2]));
+    const std::size_t cols = static_cast<std::size_t>(wire::field_u64(fields[3]));
     shard.report_rows.clear();
     if (fields.size() >= 4 + rows * cols) {
       for (std::size_t r = 0; r < rows; ++r)
@@ -799,8 +767,8 @@ void LocprivService::queue_ping(Shard& shard) {
 
 void LocprivService::record_snapshot(Shard& shard,
                                      const std::vector<std::string>& fields) {
-  const std::uint64_t snap_seq = parse_u64(fields[1]);
-  const std::uint64_t last_seq = parse_u64(fields[2]);
+  const std::uint64_t snap_seq = wire::field_u64(fields[1]);
+  const std::uint64_t last_seq = wire::field_u64(fields[2]);
   const std::string file = snapshot_path(shard, snap_seq).string();
   // Key per seq — the ledger refuses duplicate cells, which is exactly the
   // invariant: one journal line per published snapshot.
@@ -921,8 +889,12 @@ void LocprivService::drain() {
       const bool all_sent = shard.retained.empty() ||
                             shard.retained.back().seq <= shard.sent_seq;
       if (shard.state == Shard::State::kRunning && all_sent &&
-          !shard.has_pending(wire::kRspDrained))
+          !shard.has_pending(wire::kRspDrained)) {
+        // The pong refreshes the ingested/state_bytes gauges after the last
+        // batch, even in a run shorter than one heartbeat.
+        queue_ping(shard);
         queue_snapshot(shard, wire::kCmdDrain);
+      }
     }
     if (all_done) break;
     if (Clock::now() >= deadline)

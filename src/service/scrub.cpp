@@ -4,8 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string_view>
 
@@ -13,6 +14,8 @@
 #include "core/harness/error.hpp"
 #include "core/harness/file_ops.hpp"
 #include "service/snapshot.hpp"
+#include "service/wire.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
@@ -26,64 +29,23 @@ bool parse_snap_key(const std::string& key, std::string& shard,
                     std::uint64_t& seq) {
   const std::size_t mark = key.find("/snap/");
   if (mark == std::string::npos) return false;
-  const std::string tail = key.substr(mark + 6);
-  if (tail.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(tail.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0) return false;
+  const std::optional<std::uint64_t> value =
+      wire::parse_u64(std::string_view(key).substr(mark + 6));
+  if (!value || *value == 0) return false;
   shard = key.substr(0, mark);
-  seq = value;
+  seq = *value;
   return true;
 }
 
-/// The shard index a "shardK" name denotes, or -1 for foreign names (the
-/// identity cross-check is skipped for those).
-long shard_index_of(const std::string& shard_name) {
-  if (shard_name.rfind("shard", 0) != 0) return -1;
-  const std::string digits = shard_name.substr(5);
-  if (digits.empty()) return -1;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(digits.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return -1;
-  return static_cast<long>(value);
-}
-
-/// Verifies one journaled snapshot: file readable, body parses, FNV content
-/// checksum matches the ledger record, shard/seq identity matches the key.
-SnapshotCheck check_snapshot(const std::string& cell,
-                             const std::string& shard_name, std::uint64_t seq,
-                             const std::vector<std::string>& fields) {
-  SnapshotCheck check;
-  check.cell = cell;
-  if (fields.size() < 5) {
-    check.detail = "ledger record has too few fields";
-    return check;
-  }
-  check.file = fields[0];
-  std::string encoded;
-  if (!harness::read_file_through_ops(check.file, encoded)) {
-    check.detail = "snapshot file missing or unreadable";
-    return check;
-  }
-  if (snapshot_checksum(encoded) != fields[4]) {
-    check.detail = "content checksum does not match the journal";
-    return check;
-  }
-  try {
-    const ShardSnapshot snapshot = parse_snapshot(encoded);
-    const long index = shard_index_of(shard_name);
-    if (snapshot.seq != seq ||
-        (index >= 0 && snapshot.shard != static_cast<unsigned>(index))) {
-      check.detail = "snapshot identity does not match the journal key";
-      return check;
-    }
-  } catch (const Error& e) {
-    check.detail = e.message();
-    return check;
-  }
-  check.ok = true;
-  check.detail = "ok";
-  return check;
+/// The shard index a "shardK" name denotes, or nullopt for foreign names
+/// (the identity cross-check is skipped for those).
+std::optional<unsigned> shard_index_of(const std::string& shard_name) {
+  if (!util::starts_with(shard_name, "shard")) return std::nullopt;
+  const std::optional<std::uint64_t> value =
+      wire::parse_u64(std::string_view(shard_name).substr(5));
+  if (!value || *value > std::numeric_limits<unsigned>::max())
+    return std::nullopt;
+  return static_cast<unsigned>(*value);
 }
 
 void truncate_file(const fs::path& path, std::uint64_t size) {
@@ -160,9 +122,15 @@ ScrubReport scrub_run_dir(const fs::path& run_dir, bool repair) {
       if (it == by_seq.end()) continue;
       const std::vector<std::string>& fields = *it->second;
       if (!fields.empty()) referenced.insert(fields[0]);
+      SnapshotCheck check;  // The same check resume runs.
+      check.cell = shard + "/snap/" + std::to_string(seq);
+      if (fields.size() >= 5) check.file = fields[0];
+      check.detail =
+          check_journaled_snapshot(fields, shard_index_of(shard), seq);
+      check.ok = check.detail.empty();
+      if (check.ok) check.detail = "ok";
       // locpriv-lint: allow(unbounded-growth) two checks per shard; bounded by the run dir
-      report.snapshots.push_back(check_snapshot(
-          shard + "/snap/" + std::to_string(seq), shard, seq, fields));
+      report.snapshots.push_back(std::move(check));
     }
   }
 

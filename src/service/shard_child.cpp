@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,31 +22,16 @@ void respond(int fd, const std::vector<std::string>& fields) {
     throw Error(ErrorCode::kIo, "response pipe closed" + errno_detail());
 }
 
-double parse_coord(const std::string& token) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0')
-    throw Error(ErrorCode::kInternal, "bad coordinate on submit: " + token);
-  return value;
-}
-
-std::int64_t parse_i64(const std::string& token) {
-  char* end = nullptr;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
-    throw Error(ErrorCode::kInternal, "bad integer on command: " + token);
-  return value;
-}
-
 /// The shard's in-memory state plus the handlers the command loop calls.
 struct ShardState {
   const ShardChildConfig& config;
   const core::PrivacyAnalyzer& analyzer;
   const ServiceOptions& options;
 
-  std::map<std::string, std::vector<trace::TracePoint>> users;
+  /// Per-user fixes and the highest applied submit-batch sequence, held in
+  /// snapshot form so a snapshot encodes them in place.
+  ShardSnapshot held;
   std::map<std::string, std::size_t> index_of;  ///< user id -> analyzer index.
-  std::uint64_t last_seq = 0;   ///< Highest applied submit-batch sequence.
   std::uint64_t ingested = 0;   ///< Fixes applied this lifetime of state.
   int batches_this_incarnation = 0;
 
@@ -61,26 +45,24 @@ struct ShardState {
 
   std::size_t state_bytes() const {
     std::size_t bytes = 0;
-    for (const auto& [user, fixes] : users)
+    for (const auto& [user, fixes] : held.users)
       bytes += user.size() + 64 + fixes.capacity() * sizeof(trace::TracePoint);
     return bytes;
   }
 
   void handle_restore(const std::vector<std::string>& cmd) {
     try {
-      const ShardSnapshot snapshot = load_snapshot(cmd[1]);
-      const auto expect_seq = static_cast<std::uint64_t>(parse_i64(cmd[2]));
+      ShardSnapshot snapshot = load_snapshot(cmd[1]);
+      const std::uint64_t expect_seq = wire::field_u64(cmd[2]);
       if (snapshot.shard != config.shard || snapshot.seq != expect_seq)
         throw Error(ErrorCode::kResume,
                     "snapshot identity mismatch: file is shard " +
                         std::to_string(snapshot.shard) + " seq " +
                         std::to_string(snapshot.seq));
-      users = snapshot.users;
-      last_seq = snapshot.last_seq;
-      ingested = 0;
-      for (const auto& [user, fixes] : users) ingested += fixes.size();
+      held = std::move(snapshot);
+      ingested = held.fix_count();
       respond(config.resp_fd,
-              {wire::kRspRestored, std::to_string(last_seq),
+              {wire::kRspRestored, std::to_string(held.last_seq),
                std::to_string(ingested), "ok"});
     } catch (const Error& e) {
       respond(config.resp_fd, {wire::kRspRestored, "0", "0", e.what()});
@@ -88,8 +70,11 @@ struct ShardState {
   }
 
   void handle_submit(const std::vector<std::string>& cmd) {
-    const auto seq = static_cast<std::uint64_t>(parse_i64(cmd[1]));
-    if (seq <= last_seq) {
+    if (cmd.size() != 4)
+      throw Error(ErrorCode::kInternal,
+                  "submit frame is not {submit, seq, user, records}");
+    const std::uint64_t seq = wire::field_u64(cmd[1]);
+    if (seq <= held.last_seq) {
       // Replayed batch already in a snapshot. Still acked: the parent's
       // credit window counts every consumed frame, applied or deduped.
       respond(config.resp_fd, {wire::kRspAck, cmd[1], "0"});
@@ -103,19 +88,12 @@ struct ShardState {
       // respawned incarnation replays it and no fix is lost.
       options.fault_plan.trigger(config.name, config.incarnation);
     }
-    const std::string& user_id = cmd[2];
-    const auto count = static_cast<std::size_t>(parse_i64(cmd[3]));
-    std::vector<trace::TracePoint>& fixes = users[user_id];
-    fixes.reserve(fixes.size() + count);
-    for (std::size_t i = 0; i < count; ++i) {
-      trace::TracePoint fix;
-      fix.position.lat_deg = parse_coord(cmd[4 + 3 * i]);
-      fix.position.lon_deg = parse_coord(cmd[5 + 3 * i]);
-      fix.timestamp_s = parse_i64(cmd[6 + 3 * i]);
-      fixes.push_back(fix);
-    }
-    last_seq = seq;
-    ingested += count;
+    if (!wire::unpack_fixes(cmd[3], held.users[cmd[2]]))
+      throw Error(ErrorCode::kInternal,
+                  "submit records of " + std::to_string(cmd[3].size()) +
+                      " bytes are not a whole number of fixes");
+    held.last_seq = seq;
+    ingested += cmd[3].size() / wire::kFixRecordBytes;
     // The ack is the flow-control credit: it is sent only after the batch
     // is applied, so a crash loses at most the unacked in-flight window and
     // the parent's retained replay covers exactly that suffix.
@@ -123,14 +101,11 @@ struct ShardState {
   }
 
   bool write_snapshot(const std::vector<std::string>& cmd, const char* verb) {
-    const auto snap_seq = static_cast<std::uint64_t>(parse_i64(cmd[1]));
+    const std::uint64_t snap_seq = wire::field_u64(cmd[1]);
     const std::string& path = cmd[2];
-    ShardSnapshot snapshot;
-    snapshot.shard = config.shard;
-    snapshot.seq = snap_seq;
-    snapshot.last_seq = last_seq;
-    snapshot.users = users;
-    const std::string encoded = encode_snapshot(snapshot);
+    held.shard = config.shard;
+    held.seq = snap_seq;
+    const std::string encoded = encode_snapshot(held);
     try {
       harness::AtomicFileWriter writer(path);
       writer.stream() << encoded;
@@ -145,10 +120,9 @@ struct ShardState {
       return false;
     }
     respond(config.resp_fd,
-            {verb, std::to_string(snap_seq), std::to_string(last_seq),
-             std::to_string(users.size()),
-             std::to_string(snapshot.fix_count()),
-             snapshot_checksum(encoded)});
+            {verb, std::to_string(snap_seq), std::to_string(held.last_seq),
+             std::to_string(held.users.size()),
+             std::to_string(held.fix_count()), snapshot_checksum(encoded)});
     return true;
   }
 
@@ -158,8 +132,8 @@ struct ShardState {
     std::size_t cols = 0;
     for (std::size_t i = 0; i < analyzer.user_count(); ++i) {
       const std::string& user_id = analyzer.reference(i).user_id;
-      const auto it = users.find(user_id);
-      if (it == users.end()) continue;
+      const auto it = held.users.find(user_id);
+      if (it == held.users.end()) continue;
       const core::ExposureReport report =
           analyzer.evaluate_collected(i, options.interval_s, it->second);
       const std::vector<std::string> fields =

@@ -1,18 +1,19 @@
 #include "service/snapshot.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <string_view>
 
 #include "core/harness/error.hpp"
 #include "core/harness/file_ops.hpp"
+#include "service/wire.hpp"
 #include "util/strings.hpp"
 
 namespace locpriv::service {
 
 namespace {
 
-constexpr char kMagic[] = "locprivd-snapshot v1";
+constexpr char kMagic[] = "locprivd-snapshot v2 checksum ";
 
 std::string hex64(std::uint64_t value) {
   char buffer[17];
@@ -25,29 +26,17 @@ std::string hex64(std::uint64_t value) {
   throw Error(ErrorCode::kResume, "corrupt shard snapshot: " + why);
 }
 
-/// Pops the next whitespace-delimited token; empty at end of input.
-std::string next_token(std::istringstream& in) {
-  std::string token;
-  in >> token;
-  return token;
+std::uint64_t header_u64(const std::string& field, const char* what) {
+  const std::optional<std::uint64_t> value = wire::parse_u64(field);
+  if (!value) corrupt(std::string("bad ") + what + " '" + field + "'");
+  return *value;
 }
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  if (token.empty()) corrupt(std::string("missing ") + what);
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
-    corrupt(std::string("bad ") + what + " '" + token + "'");
-  return value;
-}
-
-double parse_coord(const std::string& token) {
-  if (token.empty()) corrupt("missing coordinate");
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0')
-    corrupt("bad coordinate '" + token + "'");
-  return value;
+/// The body after the header line; throws when there is no header line.
+std::string_view body_of(const std::string& encoded) {
+  const std::size_t eol = encoded.find('\n');
+  if (eol == std::string::npos) corrupt("no header line");
+  return std::string_view(encoded).substr(eol + 1);
 }
 
 }  // namespace
@@ -65,71 +54,58 @@ std::string format_coord(double value) {
 }
 
 std::string encode_snapshot(const ShardSnapshot& snapshot) {
-  std::string body;
-  body += "shard " + std::to_string(snapshot.shard) + " seq " +
-          std::to_string(snapshot.seq) + " last_seq " +
-          std::to_string(snapshot.last_seq) + " users " +
-          std::to_string(snapshot.users.size()) + " fixes " +
-          std::to_string(snapshot.fix_count()) + "\n";
+  std::string body = wire::encode_message(
+      {std::to_string(snapshot.shard), std::to_string(snapshot.seq),
+       std::to_string(snapshot.last_seq)});
   for (const auto& [user, fixes] : snapshot.users) {
-    body += "user " + user + " " + std::to_string(fixes.size()) + "\n";
-    for (const trace::TracePoint& fix : fixes) {
-      body += format_coord(fix.position.lat_deg) + " " +
-              format_coord(fix.position.lon_deg) + " " +
-              std::to_string(fix.timestamp_s) + "\n";
-    }
+    // An empty user still gets its frame; a large one spans several.
+    std::size_t first = 0;
+    do {
+      const std::size_t count =
+          std::min(fixes.size() - first, wire::kMaxFrameRecords);
+      body += wire::encode_message(
+          {user, wire::pack_fixes(std::span(fixes).subspan(first, count))});
+      first += count;
+    } while (first < fixes.size());
   }
-  return std::string(kMagic) + " checksum " + hex64(util::fnv1a(body)) + "\n" + body;
+  return kMagic + hex64(util::fnv1a(body)) + "\n" + body;
 }
 
 std::string snapshot_checksum(const std::string& encoded) {
-  const std::size_t eol = encoded.find('\n');
-  if (eol == std::string::npos) corrupt("no header line");
-  return hex64(util::fnv1a(encoded.substr(eol + 1)));
+  return hex64(util::fnv1a(body_of(encoded)));
 }
 
 ShardSnapshot parse_snapshot(const std::string& encoded) {
-  const std::size_t eol = encoded.find('\n');
-  if (eol == std::string::npos) corrupt("no header line");
-  const std::string header = encoded.substr(0, eol);
-  const std::string expected_prefix = std::string(kMagic) + " checksum ";
-  if (header.rfind(expected_prefix, 0) != 0) corrupt("bad magic");
-  const std::string recorded = header.substr(expected_prefix.size());
-  const std::string body = encoded.substr(eol + 1);
-  if (hex64(util::fnv1a(body)) != recorded) corrupt("checksum mismatch");
+  const std::string_view body = body_of(encoded);
+  const std::string_view header(encoded.data(),
+                                encoded.size() - body.size() - 1);
+  if (!util::starts_with(header, kMagic)) corrupt("bad magic");
+  if (header.substr(sizeof(kMagic) - 1) != hex64(util::fnv1a(body)))
+    corrupt("checksum mismatch");
 
-  std::istringstream in(body);
+  wire::FrameDecoder decoder;
+  decoder.feed(body.data(), body.size());
+  std::vector<std::string> fields;
+  if (!decoder.next(fields) || fields.size() != 3)
+    corrupt("no {shard, seq, last_seq} frame");
   ShardSnapshot snapshot;
-  if (next_token(in) != "shard") corrupt("missing shard field");
-  snapshot.shard = static_cast<unsigned>(parse_u64(next_token(in), "shard"));
-  if (next_token(in) != "seq") corrupt("missing seq field");
-  snapshot.seq = parse_u64(next_token(in), "seq");
-  if (next_token(in) != "last_seq") corrupt("missing last_seq field");
-  snapshot.last_seq = parse_u64(next_token(in), "last_seq");
-  if (next_token(in) != "users") corrupt("missing users field");
-  const std::uint64_t user_count = parse_u64(next_token(in), "users");
-  if (next_token(in) != "fixes") corrupt("missing fixes field");
-  const std::uint64_t fix_total = parse_u64(next_token(in), "fixes");
+  snapshot.shard = static_cast<unsigned>(header_u64(fields[0], "shard"));
+  snapshot.seq = header_u64(fields[1], "seq");
+  snapshot.last_seq = header_u64(fields[2], "last_seq");
 
-  for (std::uint64_t u = 0; u < user_count; ++u) {
-    if (next_token(in) != "user") corrupt("missing user record");
-    const std::string user_id = next_token(in);
-    if (user_id.empty()) corrupt("missing user id");
-    const std::uint64_t count = parse_u64(next_token(in), "user fix count");
-    std::vector<trace::TracePoint> fixes;
-    fixes.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      trace::TracePoint fix;
-      fix.position.lat_deg = parse_coord(next_token(in));
-      fix.position.lon_deg = parse_coord(next_token(in));
-      fix.timestamp_s =
-          static_cast<std::int64_t>(parse_u64(next_token(in), "timestamp"));
-      fixes.push_back(fix);
-    }
-    snapshot.users.emplace(user_id, std::move(fixes));
+  while (decoder.next(fields)) {
+    if (fields.size() != 2) corrupt("user frame is not {user, records}");
+    const std::string& user = fields[0];
+    // Users come in order, so only consecutive frames continue one user.
+    if (!snapshot.users.empty() && user < snapshot.users.rbegin()->first)
+      corrupt("user '" + user + "' out of order or repeated");
+    std::vector<trace::TracePoint>& fixes =
+        snapshot.users.try_emplace(snapshot.users.end(), user)->second;
+    if (!wire::unpack_fixes(fields[1], fixes))
+      corrupt("partial fix record for user '" + user + "'");
   }
-  if (snapshot.fix_count() != fix_total) corrupt("fix count mismatch");
-  if (!next_token(in).empty()) corrupt("trailing data");
+  if (decoder.corrupt() || decoder.buffered() != 0)
+    corrupt("malformed or truncated frame");
   return snapshot;
 }
 
@@ -144,6 +120,25 @@ ShardSnapshot load_snapshot(const std::string& path) {
   } catch (Error& e) {
     throw e.add_context("loading " + path);
   }
+}
+
+std::string check_journaled_snapshot(const std::vector<std::string>& record,
+                                     std::optional<unsigned> shard,
+                                     std::uint64_t seq) {
+  if (record.size() < 5) return "ledger record has too few fields";
+  std::string encoded;
+  if (!harness::read_file_through_ops(record[0], encoded))
+    return "snapshot file missing or unreadable";
+  try {
+    if (snapshot_checksum(encoded) != record[4])
+      return "content checksum does not match the journal";
+    const ShardSnapshot snapshot = parse_snapshot(encoded);
+    if (snapshot.seq != seq || (shard && snapshot.shard != *shard))
+      return "snapshot identity does not match the journal key";
+  } catch (const Error& e) {
+    return e.message();
+  }
+  return "";
 }
 
 }  // namespace locpriv::service

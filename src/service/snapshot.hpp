@@ -1,16 +1,19 @@
 // Shard snapshot codec. A snapshot is the complete per-user collected-fix
-// state of one shard at a submit-sequence watermark, serialized to text with
-// hexfloat coordinates (exact double round-trip, so a restored shard's
-// metrics are byte-identical to an uninterrupted one's) and guarded by an
-// FNV-1a checksum over the body. Snapshots are published through
-// AtomicFileWriter, so a crash mid-write leaves the previous complete
-// version; the checksum catches the remaining corruption class (a stale or
-// hand-edited file), and parse failures surface as Error(kResume) so the
-// caller can fall back or refuse loudly instead of diverging silently.
+// state of one shard at a submit-sequence watermark: a text header line
+// "locprivd-snapshot v2 checksum <fnv1a hex>", then a body of harness frames
+// (service/wire.hpp), {shard, seq, last_seq} and then {user, records} per
+// user in user order, records packed as in submit frames (so doubles restore
+// bit for bit and a restored shard's metrics match an uninterrupted one's).
+// A user past wire::kMaxFrameRecords fixes spans consecutive frames. Files
+// are published through AtomicFileWriter, so a crash mid-write leaves the
+// previous complete version; the checksum catches stale or hand-edited
+// files, and every parse failure is Error(kResume) so the caller can fall
+// back or refuse loudly. There is one version: an older file is "bad magic".
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +32,9 @@ struct ShardSnapshot {
   std::size_t fix_count() const;
 };
 
-/// Exact-round-trip text for a coordinate ("%a" hexfloat).
+/// Exact-round-trip text for a coordinate ("%a" hexfloat). The service no
+/// longer uses it; it stays while perfbench's serve_audit still times the
+/// old text submit frames with it.
 std::string format_coord(double value);
 
 /// Serializes a snapshot, checksum header included.
@@ -39,12 +44,20 @@ std::string encode_snapshot(const ShardSnapshot& snapshot);
 std::string snapshot_checksum(const std::string& encoded);
 
 /// Parses an encoded snapshot. Throws Error(kResume) on a bad header,
-/// checksum mismatch, or truncated body — a snapshot either loads exactly
-/// or not at all.
+/// checksum mismatch, or malformed or truncated frame — a snapshot either
+/// loads exactly or not at all.
 ShardSnapshot parse_snapshot(const std::string& encoded);
 
 /// Reads and parses a snapshot file. Throws Error(kResume) when the file is
 /// missing, unreadable, or fails parse_snapshot().
 ShardSnapshot load_snapshot(const std::string& path);
+
+/// Whether the snapshot a "<shard>/snap/<seq>" ledger record vouches for
+/// will load: the file (record field 0) is readable through FileOps, its
+/// content checksum equals record field 4, it parses, and its seq and (when
+/// given) shard match. Returns why not, or "" when it loads.
+std::string check_journaled_snapshot(const std::vector<std::string>& record,
+                                     std::optional<unsigned> shard,
+                                     std::uint64_t seq);
 
 }  // namespace locpriv::service

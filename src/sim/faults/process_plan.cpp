@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/strings.hpp"
+
 namespace locpriv::sim {
 
 namespace {
@@ -50,16 +52,17 @@ ProcessFaultPlan ProcessFaultPlan::parse(const std::string& spec) {
     if (colon != std::string::npos) {
       const std::string count = head.substr(colon + 1);
       head.resize(colon);
-      try {
-        fault.attempts = std::stoi(count);
-      } catch (const std::exception&) {
+      long long attempts = 0;
+      if (!util::parse_int64(count, attempts) ||
+          attempts > std::numeric_limits<int>::max()) {
         throw std::runtime_error("process fault entry '" + entry +
                                  "' has a non-numeric attempt count");
       }
-      if (fault.attempts < 1) {
+      if (attempts < 1) {
         throw std::runtime_error("process fault entry '" + entry +
                                  "' must sabotage at least one attempt");
       }
+      fault.attempts = static_cast<int>(attempts);
     }
     fault.kind = parse_kind(head);
     plan.add(entry.substr(at + 1), fault);

@@ -50,8 +50,15 @@ fs::path fresh_dir(const std::string& name) {
 // ---------------------------------------------------------------- wire ----
 
 TEST(ServiceWire, MessageRoundTripsThroughDecoder) {
-  const std::vector<std::string> fields = {"submit", "7", "user_03", "2",
-                                           "0x1.5p+5", "-0x1.2p+6", "1234"};
+  std::vector<trace::TracePoint> fixes(2);
+  fixes[0].position = {42.0, -72.0};
+  fixes[0].timestamp_s = 1234;
+  fixes[1].position = {40.0, -68.0};
+  fixes[1].timestamp_s = 1294;
+  // A submit is four fields whatever the batch size: the fixes travel as
+  // one field of packed 24-byte records.
+  const std::vector<std::string> fields = {"submit", "7", "user_03",
+                                           wire::pack_fixes(fixes)};
   const std::string encoded = wire::encode_message(fields);
   wire::FrameDecoder decoder;
   decoder.feed(encoded.data(), encoded.size());
@@ -61,6 +68,10 @@ TEST(ServiceWire, MessageRoundTripsThroughDecoder) {
   EXPECT_FALSE(decoder.next(decoded));
   EXPECT_FALSE(decoder.corrupt());
   EXPECT_EQ(decoder.buffered(), 0u);
+  ASSERT_EQ(decoded[3].size(), 2 * wire::kFixRecordBytes);
+  std::vector<trace::TracePoint> unpacked;
+  ASSERT_TRUE(wire::unpack_fixes(decoded[3], unpacked));
+  EXPECT_EQ(unpacked, fixes);
 }
 
 TEST(ServiceWire, DecoderReassemblesByteByByteAndBackToBack) {
@@ -212,7 +223,7 @@ TEST(ServiceSnapshot, RoundTripsExactDoubles) {
   const auto& b = restored.users.at("007");
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bitwise equality, not approximate: hexfloat must round-trip exactly
+    // Bitwise equality, not approximate: the records must round-trip exactly
     // or restored shards would drift from the batch pipeline.
     EXPECT_EQ(a[i].position.lat_deg, b[i].position.lat_deg);
     EXPECT_EQ(a[i].position.lon_deg, b[i].position.lon_deg);
@@ -712,14 +723,14 @@ TEST(ServiceOverload, DropOldestEvictsUntilTheByteCapAdmitsTheBatch) {
             Admission::kAccepted);
   tick_until(daemon, [&] { return daemon.stats().shard_deaths >= 1; });
 
-  // Three small frames (~170 bytes each) sit under the 600-byte cap, then a
-  // large one is admitted at the edge (the one-frame slack every admission
-  // path has).
+  // Three small frames (85 bytes each) sit under the 600-byte cap, then a
+  // large one (997 bytes) is admitted at the edge (the one-frame slack every
+  // admission path has).
   EXPECT_EQ(daemon.submit("user_b", tiny_batch(2, 1496642200), true),
             Admission::kAccepted);
   EXPECT_EQ(daemon.submit("user_c", tiny_batch(2, 1496643200), true),
             Admission::kAccepted);
-  EXPECT_EQ(daemon.submit("user_d", tiny_batch(20, 1496644200), true),
+  EXPECT_EQ(daemon.submit("user_d", tiny_batch(40, 1496644200), true),
             Admission::kAccepted);
   // The next offer finds retained far past the cap. One eviction frees too
   // few bytes, so drop-oldest must keep evicting — all four unsent batches
@@ -785,6 +796,21 @@ TEST(ServiceOverload, DegradedEwmaTriggersOutOfBandSnapshotPerEpisode) {
   EXPECT_EQ(daemon.stats().degraded_events, 2u);
   tick_until(daemon, [&] { return daemon.stats().snapshots >= 1u; });
   daemon.drain();
+}
+
+TEST(ServiceGauges, DrainRefreshesStateBytesInsideOneHeartbeat) {
+  const auto& analyzer = test_analyzer();
+  auto options = quick_options(1);
+  // No heartbeat lands during the run: only the spawn ping, answered before
+  // any batch, reaches the shard unless drain refreshes the gauges itself.
+  options.heartbeat = std::chrono::milliseconds(60000);
+  LocprivService daemon(options, analyzer, fresh_dir("gauge"), false);
+  for (int i = 0; i < 5; ++i)
+    ASSERT_EQ(daemon.submit("user_g", tiny_batch(8, 1496641200 + 1000 * i),
+                            false),
+              Admission::kAccepted);
+  daemon.drain();
+  EXPECT_GT(daemon.stats().state_bytes, 0u);
 }
 
 TEST(ServiceOverload, SlowEwmaRestartsTheShardThroughTheRespawnPath) {

@@ -605,6 +605,17 @@ TEST(ScrubRunDir, CorruptNewestSnapshotFallsBackToThePrevious) {
   EXPECT_TRUE(fs::exists(dir / "shard0.snap.1"));
 }
 
+TEST(ScrubRunDir, HeaderlessSnapshotIsReportedNotThrown) {
+  // A file with no header line at all is one more unloadable snapshot: the
+  // scrub reports it and falls back, it does not abort with the parse error.
+  const fs::path dir = scrub_fixture("headerless", 2);
+  write_raw(dir / "shard0.snap.2", "no header line anywhere");
+  const service::ScrubReport report = service::scrub_run_dir(dir, false);
+  ASSERT_EQ(report.snapshots.size(), 2u);
+  EXPECT_FALSE(report.clean());
+  EXPECT_TRUE(report.resumable);
+}
+
 TEST(ScrubRunDir, WindowFullyCorruptRepairDropsTheRecordsForAFreshResume) {
   // Only one snapshot journaled and its file is rotten: nothing in the
   // retention window loads, so a resume would refuse (kResume). Repair must

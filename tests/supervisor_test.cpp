@@ -157,6 +157,7 @@ TEST(ProcessFaultPlanSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(ProcessFaultPlan::parse("explode@cell"), std::runtime_error);
   EXPECT_THROW(ProcessFaultPlan::parse("hang:x@cell"), std::runtime_error);
   EXPECT_THROW(ProcessFaultPlan::parse("hang:0@cell"), std::runtime_error);
+  EXPECT_THROW(ProcessFaultPlan::parse("hang:2x@cell"), std::runtime_error);
 }
 
 TEST(ProcessFaultPlanSpec, AllocBombCapRaisesBadAllocWithoutRlimit) {

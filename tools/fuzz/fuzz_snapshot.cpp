@@ -7,7 +7,10 @@
 //   - rejection only ever surfaces as locpriv::Error (anything else would
 //     bypass the resume fallback in locprivd);
 //   - accepted input round-trips: re-encoding the parsed snapshot yields
-//     bytes the parser accepts again with identical topline state.
+//     bytes the parser accepts again with identical topline state, and that
+//     re-encoding is a fixed point (encode(parse(e)) == e).
+// The seeds under corpus/snapshot/ are format-v2 files; the tier-1 test
+// FuzzCorpus.SnapshotSeedsSpeakTheCurrentFormat keeps them current.
 // Build with -DLOCPRIV_FUZZ=ON (clang); see tools/fuzz/CMakeLists.txt.
 #include <cstddef>
 #include <cstdint>
@@ -27,7 +30,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (again.shard != snapshot.shard || again.seq != snapshot.seq ||
         again.last_seq != snapshot.last_seq ||
         again.users.size() != snapshot.users.size() ||
-        again.fix_count() != snapshot.fix_count())
+        again.fix_count() != snapshot.fix_count() ||
+        service::encode_snapshot(again) != reencoded)
       __builtin_trap();
   } catch (const locpriv::Error&) {
     // Corrupt bytes must land here — the resume fallback's contract.
