@@ -79,7 +79,6 @@ int run(int argc, const char* const* argv) {
   options.snapshot_interval =
       std::chrono::milliseconds(args.get_int("--snapshot-every-ms"));
   options.backoff_base = std::chrono::milliseconds(50);
-  options.backoff_seed = dataset.seed;
   options.fault_plan =
       sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
   options.fault_after_batches = static_cast<int>(args.get_int("--fault-after"));

@@ -1,8 +1,8 @@
 // E10 — google-benchmark microbenchmarks for the hot algorithmic kernels:
 // stay-point extraction, decimation, histogram construction, chi-square
 // matching, adversary identification, trip synthesis, and the geo::GeoTree
-// spatial-index paths (build, radius, k-NN, and the three routed consumers
-// against their linear-scan twins).
+// spatial-index paths (build, radius, and the three routed consumers against
+// their linear-scan twins).
 //
 // Besides the google-benchmark CLI, the binary has a kernel mode:
 //
@@ -43,6 +43,7 @@
 #include "stats/rng.hpp"
 #include "trace/sampling.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -258,16 +259,6 @@ void BM_GeoTreeRadiusQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GeoTreeRadiusQuery)->Arg(10000)->Arg(100000);
 
-void BM_GeoTreeKnn(benchmark::State& state) {
-  const geo::GeoTree tree(scatter(static_cast<std::size_t>(state.range(0)), 7));
-  const auto centers = scatter(64, 13);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.query_knn(centers[q++ % centers.size()], 16));
-  }
-}
-BENCHMARK(BM_GeoTreeKnn)->Arg(10000)->Arg(100000);
-
 void BM_PoiAssignment(benchmark::State& state) {
   const auto stays = make_stays(static_cast<std::size_t>(state.range(0)), 17);
   for (auto _ : state) {
@@ -473,14 +464,6 @@ std::vector<KernelResult> run_kernels(std::size_t scale) {
         benchmark::DoNotOptimize(tree.query_radius(c, 250.0));
     });
     results.push_back(radius);
-
-    KernelResult knn{"geotree_knn", static_cast<std::int64_t>(scale),
-                     static_cast<std::int64_t>(query_centers.size()), 0.0, 0.0};
-    knn.indexed_ns = time_ns([&] {
-      for (const auto& c : query_centers)
-        benchmark::DoNotOptimize(tree.query_knn(c, 16));
-    });
-    results.push_back(knn);
   }
 
   {
@@ -564,7 +547,11 @@ double baseline_indexed_ns(const std::string& text, const std::string& name) {
   const std::string key = "\"indexed_ns\":";
   const std::size_t key_at = text.find(key, at);
   if (key_at == std::string::npos || key_at > object_end) return -1.0;
-  return std::strtod(text.c_str() + key_at + key.size(), nullptr);
+  const std::size_t value_at = key_at + key.size();
+  const std::string_view number = std::string_view(text).substr(
+      value_at, text.find_first_of(",}", value_at) - value_at);
+  double value = 0.0;
+  return util::parse_double(number, value) ? value : -1.0;
 }
 
 int run_kernel_mode(const std::string& json_path, const std::string& baseline_path,

@@ -79,7 +79,6 @@ service::ServiceOptions base_options(const core::PrivacyAnalyzer& analyzer,
   options.snapshot_interval =
       std::chrono::milliseconds(args.get_int("--snapshot-every-ms"));
   options.backoff_base = std::chrono::milliseconds(50);
-  options.backoff_seed = options.seed;
   options.max_inflight_batches =
       static_cast<std::size_t>(args.get_int("--max-inflight-batches"));
   options.max_retained_bytes =

@@ -286,7 +286,6 @@ int run(int argc, const char* const* argv) {
   config.options.ping_timeout = std::chrono::milliseconds(1000);
   config.options.term_grace = std::chrono::milliseconds(200);
   config.options.backoff_base = std::chrono::milliseconds(10);
-  config.options.backoff_seed = config.dataset.seed;
   config.traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch"));
   // Pace the sweep legs just enough for the snapshot cadence to fire, so
   // retention windows fill and the bit-rot seeds have something to rot.

@@ -14,14 +14,6 @@ namespace locpriv::harness {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-std::atomic<WriteFault> g_write_fault{WriteFault::kNone};
-
-}  // namespace
-
-void set_write_fault_for_testing(WriteFault fault) { g_write_fault.store(fault); }
-
 // ---------------------------------------------------------------------------
 // FdStreamBuf.
 // ---------------------------------------------------------------------------
@@ -131,13 +123,8 @@ void AtomicFileWriter::fail(const std::string& action) {
 void AtomicFileWriter::commit() {
   LOCPRIV_EXPECT(!committed_);
   FileOps& ops = file_ops();
-  const WriteFault fault = g_write_fault.exchange(WriteFault::kNone);
   errno = 0;
   out_.flush();
-  if (fault == WriteFault::kFlush) {
-    out_.setstate(std::ios::badbit);
-    errno = ENOSPC;
-  }
   if (!out_.good() || buf_.failed()) {
     if (buf_.saved_errno() != 0) errno = buf_.saved_errno();
     fail("cannot write");
@@ -150,10 +137,6 @@ void AtomicFileWriter::commit() {
   const int close_rc = ops.close(fd_);
   fd_ = -1;
   if (close_rc != 0) fail("cannot write");
-  if (fault == WriteFault::kRename) {
-    errno = ENOSPC;
-    fail("cannot rename temp file to");
-  }
   errno = 0;
   if (ops.rename(temp_path_.c_str(), path_.c_str()) != 0)
     fail("cannot rename temp file to");

@@ -21,21 +21,6 @@
 
 namespace locpriv::harness {
 
-/// Legacy one-shot fault injection points inside AtomicFileWriter::commit().
-/// Deprecated: new tests should install a FaultyFileOps (file_ops.hpp) via
-/// ScopedFileOps instead — it covers the full fault menu, is seeded, and
-/// scopes cleanly. This enum survives for the original torn-write tests.
-enum class WriteFault {
-  kNone,
-  kFlush,   ///< The flush of buffered content fails (simulated ENOSPC).
-  kRename,  ///< The final rename fails (simulated ENOSPC on the directory).
-};
-
-/// Arms a one-shot fault for the next commit() in this process. The armed
-/// state is a std::atomic, so concurrent writer tests stay TSan-clean.
-/// Deprecated in favor of FaultyFileOps; see WriteFault.
-void set_write_fault_for_testing(WriteFault fault);
-
 class AtomicFileWriter {
  public:
   /// Opens `<path>.tmp.<pid>.<seq>` for writing. Throws Error(kIo) when the

@@ -88,16 +88,9 @@ std::string StorageFaultPlan::spec() const {
 
 StorageFaultPlan StorageFaultPlan::parse(const std::string& spec) {
   StorageFaultPlan plan;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find(',', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(begin, end - begin);
-    begin = end + 1;
-    if (entry.empty()) {
-      if (end == spec.size()) break;
-      continue;
-    }
+  for (const std::string_view field : util::split(spec, ',')) {
+    if (field.empty()) continue;
+    const std::string entry(field);
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos) bad_spec("entry '" + entry + "' has no '='");
     const std::string key = entry.substr(0, eq);
@@ -113,10 +106,9 @@ StorageFaultPlan StorageFaultPlan::parse(const std::string& spec) {
     } else if (key == "recover") {
       plan.enospc_recover_after = spec_u64(key, value);
     } else if (key == "short") {
-      char* parse_end = nullptr;
-      plan.short_write_prob = std::strtod(value.c_str(), &parse_end);
-      if (parse_end == nullptr || *parse_end != '\0' ||
-          plan.short_write_prob < 0.0 || plan.short_write_prob > 1.0)
+      // Written so NaN fails too: it compares false against both bounds.
+      if (!util::parse_double(value, plan.short_write_prob) ||
+          !(plan.short_write_prob >= 0.0 && plan.short_write_prob <= 1.0))
         bad_spec("short needs a probability in [0,1], got '" + value + "'");
     } else if (key == "dropsync") {
       plan.drop_tail_at_fsync = spec_u64(key, value);
@@ -128,7 +120,6 @@ StorageFaultPlan StorageFaultPlan::parse(const std::string& spec) {
     } else {
       bad_spec("unknown key '" + key + "'");
     }
-    if (end == spec.size()) break;
   }
   return plan;
 }

@@ -6,7 +6,6 @@
 #include <numbers>
 #include <numeric>
 
-#include "geo/geodensity.hpp"
 #include "geo/geodesy.hpp"
 #include "util/expect.hpp"
 
@@ -156,10 +155,8 @@ LatLon geohash_cell_center(std::uint64_t prefix, int level) {
           -180.0 + (lon_bits + 0.5) * 360.0 / cells};
 }
 
-GeoTree::GeoTree(std::vector<LatLon> points, std::size_t count_cache_capacity)
-    : points_(std::move(points)) {
+GeoTree::GeoTree(std::vector<LatLon> points) : points_(std::move(points)) {
   LOCPRIV_EXPECT(points_.size() < std::numeric_limits<std::uint32_t>::max());
-  cache_.capacity = count_cache_capacity;
   const std::size_t n = points_.size();
   std::vector<std::uint64_t> full(n);
   for (std::size_t i = 0; i < n; ++i) full[i] = geohash_encode(points_[i]);
@@ -182,36 +179,6 @@ std::pair<std::size_t, std::size_t> GeoTree::cell_range(std::uint64_t prefix,
   const auto hi = std::lower_bound(lo, codes_.end(), hi_code);
   return {static_cast<std::size_t>(lo - codes_.begin()),
           static_cast<std::size_t>(hi - codes_.begin())};
-}
-
-std::size_t GeoTree::cell_count(std::uint64_t prefix, int level) const {
-  LOCPRIV_EXPECT(level >= 0 && level <= kGeohashMaxLevel);
-  if (cache_.capacity == 0) {
-    const auto [lo, hi] = cell_range(prefix, level);
-    return hi - lo;
-  }
-  const std::uint64_t key = (prefix << 5) | static_cast<std::uint64_t>(level);
-  if (auto it = cache_.entries.find(key); it != cache_.entries.end()) {
-    cache_.recency.splice(cache_.recency.begin(), cache_.recency, it->second.second);
-    return it->second.first;
-  }
-  const auto [lo, hi] = cell_range(prefix, level);
-  const std::size_t count = hi - lo;
-  cache_.recency.push_front(key);
-  cache_.entries.emplace(key, std::make_pair(count, cache_.recency.begin()));
-  if (cache_.entries.size() > cache_.capacity) {
-    cache_.entries.erase(cache_.recency.back());
-    cache_.recency.pop_back();
-  }
-  return count;
-}
-
-std::vector<std::uint32_t> GeoTree::cell_indices(std::uint64_t prefix, int level) const {
-  const auto [lo, hi] = cell_range(prefix, level);
-  std::vector<std::uint32_t> out(order_.begin() + static_cast<std::ptrdiff_t>(lo),
-                                 order_.begin() + static_cast<std::ptrdiff_t>(hi));
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void GeoTree::collect_cells(std::uint64_t lat_lo, std::uint64_t lat_hi,
@@ -346,21 +313,6 @@ bool GeoTree::any_within(const LatLon& center, double radius_m, Metric metric) c
     }
   }
   return false;
-}
-
-std::vector<GeoTree::Hit> GeoTree::query_knn(const LatLon& center, std::size_t k) const {
-  if (k == 0 || points_.empty()) return {};
-  k = std::min(k, points_.size());
-  const double radius_max = std::numbers::pi * kEarthRadiusMeters + 1.0;
-  double radius = DensityEstimator(*this).adaptive_radius(center, k);
-  for (;;) {
-    auto hits = query_radius(center, std::min(radius, radius_max), Metric::kHaversine);
-    if (hits.size() >= k || radius >= radius_max) {
-      hits.resize(std::min(k, hits.size()));
-      return hits;
-    }
-    radius *= 2.0;
-  }
 }
 
 GeoCellIndex::GeoCellIndex(double cell_m) {

@@ -13,29 +13,24 @@
 //     sorted array, found by binary-search descent. There is no pointer
 //     tree to allocate or chase: "descending a level" appends two bits
 //     to the prefix and re-narrows the range.
-//   * Radius and k-nearest queries cover the query disc with a handful
-//     of cells at a radius-matched level, then refine candidates with
-//     exact distances (batched via geo::haversine_from, or per-pair
-//     equirectangular_m when a caller needs parity with the planar
-//     approximation the paper pipeline uses at PoI scales).
-//   * Subtree (cell) counts back a density estimate (geodensity.hpp)
-//     that picks the first-guess radius for k-NN so urban and rural
-//     queries both stay O(log n + k); counts are memoised in a small
-//     LRU cache.
+//   * Radius queries cover the query disc with a handful of cells at a
+//     radius-matched level, then refine candidates with exact distances
+//     (batched via geo::haversine_from, or per-pair equirectangular_m when
+//     a caller needs parity with the planar approximation the paper
+//     pipeline uses at PoI scales).
 //
 // Determinism contract: construction order, query results, and result
 // ordering depend only on the input coordinates and original indices —
 // ties are broken by ascending index, never by address or hash-iteration
 // order — so resume byte-identity and isolate-vs-inproc parity hold with
-// the index on the hot path. Queries are logically const but touch the
-// mutable count cache; do not share one instance across threads without
-// external synchronisation (per-user/per-cell trees, the repo-wide
-// pattern, need none).
+// the index on the hot path. A built tree is read-only: it never changes
+// after construction and queries write nothing, so one const instance can be
+// shared across threads.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geo/latlon.hpp"
@@ -62,7 +57,7 @@ LatLon geohash_cell_center(std::uint64_t prefix, int level);
 /// Preconditions: lat_bits, lon_bits < 2^level.
 std::uint64_t geohash_cell(std::uint64_t lat_bits, std::uint64_t lon_bits, int level);
 
-/// Static geohash-prefix index over an immutable point set.
+/// Static geohash-prefix index over a fixed point set.
 class GeoTree {
  public:
   /// Which distance refines candidates (and defines the query semantics).
@@ -84,8 +79,8 @@ class GeoTree {
   GeoTree() = default;
 
   /// Indexes `points` (kept by value; indices in results refer to this
-  /// vector). `count_cache_capacity` bounds the LRU cell-count cache.
-  explicit GeoTree(std::vector<LatLon> points, std::size_t count_cache_capacity = 1024);
+  /// vector).
+  explicit GeoTree(std::vector<LatLon> points);
 
   std::size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
@@ -108,31 +103,12 @@ class GeoTree {
   std::vector<std::uint32_t> query_rect(double lat_lo_deg, double lat_hi_deg,
                                         double lon_lo_deg, double lon_hi_deg) const;
 
-  /// The k nearest points to `center` under the haversine metric, sorted by
-  /// (distance, index); all points when k >= size(). The first-guess search
-  /// radius comes from the local cell density (geodensity.hpp) and doubles
-  /// until k candidates are inside, so dense-urban and sparse-rural queries
-  /// do comparable work.
-  std::vector<Hit> query_knn(const LatLon& center, std::size_t k) const;
-
-  /// Number of indexed points inside the cell `prefix` at `level`, via one
-  /// binary-search descent; memoised in the LRU count cache.
-  std::size_t cell_count(std::uint64_t prefix, int level) const;
-
-  /// Original indices of the points inside the cell, ascending.
-  std::vector<std::uint32_t> cell_indices(std::uint64_t prefix, int level) const;
-
   /// Half-open range [first, last) of the cell's points in the sorted code
-  /// order (positions usable with sorted_code/sorted_index). Exposed for
-  /// cell-prefix consumers (region containment) and tests.
+  /// order, via one binary-search descent; its width is the cell's point
+  /// count.
   std::pair<std::size_t, std::size_t> cell_range(std::uint64_t prefix, int level) const;
 
-  std::uint64_t sorted_code(std::size_t pos) const { return codes_[pos]; }
-  std::uint32_t sorted_index(std::size_t pos) const { return order_[pos]; }
-
  private:
-  friend class DensityEstimator;
-
   // Appends the sorted-range candidates of every level-`level` cell in the
   // inclusive per-axis index rectangle; longitude may wrap (two ranges).
   void collect_cells(std::uint64_t lat_lo, std::uint64_t lat_hi, std::uint64_t lon_lo,
@@ -148,17 +124,6 @@ class GeoTree {
   std::vector<LatLon> points_;        // original order
   std::vector<std::uint64_t> codes_;  // sorted full-precision codes
   std::vector<std::uint32_t> order_;  // codes_[i] encodes points_[order_[i]]
-
-  // LRU cell-count cache: key -> (count, recency-list node). Purely a
-  // memo of deterministic values, so cache state never affects results.
-  struct CountCache {
-    std::size_t capacity = 0;
-    std::list<std::uint64_t> recency;  // front = most recent
-    std::unordered_map<std::uint64_t,
-                       std::pair<std::size_t, std::list<std::uint64_t>::iterator>>
-        entries;
-  };
-  mutable CountCache cache_;
 };
 
 /// Dynamic single-level geohash-cell index over points that move — the

@@ -1,6 +1,5 @@
 #include "poi/clustering.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "geo/geodesy.hpp"
@@ -104,20 +103,6 @@ std::vector<Poi> sensitive_pois(const std::vector<Poi>& pois, std::size_t max_vi
   for (const auto& poi : pois)
     if (poi.visit_count() <= max_visits) out.push_back(poi);
   return out;
-}
-
-std::vector<int> visit_sequence(const std::vector<Poi>& pois) {
-  // Gather (enter time, poi id) pairs and sort chronologically.
-  std::vector<std::pair<std::int64_t, int>> events;
-  for (const auto& poi : pois)
-    for (const auto& visit : poi.visits) events.emplace_back(visit.enter_s, poi.id);
-  std::sort(events.begin(), events.end());
-  std::vector<int> sequence;
-  for (const auto& [time, id] : events) {
-    (void)time;
-    if (sequence.empty() || sequence.back() != id) sequence.push_back(id);
-  }
-  return sequence;
 }
 
 }  // namespace locpriv::poi

@@ -39,9 +39,4 @@ std::vector<Poi> cluster_stay_points_scan(const std::vector<StayPoint>& stays,
 /// ("users have visited for no more than 3 times", §IV.C).
 std::vector<Poi> sensitive_pois(const std::vector<Poi>& pois, std::size_t max_visits);
 
-/// The chronological sequence of PoI ids induced by the stays of `pois`
-/// (i.e. the user's path P = p_1, p_2, ... over places). Consecutive
-/// duplicates are collapsed, since a repeated id means the user never left.
-std::vector<int> visit_sequence(const std::vector<Poi>& pois);
-
 }  // namespace locpriv::poi

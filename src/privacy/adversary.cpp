@@ -64,24 +64,4 @@ IdentificationResult Adversary::identify(const PatternHistogram& observed,
   return result;
 }
 
-std::vector<PlaceExposure> place_exposure(const PositionEstimator& estimator,
-                                          const std::vector<poi::Poi>& pois,
-                                          double radius_m, std::int64_t max_gap_s,
-                                          std::int64_t min_dwell_s) {
-  std::vector<PlaceExposure> exposures;
-  exposures.reserve(pois.size());
-  for (const auto& poi : pois) {
-    PlaceExposure exposure;
-    exposure.poi_id = poi.id;
-    exposure.fix_count = estimator.fixes_near(poi.centroid, radius_m).size();
-    for (const auto& visit :
-         estimator.recovered_visits(poi.centroid, radius_m, max_gap_s, min_dwell_s)) {
-      ++exposure.visit_count;
-      exposure.total_dwell_s += visit.dwell_s();
-    }
-    exposures.push_back(exposure);
-  }
-  return exposures;
-}
-
 }  // namespace locpriv::privacy

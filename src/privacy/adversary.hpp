@@ -3,14 +3,11 @@
 // them (paper Section IV.B, Formulas 2-5).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "poi/clustering.hpp"
 #include "privacy/matching.hpp"
 #include "privacy/pattern_histogram.hpp"
-#include "privacy/reconstruction.hpp"
 
 namespace locpriv::privacy {
 
@@ -70,25 +67,5 @@ class Adversary {
  private:
   std::vector<UserProfileHistograms> profiles_;
 };
-
-/// How strongly a collected fix stream exposes one reference place.
-struct PlaceExposure {
-  int poi_id = 0;
-  std::size_t visit_count = 0;    ///< Recovered visit episodes at the place.
-  std::int64_t total_dwell_s = 0; ///< Summed episode dwell.
-  std::size_t fix_count = 0;      ///< Collected fixes within the match radius.
-};
-
-/// Cross-references an adversary's reconstructed fix stream against a set of
-/// reference places: for each PoI, the recovered visit episodes within
-/// `radius_m` of its centroid (cell lookups in the estimator's fix index —
-/// one radius query per place instead of a full-trace rescan per place).
-/// Returns one entry per PoI in input order; places the stream never touches
-/// report zero visits. Preconditions: radius_m >= 0, max_gap_s > 0,
-/// min_dwell_s >= 0.
-std::vector<PlaceExposure> place_exposure(const PositionEstimator& estimator,
-                                          const std::vector<poi::Poi>& pois,
-                                          double radius_m, std::int64_t max_gap_s,
-                                          std::int64_t min_dwell_s);
 
 }  // namespace locpriv::privacy

@@ -60,31 +60,6 @@ std::vector<std::uint32_t> PositionEstimator::fixes_near_scan(const geo::LatLon&
   return indices;
 }
 
-std::vector<RecoveredVisit> PositionEstimator::recovered_visits(
-    const geo::LatLon& center, double radius_m, std::int64_t max_gap_s,
-    std::int64_t min_dwell_s) const {
-  LOCPRIV_EXPECT(max_gap_s > 0);
-  LOCPRIV_EXPECT(min_dwell_s >= 0);
-  const auto near = fixes_near(center, radius_m);
-  std::vector<RecoveredVisit> visits;
-  RecoveredVisit current;
-  for (std::size_t i = 0; i < near.size(); ++i) {
-    const auto& point = collected_[near[i]];
-    if (current.fix_count > 0 && point.timestamp_s - current.exit_s <= max_gap_s) {
-      current.last_fix = near[i];
-      current.exit_s = point.timestamp_s;
-      ++current.fix_count;
-      continue;
-    }
-    if (current.fix_count > 0 && current.dwell_s() >= min_dwell_s)
-      visits.push_back(current);
-    current = {near[i], near[i], point.timestamp_s, point.timestamp_s, 1};
-  }
-  if (current.fix_count > 0 && current.dwell_s() >= min_dwell_s)
-    visits.push_back(current);
-  return visits;
-}
-
 ReconstructionError reconstruction_error(const std::vector<trace::TracePoint>& truth,
                                          const PositionEstimator& estimator,
                                          std::int64_t sample_every_s) {

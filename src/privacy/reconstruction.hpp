@@ -21,20 +21,6 @@
 
 namespace locpriv::privacy {
 
-/// One contiguous episode of collected fixes near a queried place: the
-/// adversary's evidence that the user *visited* it, with dwell bounds.
-struct RecoveredVisit {
-  std::size_t first_fix = 0;  ///< Index of the first in-radius fix.
-  std::size_t last_fix = 0;   ///< Index of the last in-radius fix.
-  std::int64_t enter_s = 0;   ///< Timestamp of the first fix.
-  std::int64_t exit_s = 0;    ///< Timestamp of the last fix.
-  std::size_t fix_count = 0;  ///< In-radius fixes inside the episode.
-
-  std::int64_t dwell_s() const { return exit_s - enter_s; }
-
-  friend bool operator==(const RecoveredVisit&, const RecoveredVisit&) = default;
-};
-
 /// Piecewise-constant position estimator over a collected fix stream.
 class PositionEstimator {
  public:
@@ -62,14 +48,6 @@ class PositionEstimator {
   /// and as the "before" side of the BM_ReconstructionCandidates microbench.
   std::vector<std::uint32_t> fixes_near_scan(const geo::LatLon& center,
                                              double radius_m) const;
-
-  /// Groups the fixes near `center` into visit episodes: a new episode
-  /// starts whenever consecutive in-radius fixes are more than `max_gap_s`
-  /// apart, and only episodes dwelling at least `min_dwell_s` count.
-  /// Preconditions: radius_m >= 0, max_gap_s > 0, min_dwell_s >= 0.
-  std::vector<RecoveredVisit> recovered_visits(const geo::LatLon& center,
-                                               double radius_m, std::int64_t max_gap_s,
-                                               std::int64_t min_dwell_s) const;
 
  private:
   std::vector<trace::TracePoint> collected_;

@@ -581,9 +581,8 @@ void LocprivService::handle_death(Shard& shard, int status) {
   // Deterministic backoff, same jitter derivation as supervised cells.
   shard.state = Shard::State::kDead;
   shard.respawn_at =
-      Clock::now() + harness::backoff_delay(options_.backoff_base,
-                                            options_.backoff_seed, shard.name,
-                                            shard.deaths + 1);
+      Clock::now() + harness::backoff_delay(options_.backoff_base, options_.seed,
+                                            shard.name, shard.deaths + 1);
 }
 
 void LocprivService::quarantine(Shard& shard, std::string reason) {

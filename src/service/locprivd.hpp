@@ -85,10 +85,9 @@ struct ServiceOptions {
   std::chrono::milliseconds snapshot_interval{10000};
   /// Respawns a shard may consume before it is quarantined as flapping.
   int max_respawns = 5;
-  /// Base + seed of the deterministic respawn backoff (supervisor's
-  /// backoff_delay over the shard name and incarnation).
+  /// Base of the deterministic respawn backoff (supervisor's backoff_delay
+  /// over `seed`, the shard name and the incarnation).
   std::chrono::milliseconds backoff_base{100};
-  std::uint64_t backoff_seed = 0;
   /// RLIMIT_AS (MiB) / RLIMIT_CPU (s) applied inside each shard; 0 = off.
   std::size_t shard_rlimit_mb = 0;
   unsigned shard_cpu_s = 0;

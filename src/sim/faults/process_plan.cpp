@@ -33,14 +33,9 @@ std::string process_fault_kind_name(ProcessFaultKind kind) {
 
 ProcessFaultPlan ProcessFaultPlan::parse(const std::string& spec) {
   ProcessFaultPlan plan;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-
+  for (const std::string_view field : util::split(spec, ',')) {
+    if (field.empty()) continue;
+    const std::string entry(field);
     const std::size_t at = entry.find('@');
     if (at == std::string::npos || at + 1 == entry.size()) {
       throw std::runtime_error("process fault entry '" + entry +

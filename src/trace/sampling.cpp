@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "geo/geodesy.hpp"
 #include "util/expect.hpp"
 
 namespace locpriv::trace {
@@ -42,34 +41,6 @@ std::vector<TracePoint> from_random_offset(const std::vector<TracePoint>& points
   if (points.empty()) return {};
   const auto start = static_cast<std::size_t>(rng.next_below(points.size()));
   return {points.begin() + static_cast<std::ptrdiff_t>(start), points.end()};
-}
-
-std::vector<TracePoint> add_gaussian_noise(const std::vector<TracePoint>& points,
-                                           double sigma_m, stats::Rng& rng) {
-  LOCPRIV_EXPECT(sigma_m >= 0.0);
-  std::vector<TracePoint> out;
-  out.reserve(points.size());
-  for (const auto& point : points) {
-    const double east = rng.normal(0.0, sigma_m);
-    const double north = rng.normal(0.0, sigma_m);
-    const double distance = std::sqrt(east * east + north * north);
-    const double bearing = geo::rad_to_deg(std::atan2(east, north));
-    TracePoint noisy = point;
-    if (distance > 0.0)
-      noisy.position = geo::destination(point.position, bearing, distance);
-    out.push_back(noisy);
-  }
-  return out;
-}
-
-std::vector<TracePoint> drop_random(const std::vector<TracePoint>& points,
-                                    double loss_rate, stats::Rng& rng) {
-  LOCPRIV_EXPECT(loss_rate >= 0.0 && loss_rate <= 1.0);
-  std::vector<TracePoint> out;
-  out.reserve(points.size());
-  for (const auto& point : points)
-    if (!rng.bernoulli(loss_rate)) out.push_back(point);
-  return out;
 }
 
 }  // namespace locpriv::trace

@@ -1,4 +1,4 @@
-// Access-frequency simulation and measurement-noise models.
+// Access-frequency simulation.
 //
 // The paper's central experimental knob is the interval at which a
 // background app refreshes location (1 s ... 7,200 s). Decimating the
@@ -40,15 +40,5 @@ std::vector<TracePoint> take_prefix_fraction(const std::vector<TracePoint>& poin
 /// partway through the observation period (Figure 4(b)).
 std::vector<TracePoint> from_random_offset(const std::vector<TracePoint>& points,
                                            stats::Rng& rng);
-
-/// Adds zero-mean Gaussian position noise of `sigma_m` meters per axis to
-/// every fix (GPS measurement error). sigma_m >= 0.
-std::vector<TracePoint> add_gaussian_noise(const std::vector<TracePoint>& points,
-                                           double sigma_m, stats::Rng& rng);
-
-/// Drops each fix independently with probability `loss_rate` (urban-canyon
-/// style outages). loss_rate in [0, 1].
-std::vector<TracePoint> drop_random(const std::vector<TracePoint>& points,
-                                    double loss_rate, stats::Rng& rng);
 
 }  // namespace locpriv::trace

@@ -46,8 +46,4 @@ std::string ConsoleTable::to_string() const {
   return os.str();
 }
 
-void print_banner(std::ostream& out, const std::string& title) {
-  out << "\n== " << title << " ==\n";
-}
-
 }  // namespace locpriv::util

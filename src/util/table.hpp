@@ -38,8 +38,4 @@ class ConsoleTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Prints a section banner like "== Table I: ... ==" used between bench
-/// outputs so the combined bench log is navigable.
-void print_banner(std::ostream& out, const std::string& title);
-
 }  // namespace locpriv::util

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "geo/geodensity.hpp"
 #include "geo/geodesy.hpp"
 #include "geo/geotree.hpp"
 #include "geo/latlon.hpp"
@@ -74,21 +73,28 @@ TEST(GeohashEncoding, AxisExtremesStayInRange) {
 TEST(GeoTree, CellRangeCountsEveryPointExactlyOnce) {
   const auto points = scatter(500, kBeijing, 0.5, 41);
   const GeoTree tree(points);
-  for (int level : {0, 3, 8, 14}) {
+  // Full sweeps at coarse levels: the cells partition the points.
+  for (int level : {0, 3}) {
     std::size_t total = 0;
     for (std::uint64_t prefix = 0; prefix < (1ull << (2 * level)); ++prefix) {
-      if (level >= 8) break;  // full sweeps only at coarse levels
-      total += tree.cell_count(prefix, level);
+      const auto [lo, hi] = tree.cell_range(prefix, level);
+      total += hi - lo;
     }
-    if (level < 8) {
-      EXPECT_EQ(total, points.size()) << "level " << level;
-    }
+    EXPECT_EQ(total, points.size()) << "level " << level;
   }
-  // At any level, each point is inside the cell its own code names.
+  // At a fine level, each point is inside the cell its own code names: the
+  // cell's rectangle finds it and holds exactly the cell range's points.
+  constexpr int kLevel = 14;
+  const double lat_half = 90.0 / (1 << kLevel);
+  const double lon_half = 180.0 / (1 << kLevel);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t prefix = geohash_prefix(geohash_encode(points[i]), 14);
-    const auto ids = tree.cell_indices(prefix, 14);
+    const std::uint64_t prefix = geohash_prefix(geohash_encode(points[i]), kLevel);
+    const LatLon center = geohash_cell_center(prefix, kLevel);
+    const auto ids = tree.query_rect(center.lat_deg - lat_half, center.lat_deg + lat_half,
+                                     center.lon_deg - lon_half, center.lon_deg + lon_half);
     EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(), i));
+    const auto [lo, hi] = tree.cell_range(prefix, kLevel);
+    EXPECT_EQ(ids.size(), hi - lo);
   }
 }
 
@@ -122,22 +128,6 @@ TEST(GeoTree, AnyWithinAgreesWithRadiusQuery) {
   }
 }
 
-TEST(GeoTree, KnnMatchesOracleAndSortsByDistance) {
-  const auto points = scatter(600, kBeijing, 0.4, 46);
-  const GeoTree tree(points);
-  stats::Rng rng(47);
-  for (int q = 0; q < 25; ++q) {
-    const LatLon center{kBeijing.lat_deg + rng.uniform(-0.4, 0.4),
-                        kBeijing.lon_deg + rng.uniform(-0.4, 0.4)};
-    const std::size_t k = static_cast<std::size_t>(rng.uniform_int(1, 40));
-    auto expected = oracle_radius(points, center, 1e9, GeoTree::Metric::kHaversine);
-    expected.resize(std::min(k, expected.size()));
-    EXPECT_EQ(tree.query_knn(center, k), expected);
-  }
-  EXPECT_TRUE(tree.query_knn(kBeijing, 0).empty());
-  EXPECT_EQ(tree.query_knn(kBeijing, points.size() + 10).size(), points.size());
-}
-
 TEST(GeoTree, DeterministicAcrossRebuilds) {
   const auto points = scatter(300, kBeijing, 0.2, 48);
   const GeoTree a(points);
@@ -150,36 +140,6 @@ TEST(GeoTree, DeterministicAcrossRebuilds) {
   const auto hits = d.query_radius(kBeijing, 1.0);
   ASSERT_EQ(hits.size(), dupes.size());
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].index, i);
-}
-
-TEST(GeoTree, CountCacheIsTransparentAtAnyCapacity) {
-  const auto points = scatter(400, kBeijing, 0.3, 49);
-  const GeoTree cached(points, 4);    // tiny cache: constant eviction
-  const GeoTree uncached(points, 0);  // cache disabled
-  const std::uint64_t code = geohash_encode(kBeijing);
-  for (int pass = 0; pass < 3; ++pass) {
-    for (int level = 0; level <= kGeohashMaxLevel; ++level) {
-      const std::uint64_t prefix = geohash_prefix(code, level);
-      EXPECT_EQ(cached.cell_count(prefix, level), uncached.cell_count(prefix, level));
-    }
-  }
-}
-
-TEST(GeoDensity, AdaptiveRadiusShrinksWithDensity) {
-  // Same k over a dense and a sparse corpus: the dense first guess is smaller.
-  const GeoTree dense(scatter(5000, kBeijing, 0.05, 50));
-  const GeoTree sparse(scatter(50, kBeijing, 2.0, 51));
-  const DensityEstimator de_dense(dense);
-  const DensityEstimator de_sparse(sparse);
-  const double r_dense = de_dense.adaptive_radius(kBeijing, 10);
-  const double r_sparse = de_sparse.adaptive_radius(kBeijing, 10);
-  EXPECT_LT(r_dense, r_sparse);
-  EXPECT_GE(r_dense, DensityEstimator::kMinRadiusM);
-  EXPECT_LE(r_sparse, DensityEstimator::kMaxRadiusM);
-  // Probe reports a cell that really holds the requested count.
-  const auto probe = de_dense.probe(kBeijing, 10);
-  EXPECT_GE(probe.count, 10u);
-  EXPECT_GT(probe.density_per_m2, 0.0);
 }
 
 TEST(GeoCellIndex, CandidatesAreSortedSupersetAndTrackMoves) {

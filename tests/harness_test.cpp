@@ -1,6 +1,6 @@
-// Run harness: atomic artifact writer (torn-write injection), run ledger
-// (journal replay, torn tails, identity mismatch), kill-and-resume byte
-// identity, stage watchdog deadlines through parallel_for's exception
+// Run harness: atomic artifact writer (commit, abandon, racing publishers),
+// run ledger (journal replay, torn tails, identity mismatch), kill-and-resume
+// byte identity, stage watchdog deadlines through parallel_for's exception
 // aggregation, and the error taxonomy's exit-code mapping.
 #include <gtest/gtest.h>
 
@@ -86,39 +86,6 @@ TEST(AtomicFile, UnwritableDirectoryFailsFastWithPath) {
     EXPECT_NE(std::string(error.what()).find("/nonexistent_locpriv_dir"),
               std::string::npos);
   }
-}
-
-TEST(AtomicFile, TornWriteNeverReachesFreshDestination) {
-  const fs::path dir = fresh_dir("atomic_torn_fresh");
-  const fs::path target = dir / "artifact.csv";
-  for (const WriteFault fault : {WriteFault::kFlush, WriteFault::kRename}) {
-    AtomicFileWriter writer(target);
-    writer.stream() << "row that must never be visible\n";
-    set_write_fault_for_testing(fault);
-    EXPECT_THROW(writer.commit(), Error);
-    // The destination is absent — not a partial file that looks like data.
-    EXPECT_FALSE(fs::exists(target));
-    EXPECT_FALSE(has_temp_debris(dir));
-  }
-}
-
-TEST(AtomicFile, TornWriteKeepsCompleteOldVersion) {
-  const fs::path dir = fresh_dir("atomic_torn_old");
-  const fs::path target = dir / "artifact.csv";
-  write_file_atomic(target, "old,complete,version\n");
-  for (const WriteFault fault : {WriteFault::kFlush, WriteFault::kRename}) {
-    AtomicFileWriter writer(target);
-    writer.stream() << "new version that fails to land\n";
-    set_write_fault_for_testing(fault);
-    try {
-      writer.commit();
-      FAIL() << "commit should have thrown";
-    } catch (const Error& error) {
-      EXPECT_EQ(error.code(), ErrorCode::kIo);
-    }
-    EXPECT_EQ(slurp(target), "old,complete,version\n");
-  }
-  EXPECT_FALSE(has_temp_debris(dir));
 }
 
 TEST(AtomicFile, ConcurrentPublishersToSameDestinationNeverTear) {

@@ -267,28 +267,5 @@ TEST(SensitivePois, FiltersByVisitCount) {
   EXPECT_THROW(sensitive_pois(pois, 0), util::ContractViolation);
 }
 
-TEST(VisitSequence, ChronologicalWithCollapsedRepeats) {
-  std::vector<StayPoint> stays;
-  const geo::LatLon home = kAnchor;
-  const geo::LatLon work = geo::destination(kAnchor, 90.0, 2000.0);
-  // home(0) -> work(1) -> work(again, two stays same place) -> home.
-  const geo::LatLon places[] = {home, work, work, home};
-  std::int64_t t = 0;
-  for (const auto& place : places) {
-    StayPoint stay;
-    stay.centroid = place;
-    stay.enter_s = t;
-    stay.exit_s = t + 1200;
-    stays.push_back(stay);
-    t += 10000;
-  }
-  const auto pois = cluster_stay_points(stays, 50.0);
-  const auto sequence = visit_sequence(pois);
-  // Consecutive repeats collapse: home, work, home.
-  ASSERT_EQ(sequence.size(), 3u);
-  EXPECT_EQ(sequence[0], sequence[2]);
-  EXPECT_NE(sequence[0], sequence[1]);
-}
-
 }  // namespace
 }  // namespace locpriv::poi

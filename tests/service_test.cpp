@@ -287,7 +287,6 @@ ServiceOptions quick_options(unsigned shards) {
   options.term_grace = std::chrono::milliseconds(150);
   options.snapshot_interval = std::chrono::milliseconds(150);
   options.backoff_base = std::chrono::milliseconds(10);
-  options.backoff_seed = 7;
   return options;
 }
 

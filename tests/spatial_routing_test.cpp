@@ -11,7 +11,6 @@
 
 #include "geo/latlon.hpp"
 #include "poi/clustering.hpp"
-#include "privacy/adversary.hpp"
 #include "privacy/metrics.hpp"
 #include "privacy/reconstruction.hpp"
 #include "privacy/region.hpp"
@@ -144,42 +143,6 @@ TEST(SpatialRouting, RegionContainmentMatchesScanTwin) {
   }
   // Every probed region contains at least its own probe point.
   EXPECT_GE(covered, points.size());
-}
-
-TEST(SpatialRouting, RecoveredVisitsGroupEpisodes) {
-  // Two visits to the same place separated by a long absence, with one
-  // too-short touch in between that the dwell threshold must drop.
-  const geo::LatLon place{39.9, 116.4};
-  const geo::LatLon away{39.99, 116.49};
-  std::vector<trace::TracePoint> fixes;
-  for (int i = 0; i < 5; ++i) fixes.push_back({place, 100 + i * 60});     // dwell 240
-  for (int i = 0; i < 4; ++i) fixes.push_back({away, 1000 + i * 60});
-  fixes.push_back({place, 2000});                                         // dwell 0
-  for (int i = 0; i < 4; ++i) fixes.push_back({away, 3000 + i * 60});
-  for (int i = 0; i < 7; ++i) fixes.push_back({place, 5000 + i * 60});    // dwell 360
-  const privacy::PositionEstimator estimator(fixes);
-
-  const auto visits = estimator.recovered_visits(place, 50.0, 300, 120);
-  ASSERT_EQ(visits.size(), 2u);
-  EXPECT_EQ(visits[0].enter_s, 100);
-  EXPECT_EQ(visits[0].exit_s, 340);
-  EXPECT_EQ(visits[0].fix_count, 5u);
-  EXPECT_EQ(visits[1].enter_s, 5000);
-  EXPECT_EQ(visits[1].fix_count, 7u);
-  // With no dwell floor the single touch shows up too.
-  EXPECT_EQ(estimator.recovered_visits(place, 50.0, 300, 0).size(), 3u);
-
-  const std::vector<poi::Poi> pois = {{0, place, {}}, {1, away, {}}};
-  const auto exposure = privacy::place_exposure(estimator, pois, 50.0, 300, 120);
-  ASSERT_EQ(exposure.size(), 2u);
-  EXPECT_EQ(exposure[0].poi_id, 0);
-  EXPECT_EQ(exposure[0].visit_count, 2u);
-  EXPECT_EQ(exposure[0].total_dwell_s, 600);
-  EXPECT_EQ(exposure[0].fix_count, 13u);
-  // The away place has two 4-fix episodes, each dwelling 180 s.
-  EXPECT_EQ(exposure[1].visit_count, 2u);
-  EXPECT_EQ(exposure[1].total_dwell_s, 360);
-  EXPECT_EQ(exposure[1].fix_count, 8u);
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST(StoragePlan, DefaultPlanSpecIsSeedOnly) {
 
 TEST(StoragePlan, MalformedSpecsAreUsageErrors) {
   for (const char* bad : {"bogus=1", "eio=x", "eio=-3", "short=2.0",
-                          "short=nope", "noequals"}) {
+                          "short=nope", "short=nan", "noequals"}) {
     try {
       StorageFaultPlan::parse(bad);
       FAIL() << "spec '" << bad << "' parsed";
@@ -294,41 +294,52 @@ TEST(StorageFaultyOps, SamePlanAndCallSequenceInjectTheSameFaults) {
 
 // ------------------------------------------- atomic writer under fault ----
 
+// Each fault is injected twice: over a complete old version, and at a
+// destination that does not exist yet, which must stay absent rather than
+// turn into a partial file that looks like data.
 TEST(AtomicFileStorageFaults, EnospcDuringCommitKeepsOldContentAndNoDebris) {
   const fs::path dir = fresh_dir("atomic_enospc");
   const fs::path target = dir / "table.csv";
+  const fs::path fresh = dir / "fresh.csv";
   harness::write_file_atomic(target, "old,complete,version\n");
-  StorageFaultPlan plan;
-  plan.enospc_at_op = 1;
-  FaultyFileOps faulty(plan);
-  ScopedFileOps scoped(&faulty);
-  try {
-    harness::write_file_atomic(target, "new,half,written\n");
-    FAIL() << "commit survived a full disk";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kIo);
+  for (const fs::path& path : {target, fresh}) {
+    StorageFaultPlan plan;
+    plan.enospc_at_op = 1;
+    FaultyFileOps faulty(plan);
+    ScopedFileOps scoped(&faulty);
+    try {
+      harness::write_file_atomic(path, "new,half,written\n");
+      FAIL() << "commit survived a full disk: " << path;
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kIo);
+    }
+    EXPECT_FALSE(has_temp_debris(dir));
+    EXPECT_GE(faulty.injected().enospc, 1u);
   }
   EXPECT_EQ(slurp(target), "old,complete,version\n");
-  EXPECT_FALSE(has_temp_debris(dir));
-  EXPECT_GE(faulty.injected().enospc, 1u);
+  EXPECT_FALSE(fs::exists(fresh));
 }
 
 TEST(AtomicFileStorageFaults, RenameFailureKeepsOldContentAndNoDebris) {
   const fs::path dir = fresh_dir("atomic_rename");
   const fs::path target = dir / "table.csv";
+  const fs::path fresh = dir / "fresh.csv";
   harness::write_file_atomic(target, "old,complete,version\n");
-  StorageFaultPlan plan;
-  plan.rename_fail_at = 1;
-  FaultyFileOps faulty(plan);
-  ScopedFileOps scoped(&faulty);
-  try {
-    harness::write_file_atomic(target, "new\n");
-    FAIL() << "commit survived a failed rename";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kIo);
+  for (const fs::path& path : {target, fresh}) {
+    StorageFaultPlan plan;
+    plan.rename_fail_at = 1;
+    FaultyFileOps faulty(plan);
+    ScopedFileOps scoped(&faulty);
+    try {
+      harness::write_file_atomic(path, "new\n");
+      FAIL() << "commit survived a failed rename: " << path;
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kIo);
+    }
+    EXPECT_FALSE(has_temp_debris(dir));
   }
   EXPECT_EQ(slurp(target), "old,complete,version\n");
-  EXPECT_FALSE(has_temp_debris(dir));
+  EXPECT_FALSE(fs::exists(fresh));
 }
 
 TEST(AtomicFileStorageFaults, ShortWritesAreRetriedToCompletion) {
@@ -702,7 +713,6 @@ service::ServiceOptions storage_options(unsigned shards) {
   options.term_grace = std::chrono::milliseconds(150);
   options.snapshot_interval = std::chrono::milliseconds(150);
   options.backoff_base = std::chrono::milliseconds(10);
-  options.backoff_seed = 7;
   return options;
 }
 

@@ -211,34 +211,6 @@ TEST(FromRandomOffset, SuffixOfOriginal) {
             static_cast<std::int64_t>(100 - suffix.size()));
 }
 
-TEST(AddGaussianNoise, PerturbsWithinExpectedScale) {
-  std::vector<TracePoint> points(200, point_at(0));
-  stats::Rng rng(8);
-  const auto noisy = add_gaussian_noise(points, 5.0, rng);
-  double total = 0.0;
-  for (std::size_t i = 0; i < noisy.size(); ++i) {
-    const double d = geo::haversine_m(points[i].position, noisy[i].position);
-    total += d;
-    EXPECT_LT(d, 50.0);  // ~10 sigma.
-    EXPECT_EQ(noisy[i].timestamp_s, points[i].timestamp_s);
-  }
-  // Mean Rayleigh distance = sigma * sqrt(pi/2) ~ 6.27 m.
-  EXPECT_NEAR(total / 200.0, 6.27, 1.5);
-  // Zero sigma is the identity.
-  const auto clean = add_gaussian_noise(points, 0.0, rng);
-  EXPECT_EQ(clean[0].position, points[0].position);
-}
-
-TEST(DropRandom, RateZeroAndOne) {
-  std::vector<TracePoint> points(100, point_at(0));
-  stats::Rng rng(3);
-  EXPECT_EQ(drop_random(points, 0.0, rng).size(), 100u);
-  EXPECT_TRUE(drop_random(points, 1.0, rng).empty());
-  const auto half = drop_random(points, 0.5, rng);
-  EXPECT_GT(half.size(), 25u);
-  EXPECT_LT(half.size(), 75u);
-}
-
 TEST(DatasetStats, ComputesAggregates) {
   UserTrace user;
   user.user_id = "x";

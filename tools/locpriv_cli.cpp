@@ -362,18 +362,8 @@ int cmd_audit_all(int argc, const char* const* argv) {
 
   const harness::CellFn cell_fn = [&](std::size_t index, const std::string& key,
                                       int /*attempt*/) {
-    const auto report = analyzer.evaluate_exposure(index, interval_s);
-    return std::vector<std::string>{
-        key,
-        std::to_string(interval_s),
-        std::to_string(report.collected_fixes),
-        std::to_string(report.extracted_pois),
-        util::format_fixed(report.poi_total.fraction(), 4),
-        util::format_fixed(report.poi_sensitive.fraction(), 4),
-        report.hisbin_visits ? "1" : "0",
-        report.hisbin_movements ? "1" : "0",
-        report.breach_detected() ? "1" : "0",
-        util::format_fixed(report.anonymity_movements, 4)};
+    return service::exposure_fields(key, interval_s,
+                                    analyzer.evaluate_exposure(index, interval_s));
   };
 
   const harness::RunInfo run_info{"audit-all", 0,
@@ -579,7 +569,6 @@ int cmd_serve(int argc, const char* const* argv) {
       std::chrono::milliseconds(args.get_int("--snapshot-every-ms"));
   options.max_respawns = static_cast<int>(args.get_int("--max-respawns"));
   options.backoff_base = std::chrono::milliseconds(args.get_int("--backoff-ms"));
-  options.backoff_seed = options.seed;
   options.shard_rlimit_mb =
       static_cast<std::size_t>(args.get_int("--shard-rlimit-mb"));
   options.shard_cpu_s = static_cast<unsigned>(args.get_int("--shard-cpu-s"));
