@@ -1,20 +1,17 @@
 // E10 — google-benchmark microbenchmarks for the hot algorithmic kernels:
 // stay-point extraction, decimation, histogram construction, chi-square
-// matching, adversary identification, trip synthesis, and the geo::GeoTree
-// spatial-index paths (build, radius, and the three routed consumers against
-// their linear-scan twins).
+// matching, adversary identification and trip synthesis.
 //
 // Besides the google-benchmark CLI, the binary has a kernel mode:
 //
-//   bench_micro --json BENCH_micro.json [--scale 100000] [--baseline FILE]
+//   bench_micro --json BENCH_micro.json [--baseline FILE]
 //
-// which times each indexed hot path against its "before" linear scan at
-// `--scale` points (and the one-pass prefix sweep against the per-probe
-// loop it replaced), asserts the outputs are identical (both are pure perf
-// changes), and writes the standardized BENCH_micro.json artifact with
-// before/after nanoseconds and speedups. With --baseline it re-reads a
-// committed artifact and exits non-zero if any kernel regressed by more
-// than 2x — the CI perf-smoke gate.
+// which times the one-pass prefix sweep against the per-probe loop it
+// replaced, asserts the outputs are identical (a pure perf change), and
+// writes the standardized BENCH_micro.json artifact with before/after
+// nanoseconds and the speedup. With --baseline it re-reads a committed
+// artifact and exits non-zero if the kernel regressed by more than 2x —
+// the CI perf-smoke gate.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,15 +27,11 @@
 #include "bench_json.hpp"
 #include "core/analyzer.hpp"
 #include "core/harness/atomic_file.hpp"
-#include "geo/geotree.hpp"
 #include "lppm/policy.hpp"
 #include "mobility/synthesis.hpp"
-#include "poi/clustering.hpp"
 #include "poi/staypoint.hpp"
 #include "privacy/detection.hpp"
 #include "privacy/prediction.hpp"
-#include "privacy/reconstruction.hpp"
-#include "privacy/region.hpp"
 #include "privacy/uniqueness.hpp"
 #include "stats/rng.hpp"
 #include "trace/sampling.hpp"
@@ -69,54 +62,6 @@ const core::PrivacyAnalyzer& bench_analyzer() {
     return core::PrivacyAnalyzer::from_synthetic(core::AnalyzerConfig{}, config);
   }();
   return analyzer;
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic synthetic corpora for the spatial-index kernels. City-scale
-// box (~55 x 50 km) around the paper's Beijing anchor.
-
-std::vector<geo::LatLon> scatter(std::size_t n, std::uint64_t seed) {
-  stats::Rng rng(seed);
-  std::vector<geo::LatLon> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points.push_back({39.9 + rng.uniform(-0.25, 0.25), 116.4 + rng.uniform(-0.3, 0.3)});
-  }
-  return points;
-}
-
-// Stays jitter tightly around ~n/50 distinct places, so clustering converges
-// to a PoI set in the thousands at 100k stays — large enough that the scan's
-// O(S x P) inner loop dominates while the clusters themselves stay coherent.
-std::vector<poi::StayPoint> make_stays(std::size_t n, std::uint64_t seed) {
-  stats::Rng rng(seed);
-  const std::size_t place_count = std::max<std::size_t>(std::size_t{1}, n / 50);
-  const auto places = scatter(place_count, seed + 1);
-  std::vector<poi::StayPoint> stays(n);
-  std::int64_t t = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const geo::LatLon& place = places[rng.next_below(place_count)];
-    stays[i].centroid = {place.lat_deg + rng.uniform(-2e-4, 2e-4),
-                         place.lon_deg + rng.uniform(-2e-4, 2e-4)};
-    stays[i].enter_s = t;
-    stays[i].exit_s = t + 600;
-    stays[i].fix_count = 4;
-    t += 900;
-  }
-  return stays;
-}
-
-// A time-ordered synthetic fix stream (30 s cadence) wandering the same box.
-std::vector<trace::TracePoint> make_fixes(std::size_t n, std::uint64_t seed) {
-  stats::Rng rng(seed);
-  std::vector<trace::TracePoint> fixes(n);
-  geo::LatLon at{39.9, 116.4};
-  for (std::size_t i = 0; i < n; ++i) {
-    at.lat_deg = std::clamp(at.lat_deg + rng.uniform(-2e-3, 2e-3), 39.65, 40.15);
-    at.lon_deg = std::clamp(at.lon_deg + rng.uniform(-2e-3, 2e-3), 116.1, 116.7);
-    fixes[i] = {at, static_cast<std::int64_t>(i) * 30};
-  }
-  return fixes;
 }
 
 // ---------------------------------------------------------------------------
@@ -239,83 +184,6 @@ void BM_TripSynthesisPerDay(benchmark::State& state) {
 }
 BENCHMARK(BM_TripSynthesisPerDay);
 
-void BM_GeoTreeBuild(benchmark::State& state) {
-  const auto points = scatter(static_cast<std::size_t>(state.range(0)), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::GeoTree(points));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_GeoTreeBuild)->Arg(10000)->Arg(100000);
-
-void BM_GeoTreeRadiusQuery(benchmark::State& state) {
-  const geo::GeoTree tree(scatter(static_cast<std::size_t>(state.range(0)), 7));
-  const auto centers = scatter(64, 11);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.query_radius(centers[q++ % centers.size()], 250.0));
-  }
-}
-BENCHMARK(BM_GeoTreeRadiusQuery)->Arg(10000)->Arg(100000);
-
-void BM_PoiAssignment(benchmark::State& state) {
-  const auto stays = make_stays(static_cast<std::size_t>(state.range(0)), 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(poi::cluster_stay_points(stays, 100.0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PoiAssignment)->Arg(10000)->Arg(100000);
-
-void BM_PoiAssignmentScan(benchmark::State& state) {
-  const auto stays = make_stays(static_cast<std::size_t>(state.range(0)), 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(poi::cluster_stay_points_scan(stays, 100.0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PoiAssignmentScan)->Arg(10000);
-
-void BM_ReconstructionCandidates(benchmark::State& state) {
-  const privacy::PositionEstimator estimator(
-      make_fixes(static_cast<std::size_t>(state.range(0)), 19));
-  const auto centers = scatter(64, 23);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        estimator.fixes_near(centers[q++ % centers.size()], 250.0));
-  }
-}
-BENCHMARK(BM_ReconstructionCandidates)->Arg(10000)->Arg(100000);
-
-void BM_ReconstructionCandidatesScan(benchmark::State& state) {
-  const privacy::PositionEstimator estimator(
-      make_fixes(static_cast<std::size_t>(state.range(0)), 19));
-  const auto centers = scatter(64, 23);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        estimator.fixes_near_scan(centers[q++ % centers.size()], 250.0));
-  }
-}
-BENCHMARK(BM_ReconstructionCandidatesScan)->Arg(10000);
-
-void BM_RegionContainment(benchmark::State& state) {
-  const auto points = scatter(static_cast<std::size_t>(state.range(0)), 29);
-  const geo::GeoTree tree(points);
-  const privacy::RegionGrid grid({39.9, 116.4}, 250.0);
-  const auto centers = scatter(64, 31);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        grid.points_in_region(tree, grid.region_of(centers[q++ % centers.size()])));
-  }
-}
-BENCHMARK(BM_RegionContainment)->Arg(10000)->Arg(100000);
-
 // ---------------------------------------------------------------------------
 // Kernel mode: timed before/after pairs behind the BENCH_micro.json artifact.
 
@@ -336,25 +204,16 @@ double time_ns(Fn&& fn, int reps = 3) {
   return best;
 }
 
+// One before/after pair. The field names are the artifact's keys: scan_ns
+// times the "before" code and indexed_ns the "after" code the gate checks.
 struct KernelResult {
   std::string name;
   std::int64_t items = 0;
-  std::int64_t queries = 0;  // 0 when the kernel has no query loop.
-  double scan_ns = 0.0;      // 0 when there is no linear-scan twin.
+  std::int64_t queries = 0;
+  double scan_ns = 0.0;
   double indexed_ns = 0.0;
-  bool identical = true;  // Indexed output byte-equal to the scan's.
+  bool identical = true;  // "After" output equal to the "before" output.
 };
-
-bool pois_identical(const std::vector<poi::Poi>& a, const std::vector<poi::Poi>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].centroid.lat_deg != b[i].centroid.lat_deg ||
-        a[i].centroid.lon_deg != b[i].centroid.lon_deg ||
-        a[i].visits.size() != b[i].visits.size())
-      return false;
-  }
-  return true;
-}
 
 // The identification sweep as it ran before the one-pass prefix stream:
 // every probe cuts its prefix and reruns decimate, extract, cluster and
@@ -375,100 +234,12 @@ privacy::DetectionOutcome per_probe_identification(
   return {};
 }
 
-std::vector<KernelResult> run_kernels(std::size_t scale) {
+std::vector<KernelResult> run_kernels() {
   std::vector<KernelResult> results;
-  const auto query_centers = scatter(256, 23);
-
-  {
-    const auto stays = make_stays(scale, 17);
-    KernelResult r{"poi_assignment", static_cast<std::int64_t>(scale), 0, 0.0, 0.0};
-    std::vector<poi::Poi> scan_pois, indexed_pois;
-    r.scan_ns = time_ns([&] { scan_pois = poi::cluster_stay_points_scan(stays, 100.0); });
-    r.indexed_ns = time_ns([&] { indexed_pois = poi::cluster_stay_points(stays, 100.0); });
-    r.identical = pois_identical(scan_pois, indexed_pois);
-    std::fprintf(stderr, "poi_assignment: %zu stays -> %zu pois, %.1fms scan / %.1fms indexed\n",
-                 stays.size(), indexed_pois.size(), r.scan_ns / 1e6, r.indexed_ns / 1e6);
-    results.push_back(r);
-  }
-
-  {
-    const auto fixes = make_fixes(scale, 19);
-    const privacy::PositionEstimator estimator(fixes);
-    KernelResult r{"reconstruction_candidates", static_cast<std::int64_t>(scale),
-                   static_cast<std::int64_t>(query_centers.size()), 0.0, 0.0};
-    std::size_t scan_total = 0, indexed_total = 0;
-    r.scan_ns = time_ns([&] {
-      scan_total = 0;
-      for (const auto& c : query_centers)
-        scan_total += estimator.fixes_near_scan(c, 250.0).size();
-    });
-    r.indexed_ns = time_ns([&] {
-      indexed_total = 0;
-      for (const auto& c : query_centers)
-        indexed_total += estimator.fixes_near(c, 250.0).size();
-    });
-    r.identical = scan_total == indexed_total;
-    for (const auto& c : query_centers) {
-      if (estimator.fixes_near(c, 250.0) != estimator.fixes_near_scan(c, 250.0)) {
-        r.identical = false;
-        break;
-      }
-    }
-    std::fprintf(stderr,
-                 "reconstruction_candidates: %zu fixes, %zu queries, %.1fms scan / %.1fms indexed\n",
-                 fixes.size(), query_centers.size(), r.scan_ns / 1e6, r.indexed_ns / 1e6);
-    results.push_back(r);
-  }
-
-  {
-    const auto points = scatter(scale, 29);
-    const geo::GeoTree tree(points);
-    const privacy::RegionGrid grid({39.9, 116.4}, 250.0);
-    KernelResult r{"region_containment", static_cast<std::int64_t>(scale),
-                   static_cast<std::int64_t>(query_centers.size()), 0.0, 0.0};
-    std::size_t scan_total = 0, indexed_total = 0;
-    r.scan_ns = time_ns([&] {
-      scan_total = 0;
-      for (const auto& c : query_centers)
-        scan_total += grid.points_in_region_scan(points, grid.region_of(c)).size();
-    });
-    r.indexed_ns = time_ns([&] {
-      indexed_total = 0;
-      for (const auto& c : query_centers)
-        indexed_total += grid.points_in_region(tree, grid.region_of(c)).size();
-    });
-    r.identical = scan_total == indexed_total;
-    for (const auto& c : query_centers) {
-      const auto id = grid.region_of(c);
-      if (grid.points_in_region(tree, id) != grid.points_in_region_scan(points, id)) {
-        r.identical = false;
-        break;
-      }
-    }
-    std::fprintf(stderr, "region_containment: %zu points, %zu queries, %.1fms scan / %.1fms indexed\n",
-                 points.size(), query_centers.size(), r.scan_ns / 1e6, r.indexed_ns / 1e6);
-    results.push_back(r);
-  }
-
-  {
-    const auto points = scatter(scale, 7);
-    KernelResult r{"geotree_build", static_cast<std::int64_t>(scale), 0, 0.0, 0.0};
-    r.indexed_ns = time_ns([&] { benchmark::DoNotOptimize(geo::GeoTree(points)); });
-    results.push_back(r);
-
-    const geo::GeoTree tree(points);
-    KernelResult radius{"geotree_radius_query", static_cast<std::int64_t>(scale),
-                        static_cast<std::int64_t>(query_centers.size()), 0.0, 0.0};
-    radius.indexed_ns = time_ns([&] {
-      for (const auto& c : query_centers)
-        benchmark::DoNotOptimize(tree.query_radius(c, 250.0));
-    });
-    results.push_back(radius);
-  }
 
   {
     // Figure 4's identification sweep over every bench_analyzer() user and
-    // both patterns at 1 s (a fixed corpus; --scale does not apply).
+    // both patterns at 1 s.
     const auto& analyzer = bench_analyzer();
     privacy::DetectionConfig config(analyzer.grid());
     config.extraction = analyzer.config().extraction;
@@ -510,24 +281,20 @@ std::vector<KernelResult> run_kernels(std::size_t scale) {
   return results;
 }
 
-std::string kernels_to_json(const std::vector<KernelResult>& results,
-                            std::size_t scale) {
+std::string kernels_to_json(const std::vector<KernelResult>& results) {
   util::JsonWriter json;
   json.begin_object();
   bench::write_bench_header(json, "micro");
-  json.member("scale", static_cast<std::int64_t>(scale));
   json.key("kernels");
   json.begin_array();
   for (const auto& r : results) {
     json.begin_object();
     json.member("name", r.name);
     json.member("items", r.items);
-    if (r.queries > 0) json.member("queries", r.queries);
-    if (r.scan_ns > 0.0) {
-      json.member("scan_ns", r.scan_ns);
-      json.member("speedup", r.scan_ns / r.indexed_ns);
-      json.member("identical", r.identical);
-    }
+    json.member("queries", r.queries);
+    json.member("scan_ns", r.scan_ns);
+    json.member("speedup", r.scan_ns / r.indexed_ns);
+    json.member("identical", r.identical);
     json.member("indexed_ns", r.indexed_ns);
     json.end_object();
   }
@@ -554,15 +321,14 @@ double baseline_indexed_ns(const std::string& text, const std::string& name) {
   return util::parse_double(number, value) ? value : -1.0;
 }
 
-int run_kernel_mode(const std::string& json_path, const std::string& baseline_path,
-                    std::size_t scale) {
-  const auto results = run_kernels(scale);
-  const std::string artifact = kernels_to_json(results, scale);
+int run_kernel_mode(const std::string& json_path, const std::string& baseline_path) {
+  const auto results = run_kernels();
+  const std::string artifact = kernels_to_json(results);
 
   bool ok = true;
   for (const auto& r : results) {
     if (!r.identical) {
-      std::fprintf(stderr, "FAIL %s: indexed output differs from scan twin\n",
+      std::fprintf(stderr, "FAIL %s: output differs from the code it replaced\n",
                    r.name.c_str());
       ok = false;
     }
@@ -605,7 +371,6 @@ int run_kernel_mode(const std::string& json_path, const std::string& baseline_pa
 int main(int argc, char** argv) {
   std::string json_path;
   std::string baseline_path;
-  std::size_t scale = 100000;
   bool kernel_mode = false;
 
   std::vector<char*> forwarded;
@@ -625,13 +390,11 @@ int main(int argc, char** argv) {
     } else if (const char* v = take_value("--baseline")) {
       baseline_path = v;
       kernel_mode = true;
-    } else if (const char* v = take_value("--scale")) {
-      scale = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
     } else {
       forwarded.push_back(argv[i]);
     }
   }
-  if (kernel_mode) return run_kernel_mode(json_path, baseline_path, scale);
+  if (kernel_mode) return run_kernel_mode(json_path, baseline_path);
 
   int forwarded_argc = static_cast<int>(forwarded.size());
   benchmark::Initialize(&forwarded_argc, forwarded.data());

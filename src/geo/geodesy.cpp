@@ -10,54 +10,23 @@ namespace locpriv::geo {
 double deg_to_rad(double degrees) { return degrees * std::numbers::pi / 180.0; }
 double rad_to_deg(double radians) { return radians * 180.0 / std::numbers::pi; }
 
-namespace {
-
-// Shared per-point cores: the scalar entry points and the batched *_from
-// variants route through the same inline arithmetic (identical operations in
-// identical order), so a batched distance is bit-for-bit the scalar one.
-inline double haversine_core(double lat1, double cos_lat1, const LatLon& a,
-                             const LatLon& b) {
+double haversine_m(const LatLon& a, const LatLon& b) {
+  const double lat1 = deg_to_rad(a.lat_deg);
   const double lat2 = deg_to_rad(b.lat_deg);
   const double dlat = lat2 - lat1;
   const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
   const double sin_dlat = std::sin(dlat / 2.0);
   const double sin_dlon = std::sin(dlon / 2.0);
-  const double h = sin_dlat * sin_dlat + cos_lat1 * std::cos(lat2) * sin_dlon * sin_dlon;
+  const double h =
+      sin_dlat * sin_dlat + std::cos(lat1) * std::cos(lat2) * sin_dlon * sin_dlon;
   return 2.0 * kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-inline double equirectangular_core(const LatLon& a, const LatLon& b) {
+double equirectangular_m(const LatLon& a, const LatLon& b) {
   const double mean_lat = deg_to_rad((a.lat_deg + b.lat_deg) / 2.0);
   const double x = deg_to_rad(b.lon_deg - a.lon_deg) * std::cos(mean_lat);
   const double y = deg_to_rad(b.lat_deg - a.lat_deg);
   return kEarthRadiusMeters * std::sqrt(x * x + y * y);
-}
-
-}  // namespace
-
-double haversine_m(const LatLon& a, const LatLon& b) {
-  const double lat1 = deg_to_rad(a.lat_deg);
-  return haversine_core(lat1, std::cos(lat1), a, b);
-}
-
-double equirectangular_m(const LatLon& a, const LatLon& b) {
-  return equirectangular_core(a, b);
-}
-
-void haversine_from(const LatLon& origin, std::span<const LatLon> points,
-                    std::span<double> out) {
-  LOCPRIV_EXPECT(out.size() == points.size());
-  const double lat1 = deg_to_rad(origin.lat_deg);
-  const double cos_lat1 = std::cos(lat1);
-  for (std::size_t i = 0; i < points.size(); ++i)
-    out[i] = haversine_core(lat1, cos_lat1, origin, points[i]);
-}
-
-void equirectangular_from(const LatLon& origin, std::span<const LatLon> points,
-                          std::span<double> out) {
-  LOCPRIV_EXPECT(out.size() == points.size());
-  for (std::size_t i = 0; i < points.size(); ++i)
-    out[i] = equirectangular_core(origin, points[i]);
 }
 
 double bearing_deg(const LatLon& a, const LatLon& b) {

@@ -1,7 +1,6 @@
 // Distance and bearing computations on the sphere.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "geo/latlon.hpp"
@@ -21,22 +20,6 @@ double haversine_m(const LatLon& a, const LatLon& b);
 /// scales of PoI extraction it differs from haversine by < 0.01 % and is
 /// several times cheaper, so the stay-point inner loop uses it.
 double equirectangular_m(const LatLon& a, const LatLon& b);
-
-/// Batched haversine from one origin to many points: out[i] =
-/// haversine_m(origin, points[i]), with the origin's latitude conversion and
-/// cosine hoisted out of the loop. Shares its per-point core with
-/// haversine_m, so results are identical to the per-pair calls.
-/// Precondition: out.size() == points.size().
-void haversine_from(const LatLon& origin, std::span<const LatLon> points,
-                    std::span<double> out);
-
-/// Batched equirectangular distances from one origin: out[i] =
-/// equirectangular_m(origin, points[i]). The mean-latitude cosine depends on
-/// both endpoints, so only the origin conversion hoists; the per-point core
-/// is shared with equirectangular_m for identical results.
-/// Precondition: out.size() == points.size().
-void equirectangular_from(const LatLon& origin, std::span<const LatLon> points,
-                          std::span<double> out);
 
 /// Initial great-circle bearing from `a` to `b` in degrees [0, 360).
 double bearing_deg(const LatLon& a, const LatLon& b);

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "geo/geodesy.hpp"
-#include "geo/geotree.hpp"
 #include "util/expect.hpp"
 
 namespace locpriv::poi {
@@ -15,62 +14,12 @@ std::vector<Poi> cluster_stay_points(const std::vector<StayPoint>& stays,
   // Running sums for the visit-weighted centroid of each PoI.
   std::vector<double> lat_sums;
   std::vector<double> lon_sums;
-  // Cell index over PoI centroids: assignment probes only the cells a
-  // merge-radius disc can reach instead of scanning every PoI, and follows
-  // centroids as merges drag them (O(S log P) overall). candidates_within
-  // returns an ascending superset of the in-radius ids, so the refine loop
-  // below visits ids in the same order as the full scan it replaced and the
-  // `d < best_distance` tie-break picks the identical PoI.
-  geo::GeoCellIndex index(merge_radius_m);
-  std::vector<std::uint32_t> candidates;
-
-  for (const auto& stay : stays) {
-    int best = -1;
-    double best_distance = std::numeric_limits<double>::max();
-    candidates.clear();
-    index.candidates_within(stay.centroid, merge_radius_m, candidates);
-    for (const std::uint32_t id : candidates) {
-      // locpriv-lint: allow(linear-spatial-scan) bounded candidate refine
-      const double d = geo::equirectangular_m(pois[id].centroid, stay.centroid);
-      if (d <= merge_radius_m && d < best_distance) {
-        best = static_cast<int>(id);
-        best_distance = d;
-      }
-    }
-    if (best < 0) {
-      Poi poi;
-      poi.id = static_cast<int>(pois.size());
-      poi.centroid = stay.centroid;
-      poi.visits.push_back(stay);
-      index.insert(static_cast<std::uint32_t>(poi.id), poi.centroid);
-      pois.push_back(std::move(poi));
-      lat_sums.push_back(stay.centroid.lat_deg);
-      lon_sums.push_back(stay.centroid.lon_deg);
-    } else {
-      const auto b = static_cast<std::size_t>(best);
-      pois[b].visits.push_back(stay);
-      lat_sums[b] += stay.centroid.lat_deg;
-      lon_sums[b] += stay.centroid.lon_deg;
-      const auto n = static_cast<double>(pois[b].visits.size());
-      pois[b].centroid = {lat_sums[b] / n, lon_sums[b] / n};
-      index.move(static_cast<std::uint32_t>(b), pois[b].centroid);
-    }
-  }
-  return pois;
-}
-
-std::vector<Poi> cluster_stay_points_scan(const std::vector<StayPoint>& stays,
-                                          double merge_radius_m) {
-  LOCPRIV_EXPECT(merge_radius_m > 0.0);
-  std::vector<Poi> pois;
-  std::vector<double> lat_sums;
-  std::vector<double> lon_sums;
 
   for (const auto& stay : stays) {
     int best = -1;
     double best_distance = std::numeric_limits<double>::max();
     for (std::size_t i = 0; i < pois.size(); ++i) {
-      // locpriv-lint: allow(linear-spatial-scan) reference oracle for the index
+      // locpriv-lint: allow(linear-spatial-scan) one user's PoIs, at most 37 at full scale
       const double d = geo::equirectangular_m(pois[i].centroid, stay.centroid);
       if (d <= merge_radius_m && d < best_distance) {
         best = static_cast<int>(i);

@@ -2,10 +2,10 @@
 //
 // A stay point is one visit; a PoI is a *place* visited possibly many times
 // across days. Stays are clustered greedily in chronological order: a stay
-// joins the nearest existing PoI within the merge radius (the PoI centroid
-// is the visit-weighted running mean), otherwise it founds a new PoI. The
-// paper's PoI_total counts these clusters and PoI_sensitive the rarely
-// visited ones.
+// joins the nearest existing PoI within the merge radius, the lower id on a
+// tie (the PoI centroid is the visit-weighted running mean), otherwise it
+// founds a new PoI. The paper's PoI_total counts these clusters and
+// PoI_sensitive the rarely visited ones.
 #pragma once
 
 #include <vector>
@@ -24,16 +24,8 @@ struct Poi {
 };
 
 /// Clusters `stays` (chronological) into PoIs. merge_radius_m > 0.
-/// Assignment runs through a geohash cell index over the PoI centroids
-/// (O(S log P)); results are identical to cluster_stay_points_scan.
 std::vector<Poi> cluster_stay_points(const std::vector<StayPoint>& stays,
                                      double merge_radius_m);
-
-/// The original O(S x P) linear-scan clustering, kept as the equivalence
-/// oracle for cluster_stay_points (tests assert identical output) and as the
-/// "before" side of the BM_PoiAssignment microbench.
-std::vector<Poi> cluster_stay_points_scan(const std::vector<StayPoint>& stays,
-                                          double merge_radius_m);
 
 /// PoIs visited at most `max_visits` times — the paper's sensitive PoIs
 /// ("users have visited for no more than 3 times", §IV.C).

@@ -1,24 +1,15 @@
 #include "privacy/metrics.hpp"
 
 #include "geo/geodesy.hpp"
-#include "geo/geotree.hpp"
 #include "util/expect.hpp"
 
 namespace locpriv::privacy {
 
 namespace {
 
-geo::GeoTree collected_tree(const std::vector<poi::Poi>& collected) {
-  std::vector<geo::LatLon> centroids;
-  centroids.reserve(collected.size());
-  for (const auto& poi : collected) centroids.push_back(poi.centroid);
-  return geo::GeoTree(std::move(centroids));
-}
-
-// locpriv-lint: allow(linear-spatial-scan) reference oracle for the index path
-bool has_match_within_scan(const poi::Poi& reference,
-                           const std::vector<poi::Poi>& collected,
-                           double match_radius_m) {
+// locpriv-lint: allow(linear-spatial-scan) one user's PoIs, at most 37 at full scale
+bool has_match_within(const poi::Poi& reference, const std::vector<poi::Poi>& collected,
+                      double match_radius_m) {
   for (const auto& candidate : collected)
     if (geo::equirectangular_m(reference.centroid, candidate.centroid) <= match_radius_m)
       return true;
@@ -33,15 +24,8 @@ PoiRecovery poi_recovery(const std::vector<poi::Poi>& reference,
   LOCPRIV_EXPECT(match_radius_m > 0.0);
   PoiRecovery recovery;
   recovery.reference_count = reference.size();
-  // One index over the collected centroids turns each existence test into a
-  // cell probe; the equirectangular metric keeps the match predicate
-  // identical to the scan it replaced.
-  const geo::GeoTree tree = collected_tree(collected);
-  for (const auto& poi : reference) {
-    if (tree.any_within(poi.centroid, match_radius_m,
-                        geo::GeoTree::Metric::kEquirectangular))
-      ++recovery.recovered_count;
-  }
+  for (const auto& poi : reference)
+    if (has_match_within(poi, collected, match_radius_m)) ++recovery.recovered_count;
   return recovery;
 }
 
@@ -51,26 +35,11 @@ PoiRecovery sensitive_poi_recovery(const std::vector<poi::Poi>& reference,
   LOCPRIV_EXPECT(match_radius_m > 0.0);
   LOCPRIV_EXPECT(max_visits >= 1);
   PoiRecovery recovery;
-  const geo::GeoTree tree = collected_tree(collected);
   for (const auto& poi : reference) {
     if (poi.visit_count() > max_visits) continue;
     ++recovery.reference_count;
-    if (tree.any_within(poi.centroid, match_radius_m,
-                        geo::GeoTree::Metric::kEquirectangular))
-      ++recovery.recovered_count;
+    if (has_match_within(poi, collected, match_radius_m)) ++recovery.recovered_count;
   }
-  return recovery;
-}
-
-PoiRecovery poi_recovery_scan(const std::vector<poi::Poi>& reference,
-                              const std::vector<poi::Poi>& collected,
-                              double match_radius_m) {
-  LOCPRIV_EXPECT(match_radius_m > 0.0);
-  PoiRecovery recovery;
-  recovery.reference_count = reference.size();
-  for (const auto& poi : reference)
-    if (has_match_within_scan(poi, collected, match_radius_m))
-      ++recovery.recovered_count;
   return recovery;
 }
 

@@ -42,11 +42,4 @@ PoiRecovery sensitive_poi_recovery(const std::vector<poi::Poi>& reference,
                                    const std::vector<poi::Poi>& collected,
                                    double match_radius_m, std::size_t max_visits);
 
-/// The original O(R x C) linear-scan recovery, kept as the equivalence oracle
-/// for poi_recovery (tests assert identical counts) and as the "before" side
-/// of the BM_PoiRecovery microbench.
-PoiRecovery poi_recovery_scan(const std::vector<poi::Poi>& reference,
-                              const std::vector<poi::Poi>& collected,
-                              double match_radius_m);
-
 }  // namespace locpriv::privacy

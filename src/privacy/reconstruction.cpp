@@ -8,19 +8,8 @@
 
 namespace locpriv::privacy {
 
-namespace {
-
-std::vector<geo::LatLon> fix_positions(const std::vector<trace::TracePoint>& fixes) {
-  std::vector<geo::LatLon> positions;
-  positions.reserve(fixes.size());
-  for (const auto& fix : fixes) positions.push_back(fix.position);
-  return positions;
-}
-
-}  // namespace
-
 PositionEstimator::PositionEstimator(std::vector<trace::TracePoint> collected)
-    : collected_(std::move(collected)), index_(fix_positions(collected_)) {
+    : collected_(std::move(collected)) {
   LOCPRIV_EXPECT(!collected_.empty());
   for (std::size_t i = 1; i < collected_.size(); ++i)
     LOCPRIV_EXPECT(collected_[i - 1].timestamp_s <= collected_[i].timestamp_s);
@@ -36,28 +25,6 @@ std::size_t PositionEstimator::locate(std::int64_t t) const {
 
 const geo::LatLon& PositionEstimator::estimate(std::int64_t t) const {
   return collected_[locate(t)].position;
-}
-
-std::vector<std::uint32_t> PositionEstimator::fixes_near(const geo::LatLon& center,
-                                                         double radius_m) const {
-  const auto hits = index_.query_radius(center, radius_m);
-  std::vector<std::uint32_t> indices;
-  indices.reserve(hits.size());
-  for (const auto& hit : hits) indices.push_back(hit.index);
-  std::sort(indices.begin(), indices.end());
-  return indices;
-}
-
-std::vector<std::uint32_t> PositionEstimator::fixes_near_scan(const geo::LatLon& center,
-                                                              double radius_m) const {
-  LOCPRIV_EXPECT(radius_m >= 0.0);
-  std::vector<std::uint32_t> indices;
-  for (std::size_t i = 0; i < collected_.size(); ++i) {
-    // locpriv-lint: allow(linear-spatial-scan) reference oracle for fixes_near
-    if (geo::haversine_m(center, collected_[i].position) <= radius_m)
-      indices.push_back(static_cast<std::uint32_t>(i));
-  }
-  return indices;
 }
 
 ReconstructionError reconstruction_error(const std::vector<trace::TracePoint>& truth,

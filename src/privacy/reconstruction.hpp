@@ -4,18 +4,11 @@
 // reconstructs a position timeline from the collected fixes (piecewise:
 // the user is at the last observed fix until the next one) and we measure
 // the distance between that estimate and the ground-truth trace.
-//
-// The estimator also answers the adversary's spatial queries: "which of the
-// collected fixes place the user near this location, and when?" Those used
-// to rescan the full fix stream per place; they now go through a GeoTree
-// over the fix positions, so a candidate lookup touches only the geohash
-// cells a radius disc can reach.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "geo/geotree.hpp"
 #include "geo/latlon.hpp"
 #include "trace/trajectory.hpp"
 
@@ -24,8 +17,7 @@ namespace locpriv::privacy {
 /// Piecewise-constant position estimator over a collected fix stream.
 class PositionEstimator {
  public:
-  /// Builds from collected fixes (time-ordered) and indexes their positions.
-  /// Precondition: non-empty.
+  /// Builds from collected fixes (time-ordered). Precondition: non-empty.
   explicit PositionEstimator(std::vector<trace::TracePoint> collected);
 
   /// Index of the last fix at or before `t` (std::upper_bound over the
@@ -35,23 +27,8 @@ class PositionEstimator {
   /// The adversary's estimate at time `t`: the position of locate(t).
   const geo::LatLon& estimate(std::int64_t t) const;
 
-  const trace::TracePoint& fix(std::size_t i) const { return collected_[i]; }
-  std::size_t fix_count() const { return collected_.size(); }
-
-  /// Indices (ascending, hence chronological) of the fixes within
-  /// `radius_m` of `center` (haversine, inclusive), resolved by cell lookup
-  /// in the fix index. Precondition: radius_m >= 0.
-  std::vector<std::uint32_t> fixes_near(const geo::LatLon& center,
-                                        double radius_m) const;
-
-  /// The O(n) full-stream twin of fixes_near, kept as its equivalence oracle
-  /// and as the "before" side of the BM_ReconstructionCandidates microbench.
-  std::vector<std::uint32_t> fixes_near_scan(const geo::LatLon& center,
-                                             double radius_m) const;
-
  private:
   std::vector<trace::TracePoint> collected_;
-  geo::GeoTree index_;  ///< Over the fix positions, in stream order.
 };
 
 /// Summary of the reconstruction error over a ground-truth trace.

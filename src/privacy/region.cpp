@@ -35,55 +35,6 @@ geo::LatLon RegionGrid::region_center(RegionId id) const {
                              (static_cast<double>(iy) + 0.5) * cell_m_});
 }
 
-namespace {
-
-// Per-axis cell index of a planar coordinate; mirrors region_of's floor but
-// without the range asserts, so stray far-away points filter out instead of
-// aborting.
-inline std::int64_t plane_cell(double meters, double cell_m) {
-  return static_cast<std::int64_t>(std::floor(meters / cell_m));
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> RegionGrid::points_in_region(const geo::GeoTree& tree,
-                                                        RegionId id) const {
-  LOCPRIV_EXPECT(id >= 0 && id < kAxisSpan * kAxisSpan);
-  const std::int64_t ix = id / kAxisSpan - kAxisOffset;
-  const std::int64_t iy = id % kAxisSpan - kAxisOffset;
-  // The region square in the plane, padded a hair so floating-point slop in
-  // the plane<->geo round trip cannot drop a boundary point; the exact cell
-  // check below removes anything the padding let in.
-  const double pad = cell_m_ * 1e-6;
-  const geo::LatLon lo = projection_.to_geo(
-      {static_cast<double>(ix) * cell_m_ - pad, static_cast<double>(iy) * cell_m_ - pad});
-  const geo::LatLon hi =
-      projection_.to_geo({static_cast<double>(ix + 1) * cell_m_ + pad,
-                          static_cast<double>(iy + 1) * cell_m_ + pad});
-  std::vector<std::uint32_t> out;
-  for (const std::uint32_t index :
-       tree.query_rect(lo.lat_deg, hi.lat_deg, lo.lon_deg, hi.lon_deg)) {
-    const geo::EastNorth plane = projection_.to_plane(tree.point(index));
-    if (plane_cell(plane.east_m, cell_m_) == ix && plane_cell(plane.north_m, cell_m_) == iy)
-      out.push_back(index);
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> RegionGrid::points_in_region_scan(
-    const std::vector<geo::LatLon>& points, RegionId id) const {
-  LOCPRIV_EXPECT(id >= 0 && id < kAxisSpan * kAxisSpan);
-  const std::int64_t ix = id / kAxisSpan - kAxisOffset;
-  const std::int64_t iy = id % kAxisSpan - kAxisOffset;
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const geo::EastNorth plane = projection_.to_plane(points[i]);
-    if (plane_cell(plane.east_m, cell_m_) == ix && plane_cell(plane.north_m, cell_m_) == iy)
-      out.push_back(static_cast<std::uint32_t>(i));
-  }
-  return out;
-}
-
 std::int64_t pack_transition(RegionId from, RegionId to) {
   LOCPRIV_EXPECT(from >= 0 && from < (std::int64_t{1} << 31));
   LOCPRIV_EXPECT(to >= 0 && to < (std::int64_t{1} << 31));

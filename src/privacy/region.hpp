@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "geo/geotree.hpp"
 #include "geo/projection.hpp"
 
 namespace locpriv::privacy {
@@ -35,20 +33,6 @@ class RegionGrid {
 
   /// Center coordinate of a cell id (inverse of region_of up to the cell).
   geo::LatLon region_center(RegionId id) const;
-
-  /// Original indices (ascending) of the indexed points that fall inside the
-  /// region cell, resolved by cell-prefix matching against `tree` instead of
-  /// per-point distance/containment tests: the region square maps to a
-  /// lat/lon rectangle (the projection is linear), the tree narrows it to a
-  /// handful of geohash cells, and only those candidates are confirmed with
-  /// the exact cell arithmetic. Equivalent to points_in_region_scan.
-  std::vector<std::uint32_t> points_in_region(const geo::GeoTree& tree,
-                                              RegionId id) const;
-
-  /// The O(n) full scan twin of points_in_region, kept as its equivalence
-  /// oracle and as the "before" side of the BM_RegionContainment microbench.
-  std::vector<std::uint32_t> points_in_region_scan(const std::vector<geo::LatLon>& points,
-                                                   RegionId id) const;
 
   double cell_m() const { return cell_m_; }
   const geo::LocalProjection& projection() const { return projection_; }

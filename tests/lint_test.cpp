@@ -230,8 +230,8 @@ TEST(LocprivLint, UnboundedGrowthPatrolsOnlyLongLivedStateDirs) {
 
 TEST(LocprivLint, LinearSpatialScanPatrolsOnlySpatialDirs) {
   // Distance calls inside loops are flagged only under src/poi/ and
-  // src/privacy/ — the hot paths the GeoTree index serves; geo/ itself (the
-  // index refine loops live there) and neutral library code are exempt.
+  // src/privacy/, where per-user place sets are scanned; geo/ itself (the
+  // distance functions live there) and neutral library code are exempt.
   const std::string bad = read_fixture("linear_spatial_scan_bad.cc");
   const auto poi = lint_source("src/poi/clustering.cpp", bad);
   ASSERT_EQ(poi.size(), 1u);
@@ -240,7 +240,7 @@ TEST(LocprivLint, LinearSpatialScanPatrolsOnlySpatialDirs) {
   ASSERT_EQ(privacy.size(), 1u);
   EXPECT_EQ(privacy[0].rule, "linear-spatial-scan");
   EXPECT_TRUE(lint_source("src/sample.cpp", bad).empty());
-  EXPECT_TRUE(lint_source("src/geo/geotree.cpp", bad).empty());
+  EXPECT_TRUE(lint_source("src/geo/geodesy.cpp", bad).empty());
   EXPECT_TRUE(lint_source("src/poi/sample.cpp",
                           read_fixture("linear_spatial_scan_clean.cc"))
                   .empty());

@@ -239,6 +239,49 @@ TEST(Clustering, CentroidIsVisitWeightedMean) {
   EXPECT_NEAR(geo::haversine_m(pois[0].centroid, kAnchor), 15.0, 1.0);
 }
 
+TEST(Clustering, StayJoinsNearestPoiInRange) {
+  const auto stay_at = [](const geo::LatLon& centroid, std::int64_t enter_s) {
+    StayPoint stay;
+    stay.centroid = centroid;
+    stay.enter_s = enter_s;
+    stay.exit_s = enter_s + 600;
+    return stay;
+  };
+  const auto east = [](double meters) { return geo::destination(kAnchor, 90.0, meters); };
+  const auto entries = [](const Poi& poi) {
+    std::vector<std::int64_t> out;
+    for (const auto& visit : poi.visits) out.push_back(visit.enter_s);
+    return out;
+  };
+  // Two stays 70 m apart found PoIs 0 and 1. A stay on the segment 30 m
+  // from PoI 0 and 40 m from PoI 1 joins PoI 0, which moves to ~15 m. A
+  // stay at 45 m (30 m from PoI 0, 25 m from PoI 1) joins PoI 1: the nearer
+  // PoI wins, not the first in range. A stay at 130 m is beyond 50 m of both
+  // and founds PoI 2.
+  const auto pois = cluster_stay_points({stay_at(kAnchor, 0), stay_at(east(70.0), 1000),
+                                         stay_at(east(30.0), 2000), stay_at(east(45.0), 3000),
+                                         stay_at(east(130.0), 4000)},
+                                        50.0);
+  ASSERT_EQ(pois.size(), 3u);
+  EXPECT_EQ(entries(pois[0]), (std::vector<std::int64_t>{0, 2000}));
+  EXPECT_EQ(entries(pois[1]), (std::vector<std::int64_t>{1000, 3000}));
+  EXPECT_EQ(entries(pois[2]), (std::vector<std::int64_t>{4000}));
+
+  // Two stays 2^-12 degrees either side of latitude 40 on one meridian
+  // (about 54 m apart) found PoIs 0 and 1. A stay at latitude 40 is exactly
+  // as far from each, and the tie goes to the lower id.
+  const double half_gap = std::ldexp(1.0, -12);
+  const geo::LatLon north{40.0 + half_gap, 116.4};
+  const geo::LatLon south{40.0 - half_gap, 116.4};
+  const geo::LatLon middle{40.0, 116.4};
+  EXPECT_EQ(geo::equirectangular_m(north, middle), geo::equirectangular_m(south, middle));
+  const auto tied = cluster_stay_points(
+      {stay_at(north, 0), stay_at(south, 1000), stay_at(middle, 2000)}, 50.0);
+  ASSERT_EQ(tied.size(), 2u);
+  EXPECT_EQ(entries(tied[0]), (std::vector<std::int64_t>{0, 2000}));
+  EXPECT_EQ(entries(tied[1]), (std::vector<std::int64_t>{1000}));
+}
+
 TEST(Clustering, EmptyInputAndPreconditions) {
   EXPECT_TRUE(cluster_stay_points({}, 50.0).empty());
   EXPECT_THROW(cluster_stay_points({}, 0.0), util::ContractViolation);

@@ -95,6 +95,34 @@ TEST(PositionEstimator, Preconditions) {
   EXPECT_THROW(PositionEstimator(std::move(unordered)), util::ContractViolation);
 }
 
+TEST(Locate, BeforeFirstBetweenAndAfterLast) {
+  const std::vector<trace::TracePoint> fixes = {
+      {{39.90, 116.40}, 100}, {{39.91, 116.41}, 200}, {{39.92, 116.42}, 300}};
+  const privacy::PositionEstimator estimator(fixes);
+  // Before the first fix the adversary has no earlier evidence: index 0.
+  EXPECT_EQ(estimator.locate(50), 0u);
+  EXPECT_EQ(estimator.estimate(50).lat_deg, 39.90);
+  // Exactly at a fix resolves to that fix.
+  EXPECT_EQ(estimator.locate(100), 0u);
+  EXPECT_EQ(estimator.locate(200), 1u);
+  // Between fixes: the last one at or before t.
+  EXPECT_EQ(estimator.locate(150), 0u);
+  EXPECT_EQ(estimator.locate(250), 1u);
+  EXPECT_EQ(estimator.locate(299), 1u);
+  // At and after the last fix it carries forward.
+  EXPECT_EQ(estimator.locate(300), 2u);
+  EXPECT_EQ(estimator.locate(100000), 2u);
+  EXPECT_EQ(estimator.estimate(100000).lon_deg, 116.42);
+}
+
+TEST(Locate, DuplicateTimestampsResolveToLastOfRun) {
+  const std::vector<trace::TracePoint> fixes = {
+      {{1.0, 1.0}, 10}, {{2.0, 2.0}, 20}, {{3.0, 3.0}, 20}, {{4.0, 4.0}, 30}};
+  const privacy::PositionEstimator estimator(fixes);
+  EXPECT_EQ(estimator.locate(20), 2u);
+  EXPECT_EQ(estimator.locate(25), 2u);
+}
+
 TEST(ReconstructionError, PerfectCollectionHasZeroError) {
   const auto truth = two_stop_truth();
   const PositionEstimator estimator(truth);

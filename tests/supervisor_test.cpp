@@ -196,8 +196,11 @@ TEST(ParallelForDynamic, ExceptionPropagatesButOtherWorkersKeepDraining) {
     EXPECT_NE(std::string(error.what()).find("index 9"), std::string::npos);
   }
   // One failed cell does not strand the queue: every other index ran.
-  for (std::size_t i = 0; i < kCount; ++i)
-    if (i != 9) EXPECT_EQ(hits[i].load(), 1) << i;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    if (i != 9) {
+      EXPECT_EQ(hits[i].load(), 1) << i;
+    }
+  }
 }
 
 // ---- in-process supervision --------------------------------------------

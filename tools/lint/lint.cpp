@@ -556,8 +556,8 @@ void rule_seq_narrowing(FileAnalysis& analysis) {
 
 // ---- linear-spatial-scan --------------------------------------------------
 
-// The spatial hot paths that must run through geo::GeoTree / GeoCellIndex
-// instead of rescanning whole PoI/fix containers per query.
+// The spatial hot paths, where a distance loop over a PoI/fix container runs
+// once per query and so must be shown to stay small.
 bool is_spatial_hot_path(std::string_view path) {
   const std::string p(path);
   return p.find("src/poi/") != std::string::npos ||
@@ -565,8 +565,7 @@ bool is_spatial_hot_path(std::string_view path) {
 }
 
 bool is_distance_call(std::string_view name) {
-  return in_set(name, {"haversine_m", "equirectangular_m", "haversine_from",
-                       "equirectangular_from"});
+  return in_set(name, {"haversine_m", "equirectangular_m"});
 }
 
 void rule_linear_spatial_scan(FileAnalysis& analysis) {
@@ -578,10 +577,9 @@ void rule_linear_spatial_scan(FileAnalysis& analysis) {
     analysis.findings.push_back(
         {file.path, call.line, std::string(kLinearSpatialScan),
          "distance call " + call.name +
-             "() inside a loop in a spatial hot path; route the scan through "
-             "geo::GeoTree / geo::GeoCellIndex, or suppress with a "
-             "justification if the loop is inherently bounded (window, "
-             "candidate refine, oracle)"});
+             "() inside a loop in a spatial hot path; a per-query scan must "
+             "stay small, so suppress with a justification that bounds the "
+             "loop (window, one user's PoIs, one pair per fix)"});
   }
 }
 
@@ -1097,9 +1095,8 @@ const std::vector<RuleInfo>& rules() {
        "exit path releases it"},
       {kLinearSpatialScan,
        "haversine/equirectangular distance call inside a loop under src/poi/ "
-       "or src/privacy/; per-query scans over whole PoI/fix containers belong "
-       "in geo::GeoTree / geo::GeoCellIndex (suppress for inherently bounded "
-       "loops: windows, candidate refines, oracles)"},
+       "or src/privacy/; a per-query scan must carry a justification that "
+       "bounds the loop (windows, one user's PoIs, one pair per fix)"},
       {kNondetRng,
        "std::rand/srand/random_device/time(nullptr): nondeterministic source "
        "breaks resume byte-identity; derive randomness from a seeded stats::Rng"},
