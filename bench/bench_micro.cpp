@@ -6,12 +6,13 @@
 //
 //   bench_micro --json BENCH_micro.json [--baseline FILE]
 //
-// which times the one-pass prefix sweep against the per-probe loop it
-// replaced, asserts the outputs are identical (a pure perf change), and
-// writes the standardized BENCH_micro.json artifact with before/after
-// nanoseconds and the speedup. With --baseline it re-reads a committed
-// artifact and exits non-zero if the kernel regressed by more than 2x —
-// the CI perf-smoke gate.
+// which times two kernels against the code they replaced — the one-pass
+// prefix sweep against the per-probe loop, and candidate-only
+// Adversary::identify against a match over every profile — asserts the
+// outputs are identical (pure perf changes), and writes the standardized
+// BENCH_micro.json artifact with before/after nanoseconds and the speedup.
+// With --baseline it re-reads a committed artifact and exits non-zero if a
+// kernel regressed by more than 2x — the CI perf-smoke gate.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -234,6 +236,21 @@ privacy::DetectionOutcome per_probe_identification(
   return {};
 }
 
+// Identification as it ran before the inverted key index: match_histograms
+// over every stored profile. Returns the matching profile indices.
+std::vector<std::size_t> scan_matches(const privacy::Adversary& adversary,
+                                      const privacy::PatternHistogram& observed,
+                                      privacy::Pattern pattern,
+                                      const privacy::MatchParams& params) {
+  std::vector<std::size_t> matched;
+  for (std::size_t i = 0; i < adversary.profile_count(); ++i) {
+    const privacy::MatchResult match =
+        privacy::match_histograms(observed, adversary.profile(i).histogram(pattern), params);
+    if (match.attempted && match.matches) matched.push_back(i);
+  }
+  return matched;
+}
+
 std::vector<KernelResult> run_kernels() {
   std::vector<KernelResult> results;
 
@@ -274,6 +291,45 @@ std::vector<KernelResult> run_kernels() {
                              });
     std::fprintf(stderr, "prefix_sweep: %zu users, %lld fixes, %.1fms per-probe / %.1fms one-pass\n",
                  analyzer.user_count(), static_cast<long long>(fixes), r.scan_ns / 1e6,
+                 r.indexed_ns / 1e6);
+    results.push_back(r);
+  }
+
+  {
+    // Every user's full-trace histograms at 1, 60 and 600 s, both patterns,
+    // identified against the paper-scale 182 profiles.
+    mobility::DatasetConfig dataset;
+    dataset.user_count = 182;
+    dataset.synthesis.days = 4;
+    const core::PrivacyAnalyzer analyzer =
+        core::PrivacyAnalyzer::from_synthetic(core::AnalyzerConfig{}, dataset);
+    const privacy::Adversary& adversary = analyzer.adversary();
+    const privacy::MatchParams& params = analyzer.config().match;
+    std::vector<std::pair<privacy::Pattern, privacy::PatternHistogram>> queries;
+    for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+      for (const std::int64_t interval : {1, 60, 600})
+        for (const auto pattern : {privacy::Pattern::kVisits, privacy::Pattern::kMovements})
+          queries.emplace_back(pattern, privacy::observed_histogram(
+                                            analyzer.reference(u).points, pattern,
+                                            analyzer.config().extraction, analyzer.grid(),
+                                            interval));
+    KernelResult r{"identify", static_cast<std::int64_t>(adversary.profile_count()),
+                   static_cast<std::int64_t>(queries.size()), 0.0, 0.0};
+    std::vector<std::vector<std::size_t>> scan, indexed;
+    r.scan_ns = time_ns([&] {
+      scan.clear();
+      for (const auto& [pattern, observed] : queries)
+        scan.push_back(scan_matches(adversary, observed, pattern, params));
+    });
+    r.indexed_ns = time_ns([&] {
+      indexed.clear();
+      for (const auto& [pattern, observed] : queries)
+        indexed.push_back(adversary.identify(observed, pattern, params).matched);
+    });
+    r.identical = scan == indexed;
+    std::fprintf(stderr,
+                 "identify: %zu profiles, %zu queries, %.1fms full scan / %.1fms candidates\n",
+                 adversary.profile_count(), queries.size(), r.scan_ns / 1e6,
                  r.indexed_ns / 1e6);
     results.push_back(r);
   }

@@ -102,13 +102,20 @@ int run(int argc, const char* const* argv) {
   args.declare("--max-retained-kb", "1024");
   args.declare("--shed-policy", "reject-new");
   args.declare("--fault-shards", "hang:2@shard0");
-  args.declare("--fault-after", "20");
+  args.declare("--fault-after", "8");
   args.declare("--lossless-every", "3");
   args.declare("--overload-factor", "4");
   args.declare("--max-rss-mb", "2048");
   args.declare("--run-dir", "");
   args.declare("--json", "BENCH_overload.json");
   args.parse(argc, argv, 1);
+  // Only a shard's first --max-inflight-batches offers are sure to be
+  // admitted; a wedge armed later never fires if shedding starves the shard.
+  const std::int64_t window = args.get_int("--max-inflight-batches");
+  if (window > 0 && args.get_int("--fault-after") > window)
+    throw Error(ErrorCode::kUsage, "--fault-after " + args.get("--fault-after") +
+                                       " exceeds --max-inflight-batches " +
+                                       args.get("--max-inflight-batches"));
 
   bench::print_header("locprivd overload: bounded queues and load shedding",
                       /*uses_mobility_corpus=*/false);

@@ -3,7 +3,10 @@
 // them (paper Section IV.B, Formulas 2-5).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "privacy/matching.hpp"
@@ -47,7 +50,8 @@ struct IdentificationResult {
 };
 
 /// Holds the N profiles an adversary has acquired and answers
-/// identification queries against them.
+/// identification queries against them. Profiles are read-only after
+/// construction, which also builds an inverted key index over them.
 class Adversary {
  public:
   /// Takes ownership of the profile set. Precondition: non-empty.
@@ -57,15 +61,25 @@ class Adversary {
   const UserProfileHistograms& profile(std::size_t i) const;
 
   /// Matches `observed` (built with `pattern`) against every stored
-  /// profile, then forms the posterior over the matching set using
-  /// `weighting` and computes the anonymity metrics.
+  /// profile that could match it, then forms the posterior over the
+  /// matching set using `weighting` and computes the anonymity metrics.
+  /// The result is bit-identical to testing every profile in order: every
+  /// profile skipped is one match_histograms would not attempt.
   IdentificationResult identify(const PatternHistogram& observed, Pattern pattern,
                                 const MatchParams& params,
                                 PosteriorWeighting weighting =
                                     PosteriorWeighting::kChiSquare) const;
 
  private:
+  /// Profile indices, ascending and without duplicates, that include every
+  /// profile match_histograms would attempt for `observed`.
+  std::vector<std::size_t> candidates(const PatternHistogram& observed,
+                                      Pattern pattern, const MatchParams& params) const;
+
   std::vector<UserProfileHistograms> profiles_;
+  /// Per pattern (visits, movements): every profile's (key, profile index)
+  /// pairs, sorted.
+  std::array<std::vector<std::pair<std::int64_t, std::size_t>>, 2> postings_;
 };
 
 }  // namespace locpriv::privacy
