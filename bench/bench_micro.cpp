@@ -6,10 +6,12 @@
 //
 //   bench_micro --json BENCH_micro.json [--baseline FILE]
 //
-// which times two kernels against the code they replaced — the one-pass
-// prefix sweep against the per-probe loop, and candidate-only
-// Adversary::identify against a match over every profile — asserts the
-// outputs are identical (pure perf changes), and writes the standardized
+// which times three kernels against the code they replaced — the one-pass
+// prefix sweep against the per-probe loop, candidate-only
+// Adversary::identify against a match over every profile, and a locprivd
+// shard report scored from checkpointed stay-point streams against the
+// re-extraction over every fix it replaced — asserts the outputs are
+// identical (pure perf changes), and writes the standardized
 // BENCH_micro.json artifact with before/after nanoseconds and the speedup.
 // With --baseline it re-reads a committed artifact and exits non-zero if a
 // kernel regressed by more than 2x — the CI perf-smoke gate.
@@ -35,6 +37,7 @@
 #include "privacy/detection.hpp"
 #include "privacy/prediction.hpp"
 #include "privacy/uniqueness.hpp"
+#include "service/snapshot.hpp"
 #include "stats/rng.hpp"
 #include "trace/sampling.hpp"
 #include "util/json.hpp"
@@ -330,6 +333,67 @@ std::vector<KernelResult> run_kernels() {
     std::fprintf(stderr,
                  "identify: %zu profiles, %zu queries, %.1fms full scan / %.1fms candidates\n",
                  adversary.profile_count(), queries.size(), r.scan_ns / 1e6,
+                 r.indexed_ns / 1e6);
+    results.push_back(r);
+  }
+
+  {
+    // Eight locprivd shard reports over every bench_analyzer() user's full
+    // trace, collected at 60 s. Before: evaluate_collected re-extracts each
+    // user's fixes. After: evaluate_stays on each user's stream, restored
+    // from an encoded snapshot as a respawned shard restores it.
+    const auto& analyzer = bench_analyzer();
+    constexpr std::int64_t kInterval = 60;
+    constexpr int kReports = 8;
+    service::ShardSnapshot held;
+    held.params = analyzer.config().extraction;
+    std::int64_t fixes = 0;
+    for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
+      const auto& points = analyzer.reference(u).points;
+      service::UserStays& user =
+          held.users.try_emplace(analyzer.reference(u).user_id, held.params).first->second;
+      for (const auto& point : points) user.stream.push(point);
+      user.fixes = points.size();
+      fixes += static_cast<std::int64_t>(points.size());
+    }
+    const service::ShardSnapshot restored =
+        service::parse_snapshot(service::encode_snapshot(held));
+    KernelResult r{"shard_report", fixes,
+                   static_cast<std::int64_t>(kReports * analyzer.user_count()), 0.0, 0.0};
+    std::vector<core::ExposureReport> scan, indexed;
+    r.scan_ns = time_ns([&] {
+      scan.clear();
+      for (int k = 0; k < kReports; ++k)
+        for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+          scan.push_back(
+              analyzer.evaluate_collected(u, kInterval, analyzer.reference(u).points));
+    });
+    r.indexed_ns = time_ns([&] {
+      indexed.clear();
+      for (int k = 0; k < kReports; ++k)
+        for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
+          const service::UserStays& user =
+              restored.users.at(analyzer.reference(u).user_id);
+          indexed.push_back(analyzer.evaluate_stays(u, kInterval, user.fixes,
+                                                    user.stream.peek_close()));
+        }
+    });
+    r.identical = std::equal(
+        scan.begin(), scan.end(), indexed.begin(), indexed.end(),
+        [](const core::ExposureReport& a, const core::ExposureReport& b) {
+          return a.collected_fixes == b.collected_fixes &&
+                 a.extracted_pois == b.extracted_pois &&
+                 a.poi_total.recovered_count == b.poi_total.recovered_count &&
+                 a.poi_sensitive.recovered_count == b.poi_sensitive.recovered_count &&
+                 a.hisbin_visits == b.hisbin_visits &&
+                 a.hisbin_movements == b.hisbin_movements &&
+                 a.anonymity_visits == b.anonymity_visits &&
+                 a.anonymity_movements == b.anonymity_movements;
+        });
+    std::fprintf(stderr,
+                 "shard_report: %d reports x %zu users, %lld fixes, %.1fms re-extracted / "
+                 "%.1fms from stays\n",
+                 kReports, analyzer.user_count(), static_cast<long long>(fixes), r.scan_ns / 1e6,
                  r.indexed_ns / 1e6);
     results.push_back(r);
   }

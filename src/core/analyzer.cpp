@@ -82,11 +82,18 @@ ExposureReport PrivacyAnalyzer::evaluate_exposure(std::size_t user,
 ExposureReport PrivacyAnalyzer::evaluate_collected(
     std::size_t user, std::int64_t interval_s,
     const std::vector<trace::TracePoint>& collected) const {
+  return evaluate_stays(user, interval_s, collected.size(),
+                        poi::extract_stay_points(collected, config_.extraction));
+}
+
+ExposureReport PrivacyAnalyzer::evaluate_stays(
+    std::size_t user, std::int64_t interval_s, std::size_t fix_count,
+    const std::vector<poi::StayPoint>& stays) const {
   const UserReference& reference = this->reference(user);
   ExposureReport report;
   report.interval_s = interval_s;
-  report.collected_fixes = collected.size();
-  if (collected.empty()) {
+  report.collected_fixes = fix_count;
+  if (fix_count == 0) {
     // A fully degraded substrate observed nothing: every recovery metric is
     // zero and no histogram test is attempted.
     report.poi_total.reference_count = reference.pois.size();
@@ -94,7 +101,6 @@ ExposureReport PrivacyAnalyzer::evaluate_collected(
       if (poi.visit_count() <= 3) ++report.poi_sensitive.reference_count;
     return report;
   }
-  const auto stays = poi::extract_stay_points(collected, config_.extraction);
   const auto pois = poi::cluster_stay_points(stays, config_.extraction.radius_m);
   report.extracted_pois = pois.size();
 

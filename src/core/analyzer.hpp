@@ -90,6 +90,15 @@ class PrivacyAnalyzer {
   ExposureReport evaluate_collected(std::size_t user, std::int64_t interval_s,
                                     const std::vector<trace::TracePoint>& collected) const;
 
+  /// evaluate_collected for an observation already reduced to its stays:
+  /// `fix_count` fixes collected at `interval_s`, and the stays extraction
+  /// under config().extraction finds in them (a StayPointStream's
+  /// peek_close()). A fix_count of 0 scores as zero exposure, as an empty
+  /// collection does.
+  ExposureReport evaluate_stays(std::size_t user, std::int64_t interval_s,
+                                std::size_t fix_count,
+                                const std::vector<poi::StayPoint>& stays) const;
+
   /// Earliest prefix fraction at which His_bin fires against the user's own
   /// profile (paper Figure 4(a)); `pattern` selects the representation.
   privacy::DetectionOutcome earliest_detection(std::size_t user,

@@ -1,7 +1,9 @@
 #include "poi/staypoint.hpp"
 
 #include <bit>
+#include <string>
 
+#include "core/harness/error.hpp"
 #include "geo/geodesy.hpp"
 #include "util/expect.hpp"
 
@@ -14,6 +16,11 @@ std::vector<ExtractionParams> table3_parameter_sets() {
       {50.0, 10 * 60, 4}, {50.0, 20 * 60, 4}, {50.0, 30 * 60, 4},
       {100.0, 10 * 60, 4}, {100.0, 20 * 60, 4}, {100.0, 30 * 60, 4},
   };
+}
+
+bool ExtractionParams::valid() const {
+  return radius_m > 0.0 && min_visit_s > 0 && window_fixes >= 4 &&
+         window_fixes % 2 == 0 && window_fixes <= kMaxWindowFixes;
 }
 
 namespace {
@@ -40,11 +47,32 @@ StayPointStream::StayPointStream(const ExtractionParams& params)
       min_visit_s_(params.min_visit_s),
       window_size_(params.window_fixes),
       half_(params.window_fixes / 2) {
-  LOCPRIV_EXPECT(params.radius_m > 0.0);
-  LOCPRIV_EXPECT(params.min_visit_s > 0);
-  LOCPRIV_EXPECT(params.window_fixes >= 4 && params.window_fixes % 2 == 0);
+  LOCPRIV_EXPECT(params.valid());
   ring_.resize(std::bit_ceil(window_size_ + 1));
   mask_ = ring_.size() - 1;
+}
+
+StayPointStream::StayPointStream(const ExtractionParams& params, State state)
+    : StayPointStream(params) {
+  const auto unreachable = [](const std::string& why) {
+    throw Error(ErrorCode::kResume, "unreachable stay-point stream state: " + why);
+  };
+  if (state.window.size() > window_size_)
+    unreachable("a window of " + std::to_string(state.window.size()) +
+                " fixes, longer than " + std::to_string(window_size_));
+  if (!state.inside &&
+      (state.count != 0 || std::bit_cast<std::uint64_t>(state.lat_sum) != 0 ||
+       std::bit_cast<std::uint64_t>(state.lon_sum) != 0 || state.last_s != 0))
+    unreachable("an open stay's sums outside a stay");
+  // Entering a stay attributes the trailing half of the window to it.
+  if (state.inside && state.count < half_)
+    unreachable("an open stay of " + std::to_string(state.count) +
+                " fixes, fewer than the entry half of the window");
+  for (const trace::TracePoint& point : state.window) ring_[size_++] = point;
+  inside_ = state.inside;
+  enter_s_ = state.enter_s;
+  stay_ = {state.lat_sum, state.lon_sum, state.count, state.last_s};
+  stays_ = std::move(state.stays);
 }
 
 void StayPointStream::pop_front() {
@@ -119,6 +147,25 @@ std::vector<StayPoint> StayPointStream::peek_close() const {
     if (auto stay = closed_stay(size_)) stays.push_back(*stay);
   }
   return stays;
+}
+
+StayPointStream::State StayPointStream::state() const {
+  State state;
+  state.window.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) state.window.push_back(at(i));
+  state.inside = inside_;
+  state.enter_s = enter_s_;
+  state.lat_sum = stay_.lat_sum;
+  state.lon_sum = stay_.lon_sum;
+  state.count = stay_.count;
+  state.last_s = stay_.last_s;
+  state.stays = stays_;
+  return state;
+}
+
+std::size_t StayPointStream::heap_bytes() const {
+  return ring_.capacity() * sizeof(trace::TracePoint) +
+         stays_.capacity() * sizeof(StayPoint);
 }
 
 std::vector<StayPoint> extract_stay_points(const std::vector<trace::TracePoint>& points,

@@ -42,6 +42,15 @@ struct ExtractionParams {
   /// detectable from sparse, heavily decimated traces; the ablation bench
   /// sweeps larger windows.
   std::size_t window_fixes = 4;
+
+  /// Largest window_fixes: a stream allocates its window up front.
+  static constexpr std::size_t kMaxWindowFixes = std::size_t{1} << 16;
+
+  /// radius_m > 0, min_visit_s > 0, and window_fixes even and in
+  /// [4, kMaxWindowFixes].
+  bool valid() const;
+
+  bool operator==(const ExtractionParams&) const = default;
 };
 
 /// The paper's Table III parameter grid, in order (set ids 1..6).
@@ -50,12 +59,36 @@ std::vector<ExtractionParams> table3_parameter_sets();
 /// The three-buffer Spatio-Temporal extractor described above, fed one fix
 /// at a time. It holds the entry/exit window, the open stay's running sums
 /// and the stays closed so far, so a growing prefix of a trace is extracted
-/// once rather than once per prefix.
+/// once rather than once per prefix. That state is small (the window plus
+/// one record per closed stay) and can be taken out and restored exactly,
+/// so a checkpoint of a stream costs what its stays cost, not its fixes.
 class StayPointStream {
  public:
-  /// Preconditions: params.radius_m > 0, params.min_visit_s > 0,
-  /// params.window_fixes >= 4 and even.
+  /// Everything the pushes so far left behind, as plain data.
+  struct State {
+    std::vector<trace::TracePoint> window;  ///< Entry or exit window, oldest first.
+    bool inside = false;                    ///< Whether a stay is open.
+    std::int64_t enter_s = 0;  ///< The open stay's entry time (stale outside one).
+    /// The fixes attributed to the open stay: their position sums in
+    /// attribution order, their count, and the last one's time. All zero
+    /// outside a stay.
+    double lat_sum = 0.0;
+    double lon_sum = 0.0;
+    std::size_t count = 0;
+    std::int64_t last_s = 0;
+    std::vector<StayPoint> stays;  ///< Closed stays, in order.
+  };
+
+  /// Precondition: params.valid().
   explicit StayPointStream(const ExtractionParams& params);
+
+  /// Resumes at `state`, which state() returned under the same params:
+  /// pushing on continues bit for bit as the original stream would. Throws
+  /// Error(kResume) for a state no pushes could have left: a window longer
+  /// than params.window_fixes, an open stay's sums outside a stay, or an
+  /// open stay with fewer fixes than the entry half of the window.
+  /// Precondition: params.valid().
+  StayPointStream(const ExtractionParams& params, State state);
 
   /// Feeds the next fix; fixes must arrive in time order.
   void push(const trace::TracePoint& point);
@@ -65,9 +98,14 @@ class StayPointStream {
   /// Mutates nothing, so pushing may continue afterwards.
   std::vector<StayPoint> peek_close() const;
 
+  /// A copy of the stream's state, for a checkpoint.
+  State state() const;
+
+  /// Heap bytes the stream holds: its window ring and its closed stays.
+  std::size_t heap_bytes() const;
+
  private:
-  /// The fixes attributed to the open stay: their position sums in
-  /// attribution order, their count, and the last one's time.
+  /// The open stay's attributed fixes, as in State.
   struct Attributed {
     double lat_sum = 0.0;
     double lon_sum = 0.0;

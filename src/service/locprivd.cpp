@@ -435,16 +435,18 @@ void LocprivService::tick(std::chrono::milliseconds budget) {
   const auto start = Clock::now();
   auto remaining = budget;
   for (;;) {
-    pump(std::min(remaining, std::chrono::milliseconds(20)));
+    const bool progressed =
+        pump(std::min(remaining, std::chrono::milliseconds(20)));
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         Clock::now() - start);
-    if (elapsed >= budget) break;
+    if (progressed || elapsed >= budget) break;
     remaining = budget - elapsed;
   }
 }
 
-void LocprivService::pump(std::chrono::milliseconds timeout) {
+bool LocprivService::pump(std::chrono::milliseconds timeout) {
   const auto now = Clock::now();
+  bool progressed = false;
 
   // 1. Encode window-credited submits, then push queued commands down the
   // (nonblocking) pipes.
@@ -461,7 +463,10 @@ void LocprivService::pump(std::chrono::milliseconds timeout) {
   for (auto& owned : shards_) {
     Shard& shard = *owned;
     std::vector<std::string> fields;
-    while (shard.proc.output().next(fields)) dispatch_response(shard, fields);
+    while (shard.proc.output().next(fields)) {
+      dispatch_response(shard, fields);
+      progressed = true;
+    }
     if (shard.proc.output().corrupt() && shard.alive()) {
       shard.last_failure = "corrupt response stream";
       shard.proc.kill();
@@ -470,8 +475,10 @@ void LocprivService::pump(std::chrono::milliseconds timeout) {
 
   // 3. Reap exits.
   for (auto& owned : shards_)
-    if (const auto status = owned->proc.try_reap())
+    if (const auto status = owned->proc.try_reap()) {
       handle_death(*owned, *status);
+      progressed = true;
+    }
 
   // 4. Health: escalate unresponsive shards, finish overdue terminations.
   for (auto& owned : shards_) health_check(*owned);
@@ -511,6 +518,7 @@ void LocprivService::pump(std::chrono::milliseconds timeout) {
       queue_snapshot(shard, wire::kCmdSnapshot);
     }
   }
+  return progressed;
 }
 
 void LocprivService::health_check(Shard& shard) {

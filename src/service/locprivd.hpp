@@ -12,12 +12,12 @@
 // sequence number and is retained in the parent until a snapshot covering
 // it is journaled. A respawned shard restores the latest journaled snapshot
 // and has the retained suffix replayed; the shard applies a batch exactly
-// once (sequence-number dedupe), so its per-user fix streams — and
-// therefore the PoI/pattern/metric pipeline outputs — are byte-identical
-// to an unfailing run's. SIGINT/SIGTERM drain snapshots every shard and
-// leave the run directory resumable (exit 7); a resume under a different
-// shard count is refused (exit 6) because the user->shard mapping would
-// scatter the journaled state.
+// once (sequence-number dedupe), so each user's fix count and stay-point
+// stream — and therefore the PoI/pattern/metric pipeline outputs — are
+// bit-identical to an unfailing run's. SIGINT/SIGTERM drain snapshots every
+// shard and leave the run directory resumable (exit 7); a resume under a
+// different shard count is refused (exit 6) because the user->shard mapping
+// would scatter the journaled state.
 //
 // Storage-degraded mode: when a shard's snapshot publish fails (ENOSPC,
 // EIO), the shard stays alive and the parent sheds the snapshot — journaled
@@ -222,10 +222,12 @@ class LocprivService {
                    bool may_shed = false,
                    const std::function<bool()>& abort = {});
 
-  /// Pumps the event loop once: flushes queued commands, drains shard
-  /// responses and stderr, reaps deaths, escalates unhealthy shards,
-  /// respawns (with backoff) or quarantines dead ones, and triggers
-  /// snapshot cadence. Blocks at most `budget`.
+  /// Pumps the event loop: flushes queued commands, drains shard responses
+  /// and stderr, reaps deaths, escalates unhealthy shards, respawns (with
+  /// backoff) or quarantines dead ones, and triggers snapshot cadence.
+  /// Returns once a pump has dispatched a shard response or reaped an exit,
+  /// or when `budget` has passed, so it blocks at most `budget`; callers
+  /// loop on their own condition.
   void tick(std::chrono::milliseconds budget = std::chrono::milliseconds(20));
 
   /// Queues an immediate snapshot round on every healthy shard.
@@ -299,7 +301,9 @@ class LocprivService {
 
   void spawn(Shard& shard);
   void send(Shard& shard, const std::vector<std::string>& fields);
-  void pump(std::chrono::milliseconds timeout);
+  /// One pass of tick(), waiting at most `timeout` for shard output.
+  /// Returns whether it dispatched a response or reaped an exit.
+  bool pump(std::chrono::milliseconds timeout);
   /// Encodes retained batches into the shard's outbuf up to the credit
   /// window (the sent_seq cursor tracks what is already encoded). Called
   /// from pump() and after every admission, so acks open the window and the

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,10 +27,11 @@ struct ShardState {
   const core::PrivacyAnalyzer& analyzer;
   const ServiceOptions& options;
 
-  /// Per-user fixes and the highest applied submit-batch sequence, held in
-  /// snapshot form so a snapshot encodes them in place.
+  /// Per-user fix counts and stay-point streams and the highest applied
+  /// submit-batch sequence, held in snapshot form so a snapshot encodes
+  /// them in place.
   ShardSnapshot held;
-  std::map<std::string, std::size_t> index_of;  ///< user id -> analyzer index.
+  std::vector<trace::TracePoint> batch;  ///< The submit batch being applied.
   std::uint64_t ingested = 0;   ///< Fixes applied this lifetime of state.
   int batches_this_incarnation = 0;
 
@@ -39,14 +39,16 @@ struct ShardState {
              const core::PrivacyAnalyzer& analyzer,
              const ServiceOptions& options)
       : config(config), analyzer(analyzer), options(options) {
-    for (std::size_t i = 0; i < analyzer.user_count(); ++i)
-      index_of.emplace(analyzer.reference(i).user_id, i);
+    held.params = analyzer.config().extraction;
   }
 
+  /// Bytes of the per-user state: ids, fix counts and streams (window ring
+  /// and closed-stay capacity).
   std::size_t state_bytes() const {
     std::size_t bytes = 0;
-    for (const auto& [user, fixes] : held.users)
-      bytes += user.size() + 64 + fixes.capacity() * sizeof(trace::TracePoint);
+    for (const auto& [user, stays] : held.users)
+      bytes += sizeof(*held.users.begin()) + user.capacity() +
+               stays.stream.heap_bytes();
     return bytes;
   }
 
@@ -59,6 +61,9 @@ struct ShardState {
                     "snapshot identity mismatch: file is shard " +
                         std::to_string(snapshot.shard) + " seq " +
                         std::to_string(snapshot.seq));
+      if (snapshot.params != held.params)
+        throw Error(ErrorCode::kResume,
+                    "snapshot extraction parameters differ from the analyzer's");
       held = std::move(snapshot);
       ingested = held.fix_count();
       respond(config.resp_fd,
@@ -88,12 +93,16 @@ struct ShardState {
       // respawned incarnation replays it and no fix is lost.
       options.fault_plan.trigger(config.name, config.incarnation);
     }
-    if (!wire::unpack_fixes(cmd[3], held.users[cmd[2]]))
+    batch.clear();
+    if (!wire::unpack_fixes(cmd[3], batch))
       throw Error(ErrorCode::kInternal,
                   "submit records of " + std::to_string(cmd[3].size()) +
                       " bytes are not a whole number of fixes");
+    UserStays& user = held.users.try_emplace(cmd[2], held.params).first->second;
+    for (const trace::TracePoint& fix : batch) user.stream.push(fix);
+    user.fixes += batch.size();
     held.last_seq = seq;
-    ingested += cmd[3].size() / wire::kFixRecordBytes;
+    ingested += batch.size();
     // The ack is the flow-control credit: it is sent only after the batch
     // is applied, so a crash loses at most the unacked in-flight window and
     // the parent's retained replay covers exactly that suffix.
@@ -134,8 +143,8 @@ struct ShardState {
       const std::string& user_id = analyzer.reference(i).user_id;
       const auto it = held.users.find(user_id);
       if (it == held.users.end()) continue;
-      const core::ExposureReport report =
-          analyzer.evaluate_collected(i, options.interval_s, it->second);
+      const core::ExposureReport report = analyzer.evaluate_stays(
+          i, options.interval_s, it->second.fixes, it->second.stream.peek_close());
       const std::vector<std::string> fields =
           exposure_fields(user_id, options.interval_s, report);
       cols = fields.size();

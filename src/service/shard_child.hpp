@@ -1,9 +1,9 @@
 // The shard worker body. Runs as the body of the harness::ChildProcess that
 // LocprivService forks per shard incarnation: a blocking command loop over
-// the shard's pipe pair that applies submit batches to per-user fix state,
-// answers heartbeat pings, writes snapshots, runs the audit pipeline for
-// reports, and returns its exit code on drain or when the parent closes the
-// command pipe.
+// the shard's pipe pair that pushes submit batches through per-user
+// stay-point streams, answers heartbeat pings, writes snapshots, scores each
+// user's stays for reports, and returns its exit code on drain or when the
+// parent closes the command pipe.
 #pragma once
 
 #include "core/analyzer.hpp"

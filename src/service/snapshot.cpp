@@ -1,8 +1,10 @@
 #include "service/snapshot.hpp"
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <string_view>
+#include <type_traits>
 
 #include "core/harness/error.hpp"
 #include "core/harness/file_ops.hpp"
@@ -13,7 +15,44 @@ namespace locpriv::service {
 
 namespace {
 
-constexpr char kMagic[] = "locprivd-snapshot v2 checksum ";
+constexpr char kMagic[] = "locprivd-snapshot v3 checksum ";
+
+/// A user frame's open-stay record.
+struct OpenRecord {
+  std::uint64_t inside;
+  std::int64_t enter_s;
+  double lat_sum;
+  double lon_sum;
+  std::uint64_t count;
+  std::int64_t last_s;
+};
+
+static_assert(std::is_trivially_copyable_v<poi::ExtractionParams> &&
+                  sizeof(poi::ExtractionParams) == 24 &&
+                  offsetof(poi::ExtractionParams, min_visit_s) == 8 &&
+                  offsetof(poi::ExtractionParams, window_fixes) == 16 &&
+                  sizeof(OpenRecord) == 48 &&
+                  std::is_trivially_copyable_v<poi::StayPoint> &&
+                  sizeof(poi::StayPoint) == 40 &&
+                  offsetof(poi::StayPoint, enter_s) == 16 &&
+                  offsetof(poi::StayPoint, exit_s) == 24 &&
+                  offsetof(poi::StayPoint, fix_count) == 32,
+              "snapshot records are the structs' bytes, little-endian");
+
+template <typename Record>
+std::string pack(const Record* records, std::size_t count) {
+  return std::string(reinterpret_cast<const char*>(records), count * sizeof(Record));
+}
+
+/// Replaces `records` with the ones packed in `field`; false when the field
+/// is not a whole number of records.
+template <typename Record>
+bool unpack(std::string_view field, std::vector<Record>& records) {
+  if (field.size() % sizeof(Record) != 0) return false;
+  records.resize(field.size() / sizeof(Record));
+  if (!field.empty()) std::memcpy(records.data(), field.data(), field.size());
+  return true;
+}
 
 std::string hex64(std::uint64_t value) {
   char buffer[17];
@@ -39,11 +78,50 @@ std::string_view body_of(const std::string& encoded) {
   return std::string_view(encoded).substr(eol + 1);
 }
 
+poi::ExtractionParams parse_params(const std::string& field) {
+  std::vector<poi::ExtractionParams> params;
+  if (!unpack(field, params) || params.size() != 1)
+    corrupt("no extraction parameter record");
+  if (!params[0].valid()) corrupt("invalid extraction parameters");
+  return params[0];
+}
+
+/// Decodes a {user, fixes, window, open, stays} frame into `users`.
+void parse_user(const std::vector<std::string>& fields,
+                const poi::ExtractionParams& params,
+                std::map<std::string, UserStays>& users) {
+  if (fields.size() != 5)
+    corrupt("user frame is not {user, fixes, window, open, stays}");
+  const std::string& user = fields[0];
+  if (!users.empty() && user <= users.rbegin()->first)
+    corrupt("user '" + user + "' out of order or repeated");
+  const std::uint64_t fixes = header_u64(fields[1], "fix count");
+  poi::StayPointStream::State state;
+  std::vector<OpenRecord> open;
+  if (!wire::unpack_fixes(fields[2], state.window) ||
+      !unpack(fields[3], open) || open.size() != 1 || open[0].inside > 1 ||
+      !unpack(fields[4], state.stays))
+    corrupt("partial stream record for user '" + user + "'");
+  state.inside = open[0].inside == 1;
+  state.enter_s = open[0].enter_s;
+  state.lat_sum = open[0].lat_sum;
+  state.lon_sum = open[0].lon_sum;
+  state.count = open[0].count;
+  state.last_s = open[0].last_s;
+  UserStays& held = users.try_emplace(users.end(), user, params)->second;
+  held.fixes = fixes;
+  try {
+    held.stream = poi::StayPointStream(params, std::move(state));
+  } catch (Error& e) {
+    throw e.add_context("user '" + user + "'");
+  }
+}
+
 }  // namespace
 
 std::size_t ShardSnapshot::fix_count() const {
   std::size_t count = 0;
-  for (const auto& [user, fixes] : users) count += fixes.size();
+  for (const auto& [user, held] : users) count += held.fixes;
   return count;
 }
 
@@ -56,17 +134,14 @@ std::string format_coord(double value) {
 std::string encode_snapshot(const ShardSnapshot& snapshot) {
   std::string body = wire::encode_message(
       {std::to_string(snapshot.shard), std::to_string(snapshot.seq),
-       std::to_string(snapshot.last_seq)});
-  for (const auto& [user, fixes] : snapshot.users) {
-    // An empty user still gets its frame; a large one spans several.
-    std::size_t first = 0;
-    do {
-      const std::size_t count =
-          std::min(fixes.size() - first, wire::kMaxFrameRecords);
-      body += wire::encode_message(
-          {user, wire::pack_fixes(std::span(fixes).subspan(first, count))});
-      first += count;
-    } while (first < fixes.size());
+       std::to_string(snapshot.last_seq), pack(&snapshot.params, 1)});
+  for (const auto& [user, held] : snapshot.users) {
+    const poi::StayPointStream::State state = held.stream.state();
+    const OpenRecord open{state.inside ? 1u : 0u, state.enter_s, state.lat_sum,
+                          state.lon_sum, state.count, state.last_s};
+    body += wire::encode_message(
+        {user, std::to_string(held.fixes), wire::pack_fixes(state.window),
+         pack(&open, 1), pack(state.stays.data(), state.stays.size())});
   }
   return kMagic + hex64(util::fnv1a(body)) + "\n" + body;
 }
@@ -86,24 +161,14 @@ ShardSnapshot parse_snapshot(const std::string& encoded) {
   wire::FrameDecoder decoder;
   decoder.feed(body.data(), body.size());
   std::vector<std::string> fields;
-  if (!decoder.next(fields) || fields.size() != 3)
-    corrupt("no {shard, seq, last_seq} frame");
+  if (!decoder.next(fields) || fields.size() != 4)
+    corrupt("no {shard, seq, last_seq, params} frame");
   ShardSnapshot snapshot;
   snapshot.shard = static_cast<unsigned>(header_u64(fields[0], "shard"));
   snapshot.seq = header_u64(fields[1], "seq");
   snapshot.last_seq = header_u64(fields[2], "last_seq");
-
-  while (decoder.next(fields)) {
-    if (fields.size() != 2) corrupt("user frame is not {user, records}");
-    const std::string& user = fields[0];
-    // Users come in order, so only consecutive frames continue one user.
-    if (!snapshot.users.empty() && user < snapshot.users.rbegin()->first)
-      corrupt("user '" + user + "' out of order or repeated");
-    std::vector<trace::TracePoint>& fixes =
-        snapshot.users.try_emplace(snapshot.users.end(), user)->second;
-    if (!wire::unpack_fixes(fields[1], fixes))
-      corrupt("partial fix record for user '" + user + "'");
-  }
+  snapshot.params = parse_params(fields[3]);
+  while (decoder.next(fields)) parse_user(fields, snapshot.params, snapshot.users);
   if (decoder.corrupt() || decoder.buffered() != 0)
     corrupt("malformed or truncated frame");
   return snapshot;

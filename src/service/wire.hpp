@@ -52,9 +52,6 @@ inline constexpr char kRspSnapfail[] = "snapfail"; ///< snap_seq, error
 
 /// Bytes of one packed fix record.
 inline constexpr std::size_t kFixRecordBytes = 24;
-/// Records in one snapshot user frame: 24 MiB, well under kMaxPayloadBytes.
-/// A user with more fixes spans consecutive frames.
-inline constexpr std::size_t kMaxFrameRecords = std::size_t{1} << 20;
 
 static_assert(std::endian::native == std::endian::little &&
                   std::is_trivially_copyable_v<trace::TracePoint> &&
@@ -73,7 +70,7 @@ inline std::string pack_fixes(std::span<const trace::TracePoint> fixes) {
 /// Appends the records packed in `field` to `fixes`. The record count comes
 /// from the field's size; a field that is not a whole number of records is
 /// rejected (false) and appends nothing. Growth goes through resize(), so a
-/// user fed batch by batch reallocates geometrically, not once per batch.
+/// vector fed batch by batch reallocates geometrically, not once per batch.
 inline bool unpack_fixes(std::string_view field,
                          std::vector<trace::TracePoint>& fixes) {
   if (field.size() % kFixRecordBytes != 0) return false;

@@ -200,15 +200,17 @@ ShardSnapshot sample_snapshot() {
   snapshot.shard = 1;
   snapshot.seq = 3;
   snapshot.last_seq = 17;
+  UserStays& user = snapshot.users.try_emplace("007", snapshot.params).first->second;
   trace::TracePoint fix;
   fix.position.lat_deg = 39.9761234567891;  // Not representable in decimal.
   fix.position.lon_deg = 116.33071234567892;
   fix.timestamp_s = 1496641200;
-  snapshot.users["007"].push_back(fix);
+  user.stream.push(fix);
   fix.position.lat_deg = -0.1 + 0.2;  // Classic binary-vs-decimal residue.
   fix.timestamp_s += 60;
-  snapshot.users["007"].push_back(fix);
-  snapshot.users["012"] = {};
+  user.stream.push(fix);
+  user.fixes = 2;
+  snapshot.users.try_emplace("012", snapshot.params);
   return snapshot;
 }
 
@@ -219,8 +221,10 @@ TEST(ServiceSnapshot, RoundTripsExactDoubles) {
   EXPECT_EQ(restored.seq, original.seq);
   EXPECT_EQ(restored.last_seq, original.last_seq);
   ASSERT_EQ(restored.users.size(), original.users.size());
-  const auto& a = original.users.at("007");
-  const auto& b = restored.users.at("007");
+  EXPECT_EQ(restored.fix_count(), 2u);
+  const auto a = original.users.at("007").stream.state().window;
+  const auto b = restored.users.at("007").stream.state().window;
+  ASSERT_EQ(a.size(), 2u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Bitwise equality, not approximate: the records must round-trip exactly
@@ -309,15 +313,22 @@ void expect_parity(const core::PrivacyAnalyzer& analyzer,
       << (mismatched.empty() ? "" : mismatched.front());
 }
 
-TEST(ServiceFailover, HealthyRunMatchesBatchPipelineByteForByte) {
+// Parameterized by shard count (a metamorphic test): how users are spread
+// over shards must not change a single row, so every count yields exactly
+// the batch pipeline's rows.
+class ServiceFailover : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ServiceFailover, HealthyRunMatchesBatchPipelineByteForByte) {
   const auto& analyzer = test_analyzer();
-  const auto options = quick_options(2);
+  const auto options = quick_options(GetParam());
   const auto traffic = quick_traffic();
-  LocprivService daemon(options, analyzer, fresh_dir("healthy"), false);
+  LocprivService daemon(options, analyzer,
+                        fresh_dir("healthy" + std::to_string(GetParam())), false);
   const TrafficOutcome outcome = drive_traffic(daemon, analyzer, traffic);
   EXPECT_FALSE(outcome.interrupted);
   EXPECT_EQ(outcome.accepted, outcome.batches);
-  expect_parity(analyzer, options, traffic, daemon.collect_reports());
+  EXPECT_EQ(daemon.collect_reports(),
+            batch_reference_rows(analyzer, options.interval_s, traffic));
   daemon.drain();
   EXPECT_EQ(daemon.stats().shard_deaths, 0);
   EXPECT_TRUE(daemon.quarantined_shards().empty());
@@ -328,6 +339,8 @@ TEST(ServiceFailover, HealthyRunMatchesBatchPipelineByteForByte) {
             stats.batches_submitted + stats.batches_dropped);
   EXPECT_TRUE(daemon.shed_users().empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ServiceFailover, ::testing::Values(1u, 2u, 3u));
 
 TEST(ServiceFailover, CrashedShardRespawnsFromSnapshotWithParity) {
   const auto& analyzer = test_analyzer();
@@ -810,6 +823,42 @@ TEST(ServiceGauges, DrainRefreshesStateBytesInsideOneHeartbeat) {
               Admission::kAccepted);
   daemon.drain();
   EXPECT_GT(daemon.stats().state_bytes, 0u);
+}
+
+TEST(ServiceGauges, StateBytesGrowWithStaysNotFixes) {
+  // A shard holds a stay-point stream per user, not the user's fixes: its
+  // state is the window ring plus the closed stays.
+  const auto& analyzer = test_analyzer();
+  const auto options = quick_options(2);
+  LocprivService daemon(options, analyzer, fresh_dir("state_bytes"), false);
+  drive_traffic(daemon, analyzer, quick_traffic());
+  daemon.drain();
+  const ServiceStats& stats = daemon.stats();
+  ASSERT_GT(stats.fixes_submitted, 0u);
+  EXPECT_GT(stats.state_bytes, 0u);
+  EXPECT_LT(stats.state_bytes, stats.fixes_submitted)
+      << static_cast<double>(stats.state_bytes) /
+             static_cast<double>(stats.fixes_submitted)
+      << " bytes per fix";
+}
+
+TEST(ServiceTick, BackToBackReportsDoNotWaitForWholeTicks) {
+  // tick() returns as soon as a reply arrives, so a report costs its round
+  // trip, not a whole 20-ms tick.
+  const auto& analyzer = test_analyzer();
+  const auto options = quick_options(2);
+  const auto traffic = quick_traffic();
+  LocprivService daemon(options, analyzer, fresh_dir("back_to_back"), false);
+  drive_traffic(daemon, analyzer, traffic);
+  const auto expected = daemon.collect_reports();  // Waits out the ingest.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(daemon.collect_reports(), expected);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for 20 reports";
+  expect_parity(analyzer, options, traffic, expected);
+  daemon.drain();
 }
 
 TEST(ServiceOverload, SlowEwmaRestartsTheShardThroughTheRespawnPath) {

@@ -1,11 +1,15 @@
-// StayPointStream property test: the streaming extractor and the one-pass
-// prefix sweeps built on it must agree exactly with from-scratch oracles.
-// After every push the stream's peek_close() must equal a batch extraction
-// of that prefix, field by field with doubles compared bit for bit, across
-// corpus seeds x window sizes x radii x decimation intervals; peeking must
-// change nothing; and earliest_identification / earliest_detection must
-// return what the per-probe loop they replaced returns (cut the prefix, run
-// the batch pipeline, test it) for every user, pattern and interval.
+// StayPointStream property test: the streaming extractor, the one-pass
+// prefix sweeps and the checkpointed shard streams built on it must agree
+// exactly with from-scratch oracles. After every push the stream's
+// peek_close() must equal a batch extraction of that prefix, field by field
+// with doubles compared bit for bit, across corpus seeds x window sizes x
+// radii x decimation intervals; peeking must change nothing; a stream fed in
+// random batches and passed through encode_snapshot/parse_snapshot at random
+// batch boundaries must keep matching the batch extraction of everything
+// pushed so far, and evaluate_stays on it must equal evaluate_collected on
+// those fixes; and earliest_identification / earliest_detection must return
+// what the per-probe loop they replaced returns (cut the prefix, run the
+// batch pipeline, test it) for every user, pattern and interval.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "mobility/synthesis.hpp"
 #include "poi/staypoint.hpp"
 #include "privacy/detection.hpp"
+#include "service/snapshot.hpp"
 #include "stats/rng.hpp"
 #include "trace/sampling.hpp"
 #include "util/expect.hpp"
@@ -224,6 +229,71 @@ TEST(StayPointStreamProperty, PeekingTwiceThenPushingMoreChangesNothing) {
   }
 }
 
+// Random batch lengths for `n` fixes, about 30 batches, ending at n.
+std::vector<std::size_t> batch_ends(std::size_t n, stats::Rng& rng) {
+  std::vector<std::size_t> ends;
+  const std::size_t most = std::max<std::size_t>(2, n / 15);
+  for (std::size_t end = 0; end < n;) {
+    end = std::min(n, end + static_cast<std::size_t>(rng.uniform_int(
+                                1, static_cast<std::int64_t>(most))));
+    ends.push_back(end);
+  }
+  return ends;
+}
+
+// The stream after a trip through the shard snapshot codec.
+service::UserStays round_trip(const poi::ExtractionParams& params,
+                              service::UserStays user) {
+  service::ShardSnapshot snapshot;
+  snapshot.params = params;
+  snapshot.users.emplace("u", std::move(user));
+  service::ShardSnapshot decoded =
+      service::parse_snapshot(service::encode_snapshot(snapshot));
+  return std::move(decoded.users.at("u"));
+}
+
+TEST(StayPointStreamProperty, RestoredSnapshotsContinueBitIdentically) {
+  std::size_t comparisons = 0;
+  std::size_t restores = 0;
+  std::size_t restores_inside = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    stats::Rng rng(seed + 200);
+    for (const std::size_t window : kWindows)
+      for (const double radius_m : kRadii)
+        for (const std::int64_t interval_s : {1, 60, 600}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed=" << seed << " window=" << window
+                       << " radius=" << radius_m << " interval=" << interval_s);
+          const poi::ExtractionParams params{radius_m, 600, window};
+          const auto points = collected(corpus_trace(seed), interval_s);
+          service::UserStays user(params);
+          std::size_t begin = 0;
+          for (const std::size_t end : batch_ends(points.size(), rng)) {
+            for (std::size_t k = begin; k < end; ++k) user.stream.push(points[k]);
+            user.fixes += end - begin;
+            begin = end;
+            if (rng.next_below(3) == 0) {
+              restores_inside += user.stream.state().inside;
+              user = round_trip(params, std::move(user));
+              ++restores;
+            }
+            const std::vector<trace::TracePoint> prefix(
+                points.begin(), points.begin() + static_cast<std::ptrdiff_t>(end));
+            ASSERT_TRUE(same_stays(user.stream.peek_close(),
+                                   poi::extract_stay_points(prefix, params)))
+                << "after " << end << " of " << points.size() << " fixes";
+            ASSERT_EQ(user.fixes, end);
+            ++comparisons;
+          }
+        }
+  }
+  // 3 seeds x 24 cells x ~30 batches, a third of them restored, some of
+  // those inside an open stay.
+  EXPECT_GE(comparisons, 3u * 24u * 15u);
+  EXPECT_GE(restores, comparisons / 5);
+  EXPECT_GE(restores_inside, restores / 10);
+}
+
 // The per-probe loop the one-pass sweep replaced, rebuilt from public
 // functions: cut each prefix, run the batch pipeline on it, test it.
 privacy::DetectionOutcome oracle_sweep(
@@ -269,6 +339,53 @@ const core::PrivacyAnalyzer& sweep_analyzer() {
     return core::PrivacyAnalyzer::from_synthetic(core::AnalyzerConfig{}, config);
   }();
   return analyzer;
+}
+
+bool same_report(const core::ExposureReport& a, const core::ExposureReport& b) {
+  return a.interval_s == b.interval_s && a.collected_fixes == b.collected_fixes &&
+         a.extracted_pois == b.extracted_pois &&
+         a.poi_total.reference_count == b.poi_total.reference_count &&
+         a.poi_total.recovered_count == b.poi_total.recovered_count &&
+         a.poi_sensitive.reference_count == b.poi_sensitive.reference_count &&
+         a.poi_sensitive.recovered_count == b.poi_sensitive.recovered_count &&
+         a.hisbin_visits == b.hisbin_visits && a.hisbin_movements == b.hisbin_movements &&
+         same_bits(a.anonymity_visits, b.anonymity_visits) &&
+         same_bits(a.anonymity_movements, b.anonymity_movements);
+}
+
+TEST(StayPointStreamProperty, EvaluateStaysEqualsEvaluateCollected) {
+  const auto& analyzer = sweep_analyzer();
+  const poi::ExtractionParams& params = analyzer.config().extraction;
+  stats::Rng rng(20170606);
+  std::size_t breaches = 0;
+  std::size_t comparisons = 0;
+  for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+    for (const std::int64_t interval_s : {1, 60, 600}) {
+      SCOPED_TRACE(::testing::Message() << "user=" << u << " interval=" << interval_s);
+      ASSERT_TRUE(same_report(analyzer.evaluate_stays(u, interval_s, 0, {}),
+                              analyzer.evaluate_collected(u, interval_s, {})));
+      const auto points = collected(analyzer.reference(u).points, interval_s);
+      service::UserStays user(params);
+      std::size_t begin = 0;
+      for (const std::size_t end : batch_ends(points.size(), rng)) {
+        for (std::size_t k = begin; k < end; ++k) user.stream.push(points[k]);
+        user.fixes += end - begin;
+        begin = end;
+        if (rng.next_below(3) == 0) user = round_trip(params, std::move(user));
+        const std::vector<trace::TracePoint> prefix(
+            points.begin(), points.begin() + static_cast<std::ptrdiff_t>(end));
+        const core::ExposureReport want = analyzer.evaluate_collected(u, interval_s, prefix);
+        ASSERT_TRUE(same_report(
+            analyzer.evaluate_stays(u, interval_s, user.fixes, user.stream.peek_close()),
+            want))
+            << "after " << end << " of " << points.size() << " fixes";
+        breaches += want.breach_detected();
+        ++comparisons;
+      }
+    }
+  // Both outcomes occur, so the reports are compared on breaches and misses.
+  EXPECT_GT(breaches, 0u);
+  EXPECT_LT(breaches, comparisons);
 }
 
 privacy::DetectionConfig detection_config(std::int64_t interval_s,

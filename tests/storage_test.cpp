@@ -556,7 +556,7 @@ fs::path scrub_fixture(const std::string& name, unsigned count,
     snapshot.shard = 0;
     snapshot.seq = seq;
     snapshot.last_seq = seq * 10;
-    snapshot.users["user_00"] = {};
+    snapshot.users.try_emplace("user_00", snapshot.params);
     const std::string encoded = service::encode_snapshot(snapshot);
     const fs::path file = dir / ("shard0.snap." + std::to_string(seq));
     if (seq >= keep_from) harness::write_file_atomic(file, encoded);
