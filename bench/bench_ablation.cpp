@@ -14,25 +14,21 @@
 #include "trace/sampling.hpp"
 #include "core/analyzer.hpp"
 #include "geo/projection.hpp"
-#include "poi/clustering.hpp"
-#include "privacy/detection.hpp"
-#include "privacy/metrics.hpp"
 
 namespace {
 
 using namespace locpriv;
 
 // Users identified (uniquely, at full trace, 1 s) under a given match config.
+// A 1 s app that sees the full trace observes the user's own profile.
 int identified_users(const core::PrivacyAnalyzer& analyzer,
                      const privacy::MatchParams& match, privacy::Pattern pattern) {
+  const privacy::Adversary& adversary = analyzer.adversary();
   int identified = 0;
   for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
-    const auto observed = privacy::observed_histogram(
-        analyzer.reference(u).points, pattern, analyzer.config().extraction,
-        analyzer.grid(), 1);
+    const auto& observed = adversary.profile(u).histogram(pattern);
     if (observed.empty()) continue;
-    const auto result = analyzer.adversary().identify(observed, pattern, match);
-    if (result.matched.size() == 1 && result.matched[0] == u) ++identified;
+    if (adversary.identify(observed, pattern, match).identifies(u)) ++identified;
   }
   return identified;
 }
@@ -45,7 +41,6 @@ int main() {
 
   const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
   const auto& dataset = core::shared_dataset();
-  const double radius = analyzer.config().extraction.radius_m;
   int artifact_rc = 0;  // First failed CSV export wins the exit code.
   const auto export_rc = [&artifact_rc](const std::string& name,
                                         const locpriv::util::ConsoleTable& table) {
@@ -62,11 +57,9 @@ int main() {
       const std::int64_t intervals[3] = {1, 60, 600};
       for (const auto& user : dataset.users) {
         const auto points = user.flattened();
-        for (int i = 0; i < 3; ++i) {
-          const auto sampled =
-              intervals[i] == 1 ? points : trace::decimate(points, intervals[i]);
-          totals[static_cast<std::size_t>(i)] += extract(sampled).size();
-        }
+        for (int i = 0; i < 3; ++i)
+          totals[static_cast<std::size_t>(i)] +=
+              extract(trace::collect(points, intervals[i])).size();
       }
       return totals;
     };
@@ -137,26 +130,15 @@ int main() {
       std::size_t recovered = 0;
       int identified = 0;
       for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
-        const auto& reference = analyzer.reference(u);
-        std::vector<trace::TracePoint> released = reference.points;
+        std::vector<trace::TracePoint> released = analyzer.reference(u).points;
         if (cell > 0.0) {
           for (auto& point : released)
             point.position = geo::snap_to_grid(point.position, cell, projection);
         }
-        const auto stays =
-            poi::extract_stay_points(released, analyzer.config().extraction);
-        const auto pois = poi::cluster_stay_points(stays, radius);
-        const auto recovery = privacy::poi_recovery(reference.pois, pois, radius);
-        reference_total += recovery.reference_count;
-        recovered += recovery.recovered_count;
-        const auto observed =
-            privacy::build_histogram(privacy::Pattern::kMovements, pois,
-                                     analyzer.grid());
-        if (!observed.empty()) {
-          const auto result = analyzer.adversary().identify(
-              observed, privacy::Pattern::kMovements, analyzer.config().match);
-          if (result.matched.size() == 1 && result.matched[0] == u) ++identified;
-        }
+        const core::ExposureReport report = analyzer.evaluate_collected(u, 1, released);
+        reference_total += report.poi_total.reference_count;
+        recovered += report.poi_total.recovered_count;
+        if (report.identified_movements) ++identified;
       }
       table.add_row({cell == 0.0 ? "off" : util::format_fixed(cell, 0),
                      std::to_string(recovered),
@@ -192,16 +174,15 @@ int main() {
       double anonymity[2] = {0.0, 0.0};
       const privacy::Pattern patterns[2] = {privacy::Pattern::kVisits,
                                             privacy::Pattern::kMovements};
+      const privacy::Adversary& adversary = shared_homes.adversary();
       for (std::size_t u = 0; u < shared_homes.user_count(); ++u) {
         for (int p = 0; p < 2; ++p) {
-          const auto observed = privacy::observed_histogram(
-              shared_homes.reference(u).points, patterns[p],
-              shared_homes.config().extraction, shared_homes.grid(), 1);
+          const auto& observed = adversary.profile(u).histogram(patterns[p]);
           if (observed.empty()) continue;
-          const auto result = shared_homes.adversary().identify(
-              observed, patterns[p], shared_homes.config().match);
+          const auto result =
+              adversary.identify(observed, patterns[p], shared_homes.config().match);
           anonymity[p] += result.degree_of_anonymity;
-          if (result.matched.size() == 1 && result.matched[0] == u) ++identified[p];
+          if (result.identifies(u)) ++identified[p];
         }
       }
       const auto n = static_cast<double>(shared_homes.user_count());

@@ -201,8 +201,9 @@ int main() {
       double anonymity = 0.0;
       for (std::size_t u = 0; u < shared.user_count(); ++u) {
         const auto& observed = shared.reference(u).visits;
-        const auto matched = identifier.matches(observed);
-        if (matched.size() == 1 && matched.front() == u) ++identified;
+        privacy::IdentificationResult result;
+        result.matched = identifier.matches(observed);
+        if (result.identifies(u)) ++identified;
         anonymity += identifier.degree_of_anonymity(observed);
       }
       baseline.add_row(

@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 #include "core/analyzer.hpp"
-#include "privacy/detection.hpp"
+#include "privacy/pattern_histogram.hpp"
 #include "stats/entropy.hpp"
 
 int main() {
@@ -36,13 +36,9 @@ int main() {
     double anonymity_p1 = 0.0;
     double anonymity_p2 = 0.0;
     for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
-      const auto& points = analyzer.reference(u).points;
-      const auto visits = privacy::observed_histogram(
-          points, privacy::Pattern::kVisits, config.extraction, analyzer.grid(),
-          interval);
-      const auto movements = privacy::observed_histogram(
-          points, privacy::Pattern::kMovements, config.extraction, analyzer.grid(),
-          interval);
+      const auto pois = analyzer.collected_pois(u, interval);
+      const auto visits = privacy::visit_histogram(pois, analyzer.grid());
+      const auto movements = privacy::movement_histogram(pois, analyzer.grid());
       privacy::IdentificationResult r1;
       privacy::IdentificationResult r2;
       r1.entropy_bits = stats::max_entropy(adversary.profile_count());
@@ -53,8 +49,8 @@ int main() {
         r2 = adversary.identify(movements, privacy::Pattern::kMovements, config.match);
       anonymity_p1 += r1.degree_of_anonymity;
       anonymity_p2 += r2.degree_of_anonymity;
-      if (r1.matched.size() == 1 && r1.matched[0] == u) ++identified_p1;
-      if (r2.matched.size() == 1 && r2.matched[0] == u) ++identified_p2;
+      if (r1.identifies(u)) ++identified_p1;
+      if (r2.identifies(u)) ++identified_p2;
       // "Leaks more" = smaller entropy, but only when the pattern actually
       // matched the true user (otherwise the small match set is an error,
       // not a leak about this user).

@@ -116,9 +116,7 @@ int main() {
     std::vector<double> maxima;
     double episodes = 0.0;
     for (std::size_t u = 0; u < users; ++u) {
-      const auto& points = analyzer.reference(u).points;
-      const auto collected =
-          interval <= 1 ? points : trace::decimate(points, interval);
+      const auto collected = trace::collect(analyzer.reference(u).points, interval);
       if (collected.empty()) continue;
       const auto stats_u = privacy::time_to_confusion(collected, 900, 40.0);
       medians.push_back(stats_u.median_s);

@@ -233,8 +233,7 @@ privacy::DetectionOutcome per_probe_identification(
                                                       config.grid, config.interval_s);
     if (observed.empty()) continue;
     const auto result = adversary.identify(observed, pattern, config.match);
-    if (result.matched.size() == 1 && result.matched.front() == user)
-      return {true, fraction};
+    if (result.identifies(user)) return {true, fraction};
   }
   return {};
 }

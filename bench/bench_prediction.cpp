@@ -32,8 +32,7 @@ int main() {
     std::vector<double> p90s;
     for (std::size_t u = 0; u < users; ++u) {
       const auto& truth = analyzer.reference(u).points;
-      const auto collected =
-          interval <= 1 ? truth : trace::decimate(truth, interval);
+      const auto collected = trace::collect(truth, interval);
       if (collected.empty()) continue;
       const privacy::PositionEstimator estimator(collected);
       const auto error = privacy::reconstruction_error(truth, estimator, 60);

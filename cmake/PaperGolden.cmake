@@ -1,18 +1,19 @@
-# Paper-output golden check (ctest `paper_golden`). Runs each paper bench at
-# reduced scale with its CSV export on, hashes its standard output plus
-# every CSV it wrote, and compares the digest with the bench's line in the
-# digests file:
+# Golden-output check (ctests `paper_golden` and `examples_golden`). Runs
+# each binary at reduced scale with its CSV export on, hashes its standard
+# output plus every CSV it wrote, and compares the digest with the binary's
+# line in the digests file:
 #
-#   cmake -DBENCH_DIR=<bench binaries> -DBENCHES=<name,name,...>
+#   cmake -DBENCH_DIR=<binaries> -DBENCHES=<name,name,...>
 #         -DWORK_DIR=<work dir> -DDIGESTS=<paper_digests.txt>
 #         -P cmake/PaperGolden.cmake
 #
-# On a mismatch it prints the bench's output and the digest line it
-# computed. A deliberate change of a paper output re-pins by copying that
-# line into the digests file, with a CHANGES.md line saying why.
+# The examples ignore both settings and run at their default arguments. On
+# a mismatch it prints the binary's output and the digest line it computed.
+# A deliberate change of an output re-pins by copying that line into the
+# digests file, with a CHANGES.md line saying why.
 foreach(var BENCH_DIR BENCHES WORK_DIR DIGESTS)
   if(NOT DEFINED ${var})
-    message(FATAL_ERROR "paper_golden: -D${var}=... is required")
+    message(FATAL_ERROR "golden: -D${var}=... is required")
   endif()
 endforeach()
 
@@ -29,7 +30,7 @@ foreach(bench IN LISTS benches)
                   OUTPUT_VARIABLE output
                   RESULT_VARIABLE exit_code)
   if(NOT exit_code EQUAL 0)
-    message(SEND_ERROR "paper_golden: ${bench} exited with ${exit_code}")
+    message(SEND_ERROR "golden: ${bench} exited with ${exit_code}")
     list(APPEND mismatched ${bench})
     continue()
   endif()
@@ -52,13 +53,13 @@ foreach(bench IN LISTS benches)
     endif()
   endforeach()
   if(digest STREQUAL expected)
-    message(STATUS "paper_golden: ${bench} matches")
+    message(STATUS "golden: ${bench} matches")
   else()
     message("${output}")
     if(expected STREQUAL "")
-      message("paper_golden: ${bench} has no pinned digest")
+      message("golden: ${bench} has no pinned digest")
     else()
-      message("paper_golden: ${bench} differs from its pinned digest ${expected}")
+      message("golden: ${bench} differs from its pinned digest ${expected}")
     endif()
     message("computed digest line:\n${bench} ${digest}")
     list(APPEND mismatched ${bench})
@@ -66,5 +67,5 @@ foreach(bench IN LISTS benches)
 endforeach()
 
 if(mismatched)
-  message(FATAL_ERROR "paper_golden: outputs changed: ${mismatched}")
+  message(FATAL_ERROR "golden: outputs changed: ${mismatched}")
 endif()

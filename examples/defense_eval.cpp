@@ -6,14 +6,13 @@
 //   $ ./examples/defense_eval [cell_m ...]    (default sweep 0..2000 m)
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "core/analyzer.hpp"
+#include "core/defense_eval.hpp"
 #include "core/experiment.hpp"
-#include "geo/projection.hpp"
-#include "poi/clustering.hpp"
-#include "privacy/detection.hpp"
-#include "privacy/metrics.hpp"
+#include "lppm/defense.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -31,59 +30,25 @@ int main(int argc, char** argv) {
   dataset.synthesis.days = 8;
   const core::PrivacyAnalyzer analyzer =
       core::PrivacyAnalyzer::from_synthetic(core::experiment_analyzer_config(), dataset);
-  const geo::LocalProjection projection(analyzer.grid().projection().origin());
-  const double radius = analyzer.config().extraction.radius_m;
 
   std::cout << "Coarsening defense vs a 1 s background app, "
             << analyzer.user_count() << " users:\n\n";
   util::ConsoleTable table({"cell (m)", "PoI_total", "PoI_sensitive(<=3)",
                             "users identified (p2)", "mean Deg_anonymity"});
   for (const double cell : cells) {
-    std::size_t reference_total = 0;
-    std::size_t recovered_total = 0;
-    std::size_t sensitive_reference = 0;
-    std::size_t sensitive_recovered = 0;
-    int identified = 0;
-    double anonymity = 0.0;
-    for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
-      const core::UserReference& reference = analyzer.reference(u);
-      std::vector<trace::TracePoint> released = reference.points;
-      if (cell > 0.0) {
-        for (auto& point : released)
-          point.position = geo::snap_to_grid(point.position, cell, projection);
-      }
-      const auto stays =
-          poi::extract_stay_points(released, analyzer.config().extraction);
-      const auto pois = poi::cluster_stay_points(stays, radius);
-      const auto total = privacy::poi_recovery(reference.pois, pois, radius);
-      const auto sensitive =
-          privacy::sensitive_poi_recovery(reference.pois, pois, radius, 3);
-      reference_total += total.reference_count;
-      recovered_total += total.recovered_count;
-      sensitive_reference += sensitive.reference_count;
-      sensitive_recovered += sensitive.recovered_count;
-
-      const auto observed = privacy::build_histogram(privacy::Pattern::kMovements,
-                                                     pois, analyzer.grid());
-      double degree = 1.0;
-      if (!observed.empty()) {
-        const auto result = analyzer.adversary().identify(
-            observed, privacy::Pattern::kMovements, analyzer.config().match);
-        degree = result.degree_of_anonymity;
-        if (result.matched.size() == 1 && result.matched[0] == u) ++identified;
-      }
-      anonymity += degree;
-    }
+    std::unique_ptr<lppm::Defense> defense = std::make_unique<lppm::IdentityDefense>();
+    if (cell > 0.0)
+      defense = std::make_unique<lppm::GridSnapDefense>(
+          cell, analyzer.grid().projection().origin());
+    const core::DefenseOutcome outcome =
+        core::evaluate_defense(analyzer, *defense, 1, /*seed=*/0);
     table.add_row(
         {cell == 0.0 ? "off" : util::format_fixed(cell, 0),
-         util::format_percent(static_cast<double>(recovered_total) /
-                                  static_cast<double>(reference_total), 1),
-         sensitive_reference == 0
-             ? "-"
-             : util::format_percent(static_cast<double>(sensitive_recovered) /
-                                        static_cast<double>(sensitive_reference), 1),
-         std::to_string(identified) + "/" + std::to_string(analyzer.user_count()),
-         util::format_fixed(anonymity / static_cast<double>(analyzer.user_count()), 3)});
+         util::format_percent(outcome.poi_total_fraction, 1),
+         util::format_percent(outcome.poi_sensitive_fraction, 1),
+         std::to_string(outcome.users_identified) + "/" +
+             std::to_string(analyzer.user_count()),
+         util::format_fixed(outcome.mean_anonymity, 3)});
   }
   table.print(std::cout);
   return 0;

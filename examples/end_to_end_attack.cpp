@@ -15,8 +15,6 @@
 #include "android/replay.hpp"
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
-#include "poi/clustering.hpp"
-#include "privacy/detection.hpp"
 #include "util/strings.hpp"
 
 int main(int argc, char** argv) {
@@ -66,30 +64,21 @@ int main(int argc, char** argv) {
             << stolen.size() << " fixes (every " << interval << " s)\n";
 
   // Third-party analysis of the exfiltrated stream.
-  const auto stays = poi::extract_stay_points(stolen, config.extraction);
-  const auto pois = poi::cluster_stay_points(stays, config.extraction.radius_m);
-  const auto recovery =
-      privacy::poi_recovery(reference.pois, pois, config.extraction.radius_m);
-  std::cout << "PoIs recovered from the stolen stream: " << recovery.recovered_count
-            << "/" << recovery.reference_count << " ("
-            << util::format_percent(recovery.fraction(), 0) << ")\n";
-
-  const auto observed =
-      privacy::movement_histogram(pois, analyzer.grid());
-  if (!observed.empty()) {
-    const auto result = analyzer.adversary().identify(
-        observed, privacy::Pattern::kMovements, config.match);
-    if (result.matched.size() == 1 && result.matched.front() == victim) {
-      std::cout << "identification: UNIQUE - the adversary knows this is user "
-                << reference.user_id << " (Deg_anonymity "
-                << util::format_fixed(result.degree_of_anonymity, 3) << ")\n";
-    } else {
-      std::cout << "identification: anonymity set of " << result.matched.size()
-                << " profiles (Deg_anonymity "
-                << util::format_fixed(result.degree_of_anonymity, 3) << ")\n";
-    }
-  } else {
+  const core::ExposureReport report = analyzer.evaluate_collected(victim, interval, stolen);
+  std::cout << "PoIs recovered from the stolen stream: "
+            << report.poi_total.recovered_count << "/"
+            << report.poi_total.reference_count << " ("
+            << util::format_percent(report.poi_total.fraction(), 0) << ")\n";
+  if (!report.matches_movements) {
     std::cout << "identification: too little data - no movement patterns formed\n";
+  } else if (report.identified_movements) {
+    std::cout << "identification: UNIQUE - the adversary knows this is user "
+              << reference.user_id << " (Deg_anonymity "
+              << util::format_fixed(report.anonymity_movements, 3) << ")\n";
+  } else {
+    std::cout << "identification: anonymity set of " << *report.matches_movements
+              << " profiles (Deg_anonymity "
+              << util::format_fixed(report.anonymity_movements, 3) << ")\n";
   }
   return 0;
 }

@@ -10,9 +10,6 @@
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "lppm/policy.hpp"
-#include "poi/clustering.hpp"
-#include "privacy/detection.hpp"
-#include "privacy/metrics.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -20,14 +17,9 @@ namespace {
 
 using namespace locpriv;
 
-struct AttackOutcome {
-  std::size_t stolen_fixes = 0;
-  privacy::PoiRecovery recovery;
-  bool identified = false;
-};
-
-AttackOutcome run_attack(const core::PrivacyAnalyzer& analyzer, std::size_t victim,
-                         std::int64_t interval, const lppm::GuardianPolicy* policy) {
+core::ExposureReport run_attack(const core::PrivacyAnalyzer& analyzer,
+                                std::size_t victim, std::int64_t interval,
+                                const lppm::GuardianPolicy* policy) {
   const auto& reference = analyzer.reference(victim);
   android::DeviceSimulator phone(99, reference.points.front().position);
   phone.jump_to(reference.points.front().timestamp_s - 1);
@@ -57,23 +49,7 @@ AttackOutcome run_attack(const core::PrivacyAnalyzer& analyzer, std::size_t vict
   android::replay_trace(phone, reference.points, /*sync_clock=*/false);
   const auto stolen =
       android::collected_fixes(phone.location_manager(), manifest.package_name);
-
-  AttackOutcome outcome;
-  outcome.stolen_fixes = stolen.size();
-  const auto stays =
-      poi::extract_stay_points(stolen, analyzer.config().extraction);
-  const auto pois =
-      poi::cluster_stay_points(stays, analyzer.config().extraction.radius_m);
-  outcome.recovery = privacy::poi_recovery(reference.pois, pois,
-                                           analyzer.config().extraction.radius_m);
-  const auto observed = privacy::movement_histogram(pois, analyzer.grid());
-  if (!observed.empty()) {
-    const auto result = analyzer.adversary().identify(
-        observed, privacy::Pattern::kMovements, analyzer.config().match);
-    outcome.identified =
-        result.matched.size() == 1 && result.matched.front() == victim;
-  }
-  return outcome;
+  return analyzer.evaluate_collected(victim, interval, stolen);
 }
 
 }  // namespace
@@ -101,14 +77,14 @@ int main(int argc, char** argv) {
             << interval << " s in background\n\n";
   util::ConsoleTable table(
       {"platform", "fixes stolen", "PoIs recovered", "identified"});
-  const AttackOutcome naked = run_attack(analyzer, victim, interval, nullptr);
-  const AttackOutcome guarded = run_attack(analyzer, victim, interval, &policy);
-  table.add_row({"stock Android 4.4", std::to_string(naked.stolen_fixes),
-                 util::format_percent(naked.recovery.fraction(), 0),
-                 naked.identified ? "YES" : "no"});
-  table.add_row({"with LP-Guardian policy", std::to_string(guarded.stolen_fixes),
-                 util::format_percent(guarded.recovery.fraction(), 0),
-                 guarded.identified ? "YES" : "no"});
+  const core::ExposureReport naked = run_attack(analyzer, victim, interval, nullptr);
+  const core::ExposureReport guarded = run_attack(analyzer, victim, interval, &policy);
+  table.add_row({"stock Android 4.4", std::to_string(naked.collected_fixes),
+                 util::format_percent(naked.poi_total.fraction(), 0),
+                 naked.identified_movements ? "YES" : "no"});
+  table.add_row({"with LP-Guardian policy", std::to_string(guarded.collected_fixes),
+                 util::format_percent(guarded.poi_total.fraction(), 0),
+                 guarded.identified_movements ? "YES" : "no"});
   table.print(std::cout);
 
   std::cout << "\nThe policy coarsens background releases to 1 km cells and\n"

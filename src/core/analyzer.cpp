@@ -62,21 +62,15 @@ const UserReference& PrivacyAnalyzer::reference(std::size_t user) const {
 
 std::vector<poi::Poi> PrivacyAnalyzer::collected_pois(std::size_t user,
                                                       std::int64_t interval_s) const {
-  const UserReference& reference = this->reference(user);
-  const auto collected = interval_s <= 1
-                             ? reference.points
-                             : trace::decimate(reference.points, interval_s);
-  const auto stays = poi::extract_stay_points(collected, config_.extraction);
+  const auto stays = poi::extract_stay_points(
+      trace::collect(reference(user).points, interval_s), config_.extraction);
   return poi::cluster_stay_points(stays, config_.extraction.radius_m);
 }
 
 ExposureReport PrivacyAnalyzer::evaluate_exposure(std::size_t user,
                                                   std::int64_t interval_s) const {
-  const UserReference& reference = this->reference(user);
-  const auto collected = interval_s <= 1
-                             ? reference.points
-                             : trace::decimate(reference.points, interval_s);
-  return evaluate_collected(user, interval_s, collected);
+  return evaluate_collected(user, interval_s,
+                            trace::collect(reference(user).points, interval_s));
 }
 
 ExposureReport PrivacyAnalyzer::evaluate_collected(
@@ -128,10 +122,11 @@ ExposureReport PrivacyAnalyzer::evaluate_stays(
             .degree_of_anonymity;
   }
   if (!observed_movements.empty()) {
-    report.anonymity_movements =
-        adversary_
-            ->identify(observed_movements, privacy::Pattern::kMovements, config_.match)
-            .degree_of_anonymity;
+    const privacy::IdentificationResult identification = adversary_->identify(
+        observed_movements, privacy::Pattern::kMovements, config_.match);
+    report.anonymity_movements = identification.degree_of_anonymity;
+    report.matches_movements = identification.matched.size();
+    report.identified_movements = identification.identifies(user);
   }
   return report;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mobility/synthesis.hpp"
@@ -50,6 +51,11 @@ struct ExposureReport {
   bool hisbin_movements = false;         ///< Pattern 2 His_bin.
   double anonymity_visits = 1.0;         ///< Deg_anonymity via pattern 1.
   double anonymity_movements = 1.0;      ///< Deg_anonymity via pattern 2.
+  /// Size of the pattern-2 match set; nullopt when no movement histogram
+  /// formed (the adversary had nothing to test).
+  std::optional<std::size_t> matches_movements;
+  /// The pattern-2 match set is exactly {user}: uniquely identified.
+  bool identified_movements = false;
 
   /// The paper's combined detector: breach if either pattern matched.
   bool breach_detected() const { return hisbin_visits || hisbin_movements; }
@@ -86,6 +92,8 @@ class PrivacyAnalyzer {
   /// injection) instead of the analytical decimation model. `collected` may
   /// be sparse, gappy, or empty — an unreliable substrate can deliver
   /// nothing at all, which scores as zero exposure rather than erroring.
+  /// This and evaluate_stays are the only code that scores an observation;
+  /// defended releases (core::evaluate_defense) are scored here too.
   /// Precondition: `collected` in non-decreasing time order.
   ExposureReport evaluate_collected(std::size_t user, std::int64_t interval_s,
                                     const std::vector<trace::TracePoint>& collected) const;

@@ -1,10 +1,6 @@
 #include "core/defense_eval.hpp"
 
-#include <algorithm>
-
 #include "geo/geodesy.hpp"
-#include "poi/clustering.hpp"
-#include "privacy/metrics.hpp"
 #include "trace/sampling.hpp"
 #include "util/expect.hpp"
 
@@ -18,7 +14,6 @@ DefenseOutcome evaluate_defense(const PrivacyAnalyzer& analyzer,
   outcome.defense = defense.name();
   outcome.interval_s = interval_s;
 
-  const double radius = analyzer.config().extraction.radius_m;
   std::size_t reference_total = 0;
   std::size_t recovered_total = 0;
   std::size_t sensitive_reference = 0;
@@ -30,10 +25,7 @@ DefenseOutcome evaluate_defense(const PrivacyAnalyzer& analyzer,
 
   stats::Rng rng(seed);
   for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
-    const UserReference& reference = analyzer.reference(u);
-    const auto requested = interval_s <= 1
-                               ? reference.points
-                               : trace::decimate(reference.points, interval_s);
+    const auto requested = trace::collect(analyzer.reference(u).points, interval_s);
     stats::Rng user_rng = rng.fork();
     const auto released = defense.release(requested, user_rng);
     requested_fixes += requested.size();
@@ -56,28 +48,13 @@ DefenseOutcome evaluate_defense(const PrivacyAnalyzer& analyzer,
     }
 
     // Privacy: rerun the attack on the released stream.
-    const auto stays =
-        poi::extract_stay_points(released, analyzer.config().extraction);
-    const auto pois = poi::cluster_stay_points(stays, radius);
-    const auto total = privacy::poi_recovery(reference.pois, pois, radius);
-    const auto sensitive =
-        privacy::sensitive_poi_recovery(reference.pois, pois, radius, 3);
-    reference_total += total.reference_count;
-    recovered_total += total.recovered_count;
-    sensitive_reference += sensitive.reference_count;
-    sensitive_recovered += sensitive.recovered_count;
-
-    double anonymity = 1.0;
-    const auto observed = privacy::build_histogram(privacy::Pattern::kMovements, pois,
-                                                   analyzer.grid());
-    if (!observed.empty()) {
-      const auto result = analyzer.adversary().identify(
-          observed, privacy::Pattern::kMovements, analyzer.config().match);
-      anonymity = result.degree_of_anonymity;
-      if (result.matched.size() == 1 && result.matched.front() == u)
-        ++outcome.users_identified;
-    }
-    outcome.mean_anonymity += anonymity;
+    const ExposureReport report = analyzer.evaluate_collected(u, interval_s, released);
+    reference_total += report.poi_total.reference_count;
+    recovered_total += report.poi_total.recovered_count;
+    sensitive_reference += report.poi_sensitive.reference_count;
+    sensitive_recovered += report.poi_sensitive.recovered_count;
+    outcome.mean_anonymity += report.anonymity_movements;
+    if (report.identified_movements) ++outcome.users_identified;
   }
 
   const auto users = static_cast<double>(analyzer.user_count());

@@ -1,8 +1,9 @@
 // Privacy-vs-utility evaluation of LPPM defenses against the paper's
 // background-app threat: apply a defense to the stream a fast background
-// app would collect, rerun the whole attack pipeline (PoI extraction,
-// His_bin, identification, Deg_anonymity), and score utility as the
-// positional error and volume the defended release still offers the app.
+// app would collect, score the released stream with the analyzer's own
+// attack (PrivacyAnalyzer::evaluate_collected: PoI extraction, His_bin,
+// identification, Deg_anonymity), and score utility as the positional
+// error and volume the defended release still offers the app.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "geo/geodesy.hpp"
+#include "trace/sampling.hpp"
 #include "util/expect.hpp"
 #include "util/strings.hpp"
 
@@ -111,14 +112,7 @@ std::string ThrottleDefense::name() const {
 std::vector<trace::TracePoint> ThrottleDefense::release(
     const std::vector<trace::TracePoint>& requested, stats::Rng& rng) const {
   (void)rng;
-  std::vector<trace::TracePoint> released;
-  std::int64_t next_due = requested.empty() ? 0 : requested.front().timestamp_s;
-  for (const auto& point : requested) {
-    if (point.timestamp_s < next_due) continue;
-    released.push_back(point);
-    next_due = point.timestamp_s + min_interval_s_;
-  }
-  return released;
+  return trace::decimate(requested, min_interval_s_);
 }
 
 PlaceSuppressionDefense::PlaceSuppressionDefense(std::vector<geo::LatLon> protected_places,

@@ -47,6 +47,11 @@ struct IdentificationResult {
   double degree_of_anonymity = 1.0;
   /// Shannon entropy of the posterior in bits (0 when <= 1 match).
   double entropy_bits = 0.0;
+
+  /// The match set is exactly {user}: the adversary uniquely identified them.
+  bool identifies(std::size_t user) const {
+    return matched.size() == 1 && matched.front() == user;
+  }
 };
 
 /// Holds the N profiles an adversary has acquired and answers

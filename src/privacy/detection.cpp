@@ -20,9 +20,8 @@ PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points
                                     Pattern pattern,
                                     const poi::ExtractionParams& extraction,
                                     const RegionGrid& grid, std::int64_t interval_s) {
-  const auto collected =
-      interval_s <= 1 ? points : trace::decimate(points, interval_s);
-  const auto stays = poi::extract_stay_points(collected, extraction);
+  const auto stays =
+      poi::extract_stay_points(trace::collect(points, interval_s), extraction);
   const auto pois = poi::cluster_stay_points(stays, extraction.radius_m);
   return build_histogram(pattern, pois, grid);
 }
@@ -30,32 +29,26 @@ PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points
 namespace {
 
 /// Walks growing prefixes of `points` in one pass. The fixes an app polling
-/// at `interval_s` collects are decimated on the fly (greedy decimation
-/// anchored at the first fix keeps the same fixes of a prefix as of the
-/// whole trace) and pushed into one stay-point stream. At each probe the
-/// stream's stays are clustered and histogrammed, and the first probe whose
-/// histogram `fires` is the outcome; later fixes are never read.
+/// at `interval_s` collects are picked on the fly by trace::collector (the
+/// collection model anchored at the first fix keeps the same fixes of a
+/// prefix as of the whole trace) and pushed into one stay-point stream. At
+/// each probe the stream's stays are clustered and histogrammed, and the
+/// first probe whose histogram `fires` is the outcome; later fixes are
+/// never read.
 template <typename Fires>
 DetectionOutcome sweep_prefixes(const std::vector<trace::TracePoint>& points,
                                 Pattern pattern, const DetectionConfig& config,
                                 Fires&& fires) {
   LOCPRIV_EXPECT(std::is_sorted(config.fractions.begin(), config.fractions.end()));
   poi::StayPointStream stream(config.extraction);
+  trace::Decimator collector = trace::collector(
+      config.interval_s, points.empty() ? 0 : points.front().timestamp_s);
   std::size_t pushed = 0;
-  std::int64_t next_due = points.empty() ? 0 : points.front().timestamp_s;
   for (const double fraction : config.fractions) {
     const std::size_t keep = trace::prefix_length(points.size(), fraction);
     if (keep == 0) continue;
-    for (; pushed < keep; ++pushed) {
-      // trace::decimate's rule one fix at a time; interval_s <= 1 keeps
-      // every fix, as observed_histogram does.
-      const trace::TracePoint& point = points[pushed];
-      if (config.interval_s > 1) {
-        if (point.timestamp_s < next_due) continue;
-        next_due = point.timestamp_s + config.interval_s;
-      }
-      stream.push(point);
-    }
+    for (; pushed < keep; ++pushed)
+      if (collector.keep(points[pushed])) stream.push(points[pushed]);
     const auto pois =
         poi::cluster_stay_points(stream.peek_close(), config.extraction.radius_m);
     if (fires(build_histogram(pattern, pois, config.grid)))
@@ -82,9 +75,7 @@ DetectionOutcome earliest_identification(const std::vector<trace::TracePoint>& p
   LOCPRIV_EXPECT(true_user < adversary.profile_count());
   return sweep_prefixes(points, pattern, config, [&](const PatternHistogram& observed) {
     if (observed.empty()) return false;
-    const IdentificationResult result =
-        adversary.identify(observed, pattern, config.match);
-    return result.matched.size() == 1 && result.matched.front() == true_user;
+    return adversary.identify(observed, pattern, config.match).identifies(true_user);
   });
 }
 

@@ -38,7 +38,7 @@ struct DetectionOutcome {
 };
 
 /// Builds the pattern histogram an app observing `points` at
-/// `interval_s` would obtain: decimate, extract stay points, cluster, build.
+/// `interval_s` would obtain: collect, extract stay points, cluster, build.
 PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points,
                                     Pattern pattern,
                                     const poi::ExtractionParams& extraction,

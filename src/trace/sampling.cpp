@@ -10,12 +10,9 @@ std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s, std::int64_t start_s) {
   LOCPRIV_EXPECT(interval_s > 0);
   std::vector<TracePoint> out;
-  std::int64_t next_due = start_s;
-  for (const auto& point : points) {
-    if (point.timestamp_s < next_due) continue;
-    out.push_back(point);
-    next_due = point.timestamp_s + interval_s;
-  }
+  Decimator decimator(interval_s, start_s);
+  for (const auto& point : points)
+    if (decimator.keep(point)) out.push_back(point);
   return out;
 }
 
@@ -23,6 +20,15 @@ std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s) {
   if (points.empty()) return {};
   return decimate(points, interval_s, points.front().timestamp_s);
+}
+
+std::vector<TracePoint> collect(const std::vector<TracePoint>& points,
+                                std::int64_t interval_s) {
+  return interval_s <= 1 ? points : decimate(points, interval_s);
+}
+
+Decimator collector(std::int64_t interval_s, std::int64_t start_s) {
+  return {interval_s <= 1 ? 0 : interval_s, start_s};
 }
 
 std::size_t prefix_length(std::size_t size, double fraction) {

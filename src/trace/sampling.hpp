@@ -15,17 +15,47 @@
 
 namespace locpriv::trace {
 
-/// Keeps the first fix at or after `start_s`, then greedily the next fix at
-/// least `interval_s` later, and so on — the trace an app polling every
-/// `interval_s` seconds would observe. Interval 1 with start at the first
-/// fix reproduces the full trace for 1 Hz ground truth.
-/// Preconditions: interval_s > 0.
+/// The greedy decimation rule, fed one fix at a time: keeps the first fix
+/// at or after `start_s`, then each fix at least `step_s` after the last one
+/// kept. A step of 0 keeps every fix of a non-decreasing trace.
+class Decimator {
+ public:
+  Decimator(std::int64_t step_s, std::int64_t start_s)
+      : step_s_(step_s), next_due_(start_s) {}
+
+  /// Whether `point`, the next fix of the stream, is kept.
+  bool keep(const TracePoint& point) {
+    if (point.timestamp_s < next_due_) return false;
+    next_due_ = point.timestamp_s + step_s_;
+    return true;
+  }
+
+ private:
+  std::int64_t step_s_;
+  std::int64_t next_due_;
+};
+
+/// The fixes a Decimator(interval_s, start_s) keeps — the trace an app
+/// polling every `interval_s` seconds would observe. A fix that repeats the
+/// timestamp of a kept fix is dropped, so the result holds at most one fix
+/// per `interval_s`. Preconditions: interval_s > 0.
 std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s, std::int64_t start_s);
 
 /// Convenience overload starting at the first fix.
 std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s);
+
+/// The collection model: what an app polling every `interval_s` seconds
+/// from the first fix receives. At interval_s <= 1 that is every fix, also
+/// fixes that share a timestamp (1 Hz ground truth can repeat one);
+/// otherwise decimate(points, interval_s).
+std::vector<TracePoint> collect(const std::vector<TracePoint>& points,
+                                std::int64_t interval_s);
+
+/// collect() one fix at a time: keeps what collect(points, interval_s)
+/// keeps of a non-decreasing trace whose first fix is at `start_s`.
+Decimator collector(std::int64_t interval_s, std::int64_t start_s);
 
 /// Length of the first `fraction` of `size` points: fraction * size,
 /// rounded to nearest. fraction in [0, 1].

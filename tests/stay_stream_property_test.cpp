@@ -350,7 +350,9 @@ bool same_report(const core::ExposureReport& a, const core::ExposureReport& b) {
          a.poi_sensitive.recovered_count == b.poi_sensitive.recovered_count &&
          a.hisbin_visits == b.hisbin_visits && a.hisbin_movements == b.hisbin_movements &&
          same_bits(a.anonymity_visits, b.anonymity_visits) &&
-         same_bits(a.anonymity_movements, b.anonymity_movements);
+         same_bits(a.anonymity_movements, b.anonymity_movements) &&
+         a.matches_movements == b.matches_movements &&
+         a.identified_movements == b.identified_movements;
 }
 
 TEST(StayPointStreamProperty, EvaluateStaysEqualsEvaluateCollected) {

@@ -144,6 +144,17 @@ LoadedDataset load_dataset(const std::string& root, bool lenient) {
   return loaded;
 }
 
+/// --interval, the app's polling period in seconds. The collection model
+/// starts at 1 s (the app receives every fix), so a smaller value is a
+/// usage error rather than a full-rate run labelled with it.
+std::int64_t interval_arg(const util::Args& args) {
+  const std::int64_t interval_s = args.get_int("--interval");
+  if (interval_s < 1)
+    throw Error(ErrorCode::kUsage,
+                "--interval must be at least 1 s, got " + args.get("--interval"));
+  return interval_s;
+}
+
 /// Maps a command's own exit code through the quarantine signal.
 int finish(int code, const LoadedDataset& loaded) {
   if (code == 0 && loaded.lenient && !loaded.report.clean()) return kExitQuarantined;
@@ -240,6 +251,7 @@ int cmd_extract_pois(int argc, const char* const* argv) {
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
+  const std::int64_t interval_s = interval_arg(args);
 
   const auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const auto& users = loaded.users;
@@ -250,9 +262,7 @@ int cmd_extract_pois(int argc, const char* const* argv) {
   params.radius_m = args.get_double("--radius");
   params.min_visit_s = args.get_int("--visit") * 60;
 
-  auto points = users[user_index].flattened();
-  if (args.get_int("--interval") > 1)
-    points = trace::decimate(points, args.get_int("--interval"));
+  const auto points = trace::collect(users[user_index].flattened(), interval_s);
   const auto stays = poi::extract_stay_points(points, params);
   const auto pois = poi::cluster_stay_points(stays, params.radius_m);
 
@@ -281,6 +291,7 @@ int cmd_audit(int argc, const char* const* argv) {
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
+  const std::int64_t interval_s = interval_arg(args);
 
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const core::PrivacyAnalyzer analyzer(core::experiment_analyzer_config(),
@@ -288,8 +299,7 @@ int cmd_audit(int argc, const char* const* argv) {
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
   if (user_index >= analyzer.user_count())
     throw std::runtime_error("user index out of range");
-  const auto report =
-      analyzer.evaluate_exposure(user_index, args.get_int("--interval"));
+  const auto report = analyzer.evaluate_exposure(user_index, interval_s);
 
   if (args.get_bool("--json")) {
     util::JsonWriter json;
@@ -339,6 +349,7 @@ int cmd_audit_all(int argc, const char* const* argv) {
   harness::declare_run_flags(args);
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
+  const std::int64_t interval_s = interval_arg(args);
   const harness::RunOptions options =
       harness::run_options_from(args, "audit-all");
   if (!options.active() &&
@@ -350,7 +361,6 @@ int cmd_audit_all(int argc, const char* const* argv) {
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const core::PrivacyAnalyzer analyzer(core::experiment_analyzer_config(),
                                        std::move(loaded.users));
-  const auto interval_s = args.get_int("--interval");
 
   const std::vector<std::string> header = {
       "user", "interval_s", "collected_fixes", "extracted_pois", "poi_total",
@@ -440,6 +450,7 @@ int cmd_identify(int argc, const char* const* argv) {
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
+  const std::int64_t interval_s = interval_arg(args);
 
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const core::PrivacyAnalyzer analyzer(core::experiment_analyzer_config(),
@@ -450,8 +461,8 @@ int cmd_identify(int argc, const char* const* argv) {
   const privacy::Pattern pattern = args.get_int("--pattern") == 1
                                        ? privacy::Pattern::kVisits
                                        : privacy::Pattern::kMovements;
-  const auto outcome = analyzer.earliest_identification(user_index, pattern,
-                                                        args.get_int("--interval"));
+  const auto outcome =
+      analyzer.earliest_identification(user_index, pattern, interval_s);
   if (outcome.detected) {
     std::cout << "user " << user_index << " uniquely identified after "
               << util::format_percent(outcome.fraction, 0) << " of the trace (pattern "
@@ -473,17 +484,16 @@ int cmd_export_geojson(int argc, const char* const* argv) {
   args.declare("--interval", "1");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty() || args.get("--out").empty()) return usage();
+  const std::int64_t interval_s = interval_arg(args);
 
   const auto loaded = load_dataset(args.get("--root"), /*lenient=*/false);
   const auto& users = loaded.users;
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
   if (user_index >= users.size()) throw std::runtime_error("user index out of range");
 
-  auto points = users[user_index].flattened();
-  if (args.get_int("--interval") > 1)
-    points = trace::decimate(points, args.get_int("--interval"));
   const poi::ExtractionParams params;
-  const auto stays = poi::extract_stay_points(points, params);
+  const auto stays = poi::extract_stay_points(
+      trace::collect(users[user_index].flattened(), interval_s), params);
   const auto pois = poi::cluster_stay_points(stays, params.radius_m);
 
   harness::AtomicFileWriter out(args.get("--out"));
@@ -528,6 +538,7 @@ int cmd_serve(int argc, const char* const* argv) {
   args.declare("--slow-restart-ms", "0");
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
+  const std::int64_t interval_s = interval_arg(args);
 
   const bool resume = !args.get("--resume").empty();
   if (resume == !args.get("--run-dir").empty())
@@ -555,7 +566,7 @@ int cmd_serve(int argc, const char* const* argv) {
 
   service::ServiceOptions options;
   options.shards = static_cast<unsigned>(args.get_int("--shards"));
-  options.interval_s = args.get_int("--interval");
+  options.interval_s = interval_s;
   options.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
   options.scale = std::to_string(analyzer->user_count()) + "u_t" +
                   std::to_string(options.interval_s);
