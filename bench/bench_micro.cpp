@@ -6,11 +6,13 @@
 //
 //   bench_micro --json BENCH_micro.json [--baseline FILE]
 //
-// which times three kernels against the code they replaced — the one-pass
+// which times four kernels against the code they replaced — the one-pass
 // prefix sweep against the per-probe loop, candidate-only
-// Adversary::identify against a match over every profile, and a locprivd
+// Adversary::identify against a match over every profile, a locprivd
 // shard report scored from checkpointed stay-point streams against the
-// re-extraction over every fix it replaced — asserts the outputs are
+// re-extraction over every fix it replaced, and the exposure ladder's cells
+// (decimate + evaluate_collected) against an exact-only extractor fed by a
+// decimate that grows its output fix by fix — asserts the outputs are
 // identical (pure perf changes), and writes the standardized
 // BENCH_micro.json artifact with before/after nanoseconds and the speedup.
 // With --baseline it re-reads a committed artifact and exits non-zero if a
@@ -18,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +33,9 @@
 
 #include "bench_json.hpp"
 #include "core/analyzer.hpp"
+#include "core/experiment.hpp"
 #include "core/harness/atomic_file.hpp"
+#include "geo/geodesy.hpp"
 #include "lppm/policy.hpp"
 #include "mobility/synthesis.hpp"
 #include "poi/staypoint.hpp"
@@ -253,6 +258,128 @@ std::vector<std::size_t> scan_matches(const privacy::Adversary& adversary,
   return matched;
 }
 
+// StayPointStream::push as it ran before the bound, on the same ring: every
+// entry and exit test computes both centroids and equirectangular_m.
+class ExactOnlyStream {
+ public:
+  explicit ExactOnlyStream(const poi::ExtractionParams& params)
+      : params_(params),
+        half_(params.window_fixes / 2),
+        ring_(std::bit_ceil(params.window_fixes + 1)),
+        mask_(ring_.size() - 1) {}
+
+  void push(const trace::TracePoint& point) {
+    const std::size_t window = params_.window_fixes;
+    ring_[(head_ + size_) & mask_] = point;
+    ++size_;
+    if (!inside_) {
+      if (size_ > window) pop_front();
+      if (size_ < window) return;
+      if (geo::equirectangular_m(centroid_of(0), centroid_of(half_)) < params_.radius_m) {
+        inside_ = true;
+        enter_s_ = at(half_).timestamp_s;
+        for (std::size_t i = half_; i < size_; ++i) attribute(at(i));
+        size_ = 0;
+      }
+      return;
+    }
+    for (; size_ > window; pop_front()) attribute(at(0));
+    if (size_ < window) return;
+    const geo::LatLon stay{lat_sum_ / static_cast<double>(count_),
+                           lon_sum_ / static_cast<double>(count_)};
+    if (geo::equirectangular_m(stay, centroid_of(0)) > params_.radius_m) {
+      close(half_);
+      for (std::size_t i = 0; i < half_; ++i) pop_front();
+    }
+  }
+
+  std::vector<poi::StayPoint> finish() {
+    if (inside_) close(size_);
+    return std::move(stays_);
+  }
+
+ private:
+  const trace::TracePoint& at(std::size_t i) const { return ring_[(head_ + i) & mask_]; }
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  geo::LatLon centroid_of(std::size_t begin) const {
+    double lat = 0.0;
+    double lon = 0.0;
+    for (std::size_t i = begin; i < size_; ++i) {
+      lat += at(i).position.lat_deg;
+      lon += at(i).position.lon_deg;
+    }
+    const auto n = static_cast<double>(size_ - begin);
+    return {lat / n, lon / n};
+  }
+  void attribute(const trace::TracePoint& point) {
+    lat_sum_ += point.position.lat_deg;
+    lon_sum_ += point.position.lon_deg;
+    ++count_;
+    last_s_ = point.timestamp_s;
+  }
+  // The open stay closed after the first `overlap` window fixes join it.
+  void close(std::size_t overlap) {
+    for (std::size_t i = 0; i < overlap; ++i) attribute(at(i));
+    if (last_s_ - enter_s_ >= params_.min_visit_s)
+      stays_.push_back({{lat_sum_ / static_cast<double>(count_),
+                         lon_sum_ / static_cast<double>(count_)},
+                        enter_s_, last_s_, count_});
+    lat_sum_ = lon_sum_ = 0.0;
+    count_ = 0;
+    last_s_ = 0;
+    inside_ = false;
+  }
+
+  poi::ExtractionParams params_;
+  std::size_t half_;
+  std::vector<trace::TracePoint> ring_;
+  std::size_t mask_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  bool inside_ = false;
+  std::int64_t enter_s_ = 0;
+  double lat_sum_ = 0.0;
+  double lon_sum_ = 0.0;
+  std::size_t count_ = 0;
+  std::int64_t last_s_ = 0;
+  std::vector<poi::StayPoint> stays_;
+};
+
+// trace::decimate from the first fix as it ran before it reserved its result.
+std::vector<trace::TracePoint> grown_decimate(const std::vector<trace::TracePoint>& points,
+                                              std::int64_t interval_s) {
+  std::vector<trace::TracePoint> out;
+  std::int64_t next_due = points.empty() ? 0 : points.front().timestamp_s;
+  for (const auto& point : points) {
+    if (point.timestamp_s < next_due) continue;
+    next_due = point.timestamp_s + interval_s;
+    out.push_back(point);
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Every ExposureReport field, doubles bit for bit.
+bool same_report(const core::ExposureReport& a, const core::ExposureReport& b) {
+  return a.interval_s == b.interval_s && a.collected_fixes == b.collected_fixes &&
+         a.extracted_pois == b.extracted_pois &&
+         a.poi_total.reference_count == b.poi_total.reference_count &&
+         a.poi_total.recovered_count == b.poi_total.recovered_count &&
+         a.poi_sensitive.reference_count == b.poi_sensitive.reference_count &&
+         a.poi_sensitive.recovered_count == b.poi_sensitive.recovered_count &&
+         a.hisbin_visits == b.hisbin_visits && a.hisbin_movements == b.hisbin_movements &&
+         same_bits(a.anonymity_visits, b.anonymity_visits) &&
+         same_bits(a.anonymity_movements, b.anonymity_movements) &&
+         a.matches_movements == b.matches_movements &&
+         a.identified_movements == b.identified_movements;
+}
+
 std::vector<KernelResult> run_kernels() {
   std::vector<KernelResult> results;
 
@@ -377,23 +504,54 @@ std::vector<KernelResult> run_kernels() {
                                                     user.stream.peek_close()));
         }
     });
-    r.identical = std::equal(
-        scan.begin(), scan.end(), indexed.begin(), indexed.end(),
-        [](const core::ExposureReport& a, const core::ExposureReport& b) {
-          return a.collected_fixes == b.collected_fixes &&
-                 a.extracted_pois == b.extracted_pois &&
-                 a.poi_total.recovered_count == b.poi_total.recovered_count &&
-                 a.poi_sensitive.recovered_count == b.poi_sensitive.recovered_count &&
-                 a.hisbin_visits == b.hisbin_visits &&
-                 a.hisbin_movements == b.hisbin_movements &&
-                 a.anonymity_visits == b.anonymity_visits &&
-                 a.anonymity_movements == b.anonymity_movements;
-        });
+    r.identical =
+        std::equal(scan.begin(), scan.end(), indexed.begin(), indexed.end(), same_report);
     std::fprintf(stderr,
                  "shard_report: %d reports x %zu users, %lld fixes, %.1fms re-extracted / "
                  "%.1fms from stays\n",
                  kReports, analyzer.user_count(), static_cast<long long>(fixes), r.scan_ns / 1e6,
                  r.indexed_ns / 1e6);
+    results.push_back(r);
+  }
+
+  {
+    // Figures 3/5's exposure ladder over every bench_analyzer() user: each
+    // cell decimated from the first fix and scored. Before: the exact-only
+    // extractor on a decimate grown fix by fix, scored from its stays.
+    const auto& analyzer = bench_analyzer();
+    const std::vector<std::int64_t> ladder = core::access_interval_ladder();
+    const poi::ExtractionParams& params = analyzer.config().extraction;
+    std::int64_t fixes = 0;
+    for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+      fixes += static_cast<std::int64_t>(analyzer.reference(u).points.size());
+    KernelResult r{"exposure_cell", fixes,
+                   static_cast<std::int64_t>(analyzer.user_count() * ladder.size()), 0.0, 0.0};
+    std::vector<core::ExposureReport> scan, indexed;
+    r.scan_ns = time_ns([&] {
+      scan.clear();
+      for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+        for (const std::int64_t interval_s : ladder) {
+          const auto collected = grown_decimate(analyzer.reference(u).points, interval_s);
+          ExactOnlyStream stream(params);
+          for (const auto& point : collected) stream.push(point);
+          scan.push_back(
+              analyzer.evaluate_stays(u, interval_s, collected.size(), stream.finish()));
+        }
+    });
+    r.indexed_ns = time_ns([&] {
+      indexed.clear();
+      for (std::size_t u = 0; u < analyzer.user_count(); ++u)
+        for (const std::int64_t interval_s : ladder)
+          indexed.push_back(analyzer.evaluate_collected(
+              u, interval_s, trace::decimate(analyzer.reference(u).points, interval_s)));
+    });
+    r.identical =
+        std::equal(scan.begin(), scan.end(), indexed.begin(), indexed.end(), same_report);
+    std::fprintf(stderr,
+                 "exposure_cell: %zu users x %zu rungs, %lld fixes, %.1fms exact-only / "
+                 "%.1fms bounded\n",
+                 analyzer.user_count(), ladder.size(), static_cast<long long>(fixes),
+                 r.scan_ns / 1e6, r.indexed_ns / 1e6);
     results.push_back(r);
   }
 

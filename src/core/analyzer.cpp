@@ -62,6 +62,7 @@ const UserReference& PrivacyAnalyzer::reference(std::size_t user) const {
 
 std::vector<poi::Poi> PrivacyAnalyzer::collected_pois(std::size_t user,
                                                       std::int64_t interval_s) const {
+  LOCPRIV_EXPECT(interval_s >= 1);
   const auto stays = poi::extract_stay_points(
       trace::collect(reference(user).points, interval_s), config_.extraction);
   return poi::cluster_stay_points(stays, config_.extraction.radius_m);
@@ -69,6 +70,7 @@ std::vector<poi::Poi> PrivacyAnalyzer::collected_pois(std::size_t user,
 
 ExposureReport PrivacyAnalyzer::evaluate_exposure(std::size_t user,
                                                   std::int64_t interval_s) const {
+  LOCPRIV_EXPECT(interval_s >= 1);
   return evaluate_collected(user, interval_s,
                             trace::collect(reference(user).points, interval_s));
 }
@@ -133,6 +135,7 @@ ExposureReport PrivacyAnalyzer::evaluate_stays(
 
 privacy::DetectionOutcome PrivacyAnalyzer::earliest_detection(
     std::size_t user, privacy::Pattern pattern, std::int64_t interval_s) const {
+  LOCPRIV_EXPECT(interval_s >= 1);
   const UserReference& reference = this->reference(user);
   privacy::DetectionConfig detection(*grid_);
   detection.extraction = config_.extraction;
@@ -145,6 +148,7 @@ privacy::DetectionOutcome PrivacyAnalyzer::earliest_detection(
 
 privacy::DetectionOutcome PrivacyAnalyzer::earliest_identification(
     std::size_t user, privacy::Pattern pattern, std::int64_t interval_s) const {
+  LOCPRIV_EXPECT(interval_s >= 1);
   const UserReference& reference = this->reference(user);
   privacy::DetectionConfig detection(*grid_);
   detection.extraction = config_.extraction;

@@ -84,7 +84,8 @@ class PrivacyAnalyzer {
   const privacy::Adversary& adversary() const { return *adversary_; }
 
   /// Evaluates the exposure of user `user` to an app polling every
-  /// `interval_s` seconds from the start of the trace.
+  /// `interval_s` seconds from the start of the trace. Precondition:
+  /// interval_s >= 1, as for the three functions below that take one.
   ExposureReport evaluate_exposure(std::size_t user, std::int64_t interval_s) const;
 
   /// Evaluates exposure from an externally collected observation of `user`
@@ -119,7 +120,7 @@ class PrivacyAnalyzer {
                                                     privacy::Pattern pattern,
                                                     std::int64_t interval_s) const;
 
-  /// The PoIs an app collecting at `interval_s` extracts for `user`.
+  /// The PoIs an app collecting at `interval_s` (>= 1) extracts for `user`.
   std::vector<poi::Poi> collected_pois(std::size_t user, std::int64_t interval_s) const;
 
  private:

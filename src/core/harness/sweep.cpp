@@ -1,7 +1,5 @@
 #include "core/harness/sweep.hpp"
 
-#include <stdexcept>
-
 namespace locpriv::harness {
 
 std::string RunOptions::mode_string() const {
@@ -27,30 +25,26 @@ void declare_run_flags(util::Args& args) {
 
 RunOptions run_options_from(const util::Args& args, std::string stage_name) {
   RunOptions options;
-  try {
-    options.stage.heartbeat = std::chrono::seconds(args.get_int("--heartbeat"));
-    options.stage.soft_deadline =
-        std::chrono::seconds(args.get_int("--soft-deadline"));
-    options.stage.hard_deadline =
-        std::chrono::seconds(args.get_int("--hard-deadline"));
-    options.supervisor.isolate = args.get_bool("--isolate");
-    options.supervisor.workers =
-        static_cast<unsigned>(args.get_int("--workers"));
-    options.supervisor.cell_rlimit_mb =
-        static_cast<std::size_t>(args.get_int("--cell-rlimit-mb"));
-    options.supervisor.cell_cpu_s =
-        static_cast<unsigned>(args.get_int("--cell-cpu-s"));
-    options.supervisor.cell_deadline = std::chrono::milliseconds(
-        static_cast<long long>(args.get_double("--cell-deadline") * 1000.0));
-    options.supervisor.term_grace = std::chrono::milliseconds(
-        static_cast<long long>(args.get_double("--cell-grace") * 1000.0));
-    options.supervisor.max_attempts =
-        static_cast<int>(args.get_int("--cell-retries"));
-    options.supervisor.backoff_base =
-        std::chrono::milliseconds(args.get_int("--cell-backoff-ms"));
-  } catch (const std::runtime_error& error) {
-    throw Error(ErrorCode::kUsage, error.what());
-  }
+  options.stage.heartbeat = std::chrono::seconds(args.get_int("--heartbeat"));
+  options.stage.soft_deadline =
+      std::chrono::seconds(args.get_int("--soft-deadline"));
+  options.stage.hard_deadline =
+      std::chrono::seconds(args.get_int("--hard-deadline"));
+  options.supervisor.isolate = args.get_bool("--isolate");
+  options.supervisor.workers =
+      static_cast<unsigned>(args.get_int("--workers"));
+  options.supervisor.cell_rlimit_mb =
+      static_cast<std::size_t>(args.get_int("--cell-rlimit-mb"));
+  options.supervisor.cell_cpu_s =
+      static_cast<unsigned>(args.get_int("--cell-cpu-s"));
+  options.supervisor.cell_deadline = std::chrono::milliseconds(
+      static_cast<long long>(args.get_double("--cell-deadline") * 1000.0));
+  options.supervisor.term_grace = std::chrono::milliseconds(
+      static_cast<long long>(args.get_double("--cell-grace") * 1000.0));
+  options.supervisor.max_attempts =
+      static_cast<int>(args.get_int("--cell-retries"));
+  options.supervisor.backoff_base =
+      std::chrono::milliseconds(args.get_int("--cell-backoff-ms"));
   if (!args.get("--run-dir").empty() && !args.get("--resume").empty())
     throw Error(ErrorCode::kUsage, "--run-dir and --resume are mutually exclusive");
   if (options.stage.heartbeat.count() < 0 ||
@@ -80,11 +74,7 @@ RunOptions parse_run_options(int argc, const char* const* argv,
                              std::string stage_name) {
   util::Args args;
   declare_run_flags(args);
-  try {
-    args.parse(argc, argv, 1);
-  } catch (const std::runtime_error& error) {
-    throw Error(ErrorCode::kUsage, error.what());
-  }
+  args.parse(argc, argv, 1);
   return run_options_from(args, std::move(stage_name));
 }
 

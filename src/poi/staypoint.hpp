@@ -114,17 +114,46 @@ class StayPointStream {
     void add(const trace::TracePoint& point);
   };
 
+  /// Where a centroid distance stands against radius_m, as far as a bound
+  /// without a cosine, square root or division can tell.
+  enum class Side { kBelow, kAbove, kUnsure };
+
   const trace::TracePoint& at(std::size_t i) const { return ring_[(head_ + i) & mask_]; }
   void pop_front();
   geo::LatLon centroid_of(std::size_t begin, std::size_t end) const;
   /// The open stay closed after the first `overlap` window fixes join it,
   /// if it lasted min_visit_s. Mutates nothing.
   std::optional<StayPoint> closed_stay(std::size_t overlap) const;
+  /// The entry test on the full window, and the exit test.
+  bool entered();
+  bool exited();
+  /// Bounds equirectangular_m(a, b) from scale * (b - a) per coordinate, a
+  /// bound on how far those differences may lie from the exact code's, the
+  /// scale, and a latitude near a or b (see the error budget in
+  /// staypoint.cpp).
+  Side bound_side(double scaled_dlat, double scaled_dlon, double lat_error,
+                  double lon_error, double scale, double anchor_lat) const;
+  /// equirectangular_m(a, b), refreshing the cosine cache from its mean
+  /// latitude.
+  double exact_distance_m(const geo::LatLon& a, const geo::LatLon& b);
 
   double radius_m_;
   std::int64_t min_visit_s_;
   std::size_t window_size_;
   std::size_t half_;
+  double inv_window_;
+  /// The entry test's absolute term per unit of centroid size (see the
+  /// error budget).
+  double entry_absolute_;
+  /// (radius_m in degrees of arc)^2, less and more the relative margin; -1
+  /// and +inf when that square is out of the bound's range.
+  double below_sq_;
+  double above_sq_;
+  /// The cosine cache (phi0, |cos phi0|): the mean latitude of the last
+  /// exact test and its cosine, NaN while empty. Not part of State: a
+  /// restored stream starts empty and decides exactly as the original.
+  double cached_lat_;
+  double cached_cos_;
   /// Entry window (outside a stay) or exit window (inside one): a ring of
   /// bit_ceil(window_size_ + 1) slots, indexed with a mask.
   std::vector<trace::TracePoint> ring_;

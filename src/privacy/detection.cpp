@@ -20,6 +20,7 @@ PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points
                                     Pattern pattern,
                                     const poi::ExtractionParams& extraction,
                                     const RegionGrid& grid, std::int64_t interval_s) {
+  LOCPRIV_EXPECT(interval_s >= 1);
   const auto stays =
       poi::extract_stay_points(trace::collect(points, interval_s), extraction);
   const auto pois = poi::cluster_stay_points(stays, extraction.radius_m);
@@ -39,6 +40,7 @@ template <typename Fires>
 DetectionOutcome sweep_prefixes(const std::vector<trace::TracePoint>& points,
                                 Pattern pattern, const DetectionConfig& config,
                                 Fires&& fires) {
+  LOCPRIV_EXPECT(config.interval_s >= 1);
   LOCPRIV_EXPECT(std::is_sorted(config.fractions.begin(), config.fractions.end()));
   poi::StayPointStream stream(config.extraction);
   trace::Decimator collector = trace::collector(

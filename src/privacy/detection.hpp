@@ -19,7 +19,7 @@ struct DetectionConfig {
   poi::ExtractionParams extraction;  ///< Paper uses Table III set 1.
   MatchParams match;
   RegionGrid grid;                   ///< Shared key space.
-  std::int64_t interval_s = 1;       ///< App access interval to simulate.
+  std::int64_t interval_s = 1;       ///< App access interval to simulate, >= 1.
   /// Prefix fractions to probe, ascending; defaults to 2 %..100 % in 2 %
   /// steps (set by make_default_fractions).
   std::vector<double> fractions;
@@ -39,6 +39,7 @@ struct DetectionOutcome {
 
 /// Builds the pattern histogram an app observing `points` at
 /// `interval_s` would obtain: collect, extract stay points, cluster, build.
+/// Precondition: interval_s >= 1, as for config.interval_s below.
 PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points,
                                     Pattern pattern,
                                     const poi::ExtractionParams& extraction,

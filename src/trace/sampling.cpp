@@ -10,6 +10,18 @@ std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s, std::int64_t start_s) {
   LOCPRIV_EXPECT(interval_s > 0);
   std::vector<TracePoint> out;
+  if (points.empty()) return out;
+  // Kept fixes from start_s on are at least interval_s apart, so a sorted
+  // trace keeps at most (last - start_s) / interval_s + 1 of them. Unsorted
+  // input only makes this a loose hint.
+  const std::int64_t last_s = points.back().timestamp_s;
+  if (last_s >= start_s) {
+    const std::uint64_t steps = (static_cast<std::uint64_t>(last_s) -
+                                 static_cast<std::uint64_t>(start_s)) /
+                                static_cast<std::uint64_t>(interval_s);
+    out.reserve(steps < points.size() ? static_cast<std::size_t>(steps) + 1
+                                      : points.size());
+  }
   Decimator decimator(interval_s, start_s);
   for (const auto& point : points)
     if (decimator.keep(point)) out.push_back(point);

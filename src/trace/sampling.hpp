@@ -8,31 +8,42 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "stats/rng.hpp"
 #include "trace/trajectory.hpp"
+#include "util/expect.hpp"
 
 namespace locpriv::trace {
 
 /// The greedy decimation rule, fed one fix at a time: keeps the first fix
 /// at or after `start_s`, then each fix at least `step_s` after the last one
-/// kept. A step of 0 keeps every fix of a non-decreasing trace.
+/// kept. A step of 0 keeps every fix of a non-decreasing trace. Precondition:
+/// step_s >= 0.
 class Decimator {
  public:
   Decimator(std::int64_t step_s, std::int64_t start_s)
-      : step_s_(step_s), next_due_(start_s) {}
+      : step_s_(step_s), next_due_(start_s) {
+    LOCPRIV_EXPECT(step_s >= 0);
+  }
 
   /// Whether `point`, the next fix of the stream, is kept.
   bool keep(const TracePoint& point) {
+    constexpr std::int64_t kLast = std::numeric_limits<std::int64_t>::max();
     if (point.timestamp_s < next_due_) return false;
-    next_due_ = point.timestamp_s + step_s_;
+    // The due time saturates at kLast; past it no fix is due, not even one
+    // at kLast itself.
+    if (point.timestamp_s == kLast && saturated_) return false;
+    saturated_ = __builtin_add_overflow(point.timestamp_s, step_s_, &next_due_);
+    if (saturated_) next_due_ = kLast;
     return true;
   }
 
  private:
   std::int64_t step_s_;
   std::int64_t next_due_;
+  bool saturated_ = false;
 };
 
 /// The fixes a Decimator(interval_s, start_s) keeps — the trace an app

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/harness/error.hpp"
 #include "util/strings.hpp"
 
 namespace locpriv::util {
@@ -31,17 +32,17 @@ void Args::parse(int argc, const char* const* argv, int begin) {
       inline_value = token.substr(eq + 1);
     }
     if (booleans_.contains(flag)) {
-      if (inline_value) throw std::runtime_error("boolean flag takes no value: " + flag);
+      if (inline_value) throw Error(ErrorCode::kUsage, "boolean flag takes no value: " + flag);
       booleans_[flag] = true;
       supplied_[flag] = true;
       continue;
     }
     const auto it = values_.find(flag);
-    if (it == values_.end()) throw std::runtime_error("unknown flag: " + flag);
+    if (it == values_.end()) throw Error(ErrorCode::kUsage, "unknown flag: " + flag);
     if (inline_value) {
       it->second = *inline_value;
     } else {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for flag: " + flag);
+      if (i + 1 >= argc) throw Error(ErrorCode::kUsage, "missing value for flag: " + flag);
       it->second = argv[++i];
     }
     supplied_[flag] = true;
@@ -57,16 +58,16 @@ const std::string& Args::get(const std::string& flag) const {
 long long Args::get_int(const std::string& flag) const {
   long long value = 0;
   if (!parse_int64(get(flag), value))
-    throw std::runtime_error("flag " + flag + " expects an integer, got '" +
-                             get(flag) + "'");
+    throw Error(ErrorCode::kUsage,
+                "flag " + flag + " expects an integer, got '" + get(flag) + "'");
   return value;
 }
 
 double Args::get_double(const std::string& flag) const {
   double value = 0.0;
   if (!parse_double(get(flag), value))
-    throw std::runtime_error("flag " + flag + " expects a number, got '" + get(flag) +
-                             "'");
+    throw Error(ErrorCode::kUsage,
+                "flag " + flag + " expects a number, got '" + get(flag) + "'");
   return value;
 }
 

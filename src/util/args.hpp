@@ -19,7 +19,7 @@ class Args {
   /// Declares a boolean flag (present/absent).
   void declare_bool(const std::string& flag);
 
-  /// Parses argv[begin..argc). Throws std::runtime_error on unknown flags,
+  /// Parses argv[begin..argc). Throws Error(kUsage) on unknown flags,
   /// missing values, or a value supplied to a boolean flag.
   void parse(int argc, const char* const* argv, int begin = 1);
 
@@ -27,7 +27,8 @@ class Args {
   /// Throws std::runtime_error if the flag was never declared.
   const std::string& get(const std::string& flag) const;
 
-  /// Integer/double/bool accessors with validation.
+  /// Integer/double/bool accessors with validation: a value that does not
+  /// parse throws Error(kUsage).
   long long get_int(const std::string& flag) const;
   double get_double(const std::string& flag) const;
   bool get_bool(const std::string& flag) const;

@@ -7,6 +7,7 @@
 #include "core/experiment.hpp"
 #include "geo/geodesy.hpp"
 #include "market/study.hpp"
+#include "privacy/detection.hpp"
 #include "trace/geolife.hpp"
 #include "util/expect.hpp"
 
@@ -39,6 +40,35 @@ TEST(PrivacyAnalyzer, BuildsReferencesForEveryUser) {
     EXPECT_GE(reference.movements.key_count(), reference.visits.key_count() - 1);
   }
   EXPECT_THROW(analyzer.reference(analyzer.user_count()), util::ContractViolation);
+}
+
+// Every entry point that collects at an interval refuses one below 1 s
+// instead of scoring the full-rate collection under that label.
+TEST(PrivacyAnalyzer, IntervalEntryPointsRejectIntervalsBelowOneSecond) {
+  const PrivacyAnalyzer& analyzer = small_analyzer();
+  const UserReference& reference = analyzer.reference(0);
+  privacy::DetectionConfig config(analyzer.grid());
+  config.extraction = analyzer.config().extraction;
+  for (const std::int64_t interval_s : {0, -30}) {
+    SCOPED_TRACE(interval_s);
+    EXPECT_THROW(analyzer.evaluate_exposure(0, interval_s), util::ContractViolation);
+    EXPECT_THROW(analyzer.collected_pois(0, interval_s), util::ContractViolation);
+    EXPECT_THROW(analyzer.earliest_detection(0, privacy::Pattern::kVisits, interval_s),
+                 util::ContractViolation);
+    EXPECT_THROW(
+        analyzer.earliest_identification(0, privacy::Pattern::kMovements, interval_s),
+        util::ContractViolation);
+    EXPECT_THROW(privacy::observed_histogram(reference.points, privacy::Pattern::kVisits,
+                                             config.extraction, analyzer.grid(), interval_s),
+                 util::ContractViolation);
+    config.interval_s = interval_s;
+    EXPECT_THROW(privacy::earliest_detection(reference.points, reference.visits,
+                                             privacy::Pattern::kVisits, config),
+                 util::ContractViolation);
+    EXPECT_THROW(privacy::earliest_identification(reference.points, analyzer.adversary(), 0,
+                                                  privacy::Pattern::kMovements, config),
+                 util::ContractViolation);
+  }
 }
 
 TEST(PrivacyAnalyzer, RejectsEmptyInput) {

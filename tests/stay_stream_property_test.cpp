@@ -9,15 +9,21 @@
 // pushed so far, and evaluate_stays on it must equal evaluate_collected on
 // those fixes; and earliest_identification / earliest_detection must return
 // what the per-probe loop they replaced returns (cut the prefix, run the
-// batch pipeline, test it) for every user, pattern and interval.
+// batch pipeline, test it) for every user, pattern and interval. Entry and
+// exit decisions bisected onto the distance threshold, and non-finite or
+// far-jumping fixes, must match the reference extractor too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -481,6 +487,181 @@ TEST(StayPointStreamProperty, SweepsMatchTheOracleWithAProbeAtEveryFix) {
       }
   }
   EXPECT_GT(detected, 0u);
+}
+
+// `v` moved by `ulps` representable doubles.
+double nudged(double v, int ulps) {
+  for (; ulps > 0; --ulps) v = std::nextafter(v, HUGE_VAL);
+  for (; ulps < 0; ++ulps) v = std::nextafter(v, -HUGE_VAL);
+  return v;
+}
+
+// Adjacent doubles on both sides of a flip of `decision`, bisected between
+// `near` and `far`; nullopt when the two ends decide alike.
+template <typename Decision>
+std::optional<std::pair<double, double>> crossing(double near, double far,
+                                                  Decision&& decision) {
+  const bool at_near = decision(near);
+  if (decision(far) == at_near) return std::nullopt;
+  for (;;) {
+    const double mid = near + (far - near) / 2;
+    if (mid == near || mid == far) return std::pair{near, far};
+    (decision(mid) == at_near ? near : far) = mid;
+  }
+}
+
+enum class Axis { kLat, kLon, kDiagonal };
+
+// One threshold probe: a window's two halves (entry) or a stay and the
+// window after it (exit) sit mirrored about (lat0, lon0) along `axis`, and
+// every fix carries a seeded jitter of up to `jitter_ulps` ulps per
+// coordinate.
+struct ThresholdCase {
+  double lat0;
+  double lon0;
+  double radius_m;
+  std::size_t window;
+  Axis axis;
+  bool entry;
+  int jitter_ulps;
+};
+
+// Bisects the moved coordinate until the reference's decision flips between
+// two adjacent doubles and compares the stream with the reference on both
+// traces; nullopt when the ends decide alike. An entry probe follows a
+// fast-moving primer and an exit probe a stay, so the stream's cached
+// cosine comes from a nearby but different mean.
+std::optional<::testing::AssertionResult> check_threshold(const ThresholdCase& c,
+                                                          stats::Rng& rng) {
+  constexpr double kMetersPerDegree = 111195.0;
+  const poi::ExtractionParams params{c.radius_m, 1, c.window};
+  const double lat_deg = c.radius_m / kMetersPerDegree;
+  const double lon_deg =
+      lat_deg / std::max(1e-4, std::abs(std::cos(geo::deg_to_rad(c.lat0))));
+  const bool lat_moves = c.axis != Axis::kLon;
+  const double base = lat_moves ? c.lat0 : c.lon0;
+  const double reach = lat_moves ? lat_deg : lon_deg;
+  // The diagonal also offsets the other coordinate, mirrored.
+  const double side = c.axis == Axis::kDiagonal ? 0.3 * lon_deg : 0.0;
+  const std::size_t primer = c.entry ? c.window : 0;
+  const std::size_t stay = c.entry ? 0 : c.window + 1 + rng.next_below(3 * c.window);
+  std::vector<int> jitter(2 * (primer + stay + c.window));
+  for (int& ulps : jitter)
+    ulps = static_cast<int>(rng.uniform_int(-c.jitter_ulps, c.jitter_ulps));
+  const auto trace_at = [&](double y) {
+    std::vector<trace::TracePoint> points;
+    const auto add = [&](double lat, double lon) {
+      const std::size_t i = points.size();
+      points.push_back({{nudged(lat, jitter[2 * i]), nudged(lon, jitter[2 * i + 1])},
+                        static_cast<std::int64_t>(i)});
+    };
+    // Far enough that no window holding a primer fix nears the threshold.
+    for (std::size_t i = 0; i < primer; ++i)
+      add(c.lat0, c.lon0 + 100.0 * static_cast<double>(c.window * (primer - i)) * lon_deg);
+    // The fixes before the moved ones sit at the mirror image of y.
+    const std::size_t still = c.entry ? c.window / 2 : stay;
+    const std::size_t moved = c.entry ? c.window / 2 : c.window;
+    const double mirror = 2 * base - y;
+    for (std::size_t i = 0; i < still + moved; ++i) {
+      const double at = i < still ? mirror : y;
+      if (lat_moves)
+        add(at, i < still ? c.lon0 - side : c.lon0 + side);
+      else
+        add(c.lat0, at);
+    }
+    return points;
+  };
+  const auto decision = [&](double y) {
+    const auto stays = reference_extract(trace_at(y), params);
+    // Entered; or not exited, so the open stay holds every fix after the
+    // first entry window's leading half.
+    return c.entry ? !stays.empty()
+                   : !stays.empty() &&
+                         stays.back().fix_count == stay + c.window - c.window / 2;
+  };
+  const auto ends = crossing(base, base + 3 * reach, decision);
+  if (!ends) return std::nullopt;
+  for (const double y : {ends->first, ends->second}) {
+    const auto points = trace_at(y);
+    auto same = same_stays(poi::extract_stay_points(points, params),
+                           reference_extract(points, params));
+    if (!same) return same << " at y=" << y;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Entry and exit decisions pushed onto the distance threshold over
+// latitudes, longitudes near 0 and +-180, radii and windows; then repeated
+// draws where a single term of the filter's margin must carry the error:
+// latitude 0 along the meridian (the relative margin) and near the poles
+// along the parallel (the cosine slack). Then fixes with NaN and +-inf
+// coordinates, and a trace that jumps 1,000 km, so the cached cosine is far
+// off.
+TEST(StayPointStreamProperty, DecisionsAtTheThresholdMatchTheOracle) {
+  stats::Rng rng(20170607);
+  std::size_t crossings = 0;
+  const auto check = [&](const ThresholdCase& c) {
+    SCOPED_TRACE(::testing::Message()
+                 << "lat=" << c.lat0 << " lon=" << c.lon0 << " radius=" << c.radius_m
+                 << " window=" << c.window << " axis=" << static_cast<int>(c.axis)
+                 << (c.entry ? " entry" : " exit"));
+    const auto result = check_threshold(c, rng);
+    if (!result) return;
+    EXPECT_TRUE(*result);
+    ++crossings;
+  };
+  for (const double lat0 : {0.0, 45.0, -45.0, 89.9, -89.9, 95.0})
+    for (const double lon0 : {0.0, 179.9995, -179.9995})
+      for (const double radius_m : {1e-3, 50.0, 100.0, 1e5})
+        for (const std::size_t window : kWindows)
+          for (const Axis axis : {Axis::kLat, Axis::kLon, Axis::kDiagonal})
+            for (const bool entry : {true, false})
+              check({lat0, lon0, radius_m, window, axis, entry, 3});
+  EXPECT_EQ(crossings, 6u * 3u * 4u * 4u * 3u * 2u);
+  // Each round also draws a radius: where the exact formula's rounding and
+  // the filter's threshold part by more than the absolute term, only the
+  // relative margin is left.
+  for (int round = 0; round < 24; ++round) {
+    const double drawn_m = std::pow(10.0, rng.uniform(-3.0, 5.0));
+    for (const auto& [lat0, axis] : {std::pair{0.0, Axis::kLat}, {89.9, Axis::kLon},
+                                     {-89.9, Axis::kLon}, {89.99, Axis::kLon}})
+      for (const double radius_m : {50.0, 1e5, drawn_m})
+        for (const std::size_t window : kWindows)
+          for (const bool entry : {true, false})
+            check({lat0, 0.0, radius_m, window, axis, entry, 1});
+  }
+  EXPECT_EQ(crossings, 6u * 3u * 4u * 4u * 3u * 2u + 24u * 4u * 3u * 4u * 2u);
+
+  // Non-finite fixes, and a 1,000 km jump a day into the trace.
+  const auto& day = corpus_trace(11);
+  std::vector<trace::TracePoint> broken = trace::decimate(day, 10);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < broken.size(); i += 997) {
+    geo::LatLon& p = broken[i].position;
+    switch (i % 4) {
+      case 0: p.lat_deg = nan; break;
+      case 1: p.lon_deg = inf; break;
+      case 2: p.lat_deg = -inf; break;
+      default: p.lon_deg = nan; break;
+    }
+  }
+  std::vector<trace::TracePoint> jump(day.begin(), day.begin() + day.size() / 2);
+  const std::int64_t shift = jump.back().timestamp_s + 1 - day.front().timestamp_s;
+  for (std::size_t i = 0; i < day.size() / 2; ++i) {
+    trace::TracePoint p = day[i];
+    p.position.lat_deg += 9.0;
+    p.timestamp_s += shift;
+    jump.push_back(p);
+  }
+  for (const auto* points : {&broken, &jump})
+    for (const std::size_t window : kWindows)
+      for (const double radius_m : {1e-3, 50.0, 1e5}) {
+        const poi::ExtractionParams params{radius_m, 600, window};
+        ASSERT_TRUE(same_stays(poi::extract_stay_points(*points, params),
+                               reference_extract(*points, params)))
+            << "window=" << window << " radius=" << radius_m;
+      }
 }
 
 TEST(StayPointStreamProperty, EdgeCasesMatchTheOracle) {

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "geo/geodesy.hpp"
 #include "stats/rng.hpp"
@@ -166,6 +167,74 @@ TEST(Decimate, EmptyAndPreconditions) {
   EXPECT_TRUE(decimate({}, 10).empty());
   std::vector<TracePoint> points{point_at(0)};
   EXPECT_THROW(decimate(points, 0), util::ContractViolation);
+}
+
+// decimate against the greedy rule applied one fix at a time, on seeded
+// traces that are sorted, unsorted, repeat timestamps, or start polling after
+// their last fix.
+TEST(Decimate, EqualsThePerFixRule) {
+  const auto per_fix = [](const std::vector<TracePoint>& points, std::int64_t interval_s,
+                          std::int64_t start_s) {
+    std::vector<TracePoint> kept;
+    Decimator decimator(interval_s, start_s);
+    for (const auto& point : points)
+      if (decimator.keep(point)) kept.push_back(point);
+    return kept;
+  };
+  stats::Rng rng(2017);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto kind = trial % 4;
+    std::vector<TracePoint> points;
+    std::int64_t t = rng.uniform_int(-1000, 1000);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 400));
+    for (std::size_t i = 0; i < n; ++i) {
+      t += kind == 1 ? rng.uniform_int(-30, 30) : rng.uniform_int(kind == 2 ? 0 : 1, 9);
+      points.push_back(point_at(t));
+    }
+    for (const std::int64_t interval_s : {1, 2, 7, 60, 3600}) {
+      const std::int64_t start_s = kind == 3 ? t + rng.uniform_int(1, 100)
+                                             : t - rng.uniform_int(0, 3000);
+      EXPECT_EQ(decimate(points, interval_s, start_s), per_fix(points, interval_s, start_s))
+          << "trial " << trial << " interval " << interval_s;
+      if (!points.empty())
+        EXPECT_EQ(decimate(points, interval_s),
+                  per_fix(points, interval_s, points.front().timestamp_s));
+    }
+  }
+}
+
+// The due time saturates instead of wrapping: at interval INT64_MAX one fix
+// is collected, and timestamps near INT64_MAX or a start at INT64_MIN keep
+// what the unbounded rule keeps.
+TEST(Decimate, SaturatesAtTheLargestTimestamp) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  std::vector<TracePoint> day;
+  for (std::int64_t t = 1'200'000'000; t < 1'200'086'400; t += 5) day.push_back(point_at(t));
+  EXPECT_EQ(decimate(day, kMax).size(), 1u);
+  EXPECT_EQ(collect(day, kMax).size(), 1u);
+  Decimator collecting = collector(kMax, day.front().timestamp_s);
+  std::size_t kept = 0;
+  for (const auto& point : day) kept += collecting.keep(point);
+  EXPECT_EQ(kept, 1u);
+  EXPECT_EQ(decimate(day, 7200, kMin), decimate(day, 7200));
+  EXPECT_EQ(decimate(day, kMax, kMin).size(), 1u);
+
+  const std::vector<TracePoint> late{point_at(kMax - 5), point_at(kMax - 3),
+                                     point_at(kMax), point_at(kMax)};
+  const auto times = [](const std::vector<TracePoint>& points) {
+    std::vector<std::int64_t> out;
+    for (const auto& point : points) out.push_back(point.timestamp_s);
+    return out;
+  };
+  // kMax - 5 + 3 is due before kMax; kMax + 3 is past every timestamp.
+  EXPECT_EQ(times(decimate(late, 3)), (std::vector<std::int64_t>{kMax - 5, kMax}));
+  // kMax - 5 + 5 is exactly kMax, which is still due.
+  EXPECT_EQ(times(decimate(late, 5)), (std::vector<std::int64_t>{kMax - 5, kMax}));
+  EXPECT_EQ(times(decimate(late, kMax)), (std::vector<std::int64_t>{kMax - 5}));
+  EXPECT_EQ(times(decimate(late, kMax, kMin)), (std::vector<std::int64_t>{kMax - 5}));
+  EXPECT_EQ(times(collect(late, kMax)), (std::vector<std::int64_t>{kMax - 5}));
+  EXPECT_THROW(Decimator(-1, 0), util::ContractViolation);
 }
 
 class DecimateIntervalTest : public ::testing::TestWithParam<std::int64_t> {};

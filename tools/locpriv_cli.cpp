@@ -256,7 +256,8 @@ int cmd_extract_pois(int argc, const char* const* argv) {
   const auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const auto& users = loaded.users;
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
-  if (user_index >= users.size()) throw std::runtime_error("user index out of range");
+  if (user_index >= users.size())
+    throw Error(ErrorCode::kUsage, "user index out of range");
 
   poi::ExtractionParams params;
   params.radius_m = args.get_double("--radius");
@@ -298,7 +299,7 @@ int cmd_audit(int argc, const char* const* argv) {
                                        std::move(loaded.users));
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
   if (user_index >= analyzer.user_count())
-    throw std::runtime_error("user index out of range");
+    throw Error(ErrorCode::kUsage, "user index out of range");
   const auto report = analyzer.evaluate_exposure(user_index, interval_s);
 
   if (args.get_bool("--json")) {
@@ -457,7 +458,7 @@ int cmd_identify(int argc, const char* const* argv) {
                                        std::move(loaded.users));
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
   if (user_index >= analyzer.user_count())
-    throw std::runtime_error("user index out of range");
+    throw Error(ErrorCode::kUsage, "user index out of range");
   const privacy::Pattern pattern = args.get_int("--pattern") == 1
                                        ? privacy::Pattern::kVisits
                                        : privacy::Pattern::kMovements;
@@ -489,7 +490,8 @@ int cmd_export_geojson(int argc, const char* const* argv) {
   const auto loaded = load_dataset(args.get("--root"), /*lenient=*/false);
   const auto& users = loaded.users;
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
-  if (user_index >= users.size()) throw std::runtime_error("user index out of range");
+  if (user_index >= users.size())
+    throw Error(ErrorCode::kUsage, "user index out of range");
 
   const poi::ExtractionParams params;
   const auto stays = poi::extract_stay_points(
