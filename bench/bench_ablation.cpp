@@ -56,10 +56,9 @@ int main() {
       std::array<std::size_t, 3> totals{0, 0, 0};
       const std::int64_t intervals[3] = {1, 60, 600};
       for (const auto& user : dataset.users) {
-        const auto points = user.flattened();
         for (int i = 0; i < 3; ++i)
           totals[static_cast<std::size_t>(i)] +=
-              extract(trace::collect(points, intervals[i])).size();
+              extract(trace::collect(user.points(), intervals[i])).size();
       }
       return totals;
     };

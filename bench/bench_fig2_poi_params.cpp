@@ -38,8 +38,7 @@ int main() {
     std::size_t stays_total = 0;
     std::size_t pois_total = 0;
     for (const auto& user : dataset.users) {
-      const auto points = user.flattened();
-      const auto stays = poi::extract_stay_points(points, sets[s]);
+      const auto stays = poi::extract_stay_points(user.points(), sets[s]);
       stays_total += stays.size();
       pois_total += poi::cluster_stay_points(stays, sets[s].radius_m).size();
     }

@@ -58,7 +58,7 @@ const std::vector<trace::TracePoint>& sample_points() {
     mobility::DatasetConfig config;
     config.user_count = 1;
     config.synthesis.days = 8;
-    return mobility::generate_dataset(config).users[0].flattened();
+    return std::move(mobility::generate_dataset(config).users[0]).take_points();
   }();
   return points;
 }

@@ -7,15 +7,6 @@
 
 namespace locpriv::android {
 
-std::string_view app_state_name(AppState state) {
-  switch (state) {
-    case AppState::kNotRunning: return "not-running";
-    case AppState::kForeground: return "foreground";
-    case AppState::kBackground: return "background";
-  }
-  return "?";
-}
-
 DeviceSimulator::DeviceSimulator(std::uint64_t seed, const geo::LatLon& position)
     : manager_(stats::Rng(seed)), position_(position) {}
 

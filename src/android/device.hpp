@@ -20,8 +20,6 @@ namespace locpriv::android {
 /// running; only Close (swipe away / force stop) ends them.
 enum class AppState { kNotRunning, kForeground, kBackground };
 
-std::string_view app_state_name(AppState state);
-
 /// What an app actually does with location — the ground truth the market
 /// catalog generates and the measurement pipeline tries to recover. Distinct
 /// from the manifest: over-privileged apps declare permissions but never set
@@ -107,9 +105,6 @@ class DeviceSimulator {
 
   /// Read access to an installed app. Throws ContractViolation if absent.
   const InstalledApp& app(const std::string& package) const;
-
-  /// Number of installed apps.
-  std::size_t installed_count() const { return apps_.size(); }
 
  private:
   InstalledApp& app_mutable(const std::string& package);

@@ -4,16 +4,6 @@
 
 namespace locpriv::android {
 
-std::string_view fused_priority_name(FusedPriority priority) {
-  switch (priority) {
-    case FusedPriority::kHighAccuracy: return "PRIORITY_HIGH_ACCURACY";
-    case FusedPriority::kBalancedPowerAccuracy: return "PRIORITY_BALANCED_POWER_ACCURACY";
-    case FusedPriority::kLowPower: return "PRIORITY_LOW_POWER";
-    case FusedPriority::kNoPower: return "PRIORITY_NO_POWER";
-  }
-  return "?";
-}
-
 FusedRequestPlan plan_fused_request(FusedPriority priority, const PermissionSet& held) {
   if (!held.any_location())
     throw SecurityException("fused requests require a location permission");

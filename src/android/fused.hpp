@@ -26,8 +26,6 @@ enum class FusedPriority {
   kNoPower,
 };
 
-std::string_view fused_priority_name(FusedPriority priority);
-
 /// What a priority maps to for a given permission set.
 struct FusedRequestPlan {
   LocationProvider provider = LocationProvider::kFused;

@@ -16,8 +16,7 @@ PrivacyAnalyzer::PrivacyAnalyzer(AnalyzerConfig config,
   // cell ids are small and identical for every user.
   geo::GeoBounds bounds;
   for (const auto& user : users)
-    for (const auto& trajectory : user.trajectories)
-      for (const auto& point : trajectory) bounds.extend(point.position);
+    for (const auto& point : user.points()) bounds.extend(point.position);
   LOCPRIV_EXPECT(!bounds.empty());
   grid_ = std::make_unique<privacy::RegionGrid>(bounds.center(), config_.region_cell_m);
 
@@ -27,7 +26,7 @@ PrivacyAnalyzer::PrivacyAnalyzer(AnalyzerConfig config,
   util::parallel_for(users.size(), [&](std::size_t u) {
     UserReference reference;
     reference.user_id = users[u].user_id;
-    reference.points = users[u].flattened();
+    reference.points = std::move(users[u]).take_points();
     LOCPRIV_EXPECT(!reference.points.empty());
     const auto stays = poi::extract_stay_points(reference.points, config_.extraction);
     reference.pois = poi::cluster_stay_points(stays, config_.extraction.radius_m);

@@ -34,7 +34,7 @@ struct AnalyzerConfig {
 /// Everything derived from one user's full-rate trace.
 struct UserReference {
   std::string user_id;
-  std::vector<trace::TracePoint> points;  ///< Flattened full-rate trace.
+  std::vector<trace::TracePoint> points;  ///< The full-rate trace.
   std::vector<poi::Poi> pois;             ///< Reference PoIs.
   privacy::PatternHistogram visits;       ///< Pattern-1 profile.
   privacy::PatternHistogram movements;    ///< Pattern-2 profile.

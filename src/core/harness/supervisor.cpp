@@ -358,7 +358,7 @@ SupervisorOutcome Supervisor::run_in_process(
   std::vector<std::pair<std::size_t, std::string>> quarantined;
   util::Mutex mutex;  // Guards ledger appends and the outcome counters.
 
-  util::parallel_for_dynamic(
+  util::parallel_for(
       todo.size(),
       [&](std::size_t i) {
         // A requested shutdown skips cells rather than aborting mid-cell;

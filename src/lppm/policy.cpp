@@ -5,16 +5,6 @@
 
 namespace locpriv::lppm {
 
-std::string_view release_decision_name(ReleaseDecision decision) {
-  switch (decision) {
-    case ReleaseDecision::kReal: return "real";
-    case ReleaseDecision::kCoarse: return "coarse";
-    case ReleaseDecision::kFixed: return "fixed";
-    case ReleaseDecision::kBlock: return "block";
-  }
-  return "?";
-}
-
 GuardianPolicy::GuardianPolicy(const geo::LatLon& anchor, double coarse_cell_m)
     : anchor_(anchor), coarse_cell_m_(coarse_cell_m), projection_(anchor) {
   LOCPRIV_EXPECT(coarse_cell_m > 0.0);

@@ -27,8 +27,6 @@ enum class ReleaseDecision {
   kBlock,   ///< Suppress the delivery.
 };
 
-std::string_view release_decision_name(ReleaseDecision decision);
-
 /// Per-app rules: one decision while the app is foregrounded, one while it
 /// is backgrounded. LP-Guardian's default posture: truthful in foreground
 /// (the user asked), coarse in background.

@@ -36,15 +36,6 @@ std::string provider_combo_name(int combo) {
   return android::provider_combo_label(provider_combo(combo));
 }
 
-std::string granularity_claim_name(GranularityClaim claim) {
-  switch (claim) {
-    case GranularityClaim::kFineOnly: return "Fine";
-    case GranularityClaim::kCoarseOnly: return "Coarse";
-    case GranularityClaim::kBoth: return "Fine & Coarse";
-  }
-  return "?";
-}
-
 namespace {
 
 // Representative interval values (seconds) inside each Figure 1 band.

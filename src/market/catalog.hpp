@@ -28,7 +28,6 @@ std::string provider_combo_name(int combo);
 /// Declared-granularity rows of Table I.
 enum class GranularityClaim { kFineOnly, kCoarseOnly, kBoth };
 inline constexpr int kGranularityClaimCount = 3;
-std::string granularity_claim_name(GranularityClaim claim);
 
 /// Calibration targets; defaults are the paper's Section III numbers.
 struct CalibrationTargets {

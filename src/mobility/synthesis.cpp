@@ -42,7 +42,7 @@ geo::LatLon noisy(const geo::LatLon& position, double sigma_m, stats::Rng& rng) 
 // Emits fixes along `route` starting at `time_s`; returns the arrival time.
 std::int64_t emit_travel(const std::vector<geo::LatLon>& route, std::int64_t time_s,
                          const SynthesisConfig& config, stats::Rng& rng,
-                         trace::Trajectory& out) {
+                         trace::UserTrace& out) {
   const double total_m = geo::polyline_length_m(route);
   if (total_m <= 0.0 || route.size() < 2) return time_s;
   const double speed = travel_speed_mps(total_m, rng);
@@ -74,7 +74,7 @@ std::int64_t emit_travel(const std::vector<geo::LatLon>& route, std::int64_t tim
 
 // Emits burst fixes at a dwell location from `enter_s` to `exit_s`.
 void emit_dwell(const geo::LatLon& site, std::int64_t enter_s, std::int64_t exit_s,
-                const SynthesisConfig& config, stats::Rng& rng, trace::Trajectory& out) {
+                const SynthesisConfig& config, stats::Rng& rng, trace::UserTrace& out) {
   std::int64_t now = enter_s;
   while (now < exit_s) {
     // One burst of closely spaced fixes.
@@ -118,7 +118,8 @@ SimulatedUser simulate_user(const CityModel& city, const UserProfile& profile,
     const auto& transition =
         weekend ? profile.weekend_transition : profile.weekday_transition;
 
-    trace::Trajectory trajectory;
+    // One recording session per day; a day that records no fix adds none.
+    result.trace.begin_session();
     std::size_t at = 0;  // Index into profile.poi_ids; day starts at home.
     // Logger turns on shortly before the first departure.
     std::int64_t now = day_base + rng.uniform_int(6 * 3600 + 1800, 8 * 3600);
@@ -128,7 +129,7 @@ SimulatedUser simulate_user(const CityModel& city, const UserProfile& profile,
     {
       const std::int64_t leave = now + rng.uniform_int(12 * 60, 20 * 60);
       emit_dwell(city.poi(profile.poi_ids[at]).position, now, leave, config, rng,
-                 trajectory);
+                 result.trace);
       result.ground_truth.visits.push_back({profile.poi_ids[at], now, leave});
       now = leave;
     }
@@ -144,17 +145,15 @@ SimulatedUser simulate_user(const CityModel& city, const UserProfile& profile,
       }
       const auto route = city.plan_route(city.poi(profile.poi_ids[at]).position,
                                          city.poi(profile.poi_ids[next]).position, rng);
-      now = emit_travel(route, now, config, rng, trajectory);
+      now = emit_travel(route, now, config, rng, result.trace);
       const std::int64_t exit = now + dwell;
       emit_dwell(city.poi(profile.poi_ids[next]).position, now, exit, config, rng,
-                 trajectory);
+                 result.trace);
       result.ground_truth.visits.push_back({profile.poi_ids[next], now, exit});
       now = exit;
       at = next;
       if (next == 0 && now >= day_end - 1800) break;  // Home for the night.
     }
-
-    if (!trajectory.empty()) result.trace.trajectories.push_back(std::move(trajectory));
   }
   return result;
 }
@@ -197,10 +196,12 @@ SyntheticDataset generate_dataset(const DatasetConfig& config) {
     char id[16];
     std::snprintf(id, sizeof(id), "%03zu", i);
     const std::size_t home_index = i / static_cast<std::size_t>(config.users_per_home);
-    UserProfile profile = build_user_profile(city, id, homes[home_index],
-                                             config.profile, user_rngs[i]);
-    SimulatedUser simulated =
-        simulate_user(city, profile, config.synthesis, user_rngs[i]);
+    // A local copy: neighbouring generators share a cache line, and the
+    // loop runs neighbouring users on different threads at the same time.
+    stats::Rng rng = user_rngs[i];
+    UserProfile profile =
+        build_user_profile(city, id, homes[home_index], config.profile, rng);
+    SimulatedUser simulated = simulate_user(city, profile, config.synthesis, rng);
     dataset.profiles[i] = std::move(profile);
     dataset.users[i] = std::move(simulated.trace);
     dataset.ground_truths[i] = std::move(simulated.ground_truth);

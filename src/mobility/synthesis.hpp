@@ -31,7 +31,7 @@ struct SynthesisConfig {
 
 /// Output of simulating one user.
 struct SimulatedUser {
-  trace::UserTrace trace;        ///< One trajectory per simulated day.
+  trace::UserTrace trace;        ///< One session per simulated day.
   UserGroundTruth ground_truth;  ///< True visits behind the trace.
 };
 

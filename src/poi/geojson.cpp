@@ -16,16 +16,16 @@ void append_coordinate(std::ostringstream& os, const geo::LatLon& p) {
 
 }  // namespace
 
-std::string trajectory_to_geojson_feature(const trace::Trajectory& trajectory) {
+std::string trajectory_to_geojson_feature(std::span<const trace::TracePoint> session) {
   std::ostringstream os;
-  os << R"({"type":"Feature","properties":{"fixes":)" << trajectory.size();
-  if (!trajectory.empty())
-    os << R"(,"start_s":)" << trajectory.front().timestamp_s << R"(,"end_s":)"
-       << trajectory.back().timestamp_s;
+  os << R"({"type":"Feature","properties":{"fixes":)" << session.size();
+  if (!session.empty())
+    os << R"(,"start_s":)" << session.front().timestamp_s << R"(,"end_s":)"
+       << session.back().timestamp_s;
   os << R"(},"geometry":{"type":"LineString","coordinates":[)";
-  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+  for (std::size_t i = 0; i < session.size(); ++i) {
     if (i != 0) os << ',';
-    append_coordinate(os, trajectory[i].position);
+    append_coordinate(os, session[i].position);
   }
   os << "]}}";
   return os.str();
@@ -35,11 +35,10 @@ std::string to_geojson(const trace::UserTrace& user, const std::vector<Poi>& poi
   std::ostringstream os;
   os << R"({"type":"FeatureCollection","features":[)";
   bool first = true;
-  for (const auto& trajectory : user.trajectories) {
-    if (trajectory.empty()) continue;
+  for (std::size_t i = 0; i < user.session_count(); ++i) {
     if (!first) os << ',';
     first = false;
-    os << trajectory_to_geojson_feature(trajectory);
+    os << trajectory_to_geojson_feature(user.session(i));
   }
   for (const auto& poi : pois) {
     if (!first) os << ',';

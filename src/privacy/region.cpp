@@ -27,14 +27,6 @@ RegionId RegionGrid::region_of(const geo::LatLon& p) const {
   return (ix + kAxisOffset) * kAxisSpan + (iy + kAxisOffset);
 }
 
-geo::LatLon RegionGrid::region_center(RegionId id) const {
-  LOCPRIV_EXPECT(id >= 0 && id < kAxisSpan * kAxisSpan);
-  const std::int64_t ix = id / kAxisSpan - kAxisOffset;
-  const std::int64_t iy = id % kAxisSpan - kAxisOffset;
-  return projection_.to_geo({(static_cast<double>(ix) + 0.5) * cell_m_,
-                             (static_cast<double>(iy) + 0.5) * cell_m_});
-}
-
 std::int64_t pack_transition(RegionId from, RegionId to) {
   LOCPRIV_EXPECT(from >= 0 && from < (std::int64_t{1} << 31));
   LOCPRIV_EXPECT(to >= 0 && to < (std::int64_t{1} << 31));

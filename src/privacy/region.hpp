@@ -31,9 +31,6 @@ class RegionGrid {
   /// cell within +-4000 km of the anchor.
   RegionId region_of(const geo::LatLon& p) const;
 
-  /// Center coordinate of a cell id (inverse of region_of up to the cell).
-  geo::LatLon region_center(RegionId id) const;
-
   double cell_m() const { return cell_m_; }
   const geo::LocalProjection& projection() const { return projection_; }
 

@@ -2,15 +2,6 @@
 
 namespace locpriv::sim {
 
-std::string_view fused_source_name(FusedSource source) {
-  switch (source) {
-    case FusedSource::kGps: return "gps";
-    case FusedSource::kNetwork: return "network";
-    case FusedSource::kLastKnown: return "last-known";
-  }
-  return "?";
-}
-
 namespace {
 
 // Lower rank = better source.

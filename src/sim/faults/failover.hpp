@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "sim/faults/schedule.hpp"
@@ -19,8 +18,6 @@ namespace locpriv::sim {
 
 /// Where a fused fix is actually coming from.
 enum class FusedSource { kGps, kNetwork, kLastKnown };
-
-std::string_view fused_source_name(FusedSource source);
 
 /// Stateful source selector. One instance per device; `select` must be
 /// called with non-decreasing timestamps.

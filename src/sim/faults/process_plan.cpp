@@ -22,15 +22,6 @@ ProcessFaultKind parse_kind(const std::string& name) {
 
 }  // namespace
 
-std::string process_fault_kind_name(ProcessFaultKind kind) {
-  switch (kind) {
-    case ProcessFaultKind::kCrash: return "crash";
-    case ProcessFaultKind::kHang: return "hang";
-    case ProcessFaultKind::kAllocBomb: return "alloc";
-  }
-  return "?";
-}
-
 ProcessFaultPlan ProcessFaultPlan::parse(const std::string& spec) {
   ProcessFaultPlan plan;
   for (const std::string_view field : util::split(spec, ',')) {

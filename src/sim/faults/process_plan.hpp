@@ -63,7 +63,4 @@ class ProcessFaultPlan {
   std::map<std::string, ProcessFault> faults_;
 };
 
-/// Stable name for a fault kind ("crash", "hang", "alloc").
-std::string process_fault_kind_name(ProcessFaultKind kind);
-
 }  // namespace locpriv::sim

@@ -51,7 +51,6 @@ class Ecdf {
   double inverse(double q) const;
 
   std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_sample() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;

@@ -106,26 +106,6 @@ double Rng::exponential(double mean) {
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
-std::uint64_t Rng::poisson(double mean) {
-  LOCPRIV_EXPECT(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 60.0) {
-    // Inversion by sequential search.
-    const double limit = std::exp(-mean);
-    double product = uniform01();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      product *= uniform01();
-      ++count;
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction; adequate for the
-  // workload-synthesis use cases in this repo.
-  const double value = normal(mean, std::sqrt(mean));
-  return value <= 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   LOCPRIV_EXPECT(!weights.empty());
   double total = 0.0;

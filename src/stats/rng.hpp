@@ -64,10 +64,6 @@ class Rng {
   /// Log-normal: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma);
 
-  /// Poisson-distributed count with the given mean (>= 0); inversion for
-  /// small means, normal approximation above 60.
-  std::uint64_t poisson(double mean);
-
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Preconditions: weights non-empty, all weights >= 0, sum > 0.
   std::size_t weighted_index(const std::vector<double>& weights);

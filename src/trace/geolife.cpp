@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/harness/atomic_file.hpp"
 #include "util/parallel.hpp"
@@ -49,14 +50,14 @@ void format_date_time(std::int64_t unix_s, std::string& date, std::string& time)
 
 }  // namespace
 
-Trajectory parse_plt(std::string_view text) {
+std::vector<TracePoint> parse_plt(std::string_view text) {
   std::vector<TracePoint> points;
   std::size_t line_number = 0;
   std::size_t pos = 0;
   while (pos < text.size()) {
     // Accept LF, CRLF, and lone-CR terminators: real Geolife downloads mix
     // them, and a lone-CR file would otherwise parse as one giant "header"
-    // line and silently yield an empty trajectory.
+    // line and silently yield an empty session.
     std::size_t end = text.find_first_of("\r\n", pos);
     std::size_t next;
     if (end == std::string_view::npos) {
@@ -84,23 +85,23 @@ Trajectory parse_plt(std::string_view text) {
     points.push_back(TracePoint{{lat, lon}, plt_days_to_unix_s(days)});
   }
   // Geolife files are chronological, but tolerate duplicated timestamps and
-  // occasional clock jitter by stable-sorting before constructing.
+  // occasional clock jitter by stable-sorting.
   std::stable_sort(points.begin(), points.end(),
                    [](const TracePoint& a, const TracePoint& b) {
                      return a.timestamp_s < b.timestamp_s;
                    });
-  return Trajectory(std::move(points));
+  return points;
 }
 
-std::string write_plt(const Trajectory& trajectory) {
+std::string write_plt(std::span<const TracePoint> session) {
   std::ostringstream os;
   os << "Geolife trajectory\n"
         "WGS 84\n"
         "Altitude is in Feet\n"
         "Reserved 3\n"
         "0,2,255,My Track,0,0,2,8421376\n"
-     << trajectory.size() << '\n';
-  for (const auto& point : trajectory) {
+     << session.size() << '\n';
+  for (const auto& point : session) {
     std::string date;
     std::string time;
     format_date_time(point.timestamp_s, date, time);
@@ -124,7 +125,7 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
   struct FileSlot {
     std::size_t user_index = 0;
     fs::path path;
-    Trajectory trajectory;
+    std::vector<TracePoint> fixes;
     std::string error;
     bool failed = false;
   };
@@ -133,10 +134,8 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
     if (entry.is_directory()) user_dirs.push_back(entry.path());
   std::sort(user_dirs.begin(), user_dirs.end());
 
-  std::vector<UserTrace> staged(user_dirs.size());
   std::vector<FileSlot> slots;
   for (std::size_t u = 0; u < user_dirs.size(); ++u) {
-    staged[u].user_id = user_dirs[u].filename().string();
     const fs::path trajectory_dir = user_dirs[u] / "Trajectory";
     if (!fs::exists(trajectory_dir)) continue;
     std::vector<fs::path> plt_files;
@@ -159,7 +158,7 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
           if (!in) throw std::runtime_error("cannot open " + slot.path.string());
           std::ostringstream buffer;
           buffer << in.rdbuf();
-          slot.trajectory = parse_plt(buffer.str());
+          slot.fixes = parse_plt(buffer.str());
         } catch (const std::exception& error) {
           if (!options.lenient)
             throw std::runtime_error(slot.path.string() + ": " + error.what());
@@ -169,28 +168,52 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
       },
       options.max_threads);
 
-  for (FileSlot& slot : slots) {
-    if (slot.failed) {
-      ingest.quarantined.push_back({std::move(slot.path), std::move(slot.error)});
-      continue;
-    }
-    if (slot.trajectory.empty()) {
-      ++ingest.empty_files;
-      continue;
-    }
-    ++ingest.files_loaded;
-    ingest.points_loaded += slot.trajectory.size();
-    staged[slot.user_index].trajectories.push_back(std::move(slot.trajectory));
-  }
-
+  const auto quarantine = [&](FileSlot& slot) {
+    ingest.quarantined.push_back({std::move(slot.path), std::move(slot.error)});
+  };
   std::vector<UserTrace> users;
-  for (UserTrace& user : staged) {
-    if (user.trajectories.empty()) continue;
-    std::sort(user.trajectories.begin(), user.trajectories.end(),
-              [](const Trajectory& a, const Trajectory& b) {
-                return a.front().timestamp_s < b.front().timestamp_s;
-              });
-    users.push_back(std::move(user));
+  auto next = slots.begin();
+  for (std::size_t u = 0; u < user_dirs.size(); ++u) {
+    std::vector<FileSlot*> sessions;
+    for (; next != slots.end() && next->user_index == u; ++next) {
+      if (next->failed) {
+        quarantine(*next);
+      } else if (next->fixes.empty()) {
+        ++ingest.empty_files;
+      } else {
+        sessions.push_back(&*next);
+      }
+    }
+    // Chronological session order; the last fix, then the path, break ties
+    // so equal starts never land in an unspecified order.
+    const auto order = [](const FileSlot* slot) {
+      return std::tie(slot->fixes.front().timestamp_s, slot->fixes.back().timestamp_s,
+                      slot->path);
+    };
+    std::sort(sessions.begin(), sessions.end(),
+              [&](const FileSlot* a, const FileSlot* b) { return order(a) < order(b); });
+
+    UserTrace user;
+    user.user_id = user_dirs[u].filename().string();
+    for (FileSlot* slot : sessions) {
+      if (!user.points().empty() &&
+          slot->fixes.front().timestamp_s < user.points().back().timestamp_s) {
+        slot->error = "overlaps the previous session: starts at Unix " +
+                      std::to_string(slot->fixes.front().timestamp_s) +
+                      " s, before that session ends at " +
+                      std::to_string(user.points().back().timestamp_s) + " s";
+        if (!options.lenient)
+          throw std::runtime_error(slot->path.string() + ": " + slot->error);
+        quarantine(*slot);
+        continue;
+      }
+      user.begin_session();
+      for (const TracePoint& fix : slot->fixes) user.append(fix);
+      ++ingest.files_loaded;
+      ingest.points_loaded += slot->fixes.size();
+      slot->fixes = std::vector<TracePoint>();  // The trace holds them now.
+    }
+    if (user.session_count() > 0) users.push_back(std::move(user));
   }
   ingest.users_loaded = users.size();
   if (report != nullptr) *report = std::move(ingest);
@@ -205,14 +228,13 @@ void write_geolife_dataset(const fs::path& root, const std::vector<UserTrace>& u
   for (const auto& user : users) {
     const fs::path trajectory_dir = root / user.user_id / "Trajectory";
     fs::create_directories(trajectory_dir);
-    std::size_t index = 0;
-    for (const auto& trajectory : user.trajectories) {
+    for (std::size_t i = 0; i < user.session_count(); ++i) {
       char name[32];
-      std::snprintf(name, sizeof(name), "%06zu.plt", index++);
+      std::snprintf(name, sizeof(name), "%06zu.plt", i);
       // Atomic publish: a full disk or kill mid-write must not leave a
       // truncated .plt that a later ingest would parse as a short (but
-      // plausible) trajectory.
-      harness::write_file_atomic(trajectory_dir / name, write_plt(trajectory));
+      // plausible) session.
+      harness::write_file_atomic(trajectory_dir / name, write_plt(user.session(i)));
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,11 +34,12 @@ double unix_s_to_plt_days(std::int64_t unix_s);
 /// Parses one .plt document from memory. Tolerates LF, CRLF, and lone-CR
 /// line endings and any number of trailing blank lines (all present in real
 /// Geolife downloads); throws std::runtime_error with the offending line
-/// number on genuinely malformed records.
-Trajectory parse_plt(std::string_view text);
+/// number on genuinely malformed records. Returns the fixes stable-sorted
+/// by timestamp.
+std::vector<TracePoint> parse_plt(std::string_view text);
 
-/// Serialises a trajectory to .plt text (Geolife header + records).
-std::string write_plt(const Trajectory& trajectory);
+/// Serialises one recording session to .plt text (Geolife header + records).
+std::string write_plt(std::span<const TracePoint> session);
 
 /// One file the lenient reader set aside instead of loading.
 struct QuarantinedFile {
@@ -48,10 +50,10 @@ struct QuarantinedFile {
 /// Structured outcome of a dataset load.
 struct IngestReport {
   std::size_t files_scanned = 0;   ///< .plt files considered.
-  std::size_t files_loaded = 0;    ///< Parsed into a non-empty trajectory.
+  std::size_t files_loaded = 0;    ///< Loaded as a non-empty session.
   std::size_t empty_files = 0;     ///< Parsed fine but held no records.
   std::size_t points_loaded = 0;   ///< Total fixes across loaded files.
-  std::size_t users_loaded = 0;    ///< Users with at least one trajectory.
+  std::size_t users_loaded = 0;    ///< Users with at least one session.
   std::vector<QuarantinedFile> quarantined;  ///< Lenient mode only.
 
   bool clean() const { return quarantined.empty(); }
@@ -68,9 +70,12 @@ struct ReadOptions {
 };
 
 /// Reads a whole Geolife-layout dataset: root/<user_id>/Trajectory/*.plt.
-/// Users are returned sorted by id; each user's trajectories sorted by
-/// start time. Files are parsed in parallel (deterministic output order).
-/// Throws std::runtime_error if root does not exist; per-file errors follow
+/// Users are returned sorted by id. Each file becomes one session; a user's
+/// files are ordered by first fix, then last fix, then path, and a file
+/// whose first fix is earlier than the previous session's last fix is an
+/// ingest error (its fixes would break the trace's time order). Files are
+/// parsed in parallel (deterministic output order). Throws
+/// std::runtime_error if root does not exist; per-file errors follow
 /// `options.lenient`. When `report` is non-null it receives the ingest
 /// summary in both modes.
 std::vector<UserTrace> read_geolife_dataset(const std::filesystem::path& root,

@@ -26,7 +26,7 @@ struct DatasetStats {
 /// Computes aggregate statistics over `users`.
 DatasetStats compute_dataset_stats(const std::vector<UserTrace>& users);
 
-/// All consecutive-fix intervals (seconds) within trajectories of one user.
+/// All consecutive-fix intervals (seconds) within the sessions of one user.
 std::vector<double> sampling_intervals_s(const UserTrace& user);
 
 }  // namespace locpriv::trace

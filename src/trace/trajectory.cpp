@@ -1,61 +1,32 @@
 #include "trace/trajectory.hpp"
 
-#include "geo/geodesy.hpp"
+#include <utility>
+
 #include "util/expect.hpp"
 
 namespace locpriv::trace {
 
-Trajectory::Trajectory(std::vector<TracePoint> points) : points_(std::move(points)) {
-  for (std::size_t i = 1; i < points_.size(); ++i)
-    LOCPRIV_EXPECT(points_[i - 1].timestamp_s <= points_[i].timestamp_s);
-}
-
-void Trajectory::append(const TracePoint& point) {
+void UserTrace::append(const TracePoint& point) {
   LOCPRIV_EXPECT(points_.empty() || points_.back().timestamp_s <= point.timestamp_s);
+  if (!session_open_) {
+    session_starts_.push_back(points_.size());
+    session_open_ = true;
+  }
   points_.push_back(point);
 }
 
-std::int64_t Trajectory::duration_s() const {
-  if (points_.size() < 2) return 0;
-  return points_.back().timestamp_s - points_.front().timestamp_s;
+std::span<const TracePoint> UserTrace::session(std::size_t i) const {
+  LOCPRIV_EXPECT(i < session_starts_.size());
+  const std::size_t end =
+      i + 1 < session_starts_.size() ? session_starts_[i + 1] : points_.size();
+  return std::span<const TracePoint>(points_).subspan(session_starts_[i],
+                                                     end - session_starts_[i]);
 }
 
-double Trajectory::length_m() const {
-  double total = 0.0;
-  for (std::size_t i = 1; i < points_.size(); ++i)
-    total += geo::haversine_m(points_[i - 1].position, points_[i].position);
-  return total;
-}
-
-std::vector<Trajectory> Trajectory::split_on_gaps(std::int64_t max_gap_s) const {
-  LOCPRIV_EXPECT(max_gap_s > 0);
-  std::vector<Trajectory> segments;
-  Trajectory current;
-  for (const auto& point : points_) {
-    if (!current.empty() && point.timestamp_s - current.back().timestamp_s > max_gap_s) {
-      segments.push_back(std::move(current));
-      current = Trajectory();
-    }
-    current.append(point);
-  }
-  if (!current.empty()) segments.push_back(std::move(current));
-  return segments;
-}
-
-std::size_t UserTrace::total_points() const {
-  std::size_t total = 0;
-  for (const auto& trajectory : trajectories) total += trajectory.size();
-  return total;
-}
-
-std::vector<TracePoint> UserTrace::flattened() const {
-  std::vector<TracePoint> all;
-  all.reserve(total_points());
-  for (const auto& trajectory : trajectories)
-    all.insert(all.end(), trajectory.begin(), trajectory.end());
-  for (std::size_t i = 1; i < all.size(); ++i)
-    LOCPRIV_EXPECT(all[i - 1].timestamp_s <= all[i].timestamp_s);
-  return all;
+std::vector<TracePoint> UserTrace::take_points() && {
+  session_starts_.clear();
+  session_open_ = false;
+  return std::exchange(points_, {});
 }
 
 }  // namespace locpriv::trace

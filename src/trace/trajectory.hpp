@@ -1,11 +1,14 @@
-// Trajectory data model.
+// Trace data model.
 //
 // A TracePoint is one GPS fix (position + Unix timestamp in seconds). A
-// Trajectory is a time-ordered sequence of fixes, matching one Geolife .plt
-// file (one recording session). A UserTrace is all trajectories of one user.
+// UserTrace is every fix of one user in one time-ordered vector, plus the
+// offset where each recording session starts (one Geolife .plt file, or one
+// simulated day). Only the dataset statistics and the file formats look at
+// sessions; every analysis reads the whole trace through points().
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,57 +24,36 @@ struct TracePoint {
   friend bool operator==(const TracePoint&, const TracePoint&) = default;
 };
 
-/// A time-ordered sequence of GPS fixes. Maintains the invariant that
-/// timestamps are non-decreasing (append enforces it).
-class Trajectory {
+/// All fixes of one user in non-decreasing time order, split into recording
+/// sessions. append() is the only way in; it checks each fix against the
+/// previous one, across session boundaries too.
+class UserTrace {
  public:
-  Trajectory() = default;
+  std::string user_id;
 
-  /// Builds from points; they must already be in non-decreasing time order.
-  explicit Trajectory(std::vector<TracePoint> points);
+  /// Starts a new session at the next append(). A session is recorded only
+  /// once it holds a fix, so a session that gets no fix never appears.
+  void begin_session() { session_open_ = false; }
 
-  /// Appends a fix. Precondition: its timestamp is >= the last one's.
+  /// Appends a fix to the current session, opening one if none is open.
+  /// Precondition: its timestamp is >= the previous fix's.
   void append(const TracePoint& point);
 
-  bool empty() const { return points_.empty(); }
-  std::size_t size() const { return points_.size(); }
-  const TracePoint& operator[](std::size_t i) const { return points_[i]; }
-  const TracePoint& front() const { return points_.front(); }
-  const TracePoint& back() const { return points_.back(); }
+  /// Every fix, in time order.
   const std::vector<TracePoint>& points() const { return points_; }
 
-  auto begin() const { return points_.begin(); }
-  auto end() const { return points_.end(); }
+  std::size_t session_count() const { return session_starts_.size(); }
 
-  /// Elapsed time in seconds between first and last fix (0 for < 2 points).
-  std::int64_t duration_s() const;
+  /// The fixes of session `i` (never empty). Precondition: i < session_count().
+  std::span<const TracePoint> session(std::size_t i) const;
 
-  /// Total path length in meters (haversine, 0 for < 2 points).
-  double length_m() const;
-
-  /// Splits at time gaps larger than `max_gap_s`: a trajectory with a long
-  /// recording hole becomes several contiguous segments. Used to keep
-  /// synthetic multi-day traces analogous to Geolife's per-session files.
-  /// Precondition: max_gap_s > 0.
-  std::vector<Trajectory> split_on_gaps(std::int64_t max_gap_s) const;
+  /// Moves every fix out, leaving the trace with no fixes and no sessions.
+  std::vector<TracePoint> take_points() &&;
 
  private:
   std::vector<TracePoint> points_;
-};
-
-/// All trajectories of one user.
-struct UserTrace {
-  std::string user_id;
-  std::vector<Trajectory> trajectories;
-
-  /// Total fix count over all trajectories.
-  std::size_t total_points() const;
-
-  /// Concatenates all trajectories into one point list in global time
-  /// order. Precondition: trajectories are mutually non-overlapping and
-  /// stored in chronological order (both hold for Geolife and for the
-  /// synthesiser output).
-  std::vector<TracePoint> flattened() const;
+  std::vector<std::size_t> session_starts_;  ///< Index of each session's first fix.
+  bool session_open_ = false;
 };
 
 }  // namespace locpriv::trace

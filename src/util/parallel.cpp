@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -20,32 +20,39 @@ unsigned resolve_threads(std::size_t count, unsigned max_threads) {
   return static_cast<unsigned>(std::min<std::size_t>(threads, count));
 }
 
-// One error slot per worker: every concurrent failure is captured, and
-// "first" is deterministic (lowest worker index) rather than whichever
-// thread lost the race to a shared mutex.
-void rethrow_first_log_rest(const std::vector<std::exception_ptr>& errors) {
-  std::exception_ptr first_error;
-  for (const std::exception_ptr& error : errors) {
-    if (!error) continue;
-    if (!first_error) {
-      first_error = error;
-      continue;
-    }
+// One worker's exception and the index whose body raised it.
+struct Failure {
+  std::size_t index = 0;
+  std::exception_ptr error;
+};
+
+// Rethrows the failure with the lowest index and logs the rest. Ranking by
+// index rather than by worker or by time keeps the rethrown error the same
+// on every run: the lowest failing index is always visited, whichever
+// worker takes it.
+void rethrow_lowest_log_rest(std::vector<Failure> failures) {
+  std::erase_if(failures, [](const Failure& failure) { return !failure.error; });
+  if (failures.empty()) return;
+  std::sort(failures.begin(), failures.end(),
+            [](const Failure& a, const Failure& b) { return a.index < b.index; });
+  for (std::size_t i = 1; i < failures.size(); ++i) {
     // Secondary failures would otherwise vanish; surface them in the log
     // before the primary one is rethrown.
     try {
-      std::rethrow_exception(error);
+      std::rethrow_exception(failures[i].error);
     } catch (const std::exception& e) {
       LOCPRIV_LOG(kWarn, "parallel")
-          << "additional worker exception suppressed: " << e.what();
+          << "additional worker exception suppressed (index " << failures[i].index
+          << "): " << e.what();
       // Secondary failure: logged here, while the primary worker exception
       // is rethrown below. locpriv-lint: allow(swallowed-catch)
     } catch (...) {
       LOCPRIV_LOG(kWarn, "parallel")
-          << "additional non-std worker exception suppressed";
+          << "additional non-std worker exception suppressed (index "
+          << failures[i].index << ")";
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  std::rethrow_exception(failures.front().error);
 }
 
 }  // namespace
@@ -54,63 +61,27 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
                   unsigned max_threads) {
   if (count == 0) return;
   const unsigned threads = resolve_threads(count, max_threads);
-
-  // Tiny workloads are not worth the thread spawn.
-  if (threads <= 1 || count < 4) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
-  std::vector<std::exception_ptr> errors(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const std::size_t chunk = (count + threads - 1) / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&, t, begin, end] {
-      try {
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  rethrow_first_log_rest(errors);
-}
-
-void parallel_for_dynamic(std::size_t count,
-                          const std::function<void(std::size_t)>& body,
-                          unsigned max_threads) {
-  if (count == 0) return;
-  const unsigned threads = resolve_threads(count, max_threads);
   if (threads <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
 
-  // A worker whose body throws stops pulling new indices, but the others
-  // keep draining the cursor — a single failed sweep cell must not strand
-  // the rest of the queue (the caller decides what a failure means).
   std::atomic<std::size_t> cursor{0};
-  std::vector<std::exception_ptr> errors(threads);
+  std::vector<Failure> failures(threads);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
+      std::size_t i = cursor.fetch_add(1);
       try {
-        for (std::size_t i = cursor.fetch_add(1); i < count;
-             i = cursor.fetch_add(1))
-          body(i);
+        for (; i < count; i = cursor.fetch_add(1)) body(i);
       } catch (...) {
-        errors[t] = std::current_exception();
+        failures[t] = {i, std::current_exception()};
       }
     });
   }
   for (auto& worker : workers) worker.join();
-  rethrow_first_log_rest(errors);
+  rethrow_lowest_log_rest(std::move(failures));
 }
 
 }  // namespace locpriv::util

@@ -1,7 +1,7 @@
-// Deterministic data-parallel loop. Work is split into contiguous index
-// chunks across hardware threads; callers write results into pre-sized
-// slots keyed by index, so the output is identical to the sequential run
-// regardless of thread count. Any randomness must be pre-derived per index
+// Deterministic data-parallel loop. Workers take indices one at a time from
+// a shared cursor; callers write results into pre-sized slots keyed by
+// index, so the output is identical to the sequential run regardless of
+// thread count or visit order. Any randomness must be pre-derived per index
 // (fork seeds sequentially, then run in parallel).
 #pragma once
 
@@ -11,28 +11,20 @@
 namespace locpriv::util {
 
 /// Invokes `body(i)` for every i in [0, count). `body` runs concurrently
-/// for distinct indices; it must not touch shared mutable state without
-/// synchronisation. All workers are joined even when invocations throw;
-/// every worker's exception is collected, the one from the lowest worker
-/// index is rethrown on the caller's thread, and the rest are logged at
-/// warn level (concurrent failures are never silently dropped).
+/// for distinct indices, in no fixed order; it must not touch shared
+/// mutable state without synchronisation, nor append to shared sequences.
+/// Indices come from a shared atomic cursor, so one slow index does not
+/// hold back the indices behind it.
+///
+/// A worker whose body throws stops taking indices; the others keep
+/// draining the cursor, and all of them are joined. Every worker's
+/// exception is kept with the index that raised it: the one with the lowest
+/// index is rethrown on the caller's thread (the same one on every run) and
+/// the rest are logged at warn level, never silently dropped.
 ///
 /// `max_threads` caps the worker count (0 = hardware concurrency). Passing
-/// 1 degenerates to a plain sequential loop, which is also the fallback
-/// when count is small.
+/// 1 degenerates to a plain sequential loop.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned max_threads = 0);
-
-/// Like parallel_for, but indices are handed out one at a time from a shared
-/// atomic cursor instead of pre-chunked. Use when the per-index cost is
-/// heterogeneous (e.g. sweep cells that retry or back off), so a slow index
-/// does not strand its statically assigned neighbours behind it. Outputs
-/// keyed by index stay deterministic; the *visit order* is not, so bodies
-/// must not append to shared sequences. Exception aggregation matches
-/// parallel_for: all workers join, every failure is captured, the lowest
-/// worker index's exception is rethrown and the rest are logged.
-void parallel_for_dynamic(std::size_t count,
-                          const std::function<void(std::size_t)>& body,
-                          unsigned max_threads = 0);
 
 }  // namespace locpriv::util

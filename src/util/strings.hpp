@@ -20,9 +20,6 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// True if `text` ends with `suffix`.
 bool ends_with(std::string_view text, std::string_view suffix);
 
-/// Lower-cases ASCII letters.
-std::string to_lower(std::string_view text);
-
 /// Joins `parts` with `sep` between elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 

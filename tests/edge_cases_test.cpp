@@ -35,10 +35,8 @@ TEST(EdgeCases, AnalyzerOnTinyTraceDoesNotCrash) {
   // exposure must degrade gracefully rather than throw.
   trace::UserTrace user;
   user.user_id = "tiny";
-  trace::Trajectory trajectory;
   for (std::int64_t t = 0; t < 30; t += 3)
-    trajectory.append({geo::destination(kAnchor, 90.0, static_cast<double>(t)), t});
-  user.trajectories.push_back(std::move(trajectory));
+    user.append({geo::destination(kAnchor, 90.0, static_cast<double>(t)), t});
 
   // A second, normal-ish user so profiles exist.
   mobility::DatasetConfig dataset;

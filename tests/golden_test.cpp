@@ -3,6 +3,8 @@
 // consumers parse these formats, so byte-level changes must be deliberate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "android/dumpsys.hpp"
 #include "android/location_manager.hpp"
 #include "poi/geojson.hpp"
@@ -12,8 +14,7 @@ namespace locpriv {
 namespace {
 
 TEST(Golden, PltDocument) {
-  trace::Trajectory trajectory;
-  trajectory.append({{39.906631, 116.385564}, 1224814199});
+  const std::vector<trace::TracePoint> session{{{39.906631, 116.385564}, 1224814199}};
   const std::string expected =
       "Geolife trajectory\n"
       "WGS 84\n"
@@ -22,7 +23,7 @@ TEST(Golden, PltDocument) {
       "0,2,255,My Track,0,0,2,8421376\n"
       "1\n"
       "39.906631,116.385564,0,0,39745.0902662037,2008-10-24,02:09:59\n";
-  EXPECT_EQ(trace::write_plt(trajectory), expected);
+  EXPECT_EQ(trace::write_plt(session), expected);
 }
 
 TEST(Golden, DumpsysReport) {
@@ -66,10 +67,10 @@ TEST(Golden, GeoJsonPointFeature) {
 TEST(Golden, PltRoundTripPreservesExactCoordinates) {
   // 6-decimal fixed formatting must survive a full round trip bit-for-bit
   // at the printed precision.
-  trace::Trajectory original;
-  original.append({{-33.856784, 151.215296}, 1224814199});  // Southern hemisphere.
-  original.append({{0.000001, -0.000001}, 1224814200});     // Near the origin.
-  const trace::Trajectory parsed = trace::parse_plt(trace::write_plt(original));
+  const std::vector<trace::TracePoint> original{
+      {{-33.856784, 151.215296}, 1224814199},  // Southern hemisphere.
+      {{0.000001, -0.000001}, 1224814200}};    // Near the origin.
+  const auto parsed = trace::parse_plt(trace::write_plt(original));
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_DOUBLE_EQ(parsed[0].position.lat_deg, -33.856784);
   EXPECT_DOUBLE_EQ(parsed[0].position.lon_deg, 151.215296);

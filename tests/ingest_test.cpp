@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,17 +27,18 @@ fs::path write_fixture_dataset() {
        ::testing::UnitTest::GetInstance()->current_test_info()->name());
   fs::remove_all(root);
 
+  const auto add_session = [](UserTrace& user, std::initializer_list<TracePoint> fixes) {
+    user.begin_session();
+    for (const auto& fix : fixes) user.append(fix);
+  };
   std::vector<UserTrace> users(3);
   users[0].user_id = "000";
-  users[0].trajectories.push_back(
-      Trajectory({{{39.90, 116.40}, 1224814000}, {{39.91, 116.41}, 1224814060}}));
-  users[0].trajectories.push_back(
-      Trajectory({{{39.92, 116.42}, 1224900000}, {{39.93, 116.43}, 1224900060}}));
+  add_session(users[0], {{{39.90, 116.40}, 1224814000}, {{39.91, 116.41}, 1224814060}});
+  add_session(users[0], {{{39.92, 116.42}, 1224900000}, {{39.93, 116.43}, 1224900060}});
   users[1].user_id = "001";
-  users[1].trajectories.push_back(Trajectory({{{40.00, 116.30}, 1224814000}}));
+  add_session(users[1], {{{40.00, 116.30}, 1224814000}});
   users[2].user_id = "002";
-  users[2].trajectories.push_back(
-      Trajectory({{{40.10, 116.20}, 1224814000}, {{40.11, 116.21}, 1224814030}}));
+  add_session(users[2], {{{40.10, 116.20}, 1224814000}, {{40.11, 116.21}, 1224814030}});
   write_geolife_dataset(root, users);
   return root;
 }
@@ -65,9 +67,9 @@ TEST(Ingest, LenientQuarantinesCorruptFileAndLoadsTheRest) {
   // Users 000 and 002 load in full; 001's only file was quarantined.
   ASSERT_EQ(users.size(), 2u);
   EXPECT_EQ(users[0].user_id, "000");
-  EXPECT_EQ(users[0].total_points(), 4u);
+  EXPECT_EQ(users[0].points().size(), 4u);
   EXPECT_EQ(users[1].user_id, "002");
-  EXPECT_EQ(users[1].total_points(), 2u);
+  EXPECT_EQ(users[1].points().size(), 2u);
 
   EXPECT_EQ(report.files_scanned, 5u);
   EXPECT_EQ(report.files_loaded, 3u);
@@ -119,8 +121,83 @@ TEST(Ingest, LenientAndStrictAgreeOnCleanData) {
   ASSERT_EQ(strict.size(), lenient.size());
   for (std::size_t u = 0; u < strict.size(); ++u) {
     EXPECT_EQ(strict[u].user_id, lenient[u].user_id);
-    EXPECT_EQ(strict[u].total_points(), lenient[u].total_points());
+    EXPECT_EQ(strict[u].points(), lenient[u].points());
   }
+  fs::remove_all(root);
+}
+
+// A file whose fixes fall inside user 000's first session (1224814000 to
+// 1224814060); its path sorts after both of that user's files.
+fs::path plant_overlapping_session(const fs::path& root) {
+  const fs::path path = root / "000" / "Trajectory" / "000002.plt";
+  const std::vector<TracePoint> fixes{{{39.95, 116.45}, 1224814020},
+                                      {{39.95, 116.45}, 1224814021},
+                                      {{39.95, 116.45}, 1224814022}};
+  overwrite(path, write_plt(fixes));
+  return path;
+}
+
+TEST(Ingest, StrictModeRejectsAnOverlappingSession) {
+  const fs::path root = write_fixture_dataset();
+  const fs::path overlapping = plant_overlapping_session(root);
+  try {
+    read_geolife_dataset(root);
+    FAIL() << "expected strict mode to throw";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(overlapping.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("overlaps the previous session"), std::string::npos) << what;
+  }
+  fs::remove_all(root);
+}
+
+TEST(Ingest, LenientQuarantinesAnOverlappingSession) {
+  const fs::path root = write_fixture_dataset();
+  const auto clean = read_geolife_dataset(root);
+  const fs::path overlapping = plant_overlapping_session(root);
+
+  IngestReport report;
+  const auto users = read_geolife_dataset(root, ReadOptions{.lenient = true}, &report);
+  EXPECT_EQ(report.files_scanned, 5u);
+  EXPECT_EQ(report.files_loaded, 4u);
+  EXPECT_EQ(report.points_loaded, 7u);
+  EXPECT_EQ(report.users_loaded, 3u);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].path, overlapping);
+
+  // The corpus loads as if the file were not there.
+  ASSERT_EQ(users.size(), clean.size());
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    EXPECT_EQ(users[u].user_id, clean[u].user_id);
+    EXPECT_EQ(users[u].points(), clean[u].points());
+    EXPECT_EQ(users[u].session_count(), clean[u].session_count());
+  }
+  fs::remove_all(root);
+}
+
+TEST(Ingest, SessionsSharingAFirstFixLoadInTheirOnlyValidOrder) {
+  // 000000.plt runs from t to t + 60 and 000001.plt holds one fix at t.
+  // Path order (or a sort on the first fix alone) could put the long file
+  // first, and then the single fix would start before it ends. Sorting on
+  // the last fix next puts the single fix first, which is valid.
+  const fs::path root =
+      fs::temp_directory_path() / "locpriv_ingest_test_SharedFirstFix";
+  fs::remove_all(root);
+  const fs::path dir = root / "000" / "Trajectory";
+  fs::create_directories(dir);
+  const std::vector<TracePoint> long_session{{{39.90, 116.40}, 1224814000},
+                                             {{39.91, 116.41}, 1224814060}};
+  const std::vector<TracePoint> single_fix{{{39.92, 116.42}, 1224814000}};
+  overwrite(dir / "000000.plt", write_plt(long_session));
+  overwrite(dir / "000001.plt", write_plt(single_fix));
+
+  const auto users = read_geolife_dataset(root);
+  ASSERT_EQ(users.size(), 1u);
+  ASSERT_EQ(users[0].session_count(), 2u);
+  ASSERT_EQ(users[0].session(0).size(), 1u);
+  EXPECT_NEAR(users[0].session(0)[0].position.lat_deg, 39.92, 1e-6);
+  ASSERT_EQ(users[0].session(1).size(), 2u);
+  EXPECT_NEAR(users[0].session(1)[0].position.lat_deg, 39.90, 1e-6);
   fs::remove_all(root);
 }
 
@@ -134,10 +211,10 @@ TEST(ParsePlt, ToleratesCrlfLoneCrAndTrailingBlankLines) {
   const std::string lone_cr =
       "h1\rh2\rh3\rh4\rh5\rh6\r" + record1 + "\r" + record2 + "\r\r";
 
-  const Trajectory baseline = parse_plt(lf);
+  const auto baseline = parse_plt(lf);
   ASSERT_EQ(baseline.size(), 2u);
   for (const std::string& variant : {crlf, lone_cr}) {
-    const Trajectory parsed = parse_plt(variant);
+    const auto parsed = parse_plt(variant);
     ASSERT_EQ(parsed.size(), baseline.size());
     for (std::size_t i = 0; i < parsed.size(); ++i) {
       EXPECT_EQ(parsed[i].position, baseline[i].position);

@@ -150,10 +150,10 @@ SimulatedUser simulate_one(int days = 6, std::uint64_t seed = 11) {
 
 TEST(Synthesis, OneTrajectoryPerDayChronological) {
   const SimulatedUser user = simulate_one(6);
-  EXPECT_EQ(user.trace.trajectories.size(), 6u);
-  for (std::size_t d = 1; d < user.trace.trajectories.size(); ++d)
-    EXPECT_LT(user.trace.trajectories[d - 1].back().timestamp_s,
-              user.trace.trajectories[d].front().timestamp_s);
+  EXPECT_EQ(user.trace.session_count(), 6u);
+  for (std::size_t d = 1; d < user.trace.session_count(); ++d)
+    EXPECT_LT(user.trace.session(d - 1).back().timestamp_s,
+              user.trace.session(d).front().timestamp_s);
 }
 
 TEST(Synthesis, VisitsAreChronologicalAndAtProfilePlaces) {
@@ -189,26 +189,22 @@ TEST(Synthesis, SamplingIsGeolifeLike) {
 TEST(Synthesis, FixesStayNearTheCity) {
   const SimulatedUser user = simulate_one(3);
   const CityModel city = make_city();
-  for (const auto& trajectory : user.trace.trajectories)
-    for (const auto& point : trajectory) {
-      const geo::EastNorth plane = city.projection().to_plane(point.position);
-      EXPECT_GT(plane.east_m, -2000.0);
-      EXPECT_LT(plane.east_m, 15000.0);
-      EXPECT_GT(plane.north_m, -2000.0);
-      EXPECT_LT(plane.north_m, 15000.0);
-    }
+  for (const auto& point : user.trace.points()) {
+    const geo::EastNorth plane = city.projection().to_plane(point.position);
+    EXPECT_GT(plane.east_m, -2000.0);
+    EXPECT_LT(plane.east_m, 15000.0);
+    EXPECT_GT(plane.north_m, -2000.0);
+    EXPECT_LT(plane.north_m, 15000.0);
+  }
 }
 
 TEST(Synthesis, DeterministicGivenSeed) {
   const SimulatedUser a = simulate_one(3, 77);
   const SimulatedUser b = simulate_one(3, 77);
-  ASSERT_EQ(a.trace.total_points(), b.trace.total_points());
-  const auto fa = a.trace.flattened();
-  const auto fb = b.trace.flattened();
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i].timestamp_s, fb[i].timestamp_s);
-    EXPECT_EQ(fa[i].position, fb[i].position);
-  }
+  EXPECT_EQ(a.trace.points(), b.trace.points());
+  ASSERT_EQ(a.trace.session_count(), b.trace.session_count());
+  for (std::size_t d = 0; d < a.trace.session_count(); ++d)
+    EXPECT_EQ(a.trace.session(d).size(), b.trace.session(d).size());
 }
 
 TEST(Dataset, GeneratesRequestedUsers) {
@@ -221,7 +217,7 @@ TEST(Dataset, GeneratesRequestedUsers) {
   EXPECT_EQ(dataset.ground_truths.size(), 8u);
   for (std::size_t u = 0; u < dataset.users.size(); ++u) {
     EXPECT_EQ(dataset.users[u].user_id, dataset.profiles[u].user_id);
-    EXPECT_FALSE(dataset.users[u].trajectories.empty());
+    EXPECT_GT(dataset.users[u].session_count(), 0u);
   }
 }
 
@@ -272,7 +268,7 @@ TEST(Dataset, DeterministicAcrossRuns) {
   const SyntheticDataset b = generate_dataset(config);
   ASSERT_EQ(a.users.size(), b.users.size());
   for (std::size_t u = 0; u < a.users.size(); ++u)
-    EXPECT_EQ(a.users[u].total_points(), b.users[u].total_points());
+    EXPECT_EQ(a.users[u].points().size(), b.users[u].points().size());
 }
 
 class DatasetScaleTest : public ::testing::TestWithParam<int> {};
@@ -285,7 +281,7 @@ TEST_P(DatasetScaleTest, PointBudgetScalesWithDays) {
   config.synthesis.days = GetParam();
   const SyntheticDataset dataset = generate_dataset(config);
   std::size_t total = 0;
-  for (const auto& user : dataset.users) total += user.total_points();
+  for (const auto& user : dataset.users) total += user.points().size();
   const double per_day =
       static_cast<double>(total) / (3.0 * static_cast<double>(GetParam()));
   EXPECT_GT(per_day, 300.0);

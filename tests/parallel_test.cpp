@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/harness/error.hpp"
 #include "util/parallel.hpp"
 
 namespace locpriv::util {
@@ -33,11 +37,11 @@ TEST(ParallelFor, ResultsMatchSequential) {
 }
 
 TEST(ParallelFor, ZeroAndSmallCounts) {
-  int calls = 0;
+  std::atomic<int> calls{0};
   parallel_for(0, [&](std::size_t) { ++calls; }, 4);
-  EXPECT_EQ(calls, 0);
-  parallel_for(2, [&](std::size_t) { ++calls; }, 4);  // Sequential fallback.
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(calls.load(), 0);
+  parallel_for(2, [&](std::size_t) { ++calls; }, 4);  // Two workers, one index each.
+  EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(ParallelFor, PropagatesFirstException) {
@@ -58,27 +62,32 @@ TEST(ParallelFor, PropagatesFirstException) {
   EXPECT_GE(completed.load(), 50);
 }
 
-TEST(ParallelFor, CollectsAllConcurrentExceptionsAndRethrowsLowestWorker) {
-  // Every worker throws. All of them must be joined, the rethrown error must
-  // be the lowest worker's (deterministic, not a mutex race), and the others
-  // are logged rather than silently dropped.
-  std::atomic<int> throws{0};
-  constexpr std::size_t kCount = 64;  // 4 workers x 16-index chunks.
-  try {
-    parallel_for(
-        kCount,
-        [&](std::size_t i) {
-          if (i % 16 == 0) {  // First index of every worker's chunk.
+TEST(ParallelFor, CollectsAllConcurrentExceptionsAndRethrowsLowestIndex) {
+  // Indices 3, 19, 35 and 51 throw. Index 0 is slow, so the worker that
+  // takes it (usually the first one) fails last and at the highest index,
+  // after the others failed at 3, 19 and 35. Every worker must be joined
+  // and fail once (a failed worker takes no further index), and the
+  // rethrown error must be the lowest index's on every run, whichever
+  // worker raised it.
+  constexpr std::size_t kCount = 64;
+  for (int run = 0; run < 20; ++run) {
+    std::atomic<int> throws{0};
+    try {
+      parallel_for(
+          kCount,
+          [&](std::size_t i) {
+            if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            if (i % 16 != 3) return;
             throws.fetch_add(1, std::memory_order_relaxed);
-            throw std::runtime_error("boom in chunk " + std::to_string(i / 16));
-          }
-        },
-        4);
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "boom in chunk 0");
+            throw std::runtime_error("boom at " + std::to_string(i));
+          },
+          4);
+      FAIL() << "expected exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "boom at 3") << "run " << run;
+    }
+    EXPECT_EQ(throws.load(), 4) << "run " << run;  // One per worker; all joined.
   }
-  EXPECT_EQ(throws.load(), 4);  // Every worker ran and failed; all joined.
 }
 
 TEST(ParallelFor, MaxThreadsOneIsPlainLoop) {
@@ -93,6 +102,42 @@ TEST(ParallelFor, MoreThreadsThanWork) {
   std::vector<int> hits(5, 0);
   parallel_for(5, [&](std::size_t i) { ++hits[i]; }, 64);
   for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+// ---- the work cursor ---------------------------------------------------
+// Indices come from a shared cursor, not fixed chunks: these cases pin that
+// every index runs once under contention and that one failure does not
+// strand the indices queued behind it.
+
+TEST(ParallelForDynamic, EveryIndexRunsExactlyOnce) {
+  constexpr std::size_t kCount = 257;
+  std::vector<std::atomic<int>> hits(kCount);
+  parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ParallelForDynamic, ExceptionPropagatesButOtherWorkersKeepDraining) {
+  constexpr std::size_t kCount = 64;
+  std::vector<std::atomic<int>> hits(kCount);
+  try {
+    parallel_for(
+        kCount,
+        [&](std::size_t i) {
+          if (i == 9) throw Error(ErrorCode::kDeadline, "index 9 expired");
+          hits[i].fetch_add(1);
+        },
+        4);
+    FAIL() << "the body's exception should have propagated";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kDeadline);
+    EXPECT_NE(std::string(error.what()).find("index 9"), std::string::npos);
+  }
+  // One failed index does not strand the queue: every other index ran.
+  for (std::size_t i = 0; i < kCount; ++i) {
+    if (i != 9) {
+      EXPECT_EQ(hits[i].load(), 1) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -39,15 +39,6 @@ TEST(RegionGrid, DistinctCellsForDistantPoints) {
             grid.region_of(geo::destination(kAnchor, 90.0, 600.0)));
 }
 
-TEST(RegionGrid, CenterRoundTrip) {
-  const RegionGrid grid(kAnchor, 250.0);
-  const geo::LatLon p = geo::destination(kAnchor, 200.0, 1234.0);
-  const RegionId id = grid.region_of(p);
-  const geo::LatLon center = grid.region_center(id);
-  EXPECT_EQ(grid.region_of(center), id);
-  EXPECT_LE(geo::haversine_m(p, center), 250.0);  // Within the cell diagonal/2 + eps.
-}
-
 TEST(RegionGrid, Preconditions) {
   EXPECT_THROW(RegionGrid(kAnchor, 0.0), util::ContractViolation);
 }

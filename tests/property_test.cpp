@@ -36,7 +36,7 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(SeedSweep, StayPointsAreChronologicalDisjointAndLongEnough) {
   const auto user = make_user(GetParam());
-  const auto points = user.trace.flattened();
+  const auto& points = user.trace.points();
   const poi::ExtractionParams params;
   const auto stays = poi::extract_stay_points(points, params);
   ASSERT_FALSE(stays.empty());
@@ -55,7 +55,7 @@ TEST_P(SeedSweep, StayPointsAreChronologicalDisjointAndLongEnough) {
 
 TEST_P(SeedSweep, StayCentroidsLieInsideTraceBounds) {
   const auto user = make_user(GetParam());
-  const auto points = user.trace.flattened();
+  const auto& points = user.trace.points();
   geo::GeoBounds bounds;
   for (const auto& point : points) bounds.extend(point.position);
   for (const auto& stay : poi::extract_stay_points(points, poi::ExtractionParams{}))
@@ -65,7 +65,7 @@ TEST_P(SeedSweep, StayCentroidsLieInsideTraceBounds) {
 TEST_P(SeedSweep, ClusteringConservesVisits) {
   const auto user = make_user(GetParam());
   const auto stays =
-      poi::extract_stay_points(user.trace.flattened(), poi::ExtractionParams{});
+      poi::extract_stay_points(user.trace.points(), poi::ExtractionParams{});
   const auto pois = poi::cluster_stay_points(stays, 50.0);
   std::size_t total_visits = 0;
   for (const auto& poi : pois) {
@@ -84,7 +84,7 @@ TEST_P(SeedSweep, ClusteringConservesVisits) {
 TEST_P(SeedSweep, ExtractionRecoversGroundTruthPlacesAtFullRate) {
   const auto user = make_user(GetParam());
   const auto stays =
-      poi::extract_stay_points(user.trace.flattened(), poi::ExtractionParams{});
+      poi::extract_stay_points(user.trace.points(), poi::ExtractionParams{});
   const auto pois = poi::cluster_stay_points(stays, 50.0);
   // Every ground-truth visit longer than twice the visiting-time threshold
   // must be represented by some extracted PoI nearby.
@@ -114,7 +114,7 @@ TEST_P(SeedSweep, ExtractionRecoversGroundTruthPlacesAtFullRate) {
 
 TEST_P(SeedSweep, DecimationIsIdempotentAndNested) {
   const auto user = make_user(GetParam());
-  const auto points = user.trace.flattened();
+  const auto& points = user.trace.points();
   const auto once = trace::decimate(points, 60);
   const auto twice = trace::decimate(once, 60);
   EXPECT_EQ(once.size(), twice.size());  // Idempotent at the same interval.

@@ -135,7 +135,7 @@ TEST(Replay, AgreesWithDecimateModelOnRealTrace) {
   mobility::SynthesisConfig synthesis;
   synthesis.days = 2;
   const auto user = mobility::simulate_user(city, profile, synthesis, rng);
-  const auto points = user.trace.flattened();
+  const auto& points = user.trace.points();
 
   constexpr std::int64_t kInterval = 60;
   DeviceSimulator device(1, points.front().position);

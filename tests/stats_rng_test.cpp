@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "stats/rng.hpp"
@@ -110,26 +109,6 @@ TEST(Rng, BernoulliEdgesAndRate) {
   int hits = 0;
   for (int i = 0; i < 20000; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
-}
-
-class PoissonMeanTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(PoissonMeanTest, SampleMeanTracksParameter) {
-  const double mean = GetParam();
-  Rng rng(17);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
-  // Poisson sd is sqrt(mean); allow 5 standard errors.
-  EXPECT_NEAR(sum / n, mean, 5.0 * std::sqrt(mean / n) + 0.01);
-}
-
-INSTANTIATE_TEST_SUITE_P(Means, PoissonMeanTest,
-                         ::testing::Values(0.1, 1.0, 4.5, 30.0, 80.0));
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(1);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
 TEST(Rng, WeightedIndexRespectsWeights) {

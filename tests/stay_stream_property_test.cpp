@@ -56,7 +56,8 @@ const std::vector<trace::TracePoint>& corpus_trace(std::uint64_t seed) {
     config.seed = seed;
     config.user_count = 1;
     config.synthesis.days = 2;
-    it = cache.emplace(seed, mobility::generate_dataset(config).users[0].flattened())
+    it = cache.emplace(seed,
+                       std::move(mobility::generate_dataset(config).users[0]).take_points())
              .first;
   }
   return it->second;

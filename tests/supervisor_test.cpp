@@ -169,40 +169,6 @@ TEST(ProcessFaultPlanSpec, AllocBombCapRaisesBadAllocWithoutRlimit) {
                std::bad_alloc);
 }
 
-// ---- dynamic work distribution -----------------------------------------
-
-TEST(ParallelForDynamic, EveryIndexRunsExactlyOnce) {
-  constexpr std::size_t kCount = 257;
-  std::vector<std::atomic<int>> hits(kCount);
-  util::parallel_for_dynamic(
-      kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ParallelForDynamic, ExceptionPropagatesButOtherWorkersKeepDraining) {
-  constexpr std::size_t kCount = 64;
-  std::vector<std::atomic<int>> hits(kCount);
-  try {
-    util::parallel_for_dynamic(
-        kCount,
-        [&](std::size_t i) {
-          if (i == 9) throw Error(ErrorCode::kDeadline, "index 9 expired");
-          hits[i].fetch_add(1);
-        },
-        4);
-    FAIL() << "the body's exception should have propagated";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kDeadline);
-    EXPECT_NE(std::string(error.what()).find("index 9"), std::string::npos);
-  }
-  // One failed cell does not strand the queue: every other index ran.
-  for (std::size_t i = 0; i < kCount; ++i) {
-    if (i != 9) {
-      EXPECT_EQ(hits[i].load(), 1) << i;
-    }
-  }
-}
-
 // ---- in-process supervision --------------------------------------------
 
 TEST(SupervisorInProcess, ComputesJournalsAndSkipsCompletedCells) {

@@ -78,17 +78,15 @@ TEST(TopNIdentifier, Preconditions) {
 trace::UserTrace small_trace() {
   trace::UserTrace user;
   user.user_id = "g";
-  trace::Trajectory trajectory;
-  trajectory.append({kAnchor, 100});
-  trajectory.append({geo::destination(kAnchor, 90.0, 100.0), 110});
-  user.trajectories.push_back(std::move(trajectory));
+  user.append({kAnchor, 100});
+  user.append({geo::destination(kAnchor, 90.0, 100.0), 110});
   return user;
 }
 
 TEST(GeoJson, LineStringFeatureShape) {
   const auto user = small_trace();
   const std::string feature =
-      poi::trajectory_to_geojson_feature(user.trajectories[0]);
+      poi::trajectory_to_geojson_feature(user.session(0));
   EXPECT_NE(feature.find("\"type\":\"LineString\""), std::string::npos);
   EXPECT_NE(feature.find("\"fixes\":2"), std::string::npos);
   EXPECT_NE(feature.find("\"start_s\":100"), std::string::npos);

@@ -3,6 +3,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geo/geodesy.hpp"
 #include "stats/rng.hpp"
@@ -19,51 +22,97 @@ TracePoint point_at(std::int64_t t, double lat = 39.9, double lon = 116.4) {
   return {{lat, lon}, t};
 }
 
-TEST(Trajectory, AppendEnforcesTimeOrder) {
-  Trajectory trajectory;
-  trajectory.append(point_at(10));
-  trajectory.append(point_at(10));  // Equal timestamps allowed.
-  trajectory.append(point_at(11));
-  EXPECT_EQ(trajectory.size(), 3u);
-  EXPECT_THROW(trajectory.append(point_at(5)), util::ContractViolation);
-}
-
-TEST(Trajectory, ConstructorValidatesOrder) {
-  EXPECT_THROW(Trajectory({point_at(5), point_at(3)}), util::ContractViolation);
-  EXPECT_NO_THROW(Trajectory({point_at(1), point_at(2)}));
-}
-
-TEST(Trajectory, DurationAndLength) {
-  Trajectory trajectory;
-  EXPECT_EQ(trajectory.duration_s(), 0);
-  trajectory.append(point_at(100, 39.9, 116.4));
-  trajectory.append(point_at(200, 39.9, 116.41));
-  EXPECT_EQ(trajectory.duration_s(), 100);
-  EXPECT_NEAR(trajectory.length_m(),
-              geo::haversine_m({39.9, 116.4}, {39.9, 116.41}), 1e-9);
-}
-
-TEST(Trajectory, SplitOnGaps) {
-  Trajectory trajectory({point_at(0), point_at(5), point_at(100), point_at(104),
-                         point_at(300)});
-  const auto segments = trajectory.split_on_gaps(30);
-  ASSERT_EQ(segments.size(), 3u);
-  EXPECT_EQ(segments[0].size(), 2u);
-  EXPECT_EQ(segments[1].size(), 2u);
-  EXPECT_EQ(segments[2].size(), 1u);
-  EXPECT_THROW(trajectory.split_on_gaps(0), util::ContractViolation);
-}
-
-TEST(UserTrace, FlattenAndCount) {
+// A trace built from whole sessions, in order.
+UserTrace make_trace(const std::string& user_id,
+                     const std::vector<std::vector<TracePoint>>& sessions) {
   UserTrace user;
-  user.user_id = "007";
-  user.trajectories.push_back(Trajectory({point_at(0), point_at(10)}));
-  user.trajectories.push_back(Trajectory({point_at(20), point_at(30)}));
-  EXPECT_EQ(user.total_points(), 4u);
-  const auto flat = user.flattened();
-  ASSERT_EQ(flat.size(), 4u);
-  EXPECT_EQ(flat.front().timestamp_s, 0);
-  EXPECT_EQ(flat.back().timestamp_s, 30);
+  user.user_id = user_id;
+  for (const auto& session : sessions) {
+    user.begin_session();
+    for (const auto& point : session) user.append(point);
+  }
+  return user;
+}
+
+TEST(UserTrace, AppendChecksOrderWithinAndAcrossSessions) {
+  UserTrace user;
+  user.append(point_at(10));
+  user.append(point_at(10));  // Equal timestamps allowed.
+  user.append(point_at(11));
+  EXPECT_THROW(user.append(point_at(5)), util::ContractViolation);
+
+  // The check spans a session boundary, and a refused fix opens no session.
+  user.begin_session();
+  EXPECT_THROW(user.append(point_at(9)), util::ContractViolation);
+  EXPECT_EQ(user.session_count(), 1u);
+  user.append(point_at(11));  // Equal across the boundary is allowed too.
+  EXPECT_EQ(user.points().size(), 4u);
+  ASSERT_EQ(user.session_count(), 2u);
+  EXPECT_EQ(user.session(0).size(), 3u);
+  EXPECT_EQ(user.session(1).size(), 1u);
+  EXPECT_THROW(user.session(2), util::ContractViolation);
+}
+
+TEST(UserTrace, EmptySessionIsNeverRecorded) {
+  UserTrace user;
+  user.begin_session();
+  user.begin_session();
+  EXPECT_EQ(user.session_count(), 0u);
+  user.append(point_at(0));
+  user.begin_session();
+  user.begin_session();
+  user.append(point_at(5));
+  user.append(point_at(6));
+  user.begin_session();  // Trailing: records nothing.
+  ASSERT_EQ(user.session_count(), 2u);
+  EXPECT_EQ(user.session(0).size(), 1u);
+  EXPECT_EQ(user.session(1).size(), 2u);
+
+  // Without begin_session, the first fix still opens a session.
+  UserTrace implicit;
+  implicit.append(point_at(1));
+  EXPECT_EQ(implicit.session_count(), 1u);
+
+  // Taking the fixes leaves a defined state: no fixes and no sessions.
+  const auto points = std::move(user).take_points();
+  EXPECT_EQ(points.size(), 3u);
+  EXPECT_TRUE(user.points().empty());  // NOLINT(bugprone-use-after-move): defined.
+  EXPECT_EQ(user.session_count(), 0u);
+}
+
+// UserTrace against a vector of sessions driven by the same seeded appends
+// and session starts; the model records every session, empty or not, and
+// the trace must hold exactly the non-empty ones.
+TEST(UserTrace, MatchesANestedVectorModel) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    stats::Rng rng(seed);
+    UserTrace user;
+    std::vector<std::vector<TracePoint>> model(1);
+    std::int64_t t = rng.uniform_int(-1000, 1000);
+    const auto operations = rng.uniform_int(0, 300);
+    for (std::int64_t op = 0; op < operations; ++op) {
+      if (rng.bernoulli(0.1)) {
+        user.begin_session();
+        model.emplace_back();
+        continue;
+      }
+      t += rng.uniform_int(0, 4);
+      const TracePoint point = point_at(t, rng.uniform(39.0, 40.0), rng.uniform(116.0, 117.0));
+      user.append(point);
+      model.back().push_back(point);
+    }
+    std::erase_if(model, [](const auto& session) { return session.empty(); });
+
+    std::vector<TracePoint> all;
+    for (const auto& session : model) all.insert(all.end(), session.begin(), session.end());
+    EXPECT_EQ(user.points(), all) << "seed " << seed;
+    ASSERT_EQ(user.session_count(), model.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      const auto session = user.session(i);
+      EXPECT_EQ(std::vector<TracePoint>(session.begin(), session.end()), model[i])
+          << "seed " << seed << " session " << i;
+    }
+  }
 }
 
 TEST(Geolife, TimestampConversionsRoundTrip) {
@@ -79,11 +128,11 @@ TEST(Geolife, ParsesCanonicalPlt) {
       "0,2,255,My Track,0,0,2,8421376\n2\n"
       "39.906631,116.385564,0,492,39745.0902662037,2008-10-24,02:09:59\n"
       "39.906554,116.385625,0,492,39745.0903240741,2008-10-24,02:10:04\n";
-  const Trajectory trajectory = parse_plt(text);
-  ASSERT_EQ(trajectory.size(), 2u);
-  EXPECT_NEAR(trajectory[0].position.lat_deg, 39.906631, 1e-9);
-  EXPECT_NEAR(trajectory[0].position.lon_deg, 116.385564, 1e-9);
-  EXPECT_EQ(trajectory[1].timestamp_s - trajectory[0].timestamp_s, 5);
+  const auto fixes = parse_plt(text);
+  ASSERT_EQ(fixes.size(), 2u);
+  EXPECT_NEAR(fixes[0].position.lat_deg, 39.906631, 1e-9);
+  EXPECT_NEAR(fixes[0].position.lon_deg, 116.385564, 1e-9);
+  EXPECT_EQ(fixes[1].timestamp_s - fixes[0].timestamp_s, 5);
 }
 
 TEST(Geolife, RejectsMalformedRecords) {
@@ -97,10 +146,9 @@ TEST(Geolife, RejectsMalformedRecords) {
 }
 
 TEST(Geolife, WriteParseRoundTrip) {
-  Trajectory original;
-  original.append({{39.906631, 116.385564}, 1224814199});
-  original.append({{39.984702, 116.318417}, 1224814210});
-  const Trajectory parsed = parse_plt(write_plt(original));
+  const std::vector<TracePoint> original{{{39.906631, 116.385564}, 1224814199},
+                                         {{39.984702, 116.318417}, 1224814210}};
+  const auto parsed = parse_plt(write_plt(original));
   ASSERT_EQ(parsed.size(), original.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     EXPECT_NEAR(parsed[i].position.lat_deg, original[i].position.lat_deg, 1e-6);
@@ -114,24 +162,31 @@ TEST(Geolife, DatasetRoundTripThroughFilesystem) {
       std::filesystem::temp_directory_path() / "locpriv_geolife_test";
   std::filesystem::remove_all(root);
 
-  std::vector<UserTrace> users(2);
-  users[0].user_id = "000";
-  users[0].trajectories.push_back(
-      Trajectory({{{39.90, 116.40}, 1224814000}, {{39.91, 116.41}, 1224814060}}));
-  users[0].trajectories.push_back(
-      Trajectory({{{39.92, 116.42}, 1224900000}, {{39.93, 116.43}, 1224900060}}));
-  users[1].user_id = "001";
-  users[1].trajectories.push_back(
-      Trajectory({{{40.00, 116.30}, 1224814000}}));
+  const std::vector<UserTrace> users{
+      make_trace("000", {{{{39.90, 116.40}, 1224814000}, {{39.91, 116.41}, 1224814060}},
+                         {{{39.92, 116.42}, 1224900000}, {{39.93, 116.43}, 1224900060},
+                          {{39.94, 116.44}, 1224900061}}}),
+      make_trace("001", {{{{40.00, 116.30}, 1224814000}}})};
 
   write_geolife_dataset(root, users);
   const auto loaded = read_geolife_dataset(root);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].user_id, "000");
-  EXPECT_EQ(loaded[0].trajectories.size(), 2u);
-  EXPECT_EQ(loaded[1].trajectories.size(), 1u);
-  EXPECT_EQ(loaded[0].total_points(), 4u);
-  EXPECT_NEAR(loaded[0].trajectories[0][0].position.lat_deg, 39.90, 1e-6);
+  ASSERT_EQ(loaded.size(), users.size());
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    EXPECT_EQ(loaded[u].user_id, users[u].user_id);
+    EXPECT_EQ(loaded[u].points().size(), users[u].points().size());
+    ASSERT_EQ(loaded[u].session_count(), users[u].session_count());
+    for (std::size_t s = 0; s < users[u].session_count(); ++s) {
+      const auto written = users[u].session(s);
+      const auto read = loaded[u].session(s);
+      ASSERT_EQ(read.size(), written.size()) << "user " << u << " session " << s;
+      for (std::size_t i = 0; i < read.size(); ++i) {
+        // .plt keeps six decimals of a degree and whole seconds.
+        EXPECT_NEAR(read[i].position.lat_deg, written[i].position.lat_deg, 1e-6);
+        EXPECT_NEAR(read[i].position.lon_deg, written[i].position.lon_deg, 1e-6);
+        EXPECT_EQ(read[i].timestamp_s, written[i].timestamp_s);
+      }
+    }
+  }
 
   std::filesystem::remove_all(root);
 }
@@ -281,19 +336,26 @@ TEST(FromRandomOffset, SuffixOfOriginal) {
 }
 
 TEST(DatasetStats, ComputesAggregates) {
-  UserTrace user;
-  user.user_id = "x";
-  Trajectory trajectory;
+  std::vector<TracePoint> walk;
   for (std::int64_t t = 0; t < 100; t += 2)
-    trajectory.append({{39.9 + 1e-5 * static_cast<double>(t), 116.4}, t});
-  user.trajectories.push_back(std::move(trajectory));
-  const auto stats = compute_dataset_stats({user});
+    walk.push_back({{39.9 + 1e-5 * static_cast<double>(t), 116.4}, t});
+  // A second session a day later and about 14 km away: neither the gap
+  // nor the jump between the sessions counts toward length, duration or
+  // the sampling intervals.
+  const std::vector<TracePoint> hop{point_at(86400, 40.0, 116.5), point_at(86402, 40.0, 116.51)};
+  const auto stats = compute_dataset_stats({make_trace("x", {walk, hop})});
   EXPECT_EQ(stats.user_count, 1u);
-  EXPECT_EQ(stats.trajectory_count, 1u);
-  EXPECT_EQ(stats.point_count, 50u);
+  EXPECT_EQ(stats.trajectory_count, 2u);
+  EXPECT_EQ(stats.point_count, 52u);
   EXPECT_DOUBLE_EQ(stats.high_frequency_fraction, 1.0);  // All 2 s gaps.
   EXPECT_DOUBLE_EQ(stats.median_interval_s, 2.0);
-  EXPECT_GT(stats.total_length_km, 0.0);
+
+  double walk_m = 0.0;
+  for (std::size_t i = 1; i < walk.size(); ++i)
+    walk_m += geo::haversine_m(walk[i - 1].position, walk[i].position);
+  const double hop_m = geo::haversine_m(hop[0].position, hop[1].position);
+  EXPECT_DOUBLE_EQ(stats.total_length_km, walk_m / 1000.0 + hop_m / 1000.0);
+  EXPECT_DOUBLE_EQ(stats.total_duration_hours, 98.0 / 3600.0 + 2.0 / 3600.0);
 }
 
 }  // namespace

@@ -56,8 +56,7 @@ TEST(Strings, StartsEndsWith) {
   EXPECT_FALSE(ends_with("plt", ".plt"));
 }
 
-TEST(Strings, ToLowerJoin) {
-  EXPECT_EQ(to_lower("Fine & COARSE"), "fine & coarse");
+TEST(Strings, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
 }

@@ -263,7 +263,7 @@ int cmd_extract_pois(int argc, const char* const* argv) {
   params.radius_m = args.get_double("--radius");
   params.min_visit_s = args.get_int("--visit") * 60;
 
-  const auto points = trace::collect(users[user_index].flattened(), interval_s);
+  const auto points = trace::collect(users[user_index].points(), interval_s);
   const auto stays = poi::extract_stay_points(points, params);
   const auto pois = poi::cluster_stay_points(stays, params.radius_m);
 
@@ -495,13 +495,13 @@ int cmd_export_geojson(int argc, const char* const* argv) {
 
   const poi::ExtractionParams params;
   const auto stays = poi::extract_stay_points(
-      trace::collect(users[user_index].flattened(), interval_s), params);
+      trace::collect(users[user_index].points(), interval_s), params);
   const auto pois = poi::cluster_stay_points(stays, params.radius_m);
 
   harness::AtomicFileWriter out(args.get("--out"));
   out.stream() << poi::to_geojson(users[user_index], pois);
   out.commit();
-  std::cout << "wrote " << users[user_index].trajectories.size()
+  std::cout << "wrote " << users[user_index].session_count()
             << " trajectories and " << pois.size() << " PoIs to "
             << args.get("--out") << '\n';
   return 0;
