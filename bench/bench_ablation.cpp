@@ -40,7 +40,6 @@ int main() {
                       /*uses_mobility_corpus=*/true);
 
   const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
-  const auto& dataset = core::shared_dataset();
   int artifact_rc = 0;  // First failed CSV export wins the exit code.
   const auto export_rc = [&artifact_rc](const std::string& name,
                                         const locpriv::util::ConsoleTable& table) {
@@ -55,10 +54,10 @@ int main() {
     const auto count_stays = [&](auto&& extract) {
       std::array<std::size_t, 3> totals{0, 0, 0};
       const std::int64_t intervals[3] = {1, 60, 600};
-      for (const auto& user : dataset.users) {
+      for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
         for (int i = 0; i < 3; ++i)
           totals[static_cast<std::size_t>(i)] +=
-              extract(trace::collect(user.points(), intervals[i])).size();
+              extract(trace::collect(analyzer.reference(u).points, intervals[i])).size();
       }
       return totals;
     };

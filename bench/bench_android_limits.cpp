@@ -13,7 +13,6 @@
 #include "market/catalog.hpp"
 #include "market/study.hpp"
 #include "privacy/metrics.hpp"
-#include "stats/histogram.hpp"
 
 int main() {
   using namespace locpriv;

@@ -13,8 +13,8 @@ int main() {
   bench::print_header("E12: LPPM defenses vs the 1 s background app",
                       /*uses_mobility_corpus=*/true);
 
+  const auto& dataset = core::shared_dataset();  // first: the analyzer then leaves users intact
   const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
-  const auto& dataset = core::shared_dataset();
 
   // Cloaking anchors: every user's true home (the population density the
   // k-anonymity cloak needs).

@@ -109,7 +109,11 @@ std::vector<std::string> csv_fields(const SweepRow& row) {
 
 /// The ledger cell key for one sweep cell.
 std::string cell_key(double intensity, std::int64_t interval_s) {
-  return "i" + util::format_fixed(intensity, 2) + "_t" + std::to_string(interval_s);
+  std::string key = "i";
+  key += util::format_fixed(intensity, 2);
+  key += "_t";
+  key += std::to_string(interval_s);
+  return key;
 }
 
 /// Rebuilds a row from its serialized fields. Fresh and resumed cells both

@@ -6,7 +6,7 @@
 #include "bench_common.hpp"
 #include "market/catalog.hpp"
 #include "market/study.hpp"
-#include "stats/histogram.hpp"
+#include "stats/ecdf.hpp"
 
 int main() {
   using namespace locpriv;

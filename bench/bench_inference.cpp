@@ -18,8 +18,8 @@ int main() {
   bench::print_header("E14: home/work inference, pair anonymity, time to confusion",
                       /*uses_mobility_corpus=*/true);
 
+  const auto& dataset = core::shared_dataset();  // first: the analyzer then leaves users intact
   const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
-  const auto& dataset = core::shared_dataset();
   const std::size_t users = analyzer.user_count();
 
   // Ground truth: home is the generator's labelled home; "work" is defined

@@ -2,10 +2,11 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <optional>
 
+#include "util/expect.hpp"
 #include "util/logging.hpp"
+#include "util/sync.hpp"
 
 namespace locpriv::core {
 
@@ -37,26 +38,41 @@ AnalyzerConfig experiment_analyzer_config() {
 }
 
 namespace {
-std::once_flag g_dataset_once;
-std::optional<mobility::SyntheticDataset> g_dataset;
-std::once_flag g_analyzer_once;
-std::optional<PrivacyAnalyzer> g_analyzer;
+util::Mutex g_mutex;
+std::optional<mobility::SyntheticDataset> g_dataset LOCPRIV_GUARDED_BY(g_mutex);
+std::optional<PrivacyAnalyzer> g_analyzer LOCPRIV_GUARDED_BY(g_mutex);
+bool g_dataset_shared LOCPRIV_GUARDED_BY(g_mutex) = false;  // a reader holds it
+bool g_traces_taken LOCPRIV_GUARDED_BY(g_mutex) = false;    // the analyzer owns them
+
+mobility::SyntheticDataset& dataset_locked() LOCPRIV_REQUIRES(g_mutex) {
+  if (!g_dataset) {
+    LOCPRIV_LOG(kInfo, "experiment") << "generating shared dataset";
+    g_dataset = mobility::generate_dataset(experiment_dataset_config());
+  }
+  return *g_dataset;
+}
 }  // namespace
 
 const mobility::SyntheticDataset& shared_dataset() {
-  std::call_once(g_dataset_once, [] {
-    LOCPRIV_LOG(kInfo, "experiment") << "generating shared dataset";
-    g_dataset = mobility::generate_dataset(experiment_dataset_config());
-  });
-  return *g_dataset;
+  util::MutexLock lock(g_mutex);
+  // The analyzer owns the traces now, so `users` would read back empty.
+  LOCPRIV_EXPECT(!g_traces_taken);
+  g_dataset_shared = true;
+  return dataset_locked();
 }
 
 const PrivacyAnalyzer& shared_analyzer() {
-  std::call_once(g_analyzer_once, [] {
-    const mobility::SyntheticDataset& dataset = shared_dataset();
-    auto users = dataset.users;  // Copy: the analyzer consumes the traces.
-    g_analyzer.emplace(experiment_analyzer_config(), std::move(users));
-  });
+  util::MutexLock lock(g_mutex);
+  if (!g_analyzer) {
+    mobility::SyntheticDataset& dataset = dataset_locked();
+    if (g_dataset_shared) {
+      // A reader holds the dataset: leave its traces intact.
+      g_analyzer.emplace(experiment_analyzer_config(), dataset.users);
+    } else {
+      g_analyzer.emplace(experiment_analyzer_config(), std::move(dataset.users));
+      g_traces_taken = true;
+    }
+  }
   return *g_analyzer;
 }
 

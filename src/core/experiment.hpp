@@ -42,10 +42,15 @@ mobility::DatasetConfig experiment_dataset_config();
 /// 250 m cells, alpha = 0.05).
 AnalyzerConfig experiment_analyzer_config();
 
-/// Process-wide dataset (generated on first use).
+/// Process-wide dataset (generated on first use). A process that also
+/// needs shared_analyzer() must call this first: once the analyzer has
+/// taken the traces, this throws ContractViolation instead of handing out
+/// an empty `users` (read the traces through reference(u).points).
 const mobility::SyntheticDataset& shared_dataset();
 
-/// Process-wide analyzer over shared_dataset() (built on first use).
+/// Process-wide analyzer over shared_dataset()'s traces (built on first
+/// use). It takes the traces, so the process holds them once; if
+/// shared_dataset() has already handed them to a reader, it copies them.
 const PrivacyAnalyzer& shared_analyzer();
 
 }  // namespace locpriv::core

@@ -355,21 +355,11 @@ void RunLedger::record_quarantine(const std::string& cell,
   quarantine_[cell] = details;
 }
 
-bool RunLedger::quarantined(const std::string& cell) const {
-  return cells_.count(cell) == 0 && quarantine_.count(cell) != 0;
-}
-
 const std::vector<std::string>* RunLedger::quarantine_details(
     const std::string& cell) const {
-  if (!quarantined(cell)) return nullptr;
-  return &quarantine_.at(cell);
-}
-
-std::vector<std::string> RunLedger::quarantined_cells() const {
-  std::vector<std::string> cells;
-  for (const auto& [cell, details] : quarantine_)
-    if (cells_.count(cell) == 0) cells.push_back(cell);
-  return cells;
+  const auto it = quarantine_.find(cell);
+  if (it == quarantine_.end() || cells_.count(cell) != 0) return nullptr;
+  return &it->second;
 }
 
 void RunLedger::sync() {

@@ -102,17 +102,12 @@ class RunLedger {
   void record_quarantine(const std::string& cell,
                          const std::vector<std::string>& details);
 
-  /// True when the cell's latest state is "quarantined" (a later completed
-  /// record supersedes quarantine).
-  bool quarantined(const std::string& cell) const;
-
-  /// The journaled failure details of a quarantined cell, or nullptr.
+  /// The journaled failure details when the cell's latest state is
+  /// "quarantined", else nullptr (a later completed record supersedes
+  /// quarantine).
   const std::vector<std::string>* quarantine_details(const std::string& cell) const;
 
   std::size_t completed_count() const { return cells_.size(); }
-
-  /// Quarantined cells (latest-state view), sorted by key.
-  std::vector<std::string> quarantined_cells() const;
 
   /// Forces the journal to stable storage. Every append already fsyncs;
   /// this exists so a graceful-shutdown path can make the guarantee

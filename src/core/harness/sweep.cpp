@@ -25,41 +25,31 @@ void declare_run_flags(util::Args& args) {
 
 RunOptions run_options_from(const util::Args& args, std::string stage_name) {
   RunOptions options;
-  options.stage.heartbeat = std::chrono::seconds(args.get_int("--heartbeat"));
-  options.stage.soft_deadline =
-      std::chrono::seconds(args.get_int("--soft-deadline"));
-  options.stage.hard_deadline =
-      std::chrono::seconds(args.get_int("--hard-deadline"));
+  const auto seconds = [&](const char* flag) {
+    return std::chrono::seconds(args.get_int(flag, 0, kMaxFlagSeconds));
+  };
+  const auto seconds_as_ms = [&](const char* flag) {
+    return std::chrono::milliseconds(static_cast<long long>(
+        args.get_double(flag, 0, static_cast<double>(kMaxFlagSeconds)) * 1000.0));
+  };
+  options.stage.heartbeat = seconds("--heartbeat");
+  options.stage.soft_deadline = seconds("--soft-deadline");
+  options.stage.hard_deadline = seconds("--hard-deadline");
   options.supervisor.isolate = args.get_bool("--isolate");
   options.supervisor.workers =
-      static_cast<unsigned>(args.get_int("--workers"));
+      static_cast<unsigned>(args.get_int("--workers", 1, kMaxFlagWorkers));
   options.supervisor.cell_rlimit_mb =
-      static_cast<std::size_t>(args.get_int("--cell-rlimit-mb"));
+      static_cast<std::size_t>(args.get_int("--cell-rlimit-mb", 0, kMaxFlagMiB));
   options.supervisor.cell_cpu_s =
-      static_cast<unsigned>(args.get_int("--cell-cpu-s"));
-  options.supervisor.cell_deadline = std::chrono::milliseconds(
-      static_cast<long long>(args.get_double("--cell-deadline") * 1000.0));
-  options.supervisor.term_grace = std::chrono::milliseconds(
-      static_cast<long long>(args.get_double("--cell-grace") * 1000.0));
+      static_cast<unsigned>(args.get_int("--cell-cpu-s", 0, kMaxFlagSeconds));
+  options.supervisor.cell_deadline = seconds_as_ms("--cell-deadline");
+  options.supervisor.term_grace = seconds_as_ms("--cell-grace");
   options.supervisor.max_attempts =
-      static_cast<int>(args.get_int("--cell-retries"));
+      static_cast<int>(args.get_int("--cell-retries", 1, kMaxFlagRetries));
   options.supervisor.backoff_base =
-      std::chrono::milliseconds(args.get_int("--cell-backoff-ms"));
+      std::chrono::milliseconds(args.get_int("--cell-backoff-ms", 0, kMaxFlagBackoffMs));
   if (!args.get("--run-dir").empty() && !args.get("--resume").empty())
     throw Error(ErrorCode::kUsage, "--run-dir and --resume are mutually exclusive");
-  if (options.stage.heartbeat.count() < 0 ||
-      options.stage.soft_deadline.count() < 0 ||
-      options.stage.hard_deadline.count() < 0)
-    throw Error(ErrorCode::kUsage, "deadlines and heartbeat must be >= 0 seconds");
-  if (args.get_int("--workers") < 1)
-    throw Error(ErrorCode::kUsage, "--workers must be >= 1");
-  if (args.get_int("--cell-retries") < 1)
-    throw Error(ErrorCode::kUsage, "--cell-retries must be >= 1");
-  if (args.get_int("--cell-rlimit-mb") < 0 || args.get_int("--cell-cpu-s") < 0 ||
-      args.get_double("--cell-deadline") < 0 ||
-      args.get_double("--cell-grace") < 0 ||
-      args.get_int("--cell-backoff-ms") < 0)
-    throw Error(ErrorCode::kUsage, "cell limits must be >= 0");
   options.stage.name = std::move(stage_name);
   if (!args.get("--resume").empty()) {
     options.run_dir = args.get("--resume");
@@ -68,14 +58,6 @@ RunOptions run_options_from(const util::Args& args, std::string stage_name) {
     options.run_dir = args.get("--run-dir");
   }
   return options;
-}
-
-RunOptions parse_run_options(int argc, const char* const* argv,
-                             std::string stage_name) {
-  util::Args args;
-  declare_run_flags(args);
-  args.parse(argc, argv, 1);
-  return run_options_from(args, std::move(stage_name));
 }
 
 std::unique_ptr<RunLedger> open_ledger(const RunOptions& options,

@@ -43,20 +43,26 @@ struct RunOptions {
   std::string mode_string() const;
 };
 
+/// Ceilings for command-line numbers, so that what is derived from them stays
+/// representable: a duration is added to a nanosecond clock (or multiplied
+/// by a retry count first), a backoff base doubles up to 20 times, a MiB
+/// limit becomes a byte count, and every worker or shard is a process.
+inline constexpr long long kMaxFlagSeconds = 1'000'000;  // about 11.6 days
+inline constexpr long long kMaxFlagBackoffMs = 1'000'000;
+inline constexpr long long kMaxFlagMiB = 1LL << 30;
+inline constexpr long long kMaxFlagWorkers = 1024;
+inline constexpr long long kMaxFlagRetries = 1000;
+
 /// Declares the standard harness flags on a caller-owned parser, so bench
 /// binaries can mix them with their own experiment flags in one command
 /// line. Pair with run_options_from() after args.parse().
 void declare_run_flags(util::Args& args);
 
 /// Extracts and validates RunOptions from a parsed command line that
-/// declared the flags via declare_run_flags(). Throws Error(kUsage) on bad
-/// values (negative deadlines, zero workers, ...).
+/// declared the flags via declare_run_flags(). Throws Error(kUsage) on a
+/// value outside its range (negative or above the kMaxFlag* ceilings, zero
+/// workers or retries, a non-finite number) and on --run-dir with --resume.
 RunOptions run_options_from(const util::Args& args, std::string stage_name);
-
-/// Parses the standard harness flags (and nothing else) from a bench
-/// command line. Throws Error(kUsage) on unknown flags or bad values.
-RunOptions parse_run_options(int argc, const char* const* argv,
-                             std::string stage_name);
 
 /// Opens the ledger for a supervised run, or returns nullptr when no run
 /// dir was requested. A fresh `--run-dir` refuses to reuse a directory that

@@ -7,6 +7,16 @@
 
 namespace locpriv::util {
 
+namespace {
+
+Error out_of_range(const std::string& flag, const std::string& min, const std::string& max,
+                   const std::string& got) {
+  return Error(ErrorCode::kUsage,
+               "flag " + flag + " must be in [" + min + ", " + max + "], got '" + got + "'");
+}
+
+}  // namespace
+
 void Args::declare(const std::string& flag, std::string default_value) {
   values_[flag] = std::move(default_value);
   supplied_[flag] = false;
@@ -68,6 +78,20 @@ double Args::get_double(const std::string& flag) const {
   if (!parse_double(get(flag), value))
     throw Error(ErrorCode::kUsage,
                 "flag " + flag + " expects a number, got '" + get(flag) + "'");
+  return value;
+}
+
+long long Args::get_int(const std::string& flag, long long min, long long max) const {
+  const long long value = get_int(flag);
+  if (value < min || value > max)
+    throw out_of_range(flag, std::to_string(min), std::to_string(max), get(flag));
+  return value;
+}
+
+double Args::get_double(const std::string& flag, double min, double max) const {
+  const double value = get_double(flag);
+  if (!(value >= min && value <= max))  // also rejects NaN
+    throw out_of_range(flag, format_fixed(min, 0), format_fixed(max, 0), get(flag));
   return value;
 }
 

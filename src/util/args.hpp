@@ -33,6 +33,11 @@ class Args {
   double get_double(const std::string& flag) const;
   bool get_bool(const std::string& flag) const;
 
+  /// get_int() / get_double() that also require min <= value <= max (so a
+  /// double must be finite); a value outside throws Error(kUsage).
+  long long get_int(const std::string& flag, long long min, long long max) const;
+  double get_double(const std::string& flag, double min, double max) const;
+
   /// True if the user explicitly supplied the flag.
   bool supplied(const std::string& flag) const;
 

@@ -25,7 +25,6 @@ class LOCPRIV_CAPABILITY("mutex") Mutex {
 
   void lock() LOCPRIV_ACQUIRE() { mutex_.lock(); }
   void unlock() LOCPRIV_RELEASE() { mutex_.unlock(); }
-  bool try_lock() LOCPRIV_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
   std::mutex mutex_;
@@ -67,7 +66,6 @@ class CondVar {
     return cv_.wait_until(mutex, deadline);
   }
 
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
  private:

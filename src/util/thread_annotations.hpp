@@ -44,8 +44,6 @@
   LOCPRIV_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
 #define LOCPRIV_RELEASE(...) \
   LOCPRIV_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define LOCPRIV_TRY_ACQUIRE(...) \
-  LOCPRIV_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 
 /// Function must NOT be called with the listed capabilities held
 /// (non-reentrancy / deadlock guard).

@@ -17,6 +17,7 @@
 #include "core/harness/run_ledger.hpp"
 #include "core/harness/sweep.hpp"
 #include "core/harness/watchdog.hpp"
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -229,27 +230,26 @@ TEST(RunLedger, QuarantineRecordsReplayAndAreSupersededByCompletion) {
     RunLedger ledger(dir, kInfo);
     ledger.record("cell_ok", {"1"});
     ledger.record_quarantine("cell_bad", details);
-    EXPECT_TRUE(ledger.quarantined("cell_bad"));
-    EXPECT_FALSE(ledger.quarantined("cell_ok"));
+    EXPECT_NE(ledger.quarantine_details("cell_bad"), nullptr);
+    EXPECT_EQ(ledger.quarantine_details("cell_ok"), nullptr);
+    EXPECT_EQ(ledger.quarantine_details("cell_never_seen"), nullptr);
     EXPECT_FALSE(ledger.completed("cell_bad"));
   }
   {
     // Quarantine records are journaled: they survive reopen with their
-    // structured details intact and are listed for the summary.
+    // structured details intact.
     RunLedger ledger(dir, kInfo);
-    EXPECT_TRUE(ledger.quarantined("cell_bad"));
     ASSERT_NE(ledger.quarantine_details("cell_bad"), nullptr);
     EXPECT_EQ(*ledger.quarantine_details("cell_bad"), details);
-    EXPECT_EQ(ledger.quarantined_cells(), std::vector<std::string>{"cell_bad"});
+    EXPECT_EQ(ledger.quarantine_details("cell_ok"), nullptr);
     // A resumed run that retries the cell and succeeds supersedes the
     // quarantine — latest state wins, exactly like a completed record.
     ledger.record("cell_bad", {"2"});
-    EXPECT_FALSE(ledger.quarantined("cell_bad"));
-    EXPECT_TRUE(ledger.quarantined_cells().empty());
+    EXPECT_EQ(ledger.quarantine_details("cell_bad"), nullptr);
   }
   RunLedger reopened(dir, kInfo);
   EXPECT_TRUE(reopened.completed("cell_bad"));
-  EXPECT_FALSE(reopened.quarantined("cell_bad"));
+  EXPECT_EQ(reopened.quarantine_details("cell_bad"), nullptr);
 }
 
 TEST(RunLedger, QuarantiningACompletedCellIsAHarnessBug) {
@@ -438,34 +438,42 @@ TEST(ErrorTaxonomy, ContextChainRendersOutermostFirst) {
   EXPECT_EQ(error.message(), "cannot rename temp file to out.csv");
 }
 
+// Parses a bench command line through the pair audit-all and
+// bench_fault_degradation use: declare_run_flags, then run_options_from.
+RunOptions parse_run_flags(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "bench");
+  util::Args args;
+  declare_run_flags(args);
+  args.parse(static_cast<int>(argv.size()), argv.data(), 1);
+  return run_options_from(args, "stage");
+}
+
+void expect_usage_error(std::vector<const char*> argv) {
+  try {
+    parse_run_flags(argv);
+    ADD_FAILURE() << argv.front() << " " << argv.back() << " should have been refused";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kUsage) << argv.front() << " " << argv.back();
+  }
+}
+
 TEST(ErrorTaxonomy, ParseRunOptionsValidates) {
-  const char* good[] = {"bench", "--resume", "/tmp/run", "--hard-deadline", "60"};
-  const RunOptions options = parse_run_options(5, good, "stage");
+  const RunOptions options = parse_run_flags({"--resume", "/tmp/run", "--hard-deadline", "60"});
   EXPECT_TRUE(options.active());
   EXPECT_TRUE(options.resume);
   EXPECT_EQ(options.run_dir, fs::path("/tmp/run"));
+  EXPECT_EQ(options.stage.name, "stage");
   EXPECT_EQ(options.stage.hard_deadline, std::chrono::seconds(60));
   EXPECT_EQ(options.stage.heartbeat, std::chrono::seconds(30));
 
-  const char* unknown[] = {"bench", "--frobnicate"};
-  try {
-    parse_run_options(2, unknown, "stage");
-    FAIL() << "unknown flag should have thrown";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kUsage);
-  }
-
-  const char* clash[] = {"bench", "--run-dir", "a", "--resume", "b"};
-  EXPECT_THROW(parse_run_options(5, clash, "stage"), Error);
+  expect_usage_error({"--frobnicate"});
+  expect_usage_error({"--run-dir", "a", "--resume", "b"});
 }
 
 TEST(ErrorTaxonomy, ParseRunOptionsCoversSupervisorFlags) {
-  const char* good[] = {"bench",        "--run-dir",      "/tmp/run",
-                        "--isolate",    "--workers",      "4",
-                        "--cell-rlimit-mb", "512",        "--cell-deadline",
-                        "2.5",          "--cell-retries", "5",
-                        "--cell-backoff-ms", "250"};
-  const RunOptions options = parse_run_options(14, good, "stage");
+  const RunOptions options = parse_run_flags(
+      {"--run-dir", "/tmp/run", "--isolate", "--workers", "4", "--cell-rlimit-mb", "512",
+       "--cell-deadline", "2.5", "--cell-retries", "5", "--cell-backoff-ms", "250"});
   EXPECT_TRUE(options.supervisor.isolate);
   EXPECT_EQ(options.supervisor.workers, 4u);
   EXPECT_EQ(options.supervisor.cell_rlimit_mb, 512u);
@@ -475,12 +483,40 @@ TEST(ErrorTaxonomy, ParseRunOptionsCoversSupervisorFlags) {
   EXPECT_EQ(options.mode_string(), "isolate-w4");
   EXPECT_EQ(RunOptions{}.mode_string(), "inproc-w1");
 
-  const char* zero_workers[] = {"bench", "--workers", "0"};
-  EXPECT_THROW(parse_run_options(3, zero_workers, "stage"), Error);
-  const char* zero_retries[] = {"bench", "--cell-retries", "0"};
-  EXPECT_THROW(parse_run_options(3, zero_retries, "stage"), Error);
-  const char* negative_limit[] = {"bench", "--cell-rlimit-mb", "-1"};
-  EXPECT_THROW(parse_run_options(3, negative_limit, "stage"), Error);
+  // 0 keeps meaning "off" for every limit and deadline.
+  const RunOptions off = parse_run_flags(
+      {"--heartbeat", "0", "--hard-deadline", "0", "--cell-deadline", "0", "--cell-grace",
+       "0", "--cell-rlimit-mb", "0", "--cell-cpu-s", "0", "--cell-backoff-ms", "0"});
+  EXPECT_EQ(off.supervisor.cell_deadline.count(), 0);
+  EXPECT_EQ(off.stage.heartbeat.count(), 0);
+
+  expect_usage_error({"--workers", "0"});
+  expect_usage_error({"--cell-retries", "0"});
+  expect_usage_error({"--cell-rlimit-mb", "-1"});
+}
+
+TEST(ErrorTaxonomy, RunOptionsRefuseNumbersTheHarnessCannotRepresent) {
+  // Non-finite and huge seconds would be undefined behaviour in the
+  // conversion to milliseconds.
+  for (const char* flag : {"--cell-deadline", "--cell-grace"})
+    for (const char* value : {"nan", "inf", "-inf", "1e300", "1000001"})
+      expect_usage_error({flag, value});
+  // A count above UINT_MAX would wrap in the cast to unsigned (4294967297
+  // workers would be 1), and every worker is a process.
+  expect_usage_error({"--workers", "4294967297"});
+  expect_usage_error({"--workers", "1025"});
+  expect_usage_error({"--cell-cpu-s", "4294967297"});
+  // The backoff shift and the seconds-to-clock conversions overflow.
+  expect_usage_error({"--cell-backoff-ms", "9223372036854775807"});
+  for (const char* flag : {"--heartbeat", "--soft-deadline", "--hard-deadline"}) {
+    expect_usage_error({flag, "9300000000000000"});
+    expect_usage_error({flag, "-1"});
+  }
+  const RunOptions ceiling =
+      parse_run_flags({"--hard-deadline", "1000000", "--cell-deadline", "1000000",
+                       "--cell-backoff-ms", "1000000", "--workers", "1024"});
+  EXPECT_EQ(ceiling.stage.hard_deadline, std::chrono::seconds(kMaxFlagSeconds));
+  EXPECT_EQ(ceiling.supervisor.cell_deadline, std::chrono::seconds(kMaxFlagSeconds));
 }
 
 }  // namespace

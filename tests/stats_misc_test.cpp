@@ -4,7 +4,7 @@
 
 #include "stats/descriptive.hpp"
 #include "stats/entropy.hpp"
-#include "stats/histogram.hpp"
+#include "stats/ecdf.hpp"
 #include "util/expect.hpp"
 
 namespace locpriv::stats {
@@ -35,34 +35,6 @@ TEST(Descriptive, SummaryFields) {
   EXPECT_DOUBLE_EQ(s.max, 5.0);
   EXPECT_DOUBLE_EQ(s.median, 3.0);
   EXPECT_NEAR(s.stddev, 2.0, 1e-12);
-}
-
-TEST(BinnedHistogram, BinsAndClamps) {
-  BinnedHistogram histogram(0.0, 10.0, 5);
-  histogram.add(0.5);    // bin 0
-  histogram.add(9.99);   // bin 4
-  histogram.add(-3.0);   // clamped to bin 0
-  histogram.add(42.0);   // clamped to bin 4
-  EXPECT_EQ(histogram.count(0), 2u);
-  EXPECT_EQ(histogram.count(4), 2u);
-  EXPECT_EQ(histogram.total(), 4u);
-  EXPECT_DOUBLE_EQ(histogram.bin_lower(1), 2.0);
-  EXPECT_DOUBLE_EQ(histogram.bin_upper(1), 4.0);
-}
-
-TEST(BinnedHistogram, NormalizedSumsToOne) {
-  BinnedHistogram histogram(0.0, 1.0, 4);
-  histogram.add_all({0.1, 0.3, 0.6, 0.9});
-  double total = 0.0;
-  for (const double f : histogram.normalized()) total += f;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(BinnedHistogram, Preconditions) {
-  EXPECT_THROW(BinnedHistogram(1.0, 1.0, 3), util::ContractViolation);
-  EXPECT_THROW(BinnedHistogram(0.0, 1.0, 0), util::ContractViolation);
-  BinnedHistogram histogram(0.0, 1.0, 2);
-  EXPECT_THROW(histogram.count(2), util::ContractViolation);
 }
 
 TEST(Ecdf, StepFunction) {

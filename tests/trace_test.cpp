@@ -251,9 +251,10 @@ TEST(Decimate, EqualsThePerFixRule) {
                                              : t - rng.uniform_int(0, 3000);
       EXPECT_EQ(decimate(points, interval_s, start_s), per_fix(points, interval_s, start_s))
           << "trial " << trial << " interval " << interval_s;
-      if (!points.empty())
+      if (!points.empty()) {
         EXPECT_EQ(decimate(points, interval_s),
                   per_fix(points, interval_s, points.front().timestamp_s));
+      }
     }
   }
 }

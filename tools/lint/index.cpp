@@ -7,16 +7,6 @@ namespace locpriv::lint {
 
 namespace {
 
-bool is_punct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kPunct && t.text == text;
-}
-
-bool is_ident(const Token& t) { return t.kind == TokenKind::kIdentifier; }
-
-bool is_ident(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
-
 // Keywords that look like `name(` but never are calls or definitions.
 bool is_control_keyword(std::string_view name) {
   static constexpr std::array<std::string_view, 18> kKeywords = {
@@ -190,6 +180,18 @@ bool FileIndex::inside_loop(std::size_t token) const {
   return false;
 }
 
+CallQual call_qual(const std::vector<Token>& tokens, std::size_t name) {
+  if (name == 0) return CallQual::kNone;
+  const Token& prev = tokens[name - 1];
+  if (is_punct(prev, ".") || is_punct(prev, "->")) return CallQual::kMember;
+  if (!is_punct(prev, "::")) return CallQual::kNone;
+  // `Ns::f(` is type-qualified; `::f(` is the global-namespace syscall idiom.
+  // A keyword before the `::` (`return ::read(...)`) is not a qualifier.
+  return name >= 2 && is_ident(tokens[name - 2]) && !is_control_keyword(tokens[name - 2].text)
+             ? CallQual::kType
+             : CallQual::kGlobal;
+}
+
 FileIndex build_index(std::string path, std::string_view content) {
   FileIndex file;
   file.path = std::move(path);
@@ -270,21 +272,7 @@ FileIndex build_index(std::string path, std::string_view content) {
     call.line = t.line;
     call.lparen = i + 1;
     call.rparen = rparen;
-    call.qual = CallQual::kNone;
-    if (i > 0) {
-      const Token& prev = tokens[i - 1];
-      if (is_punct(prev, ".") || is_punct(prev, "->")) {
-        call.qual = CallQual::kMember;
-      } else if (is_punct(prev, "::")) {
-        // `Ns::f(` is type-qualified; `::f(` is the global-namespace syscall
-        // idiom. A keyword before the `::` (`return ::read(...)`) is not a
-        // qualifier.
-        call.qual = (i >= 2 && is_ident(tokens[i - 2]) &&
-                     !is_control_keyword(tokens[i - 2].text))
-                        ? CallQual::kType
-                        : CallQual::kGlobal;
-      }
-    }
+    call.qual = call_qual(tokens, i);
     file.calls.push_back(std::move(call));
   }
 

@@ -91,6 +91,10 @@ struct FileIndex {
   bool inside_loop(std::size_t token) const;
 };
 
+/// How the identifier at token index `name` is qualified: the
+/// classification build_index gives each call site, for any name token.
+CallQual call_qual(const std::vector<Token>& tokens, std::size_t name);
+
 /// Builds the index for one translation unit.
 FileIndex build_index(std::string path, std::string_view content);
 

@@ -16,6 +16,17 @@ bool ident_char(char c) {
 
 bool digit(char c) { return c >= '0' && c <= '9'; }
 
+// A `'` inside a number (`1'000'000`, `0xFF'FF`) separates digits instead
+// of opening a character literal; `u8'x'` and `L'x'` start with a letter.
+bool digit_separator(std::string_view text, std::size_t i) {
+  if (i + 1 >= text.size() || !ident_char(text[i + 1])) return false;
+  std::size_t start = i;
+  while (start > 0 && (ident_char(text[start - 1]) || text[start - 1] == '\'' ||
+                       text[start - 1] == '.'))
+    --start;
+  return start < i && digit(text[start]);
+}
+
 // Literal records produced by the blanking pass so the token pass can emit
 // string/char tokens with their content without re-walking escapes.
 struct LiteralSpan {
@@ -33,8 +44,9 @@ struct BlankedSource {
   std::vector<LiteralSpan> literals;  // ordered by open offset
 };
 
-// The v1 split_views() state machine, verbatim in behaviour, plus literal
-// span capture. Line structure is preserved in both views.
+// Splits the text into a code view with comments and literal contents
+// blanked (the token pass walks it) and a comment-only view, capturing
+// literal spans on the way. Line structure is preserved in both views.
 BlankedSource blank_views(std::string_view text) {
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar, kRawString };
   BlankedSource views;
@@ -74,7 +86,7 @@ BlankedSource blank_views(std::string_view text) {
           state = State::kString;
           views.code[i] = '"';
           literal_open = i;
-        } else if (c == '\'') {
+        } else if (c == '\'' && !digit_separator(text, i)) {
           state = State::kChar;
           views.code[i] = '\'';
           literal_open = i;
@@ -275,7 +287,6 @@ LexedSource lex(std::string_view text) {
     i += punct.size();
   }
 
-  out.code = std::move(blanked.code);
   out.comments = std::move(blanked.comments);
   return out;
 }

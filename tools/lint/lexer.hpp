@@ -1,27 +1,26 @@
 // Layer 1 of locpriv-lint v2: a line-attributed C++ tokenizer.
 //
-// The v1 scanner only blanked comments and literals and ran regexes over the
-// remaining text; flow rules (EINTR retry loops, fd ownership, signal-handler
-// reachability) need to know *which* identifier is a call, where a brace
-// scope opens, and which line a token sits on. lex() produces:
+// Every rule (line, flow and cross-file) needs to know *which* identifier
+// is a call, where a brace scope opens, and which line a token sits on.
+// lex() produces:
 //
 //   - a token stream (identifiers, numbers, string/char literals incl. raw
 //     strings, punctuation, whole preprocessor directives) where every token
 //     carries the 1-based physical line it starts on, and
-//   - the same comment/literal-blanked `code` and comment-only `comments`
-//     buffers the v1 scanner produced, with line structure preserved, so the
-//     v1 regex rules and the lint suppression-comment contract (see lint.hpp)
-//     keep byte-identical behaviour.
+//   - a comment-only `comments` buffer with line structure preserved, which
+//     the suppression-comment contract (see lint.hpp) is parsed from.
 //
 // Deliberate shapes:
 //   - Keywords lex as identifiers; rule layers treat `new`/`throw` by name.
 //   - A preprocessor directive (including backslash-continued lines) becomes
-//     ONE kPreproc token, so code stringified inside a macro body cannot
-//     masquerade as live identifiers for the flow rules.
+//     ONE kPreproc token, so code inside a macro body is invisible to every
+//     rule: a call spelled in a `#define` is not a call site.
 //   - String tokens keep their (raw, unescaped) source content in `text`;
-//     the blanked `code` view still hides it from the regex rules.
+//     no rule matches identifiers inside them. A `'` inside a number
+//     (`1'000'000`) is a digit separator, not a character literal.
 //   - `::` and `->` are single punctuation tokens: qualification is
-//     structural information the call-site layer depends on.
+//     structural information the call-site layer depends on. Whitespace and
+//     comments between tokens carry no meaning (`a . b` is a member chain).
 #pragma once
 
 #include <cstddef>
@@ -47,9 +46,18 @@ struct Token {
   std::size_t line = 0;  // 1-based line where the token starts.
 };
 
+inline bool is_ident(const Token& t) { return t.kind == TokenKind::kIdentifier; }
+
+inline bool is_ident(const Token& t, std::string_view text) {
+  return is_ident(t) && t.text == text;
+}
+
+inline bool is_punct(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::kPunct && t.text == text;
+}
+
 struct LexedSource {
   std::vector<Token> tokens;
-  std::string code;      // comment and literal contents blanked, lines kept.
   std::string comments;  // only comment text, lines kept.
 };
 

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -20,21 +19,6 @@ namespace locpriv::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::string::size_type begin = 0;
-  while (begin <= text.size()) {
-    const auto end = text.find('\n', begin);
-    if (end == std::string::npos) {
-      lines.push_back(text.substr(begin));
-      break;
-    }
-    lines.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return lines;
-}
 
 // ---------------------------------------------------------------------------
 // Rule names.
@@ -57,133 +41,6 @@ constexpr std::string_view kSeqNarrowing = "seq-narrowing";
 constexpr std::string_view kVerbExhaustive = "verb-exhaustive";
 constexpr std::string_view kLinearSpatialScan = "linear-spatial-scan";
 
-// ---------------------------------------------------------------------------
-// v1 line rules: regexes over the lexer's blanked code view. Behaviour is
-// identical to the v1 scanner — the views are produced by the same state
-// machine, now inside lex().
-// ---------------------------------------------------------------------------
-
-const std::regex& raw_write_re() {
-  static const std::regex re(
-      R"re(\bstd::ofstream\b|\bfopen\s*\(|\bfreopen\s*\(|\bstd::rename\s*\(|\bstd::filesystem::rename\s*\(|\bfs::rename\s*\()re");
-  return re;
-}
-
-const std::regex& nondet_rng_re() {
-  static const std::regex re(
-      R"re(\bstd::rand\b|\brand\s*\(\s*\)|\bsrand\s*\(|\brandom_device\b|\btime\s*\(\s*(nullptr|NULL|0)\s*\))re");
-  return re;
-}
-
-const std::regex& unordered_re() {
-  static const std::regex re(R"re(\bstd::unordered_(map|set|multimap|multiset)\b)re");
-  return re;
-}
-
-// Tokens that mean "this file produces serialized artifacts": the util
-// writers, the bench export helpers, and the harness publish entry points.
-const std::regex& serialize_sink_re() {
-  static const std::regex re(
-      R"re(\b(JsonWriter|CsvWriter|SeriesCsv|export_table|write_file_atomic|AtomicFileWriter|write_plt|csv_escape|json_escape)\b)re");
-  return re;
-}
-
-const std::regex& exit_call_re() {
-  static const std::regex re(R"re(\bexit\s*\(|\bquick_exit\s*\(|\b_Exit\s*\()re");
-  return re;
-}
-
-// Raw process-lifecycle primitives. The supervisor owns fork/kill/waitpid
-// (child cleanup, rlimits, SIGTERM escalation, quarantine bookkeeping);
-// scattered direct calls would leak children past graceful shutdown.
-const std::regex& raw_process_re() {
-  static const std::regex re(
-      R"re(\b(fork|vfork|execl|execle|execlp|execv|execve|execvp|fexecve|posix_spawnp?|waitpid|kill)\s*\()re");
-  return re;
-}
-
-// True when the name at `pos` is a C++ member or class-qualified call that
-// merely shares a POSIX spelling — `rng.fork()`, `child->kill()`,
-// `Rng::fork(` — as opposed to the real syscall wrapper. A global-namespace
-// qualifier (`::fork(`) is still the syscall.
-bool member_or_class_qualified(const std::string& code, std::size_t pos) {
-  if (pos >= 1 && code[pos - 1] == '.') return true;
-  if (pos >= 2 && code[pos - 2] == '-' && code[pos - 1] == '>') return true;
-  if (pos >= 2 && code[pos - 2] == ':' && code[pos - 1] == ':' && pos >= 3) {
-    const char before = code[pos - 3];
-    return std::isalnum(static_cast<unsigned char>(before)) != 0 || before == '_';
-  }
-  return false;
-}
-
-const std::regex& main_definition_re() {
-  static const std::regex re(R"re(\bint\s+main\s*\()re");
-  return re;
-}
-
-const std::regex& catch_all_re() {
-  static const std::regex re(R"re(catch\s*\(\s*\.\.\.\s*\))re");
-  return re;
-}
-
-// A catch-all handler is fine when it forwards the exception somewhere:
-// rethrow, capture via current_exception, or a deliberate hard stop.
-const std::regex& handler_forwards_re() {
-  static const std::regex re(
-      R"re(\bthrow\b|\bcurrent_exception\b|\brethrow_exception\b|\babort\s*\()re");
-  return re;
-}
-
-// Growth calls whose receiver is a member-access chain. Capture 1 is the
-// chain ("shard.retained." / "stats_."), capture 2 the growth verb.
-const std::regex& growth_call_re() {
-  static const std::regex re(
-      R"re(((?:[A-Za-z_]\w*(?:\.|->))+)(push_back|emplace_back|push_front|emplace_front)\s*\()re");
-  return re;
-}
-
-// Evidence nearby code bounds the container: any explicit trim/reset call.
-const std::regex& trim_token_re() {
-  static const std::regex re(
-      R"re(\b(pop_front|pop_back|erase|resize|clear|shrink_to_fit)\s*\()re");
-  return re;
-}
-
-// Long-lived state heuristic: a chained receiver (`shard.retained`) or any
-// component with the trailing-underscore member convention (`stats_`).
-// Plain locals (`fields.push_back`) pass — the rule targets containers that
-// outlive one call, where growth without a cap is a slow memory leak in an
-// always-on service.
-bool member_like_receiver(std::string chain) {
-  std::string::size_type arrow;
-  while ((arrow = chain.find("->")) != std::string::npos)
-    chain.replace(arrow, 2, ".");
-  std::size_t components = 0;
-  std::stringstream parts(chain);
-  std::string part;
-  bool member_named = false;
-  while (std::getline(parts, part, '.')) {
-    if (part.empty()) continue;
-    ++components;
-    if (part.back() == '_') member_named = true;
-  }
-  return components >= 2 || member_named;
-}
-
-// The unbounded-growth rule only patrols the always-on daemon and the
-// long-running sweep supervisor — the places where a slowly growing
-// container is a production memory leak rather than a transient buffer.
-bool is_longlived_state_path(std::string_view path) {
-  const std::string p(path);
-  return p.find("src/service/") != std::string::npos ||
-         p.find("src/core/harness/") != std::string::npos;
-}
-
-const std::regex& suppression_re() {
-  static const std::regex re(R"re(locpriv-lint:\s*allow\(([^)]*)\))re");
-  return re;
-}
-
 bool is_harness_path(std::string_view path) {
   return std::string(path).find("src/core/harness/") != std::string::npos;
 }
@@ -198,9 +55,9 @@ bool path_ends_with(std::string_view path, std::string_view suffix) {
          (path.size() == suffix.size() || path[path.size() - suffix.size() - 1] == '/');
 }
 
-std::string trim(const std::string& text) {
+std::string_view trim(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
+  if (begin == std::string_view::npos) return {};
   const auto end = text.find_last_not_of(" \t");
   return text.substr(begin, end - begin + 1);
 }
@@ -221,56 +78,47 @@ struct Suppressions {
   }
 };
 
-Suppressions collect_suppressions(const std::string& path,
-                                  const std::vector<std::string>& comment_lines) {
+// Parses the suppression comments out of the lexer's comment view: the
+// `locpriv-lint:` marker, then `allow(` and a comma-separated rule list up to
+// `)`, all on one physical line.
+Suppressions collect_suppressions(const std::string& path, std::string_view comments) {
+  static constexpr std::string_view kMarker = "locpriv-lint:";
+  static constexpr std::string_view kAllow = "allow(";
   Suppressions result;
-  for (std::size_t i = 0; i < comment_lines.size(); ++i) {
-    const std::size_t line = i + 1;
-    auto begin = std::sregex_iterator(comment_lines[i].begin(), comment_lines[i].end(),
-                                      suppression_re());
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      std::stringstream names((*it)[1].str());
-      std::string name;
-      bool any = false;
-      while (std::getline(names, name, ',')) {
-        name = trim(name);
-        if (name.empty()) continue;
-        any = true;
-        if (is_known_rule(name)) {
-          result.allowed[line].push_back(name);
-        } else {
-          result.errors.push_back(
-              {path, line, std::string(kBadSuppression),
-               "unknown rule '" + name + "' in locpriv-lint suppression"});
-        }
-      }
-      if (!any)
+  std::size_t line = 1;
+  std::size_t counted = 0;  // newlines before `counted` are already in `line`
+  for (std::size_t at = comments.find(kMarker); at != std::string_view::npos;
+       at = comments.find(kMarker, at + 1)) {
+    line += static_cast<std::size_t>(
+        std::count(comments.begin() + counted, comments.begin() + at, '\n'));
+    counted = at;
+    const std::size_t allow = comments.find_first_not_of(" \t\r\f\v", at + kMarker.size());
+    if (allow == std::string_view::npos || comments.compare(allow, kAllow.size(), kAllow) != 0)
+      continue;
+    const std::size_t open = allow + kAllow.size();
+    const std::size_t close = comments.find_first_of(")\n", open);
+    if (close == std::string_view::npos || comments[close] != ')') continue;
+    bool any = false;
+    std::string_view names = comments.substr(open, close - open);
+    while (!names.empty()) {
+      const std::size_t comma = std::min(names.find(','), names.size());
+      const std::string name(trim(names.substr(0, comma)));
+      names.remove_prefix(std::min(comma + 1, names.size()));
+      if (name.empty()) continue;
+      any = true;
+      if (is_known_rule(name)) {
+        result.allowed[line].push_back(name);
+      } else {
         result.errors.push_back({path, line, std::string(kBadSuppression),
-                                 "empty locpriv-lint suppression"});
+                                 "unknown rule '" + name + "' in locpriv-lint suppression"});
+      }
     }
+    if (!any)
+      result.errors.push_back(
+          {path, line, std::string(kBadSuppression), "empty locpriv-lint suppression"});
+    at = close;
   }
   return result;
-}
-
-// Finds the extent of the {...} block following `from` in `code`; returns
-// the block's contents, or empty when no block opens (e.g. macro trickery —
-// then the conservative answer is "does not forward").
-std::string catch_block(const std::string& code, std::size_t from) {
-  const auto open = code.find('{', from);
-  if (open == std::string::npos) return "";
-  int depth = 0;
-  for (std::size_t i = open; i < code.size(); ++i) {
-    if (code[i] == '{') ++depth;
-    if (code[i] == '}' && --depth == 0) return code.substr(open + 1, i - open - 1);
-  }
-  return code.substr(open + 1);
-}
-
-std::size_t line_of_offset(const std::vector<std::size_t>& line_starts,
-                           std::size_t offset) {
-  const auto it =
-      std::upper_bound(line_starts.begin(), line_starts.end(), offset);
-  return static_cast<std::size_t>(it - line_starts.begin());
 }
 
 // ---------------------------------------------------------------------------
@@ -282,10 +130,6 @@ struct FileAnalysis {
   Suppressions suppressions;
   std::vector<Finding> findings;  // per-file findings, suppression-filtered
 };
-
-bool is_ident_token(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
 
 bool ends_with(std::string_view name, std::string_view suffix) {
   return name.size() >= suffix.size() &&
@@ -303,8 +147,243 @@ bool in_set(std::string_view name, std::initializer_list<std::string_view> set) 
 bool range_has_ident(const FileIndex& file, std::size_t lo, std::size_t hi,
                      std::string_view name) {
   for (std::size_t i = lo; i < hi && i < file.src.tokens.size(); ++i)
-    if (is_ident_token(file.src.tokens[i], name)) return true;
+    if (is_ident(file.src.tokens[i], name)) return true;
   return false;
+}
+
+bool is_member_access(const Token& t) {
+  return is_punct(t, ".") || is_punct(t, "->");
+}
+
+bool is_one_of(const Token& t, std::initializer_list<std::string_view> names) {
+  return is_ident(t) && in_set(t.text, names);
+}
+
+// The token at `i` is one of `names` and a '(' follows it.
+bool names_call(const std::vector<Token>& tokens, std::size_t i,
+                std::initializer_list<std::string_view> names) {
+  return is_one_of(tokens[i], names) && i + 1 < tokens.size() && is_punct(tokens[i + 1], "(");
+}
+
+// `scope::` directly precedes the token at `i` (`std::ofstream`).
+bool qualified_by(const std::vector<Token>& tokens, std::size_t i, std::string_view scope) {
+  return i >= 2 && is_punct(tokens[i - 1], "::") && is_ident(tokens[i - 2], scope);
+}
+
+// The line rules report at most one finding per (line, rule).
+void flag_line(FileAnalysis& analysis, std::size_t line, std::string_view rule,
+               std::string message) {
+  for (const Finding& finding : analysis.findings)
+    if (finding.line == line && finding.rule == rule) return;
+  analysis.findings.push_back(
+      {analysis.index.path, line, std::string(rule), std::move(message)});
+}
+
+// ---- raw-write ------------------------------------------------------------
+
+void rule_raw_write(FileAnalysis& analysis) {
+  if (is_harness_path(analysis.index.path)) return;
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  // std::rename, std::filesystem::rename, fs::rename.
+  const auto library_rename = [&](std::size_t i) {
+    return names_call(tokens, i, {"rename"}) &&
+           (qualified_by(tokens, i, "std") || qualified_by(tokens, i, "fs") ||
+            (qualified_by(tokens, i, "filesystem") && qualified_by(tokens, i - 2, "std")));
+  };
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if ((is_ident(tokens[i], "ofstream") && qualified_by(tokens, i, "std")) ||
+        names_call(tokens, i, {"fopen", "freopen"}) || library_rename(i))
+      flag_line(analysis, tokens[i].line, kRawWrite,
+                "raw file write bypasses the harness atomic writer; use "
+                "AtomicFileWriter/write_file_atomic so a crash cannot publish a torn "
+                "artifact");
+  }
+}
+
+// ---- nondet-rng -----------------------------------------------------------
+
+void rule_nondet_rng(FileAnalysis& analysis) {
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  // `time(nullptr)`, `time(NULL)`, `time(0)`: the argument and the ')'.
+  const auto clock_seed = [&](std::size_t i) {
+    if (!names_call(tokens, i, {"time"}) || i + 3 >= tokens.size()) return false;
+    const Token& arg = tokens[i + 2];
+    return (is_ident(arg, "nullptr") || is_ident(arg, "NULL") ||
+            (arg.kind == TokenKind::kNumber && arg.text == "0")) &&
+           is_punct(tokens[i + 3], ")");
+  };
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if ((is_ident(tokens[i], "rand") && qualified_by(tokens, i, "std")) ||
+        (names_call(tokens, i, {"rand"}) && i + 2 < tokens.size() &&
+         is_punct(tokens[i + 2], ")")) ||
+        names_call(tokens, i, {"srand"}) || is_ident(tokens[i], "random_device") ||
+        clock_seed(i))
+      flag_line(analysis, tokens[i].line, kNondetRng,
+                "nondeterministic randomness/time source; derive all randomness from "
+                "a seeded stats::Rng so resumed runs stay byte-identical");
+  }
+}
+
+// ---- unordered-serialize --------------------------------------------------
+
+// Names that mean "this file produces serialized artifacts": the util
+// writers, the bench export helpers, and the harness publish entry points.
+bool serializes(const std::vector<Token>& tokens) {
+  return std::any_of(tokens.begin(), tokens.end(), [](const Token& t) {
+    return is_one_of(t, {"JsonWriter", "CsvWriter", "SeriesCsv", "export_table",
+                         "write_file_atomic", "AtomicFileWriter", "write_plt", "csv_escape",
+                         "json_escape"});
+  });
+}
+
+void rule_unordered_serialize(FileAnalysis& analysis) {
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  if (!serializes(tokens)) return;
+  for (std::size_t i = 0; i < tokens.size(); ++i)
+    if (is_one_of(tokens[i], {"unordered_map", "unordered_set", "unordered_multimap",
+                              "unordered_multiset"}) &&
+        qualified_by(tokens, i, "std"))
+      flag_line(analysis, tokens[i].line, kUnorderedSerialize,
+                "unordered container in a file that serializes output; use std::map "
+                "or a sorted vector (or suppress after proving contents never reach "
+                "an artifact)");
+}
+
+// ---- exit-call ------------------------------------------------------------
+
+// `int main (` anywhere in the file: an entry point may map errors to exit
+// codes itself.
+bool defines_main(const std::vector<Token>& tokens) {
+  for (std::size_t i = 0; i + 2 < tokens.size(); ++i)
+    if (is_ident(tokens[i], "int") && is_ident(tokens[i + 1], "main") &&
+        is_punct(tokens[i + 2], "("))
+      return true;
+  return false;
+}
+
+void rule_exit_call(FileAnalysis& analysis) {
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  if (defines_main(tokens)) return;
+  for (std::size_t i = 0; i < tokens.size(); ++i)
+    // A member function that shares the spelling (`app.exit()`) is not libc.
+    if (names_call(tokens, i, {"exit", "quick_exit", "_Exit"}) &&
+        call_qual(tokens, i) != CallQual::kMember)
+      flag_line(analysis, tokens[i].line, kExitCall,
+                "exit() outside a main() file skips destructors and the "
+                "locpriv::Error exit-code taxonomy; throw instead");
+}
+
+// ---- raw-process ----------------------------------------------------------
+
+// Raw process-lifecycle primitives. The supervisor owns fork/kill/waitpid
+// (child cleanup, rlimits, SIGTERM escalation, quarantine bookkeeping);
+// scattered direct calls would leak children past graceful shutdown. Member
+// and class-qualified names that merely share a POSIX spelling
+// (`rng.fork()`, `Rng::fork(`) pass; `::fork(` is still the syscall.
+void rule_raw_process(FileAnalysis& analysis) {
+  if (is_harness_path(analysis.index.path)) return;
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (!names_call(tokens, i, {"fork", "vfork", "execl", "execle", "execlp", "execv",
+                                "execve", "execvp", "fexecve", "posix_spawn",
+                                "posix_spawnp", "waitpid", "kill"}))
+      continue;
+    const CallQual qual = call_qual(tokens, i);
+    if (qual == CallQual::kMember || qual == CallQual::kType) continue;
+    flag_line(analysis, tokens[i].line, kRawProcess,
+              "raw " + tokens[i].text +
+                  "() outside src/core/harness/; run children through "
+                  "harness::ChildProcess so rlimits, reaping, and graceful "
+                  "shutdown stay centralized");
+  }
+}
+
+// ---- unbounded-growth -----------------------------------------------------
+
+// The unbounded-growth rule only patrols the always-on daemon and the
+// long-running sweep supervisor — the places where a slowly growing
+// container is a production memory leak rather than a transient buffer.
+bool is_longlived_state_path(std::string_view path) {
+  return is_service_path(path) || is_harness_path(path);
+}
+
+// The receiver of the member call named at `name`: the identifier, `.` and
+// `->` tokens before it, spelled out ("shard.retained."). It is long-lived
+// state when it is a chain (`shard.retained`) or any component carries the
+// trailing-underscore member convention (`stats_`); plain locals
+// (`fields.push_back`) pass — the rule targets containers that outlive one
+// call, where growth without a cap is a slow memory leak.
+std::string long_lived_receiver(const std::vector<Token>& tokens, std::size_t name) {
+  std::string chain;
+  std::size_t components = 0;
+  bool member_named = false;
+  for (std::size_t sep = name - 1; sep >= 1 && is_ident(tokens[sep - 1]); sep -= 2) {
+    const std::string& part = tokens[sep - 1].text;
+    chain.insert(0, part + tokens[sep].text);
+    ++components;
+    member_named = member_named || part.back() == '_';
+    if (sep < 2 || !is_member_access(tokens[sep - 2])) break;
+  }
+  return components >= 2 || member_named ? chain : std::string();
+}
+
+void rule_unbounded_growth(FileAnalysis& analysis) {
+  if (!is_longlived_state_path(analysis.index.path)) return;
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  // Evidence nearby code bounds the container: any explicit trim/reset call.
+  std::vector<std::size_t> trim_lines;
+  for (std::size_t i = 0; i < tokens.size(); ++i)
+    if (names_call(tokens, i,
+                   {"pop_front", "pop_back", "erase", "resize", "clear", "shrink_to_fit"}))
+      trim_lines.push_back(tokens[i].line);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (!names_call(tokens, i, {"push_back", "emplace_back", "push_front", "emplace_front"}) ||
+        call_qual(tokens, i) != CallQual::kMember)
+      continue;
+    const std::string receiver = long_lived_receiver(tokens, i);
+    if (receiver.empty()) continue;
+    // A trim/reset within eight lines either way is taken as the matching
+    // bound (the pop to this push). Anything subtler needs an explicit
+    // locpriv-lint: allow(unbounded-growth) with a reason.
+    const std::size_t line = tokens[i].line;
+    const auto trim = std::lower_bound(trim_lines.begin(), trim_lines.end(),
+                                       line > 8 ? line - 8 : 0);
+    if (trim != trim_lines.end() && *trim <= line + 8) continue;
+    flag_line(analysis, line, kUnboundedGrowth,
+              "growth of long-lived container '" + receiver + tokens[i].text +
+                  "' with no cap or trim within 8 lines; bound it (window, "
+                  "watermark, rolling cap) or suppress with a justification");
+  }
+}
+
+// ---- swallowed-catch ------------------------------------------------------
+
+// A catch-all handler is fine when it forwards the exception somewhere:
+// rethrow, capture via current_exception, or a deliberate hard stop. The
+// handler is the balanced { } after `catch ( ... )`; with no block at all
+// (macro trickery) the conservative answer is "does not forward".
+void rule_swallowed_catch(FileAnalysis& analysis) {
+  const std::vector<Token>& tokens = analysis.index.src.tokens;
+  for (std::size_t i = 0; i + 5 < tokens.size(); ++i) {
+    if (!is_ident(tokens[i], "catch") || !is_punct(tokens[i + 1], "(") ||
+        !is_punct(tokens[i + 2], ".") || !is_punct(tokens[i + 3], ".") ||
+        !is_punct(tokens[i + 4], ".") || !is_punct(tokens[i + 5], ")"))
+      continue;
+    std::size_t at = i + 6;
+    while (at < tokens.size() && !is_punct(tokens[at], "{")) ++at;
+    bool forwards = false;
+    for (int depth = 0; at < tokens.size() && !forwards; ++at) {
+      const Token& t = tokens[at];
+      if (is_punct(t, "{")) ++depth;
+      if (is_punct(t, "}") && --depth == 0) break;
+      forwards = is_ident(t, "throw") || is_ident(t, "current_exception") ||
+                 is_ident(t, "rethrow_exception") || names_call(tokens, at, {"abort"});
+    }
+    if (!forwards)
+      flag_line(analysis, tokens[i].line, kSwallowedCatch,
+                "catch (...) swallows the exception (handler neither rethrows, stores "
+                "current_exception, nor aborts)");
+  }
 }
 
 // ---- eintr-retry ----------------------------------------------------------
@@ -319,7 +398,7 @@ void rule_eintr_retry(FileAnalysis& analysis) {
     if (range_has_ident(file, call.lparen + 1, call.rparen, "WNOHANG")) continue;
     const bool retried = file.enclosing_loop_contains(
         call.name_token,
-        [](const Token& t) { return is_ident_token(t, "EINTR"); });
+        [](const Token& t) { return is_ident(t, "EINTR"); });
     if (retried) continue;
     analysis.findings.push_back(
         {file.path, call.line, std::string(kEintrRetry),
@@ -351,7 +430,7 @@ void rule_fd_guard(FileAnalysis& analysis) {
         const auto args = split_arguments(file, *creator);
         if (args.empty()) continue;
         for (std::size_t i = args[0].first; i < args[0].second; ++i)
-          if (tokens[i].kind == TokenKind::kIdentifier) {
+          if (is_ident(tokens[i])) {
             var = tokens[i].text;
             break;
           }
@@ -366,13 +445,10 @@ void rule_fd_guard(FileAnalysis& analysis) {
         std::size_t at = creator->name_token;
         if (creator->qual == CallQual::kGlobal && at >= 1) --at;  // skip '::'
         if (at < 2) continue;
-        if (tokens[at - 1].kind != TokenKind::kPunct || tokens[at - 1].text != "=")
-          continue;
-        if (tokens[at - 2].kind != TokenKind::kIdentifier) continue;
+        if (!is_punct(tokens[at - 1], "=") || !is_ident(tokens[at - 2])) continue;
         var = tokens[at - 2].text;
         if (ends_with(var, "_")) continue;  // member store: object owns it
-        if (at >= 3 && tokens[at - 3].kind == TokenKind::kPunct &&
-            (tokens[at - 3].text == "." || tokens[at - 3].text == "->"))
+        if (at >= 3 && is_member_access(tokens[at - 3]))
           continue;  // field store: owner is elsewhere
       }
 
@@ -410,19 +486,17 @@ void rule_fd_guard(FileAnalysis& analysis) {
       }
       for (std::size_t i = fn.body_open; i <= fn.body_close && !escaped; ++i) {
         const Token& t = tokens[i];
-        if (is_ident_token(t, "return")) {
+        if (is_ident(t, "return")) {
           // `return ... var ...;` — the caller owns it now (unless the
           // mention is only an argument of a borrowing call).
           for (std::size_t j = i + 1; j <= fn.body_close; ++j) {
-            if (tokens[j].kind == TokenKind::kPunct && tokens[j].text == ";") break;
-            if (is_ident_token(tokens[j], var) && !borrowed_at(j)) {
+            if (is_punct(tokens[j], ";")) break;
+            if (is_ident(tokens[j], var) && !borrowed_at(j)) {
               escaped = true;
               break;
             }
           }
-        } else if (is_ident_token(t, var) && i > fn.body_open &&
-                   tokens[i - 1].kind == TokenKind::kPunct &&
-                   tokens[i - 1].text == "=") {
+        } else if (is_ident(t, var) && i > fn.body_open && is_punct(tokens[i - 1], "=")) {
           escaped = true;  // stored into another name (member, array, alias)
         }
       }
@@ -442,14 +516,11 @@ void rule_blocking_under_lock(FileAnalysis& analysis) {
   const FileIndex& file = analysis.index;
   const std::vector<Token>& tokens = file.src.tokens;
   for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (!is_ident_token(tokens[i], "MutexLock")) continue;
-    if (i > 0 && tokens[i - 1].kind == TokenKind::kPunct &&
-        (tokens[i - 1].text == "." || tokens[i - 1].text == "->"))
-      continue;
+    if (!is_ident(tokens[i], "MutexLock")) continue;
+    if (i > 0 && is_member_access(tokens[i - 1])) continue;
     // Declaration shape: `MutexLock name(...)` / `MutexLock name{...}`.
-    if (tokens[i + 1].kind != TokenKind::kIdentifier) continue;
-    if (tokens[i + 2].kind != TokenKind::kPunct ||
-        (tokens[i + 2].text != "(" && tokens[i + 2].text != "{"))
+    if (!is_ident(tokens[i + 1]) ||
+        !(is_punct(tokens[i + 2], "(") || is_punct(tokens[i + 2], "{")))
       continue;
     const std::string& lock_name = tokens[i + 1].text;
     const std::size_t scope = file.innermost_scope(i);
@@ -499,38 +570,34 @@ void rule_seq_narrowing(FileAnalysis& analysis) {
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     // a) narrow declaration: `uint32_t submit_seq`.
-    if (t.kind == TokenKind::kIdentifier && is_counter_name(t.text) && i > 0 &&
-        tokens[i - 1].kind == TokenKind::kIdentifier &&
+    if (is_ident(t) && is_counter_name(t.text) && i > 0 && is_ident(tokens[i - 1]) &&
         is_narrow_type(tokens[i - 1].text)) {
       add(t.line, "counter '" + t.text + "' declared with 32-bit type '" +
                       tokens[i - 1].text + "'");
       continue;
     }
     // b) `static_cast<narrow>(...counter...)`.
-    if (is_ident_token(t, "static_cast") && i + 1 < tokens.size() &&
-        tokens[i + 1].kind == TokenKind::kPunct && tokens[i + 1].text == "<") {
+    if (is_ident(t, "static_cast") && i + 1 < tokens.size() && is_punct(tokens[i + 1], "<")) {
       std::size_t j = i + 2;
       int depth = 1;
       bool narrow = false;
       while (j < tokens.size() && depth > 0) {
         const Token& u = tokens[j];
-        if (u.kind == TokenKind::kPunct && u.text == "<") ++depth;
-        if (u.kind == TokenKind::kPunct && (u.text == ">" || u.text == ">>")) {
+        if (is_punct(u, "<")) ++depth;
+        if (is_punct(u, ">") || is_punct(u, ">>")) {
           depth -= u.text == ">>" ? 2 : 1;
           if (depth <= 0) break;
         }
-        if (u.kind == TokenKind::kIdentifier && is_narrow_type(u.text)) narrow = true;
+        if (is_ident(u) && is_narrow_type(u.text)) narrow = true;
         ++j;
       }
-      if (!narrow || j + 1 >= tokens.size()) continue;
-      if (tokens[j + 1].kind != TokenKind::kPunct || tokens[j + 1].text != "(")
-        continue;
+      if (!narrow || j + 1 >= tokens.size() || !is_punct(tokens[j + 1], "(")) continue;
       int paren = 1;
       for (std::size_t k = j + 2; k < tokens.size() && paren > 0; ++k) {
         const Token& u = tokens[k];
-        if (u.kind == TokenKind::kPunct && u.text == "(") ++paren;
-        if (u.kind == TokenKind::kPunct && u.text == ")") --paren;
-        if (u.kind == TokenKind::kIdentifier && is_counter_name(u.text)) {
+        if (is_punct(u, "(")) ++paren;
+        if (is_punct(u, ")")) --paren;
+        if (is_ident(u) && is_counter_name(u.text)) {
           add(t.line, "static_cast to a 32-bit type applied to counter '" +
                           u.text + "'");
           break;
@@ -539,13 +606,11 @@ void rule_seq_narrowing(FileAnalysis& analysis) {
       continue;
     }
     // c) C cast: `(uint32_t)counter` / `(std::uint32_t)counter`.
-    if (t.kind == TokenKind::kPunct && t.text == "(") {
+    if (is_punct(t, "(")) {
       std::size_t j = i + 1;
-      if (j < tokens.size() && is_ident_token(tokens[j], "std")) j += 2;
-      if (j < tokens.size() && tokens[j].kind == TokenKind::kIdentifier &&
-          is_narrow_type(tokens[j].text) && j + 2 < tokens.size() &&
-          tokens[j + 1].kind == TokenKind::kPunct && tokens[j + 1].text == ")" &&
-          tokens[j + 2].kind == TokenKind::kIdentifier &&
+      if (j < tokens.size() && is_ident(tokens[j], "std")) j += 2;
+      if (j + 2 < tokens.size() && is_ident(tokens[j]) && is_narrow_type(tokens[j].text) &&
+          is_punct(tokens[j + 1], ")") && is_ident(tokens[j + 2]) &&
           is_counter_name(tokens[j + 2].text)) {
         add(t.line, "C-style cast to 32-bit type applied to counter '" +
                         tokens[j + 2].text + "'");
@@ -612,28 +677,21 @@ void rule_unchecked_io(FileAnalysis& analysis) {
     } else if (call.qual == CallQual::kMember) {
       if (call.name_token < 2) continue;
       const Token& receiver = tokens[call.name_token - 2];
-      if (receiver.kind != TokenKind::kIdentifier ||
-          receiver.text.find("ops") == std::string::npos)
-        continue;
+      if (!is_ident(receiver) || receiver.text.find("ops") == std::string::npos) continue;
       start = call.name_token - 2;
     } else if (call.qual == CallQual::kType) {
       continue;  // std::rename / fs::rename — the raw-write rule owns those.
     }
     if (start == 0 || call.rparen + 1 >= tokens.size()) continue;
-    const Token& after = tokens[call.rparen + 1];
-    if (after.kind != TokenKind::kPunct || after.text != ";") continue;
+    if (!is_punct(tokens[call.rparen + 1], ";")) continue;
     const Token& before = tokens[start - 1];
-    const bool boundary =
-        (before.kind == TokenKind::kPunct &&
-         (before.text == ";" || before.text == "{" || before.text == "}" ||
-          before.text == ")")) ||
-        is_ident_token(before, "else") || is_ident_token(before, "do");
+    const bool boundary = is_punct(before, ";") || is_punct(before, "{") ||
+                          is_punct(before, "}") || is_punct(before, ")") ||
+                          is_ident(before, "else") || is_ident(before, "do");
     if (!boundary) continue;
     // `(void)ops.fsync(fd);` is an explicit, visible discard.
-    if (before.text == ")" && start >= 3 &&
-        is_ident_token(tokens[start - 2], "void") &&
-        tokens[start - 3].kind == TokenKind::kPunct &&
-        tokens[start - 3].text == "(")
+    if (is_punct(before, ")") && start >= 3 && is_ident(tokens[start - 2], "void") &&
+        is_punct(tokens[start - 3], "("))
       continue;
     analysis.findings.push_back(
         {file.path, call.line, std::string(kUncheckedIo),
@@ -652,110 +710,16 @@ void rule_unchecked_io(FileAnalysis& analysis) {
 FileAnalysis analyze_source(std::string_view path, std::string_view content) {
   FileAnalysis analysis;
   analysis.index = build_index(std::string(path), content);
-  const std::string& code_view = analysis.index.src.code;
-  const std::string& comments_view = analysis.index.src.comments;
-  const std::vector<std::string> code_lines = split_lines(code_view);
-  const std::vector<std::string> comment_lines = split_lines(comments_view);
-  const std::string label(path);
-
-  analysis.suppressions = collect_suppressions(label, comment_lines);
+  analysis.suppressions =
+      collect_suppressions(analysis.index.path, analysis.index.src.comments);
+  for (const auto rule :
+       {rule_raw_write, rule_nondet_rng, rule_unordered_serialize, rule_swallowed_catch,
+        rule_exit_call, rule_raw_process, rule_unbounded_growth, rule_eintr_retry,
+        rule_fd_guard, rule_blocking_under_lock, rule_seq_narrowing,
+        rule_linear_spatial_scan, rule_unchecked_io})
+    rule(analysis);
   std::vector<Finding> findings = std::move(analysis.suppressions.errors);
   analysis.suppressions.errors.clear();
-
-  const bool harness_file = is_harness_path(path);
-  const bool longlived_file = is_longlived_state_path(path);
-  const bool main_file = std::regex_search(code_view, main_definition_re());
-  const bool serializes = std::regex_search(code_view, serialize_sink_re());
-
-  auto add = [&](std::size_t line, std::string_view rule, std::string message) {
-    if (analysis.suppressions.covers(line, rule)) return;
-    findings.push_back({label, line, std::string(rule), std::move(message)});
-  };
-
-  for (std::size_t i = 0; i < code_lines.size(); ++i) {
-    const std::size_t line = i + 1;
-    const std::string& code = code_lines[i];
-    if (!harness_file && std::regex_search(code, raw_write_re()))
-      add(line, kRawWrite,
-          "raw file write bypasses the harness atomic writer; use "
-          "AtomicFileWriter/write_file_atomic so a crash cannot publish a torn "
-          "artifact");
-    if (std::regex_search(code, nondet_rng_re()))
-      add(line, kNondetRng,
-          "nondeterministic randomness/time source; derive all randomness from "
-          "a seeded stats::Rng so resumed runs stay byte-identical");
-    if (serializes && std::regex_search(code, unordered_re()))
-      add(line, kUnorderedSerialize,
-          "unordered container in a file that serializes output; use std::map "
-          "or a sorted vector (or suppress after proving contents never reach "
-          "an artifact)");
-    if (!main_file && std::regex_search(code, exit_call_re()))
-      add(line, kExitCall,
-          "exit() outside a main() file skips destructors and the "
-          "locpriv::Error exit-code taxonomy; throw instead");
-    if (!harness_file) {
-      for (auto match = std::sregex_iterator(code.begin(), code.end(),
-                                             raw_process_re());
-           match != std::sregex_iterator(); ++match) {
-        if (member_or_class_qualified(code,
-                                      static_cast<std::size_t>(match->position())))
-          continue;
-        add(line, kRawProcess,
-            "raw " + (*match)[1].str() +
-                "() outside src/core/harness/; run children through "
-                "harness::ChildProcess so rlimits, reaping, and graceful "
-                "shutdown stay centralized");
-        break;  // One finding per line, matching the other rules.
-      }
-    }
-    if (longlived_file) {
-      for (auto match = std::sregex_iterator(code.begin(), code.end(),
-                                             growth_call_re());
-           match != std::sregex_iterator(); ++match) {
-        if (!member_like_receiver((*match)[1].str())) continue;
-        // A trim/reset within eight code lines either way is taken as the
-        // matching bound (the pop to this push). Anything subtler needs an
-        // explicit locpriv-lint: allow(unbounded-growth) with a reason.
-        bool trimmed = false;
-        const std::size_t lo = i >= 8 ? i - 8 : 0;
-        const std::size_t hi = std::min(code_lines.size() - 1, i + 8);
-        for (std::size_t j = lo; j <= hi && !trimmed; ++j)
-          trimmed = std::regex_search(code_lines[j], trim_token_re());
-        if (trimmed) continue;
-        add(line, kUnboundedGrowth,
-            "growth of long-lived container '" + (*match)[1].str() +
-                (*match)[2].str() +
-                "' with no cap or trim within 8 lines; bound it (window, "
-                "watermark, rolling cap) or suppress with a justification");
-        break;  // One finding per line, matching the other rules.
-      }
-    }
-  }
-
-  // swallowed-catch needs the handler block, which can span lines.
-  std::vector<std::size_t> line_starts = {0};
-  for (std::size_t i = 0; i < code_view.size(); ++i)
-    if (code_view[i] == '\n') line_starts.push_back(i + 1);
-  auto begin =
-      std::sregex_iterator(code_view.begin(), code_view.end(), catch_all_re());
-  for (auto it = begin; it != std::sregex_iterator(); ++it) {
-    const auto offset = static_cast<std::size_t>(it->position());
-    const std::string block = catch_block(code_view, offset + it->length());
-    if (std::regex_search(block, handler_forwards_re())) continue;
-    add(line_of_offset(line_starts, offset), kSwallowedCatch,
-        "catch (...) swallows the exception (handler neither rethrows, stores "
-        "current_exception, nor aborts)");
-  }
-
-  // v2 flow rules append straight into analysis.findings; route them through
-  // the same suppression filter.
-  analysis.findings.clear();
-  rule_eintr_retry(analysis);
-  rule_fd_guard(analysis);
-  rule_blocking_under_lock(analysis);
-  rule_seq_narrowing(analysis);
-  rule_linear_spatial_scan(analysis);
-  rule_unchecked_io(analysis);
   for (Finding& finding : analysis.findings) {
     if (analysis.suppressions.covers(finding.line, finding.rule)) continue;
     findings.push_back(std::move(finding));
@@ -781,21 +745,17 @@ std::vector<std::string> handler_names(const FileIndex& file) {
   std::vector<std::string> names;
   const std::vector<Token>& tokens = file.src.tokens;
   for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (!is_ident_token(tokens[i], "sa_handler") &&
-        !is_ident_token(tokens[i], "sa_sigaction"))
-      continue;
-    if (tokens[i + 1].kind != TokenKind::kPunct || tokens[i + 1].text != "=")
+    if (!is_one_of(tokens[i], {"sa_handler", "sa_sigaction"}) || !is_punct(tokens[i + 1], "="))
       continue;
     std::size_t j = i + 2;
-    if (tokens[j].kind == TokenKind::kPunct && tokens[j].text == "&") ++j;
+    if (is_punct(tokens[j], "&")) ++j;
     // Take the last identifier of a possibly qualified chain.
     std::string last;
     while (j < tokens.size()) {
-      if (tokens[j].kind == TokenKind::kIdentifier) {
+      if (is_ident(tokens[j])) {
         last = tokens[j].text;
         ++j;
-        if (j < tokens.size() && tokens[j].kind == TokenKind::kPunct &&
-            tokens[j].text == "::") {
+        if (j < tokens.size() && is_punct(tokens[j], "::")) {
           ++j;
           continue;
         }
@@ -811,7 +771,7 @@ std::vector<std::string> handler_names(const FileIndex& file) {
     if (args.size() < 2) continue;
     std::string last;
     for (std::size_t i = args[1].first; i < args[1].second; ++i)
-      if (tokens[i].kind == TokenKind::kIdentifier) last = tokens[i].text;
+      if (is_ident(tokens[i])) last = tokens[i].text;
     if (!last.empty() && !is_signal_constant(last)) names.push_back(last);
   }
   return names;
@@ -820,14 +780,12 @@ std::vector<std::string> handler_names(const FileIndex& file) {
 // Facilities that are not async-signal-safe: allocation, stdio/logging,
 // iostreams, formatting that allocates, and locks.
 bool is_signal_unsafe_token(const Token& t) {
-  if (t.kind != TokenKind::kIdentifier) return false;
-  return in_set(t.text,
-                {"LOCPRIV_LOG", "malloc", "calloc", "realloc", "free", "printf",
-                 "fprintf", "sprintf", "snprintf", "vprintf", "vfprintf", "puts",
-                 "fputs", "fflush", "cout", "cerr", "clog", "endl",
-                 "ostringstream", "stringstream", "ofstream", "ifstream",
-                 "to_string", "MutexLock", "lock_guard", "unique_lock",
-                 "scoped_lock", "new", "delete", "throw"});
+  return is_one_of(t, {"LOCPRIV_LOG", "malloc", "calloc", "realloc", "free", "printf",
+                       "fprintf", "sprintf", "snprintf", "vprintf", "vfprintf", "puts",
+                       "fputs", "fflush", "cout", "cerr", "clog", "endl", "ostringstream",
+                       "stringstream", "ofstream", "ifstream", "to_string", "MutexLock",
+                       "lock_guard", "unique_lock", "scoped_lock", "new", "delete",
+                       "throw"});
 }
 
 void rule_signal_safety(const std::vector<FileAnalysis>& files,
@@ -888,7 +846,7 @@ const FileAnalysis* find_by_suffix(const std::vector<FileAnalysis>& files,
 
 bool file_has_ident(const FileIndex& file, std::string_view name) {
   for (const Token& t : file.src.tokens)
-    if (is_ident_token(t, name)) return true;
+    if (is_ident(t, name)) return true;
   return false;
 }
 
@@ -897,6 +855,38 @@ void add_unless_suppressed(const FileAnalysis& file, std::size_t line,
                            std::vector<Finding>& out) {
   if (file.suppressions.covers(line, rule)) return;
   out.push_back({file.index.path, line, std::string(rule), std::move(message)});
+}
+
+// Adds the record kinds a replay parser matches: every `{\"kind\":` in a
+// string literal's source text.
+void collect_parsed_kinds(std::string_view text, std::set<std::string>& kinds) {
+  static constexpr std::string_view kOpen = "{\\\"";
+  static constexpr std::string_view kClose = "\\\":";
+  for (std::size_t at = text.find(kOpen); at != std::string_view::npos;
+       at = text.find(kOpen, at + 1)) {
+    const std::size_t begin = at + kOpen.size();
+    std::size_t end = begin;
+    while (end < text.size() && (std::isalnum(static_cast<unsigned char>(text[end])) != 0 ||
+                                 text[end] == '_'))
+      ++end;
+    if (end > begin && text.compare(end, kClose.size(), kClose) == 0)
+      kinds.emplace(text.substr(begin, end - begin));
+  }
+}
+
+// The exit code a README table row `| 3 | ...` documents, or -1 when the
+// line is not such a row.
+long table_row_code(std::string_view line) {
+  static constexpr std::string_view kSpace = " \t\r\f\v";
+  const std::size_t bar = line.find_first_not_of(kSpace);
+  if (bar == std::string_view::npos || line[bar] != '|') return -1;
+  const std::size_t digits = line.find_first_not_of(kSpace, bar + 1);
+  if (digits == std::string_view::npos) return -1;
+  std::size_t end = digits;
+  while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
+  const std::size_t next = line.find_first_not_of(kSpace, end);
+  if (end == digits || next == std::string_view::npos || line[next] != '|') return -1;
+  return std::stol(std::string(line.substr(digits, end - digits)));
 }
 
 void rule_verb_exhaustive(const std::vector<FileAnalysis>& files,
@@ -911,7 +901,7 @@ void rule_verb_exhaustive(const std::vector<FileAnalysis>& files,
   if (wire != nullptr) {
     std::map<std::string, std::size_t> verbs;  // name -> first declaration line
     for (const Token& t : wire->index.src.tokens) {
-      if (t.kind != TokenKind::kIdentifier) continue;
+      if (!is_ident(t)) continue;
       const bool cmd = t.text.rfind("kCmd", 0) == 0 && t.text.size() > 4;
       const bool rsp = t.text.rfind("kRsp", 0) == 0 && t.text.size() > 4;
       if ((cmd || rsp) && verbs.find(t.text) == verbs.end())
@@ -938,13 +928,9 @@ void rule_verb_exhaustive(const std::vector<FileAnalysis>& files,
   if (const FileAnalysis* ledger =
           find_by_suffix(files, "src/core/harness/run_ledger.cpp")) {
     std::set<std::string> parsed;
-    static const std::regex kind_re(R"re(\{\\"(\w+)\\":)re");
-    for (const Token& t : ledger->index.src.tokens) {
-      if (t.kind != TokenKind::kString && t.kind != TokenKind::kRawString) continue;
-      for (auto it = std::sregex_iterator(t.text.begin(), t.text.end(), kind_re);
-           it != std::sregex_iterator(); ++it)
-        parsed.insert((*it)[1].str());
-    }
+    for (const Token& t : ledger->index.src.tokens)
+      if (t.kind == TokenKind::kString || t.kind == TokenKind::kRawString)
+        collect_parsed_kinds(t.text, parsed);
     for (const CallSite& call : ledger->index.calls) {
       if (call.name != "keyed_fields_line") continue;
       const auto args = split_arguments(ledger->index, call);
@@ -972,57 +958,45 @@ void rule_verb_exhaustive(const std::vector<FileAnalysis>& files,
     const fs::path readme = *root / "README.md";
     std::ifstream in(readme, std::ios::binary);
     if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      const std::vector<std::string> readme_lines = split_lines(buffer.str());
       std::map<long, std::size_t> table;  // code -> README line
-      static const std::regex row_re(R"re(^\s*\|\s*(\d+)\s*\|)re");
       bool in_section = false;
-      for (std::size_t i = 0; i < readme_lines.size(); ++i) {
-        const std::string& line = readme_lines[i];
+      std::string line;
+      for (std::size_t number = 1; std::getline(in, line); ++number) {
         if (line.find("Exit codes") != std::string::npos) {
           in_section = true;
           continue;
         }
         if (!in_section) continue;
         if (!line.empty() && line[0] == '#') break;  // next section
-        std::smatch match;
-        if (std::regex_search(line, match, row_re))
-          table.emplace(std::stol(match[1].str()), i + 1);
+        const long code = table_row_code(line);
+        if (code >= 0) table.emplace(code, number);
       }
       if (!table.empty()) {
         // Enum members of `enum class ErrorCode { kX = N, ... }`.
         const std::vector<Token>& tokens = error->index.src.tokens;
         std::vector<std::tuple<std::string, long, std::size_t>> members;
         for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-          if (!is_ident_token(tokens[i], "ErrorCode")) continue;
+          if (!is_ident(tokens[i], "ErrorCode")) continue;
           // Accept an enum-base clause between the name and the brace
           // (`enum class ErrorCode : int {`): skip from the `:` to the `{`.
           std::size_t open = i + 1;
-          if (tokens[open].kind == TokenKind::kPunct && tokens[open].text == ":")
-            while (open < tokens.size() &&
-                   !(tokens[open].kind == TokenKind::kPunct &&
-                     tokens[open].text == "{"))
-              ++open;
-          if (open >= tokens.size() || tokens[open].kind != TokenKind::kPunct ||
-              tokens[open].text != "{")
-            continue;
+          if (is_punct(tokens[open], ":"))
+            while (open < tokens.size() && !is_punct(tokens[open], "{")) ++open;
+          if (open >= tokens.size() || !is_punct(tokens[open], "{")) continue;
           long next_value = 0;
           for (std::size_t j = open + 1; j < tokens.size(); ++j) {
             const Token& t = tokens[j];
-            if (t.kind == TokenKind::kPunct && t.text == "}") break;
-            if (t.kind != TokenKind::kIdentifier) continue;
+            if (is_punct(t, "}")) break;
+            if (!is_ident(t)) continue;
             long value = next_value;
-            if (j + 2 < tokens.size() && tokens[j + 1].kind == TokenKind::kPunct &&
-                tokens[j + 1].text == "=" &&
+            if (j + 2 < tokens.size() && is_punct(tokens[j + 1], "=") &&
                 tokens[j + 2].kind == TokenKind::kNumber)
               value = std::stol(tokens[j + 2].text);
             members.emplace_back(t.text, value, t.line);
             next_value = value + 1;
             // Skip to the comma so `= N` tokens are not re-read as members.
-            while (j + 1 < tokens.size() &&
-                   !(tokens[j + 1].kind == TokenKind::kPunct &&
-                     (tokens[j + 1].text == "," || tokens[j + 1].text == "}")))
+            while (j + 1 < tokens.size() && !is_punct(tokens[j + 1], ",") &&
+                   !is_punct(tokens[j + 1], "}"))
               ++j;
           }
           break;  // first ErrorCode enum only

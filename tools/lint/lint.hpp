@@ -2,11 +2,11 @@
 // established by convention. The engine is three layers (see docs/lint.md):
 // a C++ tokenizer (lexer.hpp), a per-file semantic index of functions /
 // call sites / scopes with a whole-tree call graph (index.hpp), and the
-// rules below. Rules are scoped to C++ sources under src/ bench/ tools/
-// examples/ tests/ (fixtures under tests/lint_fixtures/ are excluded from
-// tree scans).
+// rules below, which all read that token stream and index. Rules are scoped
+// to C++ sources under src/ bench/ tools/ examples/ tests/ (fixtures under
+// tests/lint_fixtures/ are excluded from tree scans).
 //
-// Line rules (v1, re-hosted on the lexer's blanked views):
+// Line rules (token patterns, at most one finding per line and rule):
 //
 //   raw-write           artifact writes must flow through the harness atomic
 //                       writer (src/core/harness/ itself is exempt).
@@ -47,8 +47,8 @@
 //                       table.
 //
 // Escape hatch: a comment of the form `locpriv-lint: allow(raw-write)` —
-// one or more comma-separated rule names — suppresses those rules on its
-// own line and the following line. A rule name the checker does not know is
+// one or more comma-separated rule names, on one line with the marker —
+// suppresses those rules on its own line and the following line. A rule name the checker does not know is
 // itself reported (rule "bad-suppression"), so a typo cannot silently
 // disable checking. Live-tree suppressions must carry a justification in
 // the same comment.

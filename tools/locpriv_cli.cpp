@@ -13,6 +13,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "core/harness/atomic_file.hpp"
@@ -549,6 +550,58 @@ int cmd_serve(int argc, const char* const* argv) {
   const std::string run_dir =
       resume ? args.get("--resume") : args.get("--run-dir");
 
+  // Every number is range-checked before any analyzer, shard or worker
+  // exists; 0 stays legal wherever it means "off" or "unbounded".
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  const auto ms = [&](const char* flag, long long max = harness::kMaxFlagSeconds * 1000) {
+    return std::chrono::milliseconds(args.get_int(flag, 0, max));
+  };
+  service::ServiceOptions options;
+  options.shards =
+      static_cast<unsigned>(args.get_int("--shards", 1, harness::kMaxFlagWorkers));
+  options.interval_s = interval_s;
+  options.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
+  options.heartbeat = ms("--heartbeat-ms");
+  options.ping_timeout = ms("--ping-timeout-ms");
+  options.op_timeout = ms("--op-timeout-ms");
+  options.term_grace = ms("--grace-ms");
+  options.snapshot_interval = ms("--snapshot-every-ms");
+  options.max_respawns =
+      static_cast<int>(args.get_int("--max-respawns", 0, harness::kMaxFlagRetries));
+  options.backoff_base = ms("--backoff-ms", harness::kMaxFlagBackoffMs);
+  options.shard_rlimit_mb =
+      static_cast<std::size_t>(args.get_int("--shard-rlimit-mb", 0, harness::kMaxFlagMiB));
+  options.shard_cpu_s =
+      static_cast<unsigned>(args.get_int("--shard-cpu-s", 0, harness::kMaxFlagSeconds));
+  if (!args.get("--fault-shards").empty())
+    options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
+  options.fault_after_batches = static_cast<int>(args.get_int("--fault-after", 0, kIntMax));
+  options.max_inflight_batches =
+      static_cast<std::size_t>(args.get_int("--max-inflight-batches", 0, kIntMax));
+  options.max_retained_bytes =
+      static_cast<std::size_t>(args.get_int("--max-retained-mb", 0, harness::kMaxFlagMiB)) *
+      1024 * 1024;
+  if (args.get("--shed-policy") == "reject-new") {
+    options.shed_policy = service::ShedPolicy::kRejectNew;
+  } else if (args.get("--shed-policy") == "drop-oldest") {
+    options.shed_policy = service::ShedPolicy::kDropOldest;
+  } else {
+    throw Error(ErrorCode::kUsage,
+                "--shed-policy must be reject-new or drop-oldest");
+  }
+  options.degraded_ms = ms("--degraded-ms");
+  options.slow_restart_ms = ms("--slow-restart-ms");
+
+  service::TrafficOptions traffic;
+  traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch", 0, kIntMax));
+  traffic.rounds = static_cast<int>(args.get_int("--rounds", 0, kIntMax));
+  traffic.pace = ms("--pace-ms");
+  if (args.get("--admit") == "shed") {
+    traffic.may_shed = true;
+  } else if (args.get("--admit") != "block") {
+    throw Error(ErrorCode::kUsage, "--admit must be block or shed");
+  }
+
   // The corpus: a Geolife-layout directory, or the synthetic dataset (the
   // soak default — deterministic, so a resumed serve replays identically).
   std::unique_ptr<core::PrivacyAnalyzer> analyzer;
@@ -558,61 +611,15 @@ int cmd_serve(int argc, const char* const* argv) {
         core::experiment_analyzer_config(), std::move(loaded.users));
   } else {
     mobility::DatasetConfig dataset;
-    dataset.user_count = static_cast<int>(args.get_int("--users"));
-    dataset.synthesis.days = static_cast<int>(args.get_int("--days"));
-    dataset.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
+    dataset.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
+    dataset.synthesis.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
+    dataset.seed = options.seed;
     analyzer = std::make_unique<core::PrivacyAnalyzer>(
         core::PrivacyAnalyzer::from_synthetic(core::experiment_analyzer_config(),
                                               dataset));
   }
-
-  service::ServiceOptions options;
-  options.shards = static_cast<unsigned>(args.get_int("--shards"));
-  options.interval_s = interval_s;
-  options.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
   options.scale = std::to_string(analyzer->user_count()) + "u_t" +
                   std::to_string(options.interval_s);
-  options.heartbeat = std::chrono::milliseconds(args.get_int("--heartbeat-ms"));
-  options.ping_timeout =
-      std::chrono::milliseconds(args.get_int("--ping-timeout-ms"));
-  options.op_timeout =
-      std::chrono::milliseconds(args.get_int("--op-timeout-ms"));
-  options.term_grace = std::chrono::milliseconds(args.get_int("--grace-ms"));
-  options.snapshot_interval =
-      std::chrono::milliseconds(args.get_int("--snapshot-every-ms"));
-  options.max_respawns = static_cast<int>(args.get_int("--max-respawns"));
-  options.backoff_base = std::chrono::milliseconds(args.get_int("--backoff-ms"));
-  options.shard_rlimit_mb =
-      static_cast<std::size_t>(args.get_int("--shard-rlimit-mb"));
-  options.shard_cpu_s = static_cast<unsigned>(args.get_int("--shard-cpu-s"));
-  if (!args.get("--fault-shards").empty())
-    options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
-  options.fault_after_batches = static_cast<int>(args.get_int("--fault-after"));
-  options.max_inflight_batches =
-      static_cast<std::size_t>(args.get_int("--max-inflight-batches"));
-  options.max_retained_bytes =
-      static_cast<std::size_t>(args.get_int("--max-retained-mb")) * 1024 * 1024;
-  if (args.get("--shed-policy") == "reject-new") {
-    options.shed_policy = service::ShedPolicy::kRejectNew;
-  } else if (args.get("--shed-policy") == "drop-oldest") {
-    options.shed_policy = service::ShedPolicy::kDropOldest;
-  } else {
-    throw Error(ErrorCode::kUsage,
-                "--shed-policy must be reject-new or drop-oldest");
-  }
-  options.degraded_ms = std::chrono::milliseconds(args.get_int("--degraded-ms"));
-  options.slow_restart_ms =
-      std::chrono::milliseconds(args.get_int("--slow-restart-ms"));
-
-  service::TrafficOptions traffic;
-  traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch"));
-  traffic.rounds = static_cast<int>(args.get_int("--rounds"));
-  traffic.pace = std::chrono::milliseconds(args.get_int("--pace-ms"));
-  if (args.get("--admit") == "shed") {
-    traffic.may_shed = true;
-  } else if (args.get("--admit") != "block") {
-    throw Error(ErrorCode::kUsage, "--admit must be block or shed");
-  }
 
   service::LocprivService::clear_shutdown();
   std::signal(SIGINT, service::LocprivService::request_shutdown);
