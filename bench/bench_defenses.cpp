@@ -13,17 +13,17 @@ int main() {
   bench::print_header("E12: LPPM defenses vs the 1 s background app",
                       /*uses_mobility_corpus=*/true);
 
-  const auto& dataset = core::shared_dataset();  // first: the analyzer then leaves users intact
+  const core::CorpusTruth truth = core::shared_truth();
   const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
 
   // Cloaking anchors: every user's true home (the population density the
   // k-anonymity cloak needs).
   std::vector<geo::LatLon> homes;
-  homes.reserve(dataset.profiles.size());
-  for (const auto& profile : dataset.profiles)
-    homes.push_back(dataset.poi_position(profile.home_poi()));
+  homes.reserve(truth.profiles().size());
+  for (const auto& profile : truth.profiles())
+    homes.push_back(truth.poi_position(profile.home_poi()));
 
-  const auto suite = lppm::standard_suite(dataset.city_config.anchor, homes);
+  const auto suite = lppm::standard_suite(truth.city_config().anchor, homes);
 
   util::ConsoleTable table({"defense", "PoI_total", "PoI_sens", "identified (p2)",
                             "mean Deg_anon", "mean err (m)", "released"});

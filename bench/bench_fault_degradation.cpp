@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "android/fused.hpp"
 #include "android/replay.hpp"
 #include "bench_common.hpp"
 #include "core/analyzer.hpp"

@@ -18,7 +18,7 @@ int main() {
   bench::print_header("E14: home/work inference, pair anonymity, time to confusion",
                       /*uses_mobility_corpus=*/true);
 
-  const auto& dataset = core::shared_dataset();  // first: the analyzer then leaves users intact
+  const core::CorpusTruth truth = core::shared_truth();
   const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
   const std::size_t users = analyzer.user_count();
 
@@ -29,11 +29,11 @@ int main() {
   std::vector<privacy::RegionId> true_home(users);
   std::vector<privacy::RegionId> true_work(users);
   for (std::size_t u = 0; u < users; ++u) {
-    const auto& profile = dataset.profiles[u];
+    const auto& profile = truth.profiles()[u];
     true_home[u] =
-        analyzer.grid().region_of(dataset.poi_position(profile.home_poi()));
+        analyzer.grid().region_of(truth.poi_position(profile.home_poi()));
     std::map<int, double> workday_dwell;
-    for (const auto& visit : dataset.ground_truths[u].visits) {
+    for (const auto& visit : truth.ground_truths()[u].visits) {
       if (visit.poi_id == profile.home_poi()) continue;
       workday_dwell[visit.poi_id] +=
           privacy::split_dwell(visit.enter_s, visit.exit_s).workday_s;
@@ -46,7 +46,7 @@ int main() {
         best = poi_id;
       }
     }
-    true_work[u] = analyzer.grid().region_of(dataset.poi_position(best));
+    true_work[u] = analyzer.grid().region_of(truth.poi_position(best));
   }
 
   // --- Home/work identification accuracy vs access interval -----------

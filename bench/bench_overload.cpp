@@ -83,9 +83,6 @@ service::ServiceOptions base_options(const core::PrivacyAnalyzer& analyzer,
       static_cast<std::size_t>(args.get_int("--max-inflight-batches"));
   options.max_retained_bytes =
       static_cast<std::size_t>(args.get_int("--max-retained-kb")) * 1024;
-  options.shed_policy = args.get("--shed-policy") == "drop-oldest"
-                            ? service::ShedPolicy::kDropOldest
-                            : service::ShedPolicy::kRejectNew;
   return options;
 }
 
@@ -100,7 +97,6 @@ int run(int argc, const char* const* argv) {
   args.declare("--snapshot-every-ms", "250");
   args.declare("--max-inflight-batches", "8");
   args.declare("--max-retained-kb", "1024");
-  args.declare("--shed-policy", "reject-new");
   args.declare("--fault-shards", "hang:2@shard0");
   args.declare("--fault-after", "8");
   args.declare("--lossless-every", "3");
@@ -111,8 +107,7 @@ int run(int argc, const char* const* argv) {
   args.parse(argc, argv, 1);
   // Only a shard's first --max-inflight-batches offers are sure to be
   // admitted; a wedge armed later never fires if shedding starves the shard.
-  const std::int64_t window = args.get_int("--max-inflight-batches");
-  if (window > 0 && args.get_int("--fault-after") > window)
+  if (args.get_int("--fault-after") > args.get_int("--max-inflight-batches"))
     throw Error(ErrorCode::kUsage, "--fault-after " + args.get("--fault-after") +
                                        " exceeds --max-inflight-batches " +
                                        args.get("--max-inflight-batches"));
@@ -224,8 +219,7 @@ int run(int argc, const char* const* argv) {
       stats.batches_offered ==
           stats.batches_submitted + stats.batches_dropped + stats.batches_shed &&
       outcome.batches == outcome.accepted + outcome.deduped + outcome.shed &&
-      stats.batches_shed ==
-          stats.shed_reject_new + stats.shed_drop_oldest + stats.shed_quarantined;
+      stats.batches_shed == stats.shed_reject_new + stats.shed_quarantined;
   bool users_reconcile = true;
   for (const auto& [user, load] : daemon.user_loads())
     if (load.batches_offered != load.batches_accepted + load.batches_shed) {
@@ -246,7 +240,6 @@ int run(int argc, const char* const* argv) {
   // Control ops share the pending deque with acks: restore, ping, snapshot,
   // report can each be in flight alongside the windowed submits.
   const bool pending_ok =
-      options.max_inflight_batches == 0 ||
       stats.pending_ops_peak <= options.max_inflight_batches + 4;
   const bool rss_ok = rss <= rss_cap;
 
@@ -256,7 +249,6 @@ int run(int argc, const char* const* argv) {
             << "x peak shard demand), "
             << stats.batches_submitted << " accepted, " << stats.batches_shed
             << " shed (" << stats.shed_reject_new << " reject-new, "
-            << stats.shed_drop_oldest << " drop-oldest, "
             << stats.shed_quarantined << " quarantined)\n"
             << "caps: retained peak " << stats.retained_bytes_peak << "/"
             << options.max_retained_bytes << " bytes, pending peak "
@@ -288,7 +280,6 @@ int run(int argc, const char* const* argv) {
                 static_cast<std::int64_t>(options.max_inflight_batches));
     json.member("max_retained_bytes",
                 static_cast<std::int64_t>(options.max_retained_bytes));
-    json.member("shed_policy", args.get("--shed-policy"));
     json.member("sustainable_batches_per_s", sustainable_batches_per_s);
     json.member("offered_batches_per_s", offered_per_s);
     json.member("overload_factor", overload_factor);
@@ -301,8 +292,6 @@ int run(int argc, const char* const* argv) {
     json.member("batches_shed", static_cast<std::int64_t>(stats.batches_shed));
     json.member("shed_reject_new",
                 static_cast<std::int64_t>(stats.shed_reject_new));
-    json.member("shed_drop_oldest",
-                static_cast<std::int64_t>(stats.shed_drop_oldest));
     json.member("shed_quarantined",
                 static_cast<std::int64_t>(stats.shed_quarantined));
     json.member("blocked_waits",

@@ -1,9 +1,11 @@
 # CLI usage check (ctest `cli_interval_usage`): every command that takes
 # --interval refuses a value below 1 s with exit 2 (usage); so do an unknown
-# flag, a non-integer value, an out-of-range --user, and out-of-range numbers
-# for audit-all's harness flags and for serve. The largest interval collects
-# one fix instead of wrapping past INT64_MAX. Run against a 2-user corpus
-# written by `locpriv gen-dataset`:
+# flag, a non-integer value, an out-of-range --user, out-of-range numbers
+# for audit-all's harness flags, for serve and for the dataset, report,
+# market-study, extract-pois and identify commands, and serve's removed
+# overload flags. The largest interval collects one fix instead of wrapping
+# past INT64_MAX. Run against a 2-user corpus written by `locpriv
+# gen-dataset`:
 #
 #   cmake -DLOCPRIV=<locpriv binary> -DWORK_DIR=<work dir>
 #         -P cmake/CliIntervalUsage.cmake
@@ -67,16 +69,44 @@ foreach(misuse "--cell-deadline;nan" "--cell-deadline;inf" "--cell-deadline;1e30
 endforeach()
 
 # serve range-checks every number before any analyzer, shard or worker
-# exists: a negative count would wrap to a huge unsigned value.
+# exists: a negative count would wrap to a huge unsigned value. The credit
+# window has no "off" value, and the shedding-policy and turnaround-EWMA
+# flags no longer exist.
 foreach(misuse "--shards;-1" "--shards;0" "--batch;-1" "--max-inflight-batches;-1"
-               "--max-retained-mb;-1" "--heartbeat-ms;-5" "--op-timeout-ms;-1"
-               "--grace-ms;-1" "--backoff-ms;9223372036854775807" "--rounds;-1"
-               "--max-respawns;-1" "--shard-cpu-s;4294967297" "--users;0")
+               "--max-inflight-batches;0" "--max-retained-mb;-1" "--heartbeat-ms;-5"
+               "--op-timeout-ms;-1" "--grace-ms;-1" "--backoff-ms;9223372036854775807"
+               "--rounds;-1" "--max-respawns;-1" "--shard-cpu-s;4294967297" "--users;0"
+               "--shed-policy;reject-new" "--degraded-ms;5" "--slow-restart-ms;5")
   expect_usage_exit("serve ${misuse}" serve --run-dir "${WORK_DIR}/serve_usage" ${misuse})
 endforeach()
 if(EXISTS "${WORK_DIR}/audit_all/ledger.jsonl" OR EXISTS "${WORK_DIR}/serve_usage")
   list(APPEND failed "a refused command left a run directory behind")
 endif()
+
+# The corpus-building commands refuse a count that does not fit an int (it
+# would wrap to a small one) or is below 1 before generating anything, and
+# the analysis commands refuse parameters their pipeline cannot take before
+# loading the corpus.
+foreach(misuse "--users;4294967298;--days;1" "--users;-3" "--users;2;--days;0")
+  expect_usage_exit("gen-dataset ${misuse}" gen-dataset --out "${WORK_DIR}/gen_usage"
+                    ${misuse})
+endforeach()
+if(EXISTS "${WORK_DIR}/gen_usage")
+  list(APPEND failed "a refused gen-dataset wrote its output directory")
+endif()
+foreach(misuse "--users;4294967297;--days;1" "--users;0" "--days;-1")
+  expect_usage_exit("report ${misuse}" report ${misuse})
+endforeach()
+expect_usage_exit("market-study --limits -5" market-study --limits -5)
+foreach(misuse "--radius;-5" "--radius;0" "--radius;nan" "--visit;0"
+               "--visit;200000000000000000")
+  expect_usage_exit("extract-pois ${misuse}" extract-pois --root "${WORK_DIR}/corpus"
+                    ${misuse})
+endforeach()
+foreach(pattern 0 3)
+  expect_usage_exit("identify --pattern ${pattern}" identify --root "${WORK_DIR}/corpus"
+                    --pattern ${pattern})
+endforeach()
 
 execute_process(COMMAND "${LOCPRIV}" audit --root "${WORK_DIR}/corpus" --user 0
                         --interval 9223372036854775807 --json

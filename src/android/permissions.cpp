@@ -14,18 +14,6 @@ std::string_view permission_name(Permission permission) {
   return "?";
 }
 
-bool parse_permission(std::string_view name, Permission& out) {
-  if (name == permission_name(Permission::kAccessFineLocation)) {
-    out = Permission::kAccessFineLocation;
-    return true;
-  }
-  if (name == permission_name(Permission::kAccessCoarseLocation)) {
-    out = Permission::kAccessCoarseLocation;
-    return true;
-  }
-  return false;
-}
-
 PermissionSet::PermissionSet(std::vector<Permission> permissions)
     : permissions_(std::move(permissions)) {}
 

@@ -20,9 +20,6 @@ enum class Permission {
 /// Full Android permission string ("android.permission.ACCESS_FINE_LOCATION").
 std::string_view permission_name(Permission permission);
 
-/// Parses a permission string; returns false for unknown permissions.
-bool parse_permission(std::string_view name, Permission& out);
-
 /// The set of permissions an app holds.
 class PermissionSet {
  public:

@@ -38,11 +38,14 @@ AnalyzerConfig experiment_analyzer_config() {
 }
 
 namespace {
+/// Who holds the shared traces. They live in the dataset until one of the
+/// two readers claims them; the other is then refused.
+enum class TraceHolder { kDataset, kReader, kAnalyzer };
+
 util::Mutex g_mutex;
 std::optional<mobility::SyntheticDataset> g_dataset LOCPRIV_GUARDED_BY(g_mutex);
 std::optional<PrivacyAnalyzer> g_analyzer LOCPRIV_GUARDED_BY(g_mutex);
-bool g_dataset_shared LOCPRIV_GUARDED_BY(g_mutex) = false;  // a reader holds it
-bool g_traces_taken LOCPRIV_GUARDED_BY(g_mutex) = false;    // the analyzer owns them
+TraceHolder g_traces LOCPRIV_GUARDED_BY(g_mutex) = TraceHolder::kDataset;
 
 mobility::SyntheticDataset& dataset_locked() LOCPRIV_REQUIRES(g_mutex) {
   if (!g_dataset) {
@@ -56,22 +59,25 @@ mobility::SyntheticDataset& dataset_locked() LOCPRIV_REQUIRES(g_mutex) {
 const mobility::SyntheticDataset& shared_dataset() {
   util::MutexLock lock(g_mutex);
   // The analyzer owns the traces now, so `users` would read back empty.
-  LOCPRIV_EXPECT(!g_traces_taken);
-  g_dataset_shared = true;
+  LOCPRIV_EXPECT(g_traces != TraceHolder::kAnalyzer);
+  g_traces = TraceHolder::kReader;
   return dataset_locked();
+}
+
+CorpusTruth shared_truth() {
+  util::MutexLock lock(g_mutex);
+  return CorpusTruth(dataset_locked());
 }
 
 const PrivacyAnalyzer& shared_analyzer() {
   util::MutexLock lock(g_mutex);
   if (!g_analyzer) {
-    mobility::SyntheticDataset& dataset = dataset_locked();
-    if (g_dataset_shared) {
-      // A reader holds the dataset: leave its traces intact.
-      g_analyzer.emplace(experiment_analyzer_config(), dataset.users);
-    } else {
-      g_analyzer.emplace(experiment_analyzer_config(), std::move(dataset.users));
-      g_traces_taken = true;
-    }
+    // Taking the traces would empty the `users` a shared_dataset() reader
+    // holds.
+    LOCPRIV_EXPECT(g_traces != TraceHolder::kReader);
+    g_analyzer.emplace(experiment_analyzer_config(),
+                       std::move(dataset_locked().users));
+    g_traces = TraceHolder::kAnalyzer;
   }
   return *g_analyzer;
 }

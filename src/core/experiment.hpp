@@ -42,15 +42,41 @@ mobility::DatasetConfig experiment_dataset_config();
 /// 250 m cells, alpha = 0.05).
 AnalyzerConfig experiment_analyzer_config();
 
-/// Process-wide dataset (generated on first use). A process that also
-/// needs shared_analyzer() must call this first: once the analyzer has
-/// taken the traces, this throws ContractViolation instead of handing out
-/// an empty `users` (read the traces through reference(u).points).
+/// Process-wide dataset (generated on first use), for a process that reads
+/// the traces themselves and never builds shared_analyzer(). The process
+/// holds the traces once, so the two exclude each other: this throws
+/// ContractViolation once the analyzer has taken the traces, and
+/// shared_analyzer() throws it once this has handed them out. Beside the
+/// analyzer, read the traces through reference(u).points and everything
+/// else through shared_truth().
 const mobility::SyntheticDataset& shared_dataset();
 
+/// The generator's truth about the shared corpus: every field of
+/// shared_dataset() except the traces. It never exposes `users`, so it
+/// stays valid beside shared_analyzer().
+class CorpusTruth {
+ public:
+  explicit CorpusTruth(const mobility::SyntheticDataset& dataset)
+      : dataset_(&dataset) {}
+
+  const mobility::CityConfig& city_config() const { return dataset_->city_config; }
+  const std::vector<mobility::UserProfile>& profiles() const {
+    return dataset_->profiles;
+  }
+  const std::vector<mobility::UserGroundTruth>& ground_truths() const {
+    return dataset_->ground_truths;
+  }
+  const geo::LatLon& poi_position(int id) const { return dataset_->poi_position(id); }
+
+ private:
+  const mobility::SyntheticDataset* dataset_;
+};
+
+/// The shared corpus's truth (generating the dataset on first use).
+CorpusTruth shared_truth();
+
 /// Process-wide analyzer over shared_dataset()'s traces (built on first
-/// use). It takes the traces, so the process holds them once; if
-/// shared_dataset() has already handed them to a reader, it copies them.
+/// use). It takes the traces, so the process holds them once.
 const PrivacyAnalyzer& shared_analyzer();
 
 }  // namespace locpriv::core

@@ -41,7 +41,6 @@ class RollingTail {
   explicit RollingTail(std::size_t cap) : cap_(cap) {}
 
   void append(const char* data, std::size_t size) {
-    total_ += size;
     if (cap_ == 0) return;
     if (size >= cap_) {
       buffer_.assign(data + (size - cap_), cap_);
@@ -63,12 +62,10 @@ class RollingTail {
   const std::string& text() const { return buffer_; }
   std::size_t capacity() const { return cap_; }
   std::size_t retained() const { return buffer_.size(); }
-  std::size_t total_seen() const { return total_; }
 
  private:
   std::size_t cap_;
   std::string buffer_;
-  std::size_t total_ = 0;
 };
 
 /// Writes every byte of `bytes` to `fd`, retrying EINTR and short writes.

@@ -52,13 +52,4 @@ bool GuardianPolicy::apply(const std::string& package, bool backgrounded,
   return true;
 }
 
-std::function<bool(const std::string&, geo::LatLon&)> GuardianPolicy::make_position_hook(
-    std::function<bool(const std::string&)> backgrounded) const {
-  LOCPRIV_EXPECT(static_cast<bool>(backgrounded));
-  return [this, backgrounded = std::move(backgrounded)](const std::string& package,
-                                                        geo::LatLon& position) {
-    return apply(package, backgrounded(package), position);
-  };
-}
-
 }  // namespace locpriv::lppm

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -59,12 +58,6 @@ class GuardianPolicy {
   /// Applies the decision in place; returns false when blocked.
   bool apply(const std::string& package, bool backgrounded,
              geo::LatLon& position) const;
-
-  /// Adapts the policy to a LocationManager release hook. `backgrounded`
-  /// must report the app's current lifecycle state (the device glue; see
-  /// DeviceSimulator::app). The policy must outlive the hook.
-  std::function<bool(const std::string&, geo::LatLon&)> make_position_hook(
-      std::function<bool(const std::string&)> backgrounded) const;
 
  private:
   geo::LatLon anchor_;

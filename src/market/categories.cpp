@@ -59,11 +59,6 @@ std::string_view category_slug(int index) {
   return kCategories[index].slug;
 }
 
-double category_location_propensity(int index) {
-  LOCPRIV_EXPECT(index >= 0 && index < kCategoryCount);
-  return kCategories[index].propensity;
-}
-
 std::vector<int> allocate_declaring_quota(int total, int per_category) {
   LOCPRIV_EXPECT(per_category > 0);
   LOCPRIV_EXPECT(total >= 0 && total <= kCategoryCount * per_category);

@@ -19,10 +19,6 @@ std::string_view category_name(int index);
 /// Package-name slug of category `index` ("travel_local", ...).
 std::string_view category_slug(int index);
 
-/// Relative propensity of apps in category `index` to declare a location
-/// permission (weather/travel high, comics low). Strictly positive.
-double category_location_propensity(int index);
-
 /// Splits `total` declaring-app slots across categories proportionally to
 /// propensity with a per-category cap of `per_category` apps, using the
 /// largest-remainder method. The result sums exactly to `total`.

@@ -36,7 +36,6 @@ struct UserProfile {
   /// Mean dwell in seconds at each place in poi_ids.
   std::vector<double> mean_dwell_s;
 
-  std::size_t place_count() const { return poi_ids.size(); }
   int home_poi() const { return poi_ids.front(); }
   int work_poi() const { return poi_ids[1]; }
 };

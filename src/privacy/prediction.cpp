@@ -8,7 +8,6 @@ NextPlacePredictor::NextPlacePredictor(const PatternHistogram& movements) {
     RegionId to = 0;
     unpack_transition(key, from, to);
     by_source_[from][to] += count;
-    source_totals_[from] += count;
   }
 }
 
@@ -24,14 +23,6 @@ bool NextPlacePredictor::predict(RegionId from, RegionId& next) const {
     }
   }
   return true;
-}
-
-double NextPlacePredictor::transition_probability(RegionId from, RegionId to) const {
-  const auto source = by_source_.find(from);
-  if (source == by_source_.end()) return 0.0;
-  const auto destination = source->second.find(to);
-  if (destination == source->second.end()) return 0.0;
-  return destination->second / source_totals_.at(from);
 }
 
 PredictionScore score_predictions(const NextPlacePredictor& predictor,

@@ -28,17 +28,9 @@ class NextPlacePredictor {
   /// false if `from` was never seen as a source.
   bool predict(RegionId from, RegionId& next) const;
 
-  /// Probability of moving `from` -> `to` under the trained model (0 when
-  /// `from` is unseen).
-  double transition_probability(RegionId from, RegionId to) const;
-
-  /// Number of distinct source regions.
-  std::size_t source_count() const { return by_source_.size(); }
-
  private:
-  // source -> (destination -> count), plus per-source totals.
+  // source -> (destination -> count).
   std::map<RegionId, std::map<RegionId, double>> by_source_;
-  std::map<RegionId, double> source_totals_;
 };
 
 /// Accuracy of a predictor on a held-out region sequence: for every

@@ -31,8 +31,8 @@ struct TrafficOptions {
   std::chrono::milliseconds pace{0};
   /// Admission mode. false = lossless corpus semantics: submits block for
   /// window credit, and nothing is shed. true = synthetic/soak semantics:
-  /// submits never block; the service sheds by its ShedPolicy at the window
-  /// edge.
+  /// submits never block; at the window edge the service sheds the incoming
+  /// batch.
   bool may_shed = false;
   /// With may_shed, drive every Nth user (0-based analyzer index % N == 0)
   /// losslessly anyway. An overload soak uses this to guarantee a non-empty

@@ -65,9 +65,8 @@ struct LocprivService::Shard {
   /// Bounded by the credit window: pushed on encode, popped on ack, cleared
   /// on death.
   std::deque<std::pair<std::uint64_t, Clock::time_point>> sent_times;
-  double ewma_ms = 0.0;               ///< Batch-turnaround EWMA.
+  double ewma_ms = 0.0;               ///< Batch-turnaround EWMA (a gauge).
   bool ewma_init = false;
-  bool degraded = false;              ///< Inside a degraded-EWMA episode.
   /// Inside a storage-degraded episode: snapshots are shedding because the
   /// child cannot publish them. Survives respawn — the disk, not the
   /// incarnation, is what is broken. Cleared when a publish lands.
@@ -133,6 +132,9 @@ LocprivService::LocprivService(ServiceOptions options,
       run_dir_(std::move(run_dir)) {
   if (options_.shards == 0)
     throw Error(ErrorCode::kUsage, "locprivd needs at least one shard");
+  if (options_.max_inflight_batches == 0)
+    throw Error(ErrorCode::kUsage,
+                "locprivd needs a credit window of at least one batch");
   // A dead shard's pipe must not kill the whole service with SIGPIPE; the
   // write's EPIPE is handled and the reaper classifies the death.
   ::signal(SIGPIPE, SIG_IGN);
@@ -232,7 +234,6 @@ void LocprivService::spawn(Shard& shard) {
   shard.sent_times.clear();
   shard.ewma_ms = 0.0;
   shard.ewma_init = false;
-  shard.degraded = false;
   const auto now = Clock::now();
   shard.last_ping_sent = now;
   shard.next_snapshot_at = now + options_.snapshot_interval;
@@ -265,7 +266,6 @@ bool LocprivService::window_full(const Shard& shard) const {
   if (options_.max_retained_bytes > 0 &&
       shard.retained_bytes >= options_.max_retained_bytes)
     return true;
-  if (options_.max_inflight_batches == 0) return false;
   // Unacked window: retained batches past the child's ack watermark. The
   // deque is seq-sorted, so the boundary is a binary search.
   const auto first_unacked = std::lower_bound(
@@ -284,7 +284,6 @@ void LocprivService::account_shed(Shard& shard, const std::string& user,
   stats_.fixes_shed += fixes;
   switch (cause) {
     case ShedCause::kRejectNew: ++stats_.shed_reject_new; break;
-    case ShedCause::kDropOldest: ++stats_.shed_drop_oldest; break;
     case ShedCause::kQuarantined: ++stats_.shed_quarantined; break;
   }
   ++shard.shed;
@@ -347,35 +346,9 @@ Admission LocprivService::submit(const std::string& user_id,
   }
 
   if (may_shed && window_full(shard)) {
-    if (options_.shed_policy == ShedPolicy::kDropOldest) {
-      // Drop-oldest can only evict a batch that is not yet on the wire (a
-      // consumed frame cannot be unsent). One eviction may free fewer bytes
-      // than the incoming frame needs, so keep evicting until the window —
-      // count and byte cap both — actually reopens; if everything retained
-      // is already in flight the incoming batch is rejected instead.
-      while (window_full(shard)) {
-        const auto oldest_unsent = std::lower_bound(
-            shard.retained.begin(), shard.retained.end(), shard.sent_seq,
-            [](const RetainedBatch& batch, std::uint64_t sent) {
-              return batch.seq <= sent;
-            });
-        if (oldest_unsent == shard.retained.end()) break;
-        // Reclassify the evicted batch from submitted to shed so
-        // `offered == submitted + dropped + shed` keeps reconciling.
-        --stats_.batches_submitted;
-        stats_.fixes_submitted -= oldest_unsent->fixes;
-        --shard.accepted;
-        --user_loads_[oldest_unsent->user].batches_accepted;
-        account_shed(shard, oldest_unsent->user, oldest_unsent->fixes,
-                     ShedCause::kDropOldest);
-        shard.retained_bytes -= oldest_unsent->frame.size();
-        shard.retained.erase(oldest_unsent);
-      }
-    }
-    if (window_full(shard)) {
-      account_shed(shard, user_id, fixes.size(), ShedCause::kRejectNew);
-      return Admission::kShed;
-    }
+    // Reject-new: the incoming batch is shed; what was admitted stays.
+    account_shed(shard, user_id, fixes.size(), ShedCause::kRejectNew);
+    return Admission::kShed;
   }
 
   RetainedBatch batch;
@@ -409,11 +382,10 @@ void LocprivService::pump_submits(Shard& shard) {
       });
   for (auto it = first_unsent; it != shard.retained.end(); ++it) {
     // Gate on the count of actually sent-but-unacked batches (sent_times is
-    // pushed on encode, popped on ack), not sent_seq - acked_seq: shed and
-    // drop-oldest-evicted offers leave seq holes above acked_seq that were
-    // never sent, and the subtraction would count them as in flight.
-    if (options_.max_inflight_batches > 0 &&
-        shard.sent_times.size() >= options_.max_inflight_batches)
+    // pushed on encode, popped on ack), not sent_seq - acked_seq: shed
+    // offers leave seq holes above acked_seq that were never sent, and the
+    // subtraction would count them as in flight.
+    if (shard.sent_times.size() >= options_.max_inflight_batches)
       break;  // Window edge: encoding resumes as acks arrive.
     shard.proc.write(it->frame);
     shard.sent_seq = it->seq;
@@ -933,38 +905,6 @@ void LocprivService::note_turnaround(Shard& shard, double sample_ms) {
   shard.ewma_ms =
       ewma_update(shard.ewma_ms, sample_ms, kEwmaAlpha, shard.ewma_init);
   shard.ewma_init = true;
-  if (options_.slow_restart_ms.count() > 0 &&
-      shard.ewma_ms >= static_cast<double>(options_.slow_restart_ms.count()) &&
-      shard.state == Shard::State::kRunning) {
-    // A shard this slow is indistinguishable from one about to wedge: give
-    // it the same SIGTERM -> grace -> SIGKILL respawn a missed ping earns.
-    // The respawn replays the retained suffix, so nothing is lost.
-    ++stats_.slow_restarts;
-    terminate(shard, "slow: turnaround EWMA " +
-                         std::to_string(static_cast<long>(shard.ewma_ms)) +
-                         "ms exceeded restart threshold");
-    return;
-  }
-  if (options_.degraded_ms.count() > 0) {
-    const double threshold = static_cast<double>(options_.degraded_ms.count());
-    if (!shard.degraded && shard.ewma_ms >= threshold) {
-      // Entering a degraded episode: snapshot out of band while the shard
-      // still answers, shrinking the replay a later death would need.
-      shard.degraded = true;
-      ++stats_.degraded_events;
-      if (shard.state == Shard::State::kRunning &&
-          !shard.has_pending(wire::kRspSnapped) &&
-          !shard.has_pending(wire::kRspDrained))
-        queue_snapshot(shard, wire::kCmdSnapshot);
-    } else if (shard.degraded && shard.ewma_ms < 0.5 * threshold) {
-      shard.degraded = false;  // Hysteresis: recovered well clear of it.
-    }
-  }
-}
-
-void LocprivService::inject_turnaround_sample_for_testing(unsigned shard,
-                                                          double ms) {
-  note_turnaround(*shards_.at(shard), ms);
 }
 
 ShardLoad LocprivService::shard_load(unsigned shard) const {
@@ -978,7 +918,6 @@ ShardLoad LocprivService::shard_load(unsigned shard) const {
   load.retained_batches = s.retained.size();
   load.retained_bytes = s.retained_bytes;
   load.ewma_ms = s.ewma_init ? s.ewma_ms : 0.0;
-  load.degraded = s.degraded;
   load.storage_degraded = s.storage_degraded;
   load.quarantined = s.state == Shard::State::kQuarantined;
   return load;

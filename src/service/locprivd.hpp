@@ -19,6 +19,15 @@
 // different shard count is refused (exit 6) because the user->shard mapping
 // would scatter the journaled state.
 //
+// Overload control keeps one rule per job. A per-shard credit window
+// (max_inflight_batches unacked batches, max_retained_bytes of replay)
+// closes admission: lossless submits block for credit, shed-eligible ones
+// are shed at the edge (reject-new). Every encoded batch owes an in-order
+// ack within ping_timeout, so a wedged or too-slow shard is found by its
+// oldest unacked batch and sent down SIGTERM -> grace -> SIGKILL. The replay
+// a death costs is bounded by the cadence snapshot plus a forced snapshot
+// at the byte cap. The turnaround EWMA (ShardLoad::ewma_ms) is a gauge.
+//
 // Storage-degraded mode: when a shard's snapshot publish fails (ENOSPC,
 // EIO), the shard stays alive and the parent sheds the snapshot — journaled
 // once per episode as `<shard>/snapdrop/<n>` — keeps serving from memory
@@ -44,12 +53,6 @@
 
 namespace locpriv::service {
 
-/// What to do with a shed-eligible submit when the owning shard's credit
-/// window is full. kRejectNew sheds the incoming batch; kDropOldest evicts
-/// the oldest *unsent* retained batch to admit the new one (falling back to
-/// reject-new when everything retained is already in flight).
-enum class ShedPolicy { kRejectNew, kDropOldest };
-
 /// Outcome of one submit() offer. kBlocked is only returned for lossless
 /// admission when the caller's abort predicate (or a drain request) fired
 /// while waiting for window credit — the batch was neither applied nor
@@ -57,8 +60,8 @@ enum class ShedPolicy { kRejectNew, kDropOldest };
 enum class Admission { kAccepted, kDeduped, kShed, kBlocked };
 
 /// One step of an exponentially weighted moving average. Exposed as a free
-/// function so the slow-shard detector's arithmetic is unit-testable
-/// without standing up a service.
+/// function so the batch-turnaround gauge's arithmetic (ShardLoad::ewma_ms)
+/// is unit-testable without standing up a service.
 inline double ewma_update(double prev, double sample, double alpha,
                           bool initialized) {
   if (!initialized) return sample;
@@ -98,20 +101,12 @@ struct ServiceOptions {
   int fault_after_batches = 3;
   /// Credit window: unacked submit batches a shard may hold in flight
   /// (encoded or retained past its ack watermark) before admission closes.
-  /// 0 disables the count-based window.
+  /// At least 1; the service refuses 0 with Error(kUsage).
   std::size_t max_inflight_batches = 64;
   /// Retained-replay byte cap per shard. Crossing it forces an early
   /// snapshot (which truncates retained to the snapshot watermark) and
   /// closes admission until the snapshot lands. 0 disables the byte cap.
   std::size_t max_retained_bytes = 0;
-  /// Shedding policy for shed-eligible (synthetic/soak) admission.
-  ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  /// Turnaround EWMA above this marks the shard degraded and triggers one
-  /// out-of-band snapshot per degraded episode. 0 disables.
-  std::chrono::milliseconds degraded_ms{0};
-  /// Turnaround EWMA above this sends the shard down the existing
-  /// SIGTERM -> grace -> SIGKILL respawn path. 0 disables.
-  std::chrono::milliseconds slow_restart_ms{0};
 };
 
 /// One recovered shard failure, for the bench's recovery-latency metric.
@@ -128,18 +123,15 @@ struct ServiceStats {
   std::uint64_t batches_offered = 0;
   std::uint64_t batches_submitted = 0;  ///< Accepted into a shard stream.
   std::uint64_t batches_dropped = 0;    ///< Resume-dedupe only.
-  std::uint64_t batches_shed = 0;       ///< Shed by policy or quarantine.
+  std::uint64_t batches_shed = 0;       ///< Shed at the window edge or by quarantine.
   std::uint64_t fixes_submitted = 0;
   std::uint64_t fixes_shed = 0;
   std::uint64_t shed_reject_new = 0;    ///< Incoming batch rejected at the window edge.
-  std::uint64_t shed_drop_oldest = 0;   ///< Oldest unsent retained batch evicted.
   std::uint64_t shed_quarantined = 0;   ///< Offered to a quarantined shard.
   std::uint64_t snapshots = 0;
   std::uint64_t forced_snapshots = 0;   ///< Early snapshots from the retained-byte cap.
   std::uint64_t snapshots_shed = 0;     ///< Snapshot publishes that failed (ENOSPC/EIO).
   std::uint64_t storage_degraded_events = 0;  ///< Storage-degraded episodes entered.
-  std::uint64_t degraded_events = 0;    ///< Degraded-EWMA episodes entered.
-  std::uint64_t slow_restarts = 0;      ///< Respawns triggered by the slow-EWMA threshold.
   std::uint64_t blocked_waits = 0;      ///< Lossless submits that waited for window credit.
   int shard_deaths = 0;
   int respawns = 0;
@@ -164,8 +156,9 @@ struct ShardLoad {
   std::uint64_t submit_seq = 0;
   std::size_t retained_batches = 0;
   std::size_t retained_bytes = 0;
-  double ewma_ms = 0.0;               ///< Batch-turnaround EWMA (0 until first sample).
-  bool degraded = false;
+  /// Batch-turnaround EWMA, encode to ack (0 until the first sample). A
+  /// gauge only: wedge detection is the per-batch ack deadline.
+  double ewma_ms = 0.0;
   bool storage_degraded = false;      ///< Shedding snapshots after a publish failure.
   bool quarantined = false;
 };
@@ -208,9 +201,9 @@ class LocprivService {
   /// abort predicate or a drain request fires first, and the batch is then
   /// neither applied nor counted shed, so a resumed run re-offers it.
   /// Shed-eligible callers (may_shed = true, the synthetic/soak path) never
-  /// block: at the window edge the configured ShedPolicy either sheds the
-  /// incoming batch or evicts the oldest unsent one. Offers to a
-  /// quarantined shard shed deterministically. kDeduped means the sequence
+  /// block: at the window edge the incoming batch is shed (reject-new);
+  /// batches already admitted are never evicted. Offers to a quarantined
+  /// shard shed deterministically. kDeduped means the sequence
   /// number is already covered by a restored snapshot (resume dedupe);
   /// deterministic resubmission of the same schedule therefore converges to
   /// exactly-once application. Every outcome except kBlocked consumes one
@@ -263,12 +256,6 @@ class LocprivService {
   /// must exclude — everyone else's metrics stay byte-identical.
   std::vector<std::string> shed_users() const;
 
-  /// Feeds one synthetic turnaround sample (ms) through the same EWMA +
-  /// threshold path a real ack drives. Deterministic hook for tests; the
-  /// thresholds' side effects (out-of-band snapshot, respawn escalation)
-  /// fire exactly as they would under real latency.
-  void inject_turnaround_sample_for_testing(unsigned shard, double ms);
-
   /// Submit-batch watermark a shard restored from its snapshot at startup
   /// (0 = fresh). Exposed for resume-aware drivers and tests.
   std::uint64_t restored_seq(unsigned shard) const;
@@ -294,7 +281,7 @@ class LocprivService {
     std::uint64_t seq = 0;
     std::string frame;  ///< Encoded submit message, replayed verbatim.
     std::size_t fixes = 0;
-    std::string user;   ///< Owner, for shed accounting on drop-oldest.
+    std::string user;   ///< Owner, for shed accounting on quarantine.
   };
 
   struct Shard;
@@ -310,7 +297,7 @@ class LocprivService {
   /// next unsent batch goes out on the same tick.
   void pump_submits(Shard& shard);
   bool window_full(const Shard& shard) const;
-  enum class ShedCause { kRejectNew, kDropOldest, kQuarantined };
+  enum class ShedCause { kRejectNew, kQuarantined };
   void account_shed(Shard& shard, const std::string& user, std::size_t fixes,
                     ShedCause cause);
   void note_turnaround(Shard& shard, double sample_ms);

@@ -19,24 +19,6 @@ double chi_square_survival(double x, double dof) {
   return regularized_gamma_q(dof / 2.0, x / 2.0);
 }
 
-double chi_square_quantile(double p, double dof) {
-  LOCPRIV_EXPECT(p >= 0.0 && p < 1.0);
-  LOCPRIV_EXPECT(dof > 0.0);
-  if (p == 0.0) return 0.0;
-  // Bracket the quantile, then bisect. The CDF is monotone so this is
-  // robust, and quantiles are only evaluated at setup time (not per point).
-  double hi = dof + 10.0 * std::sqrt(2.0 * dof) + 10.0;
-  while (chi_square_cdf(hi, dof) < p) hi *= 2.0;
-  double lo = 0.0;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (chi_square_cdf(mid, dof) < p) lo = mid;
-    else hi = mid;
-    if (hi - lo < 1e-12 * (1.0 + hi)) break;
-  }
-  return 0.5 * (lo + hi);
-}
-
 ChiSquareResult pearson_goodness_of_fit(const std::vector<double>& observed,
                                         const std::vector<double>& expected) {
   LOCPRIV_EXPECT(observed.size() == expected.size());

@@ -20,9 +20,6 @@ double chi_square_cdf(double x, double dof);
 /// Upper-tail probability 1 - CDF.
 double chi_square_survival(double x, double dof);
 
-/// Quantile (inverse CDF) via bisection; p in [0, 1), dof > 0.
-double chi_square_quantile(double p, double dof);
-
 /// Which tail of the statistic's distribution a test evaluates.
 enum class ChiSquareTail {
   kLower,  // p = CDF(stat): small p means "fits better than chance" (paper).

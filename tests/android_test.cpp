@@ -23,10 +23,6 @@ AndroidManifest manifest_with(std::vector<Permission> permissions,
 TEST(Permissions, NamesAndParsing) {
   EXPECT_EQ(permission_name(Permission::kAccessFineLocation),
             "android.permission.ACCESS_FINE_LOCATION");
-  Permission p;
-  EXPECT_TRUE(parse_permission("android.permission.ACCESS_COARSE_LOCATION", p));
-  EXPECT_EQ(p, Permission::kAccessCoarseLocation);
-  EXPECT_FALSE(parse_permission("android.permission.CAMERA", p));
 }
 
 TEST(Permissions, SetSemantics) {
@@ -173,15 +169,24 @@ TEST(LocationManager, AccuracyReflectsProvider) {
   manager.request_updates("a", LocationProvider::kGps, 5, Granularity::kFine, both, 0);
   manager.request_updates("b", LocationProvider::kNetwork, 5, Granularity::kCoarse, both,
                           0);
+  manager.request_updates("c", LocationProvider::kFused, 5, Granularity::kFine, both, 0);
   manager.tick(1, kDeskPosition);
   double gps_accuracy = 0.0;
   double network_accuracy = 0.0;
+  double fused_accuracy = 0.0;
   for (const auto& delivery : manager.delivery_log()) {
     if (delivery.package == "a") gps_accuracy = delivery.location.accuracy_m;
     if (delivery.package == "b") network_accuracy = delivery.location.accuracy_m;
+    if (delivery.package == "c") {
+      EXPECT_EQ(delivery.location.provider, LocationProvider::kFused);
+      fused_accuracy = delivery.location.accuracy_m;
+    }
   }
   EXPECT_LT(gps_accuracy, 15.0);
   EXPECT_GT(network_accuracy, 300.0);
+  // A fine fused request gets gps-grade fixes.
+  EXPECT_GT(fused_accuracy, 0.0);
+  EXPECT_LT(fused_accuracy, 15.0);
 }
 
 AppBehavior background_gps_behavior(std::int64_t interval = 10) {

@@ -3,7 +3,6 @@
 // between features (guardian + fused, O-limits + replay).
 #include <gtest/gtest.h>
 
-#include "android/fused.hpp"
 #include "android/replay.hpp"
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"

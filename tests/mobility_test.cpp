@@ -87,7 +87,7 @@ TEST(Profile, ContainsHomeWorkAndAmenities) {
   EXPECT_EQ(profile.user_id, "042");
   EXPECT_EQ(profile.home_poi(), home);
   EXPECT_EQ(city.poi(profile.work_poi()).category, PoiCategory::kWork);
-  EXPECT_GE(profile.place_count(), 3u);
+  EXPECT_GE(profile.poi_ids.size(), 3u);
   // No duplicate places.
   std::set<int> unique(profile.poi_ids.begin(), profile.poi_ids.end());
   EXPECT_EQ(unique.size(), profile.poi_ids.size());
@@ -100,7 +100,7 @@ TEST(Profile, TransitionMatricesAreRowStochastic) {
   const UserProfile profile =
       build_user_profile(city, "u", home, ProfileConfig{}, rng);
   for (const auto* matrix : {&profile.weekday_transition, &profile.weekend_transition}) {
-    ASSERT_EQ(matrix->size(), profile.place_count());
+    ASSERT_EQ(matrix->size(), profile.poi_ids.size());
     for (std::size_t i = 0; i < matrix->size(); ++i) {
       double row_sum = 0.0;
       for (std::size_t j = 0; j < (*matrix)[i].size(); ++j) {

@@ -61,7 +61,6 @@ TEST(GuardianPolicy, Preconditions) {
   EXPECT_THROW(policy.protect_place(kAnchor, 0.0), util::ContractViolation);
   EXPECT_THROW(policy.set_app_rules("", lppm::GuardianRules{}),
                util::ContractViolation);
-  EXPECT_THROW(policy.make_position_hook(nullptr), util::ContractViolation);
 }
 
 // ----------------------------------------------- release hook on device --

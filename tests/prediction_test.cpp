@@ -23,22 +23,12 @@ TEST(NextPlacePredictor, PredictsMostFrequentDestination) {
   const auto movements =
       movements_from({{{1, 2}, 10.0}, {{1, 3}, 3.0}, {{2, 1}, 8.0}});
   const NextPlacePredictor predictor(movements);
-  EXPECT_EQ(predictor.source_count(), 2u);
   RegionId next = 0;
   ASSERT_TRUE(predictor.predict(1, next));
   EXPECT_EQ(next, 2);
   ASSERT_TRUE(predictor.predict(2, next));
   EXPECT_EQ(next, 1);
   EXPECT_FALSE(predictor.predict(99, next));
-}
-
-TEST(NextPlacePredictor, TransitionProbabilities) {
-  const auto movements = movements_from({{{1, 2}, 30.0}, {{1, 3}, 10.0}});
-  const NextPlacePredictor predictor(movements);
-  EXPECT_DOUBLE_EQ(predictor.transition_probability(1, 2), 0.75);
-  EXPECT_DOUBLE_EQ(predictor.transition_probability(1, 3), 0.25);
-  EXPECT_DOUBLE_EQ(predictor.transition_probability(1, 9), 0.0);
-  EXPECT_DOUBLE_EQ(predictor.transition_probability(5, 2), 0.0);
 }
 
 TEST(NextPlacePredictor, TiesBreakDeterministically) {
@@ -53,7 +43,6 @@ TEST(NextPlacePredictor, EmptyHistogramNeverPredicts) {
   const NextPlacePredictor predictor{PatternHistogram{}};
   RegionId next = 0;
   EXPECT_FALSE(predictor.predict(1, next));
-  EXPECT_EQ(predictor.source_count(), 0u);
 }
 
 TEST(ScorePredictions, CountsCorrectSkippedEvaluated) {

@@ -141,7 +141,6 @@ TEST(ServiceRollingTail, KeepsOnlyTheLastCapBytes) {
   tail.append("XY", 2);
   EXPECT_EQ(tail.text(), "cdefghXY");
   EXPECT_EQ(tail.retained(), 8u);
-  EXPECT_EQ(tail.total_seen(), 10u);
 }
 
 TEST(ServiceRollingTail, SingleAppendLargerThanCapIsTruncatedFromTheFront) {
@@ -150,7 +149,6 @@ TEST(ServiceRollingTail, SingleAppendLargerThanCapIsTruncatedFromTheFront) {
   tail.append(burst.data(), burst.size());
   tail.append("tail", 4);
   EXPECT_EQ(tail.text(), "tail");
-  EXPECT_EQ(tail.total_seen(), burst.size() + 4);
   // A crash-looping shard can scream forever; memory stays at cap.
   EXPECT_LE(tail.retained(), tail.capacity());
 }
@@ -166,7 +164,6 @@ TEST(ServiceRollingTail, ZeroCapRetainsNothingButCountsEverything) {
   tail.append("noisy shard", 11);
   EXPECT_EQ(tail.text(), "");
   EXPECT_EQ(tail.retained(), 0u);
-  EXPECT_EQ(tail.total_seen(), 11u);
   EXPECT_EQ(tail.one_line(), "");
 }
 
@@ -177,7 +174,6 @@ TEST(ServiceRollingTail, ExactCapAppendKeepsTheWholeChunk) {
   tail.append("abcdefgh", 8);  // A second exact-cap chunk replaces it all.
   EXPECT_EQ(tail.text(), "abcdefgh");
   EXPECT_EQ(tail.retained(), 8u);
-  EXPECT_EQ(tail.total_seen(), 16u);
 }
 
 TEST(ServiceRollingTail, ManySmallChunksWrapToTheSuffix) {
@@ -190,7 +186,6 @@ TEST(ServiceRollingTail, ManySmallChunksWrapToTheSuffix) {
   }
   EXPECT_EQ(tail.text(), all.substr(all.size() - 16));
   EXPECT_EQ(tail.retained(), 16u);
-  EXPECT_EQ(tail.total_seen(), all.size());
 }
 
 // ------------------------------------------------------------ snapshot ----
@@ -559,6 +554,24 @@ TEST(ServiceOverload, EwmaUpdateInitializesThenSmooths) {
   EXPECT_DOUBLE_EQ(ewma_update(40.0, 40.0, 0.2, true), 40.0);
 }
 
+TEST(ServiceOverload, ZeroCreditWindowIsAUsageError) {
+  // Without a window nothing would bound the parent's outbuf: the service
+  // refuses it, as it refuses zero shards, before any shard or ledger exists.
+  auto options = quick_options(1);
+  options.max_inflight_batches = 0;
+  const fs::path run_dir =
+      fs::temp_directory_path() /
+      ("locpriv_service_zero_window_" + std::to_string(::getpid()));
+  fs::remove_all(run_dir);
+  try {
+    LocprivService daemon(options, test_analyzer(), run_dir, false);
+    ADD_FAILURE() << "a zero credit window was accepted";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kUsage);
+  }
+  EXPECT_FALSE(fs::exists(run_dir));
+}
+
 std::vector<trace::TracePoint> tiny_batch(int fixes, std::int64_t base_ts) {
   std::vector<trace::TracePoint> batch;
   for (int i = 0; i < fixes; ++i) {
@@ -586,7 +599,6 @@ TEST(ServiceOverload, WindowEdgeShedsSyntheticAndBlocksLossless) {
   const auto& analyzer = test_analyzer();
   auto options = quick_options(1);
   options.max_inflight_batches = 4;
-  options.shed_policy = ShedPolicy::kRejectNew;
   // The first incarnation wedges (SIGTERM-ignoring) on its first batch, so
   // nothing acks and the credit window fills exactly.
   options.fault_plan = sim::ProcessFaultPlan::parse("hang:1@shard0");
@@ -630,50 +642,10 @@ TEST(ServiceOverload, WindowEdgeShedsSyntheticAndBlocksLossless) {
   EXPECT_EQ(daemon.shed_users(), std::vector<std::string>{"user_w"});
 }
 
-TEST(ServiceOverload, DropOldestEvictsUnsentBatchesWhileShardIsDown) {
-  const auto& analyzer = test_analyzer();
-  auto options = quick_options(1);
-  options.max_inflight_batches = 2;
-  options.shed_policy = ShedPolicy::kDropOldest;
-  options.fault_plan = sim::ProcessFaultPlan::parse("crash:1@shard0");
-  options.fault_after_batches = 1;
-  // A long respawn backoff keeps the shard down while we queue into it.
-  options.backoff_base = std::chrono::milliseconds(400);
-  LocprivService daemon(options, analyzer, fresh_dir("drop_oldest"), false);
-
-  EXPECT_EQ(daemon.submit("user_a", tiny_batch(2, 1496641200), true),
-            Admission::kAccepted);
-  // The child segfaults on that batch; wait for the supervisor to reap it.
-  tick_until(daemon, [&] { return daemon.stats().shard_deaths >= 1; });
-
-  // During backoff the sent cursor is rewound, so both retained batches are
-  // unsent; the window (2) fills, and drop-oldest evicts the oldest unsent
-  // batch to admit the newest.
-  EXPECT_EQ(daemon.submit("user_b", tiny_batch(2, 1496650000), true),
-            Admission::kAccepted);
-  EXPECT_EQ(daemon.submit("user_c", tiny_batch(2, 1496660000), true),
-            Admission::kAccepted);
-  daemon.drain();
-
-  const ServiceStats& stats = daemon.stats();
-  EXPECT_EQ(stats.shed_drop_oldest, 1u);
-  EXPECT_EQ(stats.batches_shed, 1u);
-  EXPECT_EQ(stats.batches_submitted, 2u);  // user_a's batch was evicted.
-  EXPECT_EQ(stats.batches_offered,
-            stats.batches_submitted + stats.batches_dropped +
-                stats.batches_shed);
-  EXPECT_EQ(daemon.shed_users(), std::vector<std::string>{"user_a"});
-  const ShardLoad load = daemon.shard_load(0);
-  EXPECT_EQ(load.offered, 3u);
-  EXPECT_EQ(load.accepted, 2u);
-  EXPECT_EQ(load.shed, 1u);
-}
-
 TEST(ServiceOverload, ShedOffersConsumeSeqsSoResumeStaysAligned) {
   const auto& analyzer = test_analyzer();
   auto options = quick_options(1);
   options.max_inflight_batches = 2;
-  options.shed_policy = ShedPolicy::kRejectNew;
   // The first incarnation wedges on its first batch, so nothing acks, the
   // window fills, and the shed below lands mid-schedule.
   options.fault_plan = sim::ProcessFaultPlan::parse("hang:1@shard0");
@@ -715,65 +687,82 @@ TEST(ServiceOverload, ShedOffersConsumeSeqsSoResumeStaysAligned) {
   EXPECT_EQ(stats.batches_shed, 0u);
 }
 
-TEST(ServiceOverload, DropOldestEvictsUntilTheByteCapAdmitsTheBatch) {
+TEST(ServiceOverload, ByteCapShedsNewOffersWhileShardIsDown) {
   const auto& analyzer = test_analyzer();
   auto options = quick_options(1);
-  options.max_inflight_batches = 0;  // Only the byte cap governs admission.
+  // The default credit window (64 batches) is far wider than the five
+  // offers below, so only the byte cap governs admission.
   options.max_retained_bytes = 600;
-  options.shed_policy = ShedPolicy::kDropOldest;
   options.fault_plan = sim::ProcessFaultPlan::parse("crash:1@shard0");
   options.fault_after_batches = 1;
-  // A long respawn backoff keeps the shard down (everything unsent) while
-  // we queue into it.
+  // A long respawn backoff keeps the shard down (nothing acks, nothing is
+  // snapshotted) while we queue into it.
   options.backoff_base = std::chrono::milliseconds(400);
   // Cadence snapshots would truncate retained mid-test; push them out.
   options.snapshot_interval = std::chrono::milliseconds(60000);
-  LocprivService daemon(options, analyzer, fresh_dir("evict_until_fits"),
-                        false);
+  LocprivService daemon(options, analyzer, fresh_dir("byte_cap_shed"), false);
 
   EXPECT_EQ(daemon.submit("user_a", tiny_batch(2, 1496641200), true),
             Admission::kAccepted);
   tick_until(daemon, [&] { return daemon.stats().shard_deaths >= 1; });
 
-  // Three small frames (85 bytes each) sit under the 600-byte cap, then a
-  // large one (997 bytes) is admitted at the edge (the one-frame slack every
-  // admission path has).
+  // Three small frames sit under the 600-byte cap; a large one is then
+  // admitted at the edge (the one-frame slack every admission path has).
   EXPECT_EQ(daemon.submit("user_b", tiny_batch(2, 1496642200), true),
             Admission::kAccepted);
   EXPECT_EQ(daemon.submit("user_c", tiny_batch(2, 1496643200), true),
             Admission::kAccepted);
-  EXPECT_EQ(daemon.submit("user_d", tiny_batch(40, 1496644200), true),
-            Admission::kAccepted);
-  // The next offer finds retained far past the cap. One eviction frees too
-  // few bytes, so drop-oldest must keep evicting — all four unsent batches
-  // go — before the incoming frame fits back under the cap.
+  const auto large = tiny_batch(40, 1496644200);
+  EXPECT_EQ(daemon.submit("user_d", large, true), Admission::kAccepted);
+  const std::size_t large_frame =
+      wire::encode_message({wire::kCmdSubmit, "4", "user_d",
+                            wire::pack_fixes(large)})
+          .size();
+  const ShardLoad full = daemon.shard_load(0);
+  ASSERT_GE(full.retained_bytes, options.max_retained_bytes);
+
+  // Retained bytes have reached the cap: the incoming offer is shed and
+  // every admitted batch stays retained for the respawn's replay.
   EXPECT_EQ(daemon.submit("user_e", tiny_batch(2, 1496645200), true),
-            Admission::kAccepted);
-  const ServiceStats& mid = daemon.stats();
-  EXPECT_EQ(mid.shed_drop_oldest, 4u);
-  EXPECT_EQ(mid.batches_shed, 4u);
-  EXPECT_EQ(mid.batches_submitted, 1u);
+            Admission::kShed);
   const ShardLoad load = daemon.shard_load(0);
-  EXPECT_EQ(load.retained_batches, 1u);
-  EXPECT_LT(load.retained_bytes, options.max_retained_bytes);
+  EXPECT_EQ(load.offered, 5u);
+  EXPECT_EQ(load.accepted, 4u);
+  EXPECT_EQ(load.shed, 1u);
+  EXPECT_EQ(load.retained_batches, 4u);
+  EXPECT_EQ(load.retained_bytes, full.retained_bytes);
+  EXPECT_LE(load.retained_bytes, options.max_retained_bytes + large_frame);
+  EXPECT_LE(daemon.stats().retained_bytes_peak,
+            options.max_retained_bytes + large_frame);
   daemon.drain();
 
   const ServiceStats& stats = daemon.stats();
+  EXPECT_EQ(stats.shed_reject_new, 1u);
+  EXPECT_EQ(stats.batches_shed, 1u);
+  EXPECT_EQ(stats.batches_submitted, 4u);
   EXPECT_EQ(stats.batches_offered,
             stats.batches_submitted + stats.batches_dropped +
                 stats.batches_shed);
-  EXPECT_EQ(daemon.user_loads().at("user_d").batches_accepted, 0u);
-  EXPECT_EQ(daemon.user_loads().at("user_e").batches_accepted, 1u);
+  EXPECT_EQ(daemon.shed_users(), std::vector<std::string>{"user_e"});
+  EXPECT_EQ(daemon.user_loads().at("user_d").batches_accepted, 1u);
+  EXPECT_EQ(daemon.user_loads().at("user_e").batches_accepted, 0u);
 }
 
 TEST(ServiceOverload, RetainedByteCapForcesEarlySnapshotsAndHolds) {
   const auto& analyzer = test_analyzer();
   auto options = quick_options(1);
-  options.max_inflight_batches = 0;  // Only the byte cap governs admission.
+  const auto traffic = quick_traffic();
+  // A credit window as wide as the whole traffic can never fill, so only
+  // the byte cap governs admission.
+  std::size_t traffic_batches = 0;
+  for (std::size_t i = 0; i < analyzer.user_count(); ++i)
+    traffic_batches +=
+        (analyzer.reference(i).points.size() + traffic.batch_size - 1) /
+        traffic.batch_size;
+  options.max_inflight_batches = traffic_batches;
   options.max_retained_bytes = 16 * 1024;
   // Cadence snapshots would mask the cap; push them out of the run.
   options.snapshot_interval = std::chrono::milliseconds(60000);
-  const auto traffic = quick_traffic();
   LocprivService daemon(options, analyzer, fresh_dir("byte_cap"), false);
   drive_traffic(daemon, analyzer, traffic);
   expect_parity(analyzer, options, traffic, daemon.collect_reports());
@@ -785,29 +774,6 @@ TEST(ServiceOverload, RetainedByteCapForcesEarlySnapshotsAndHolds) {
   // The peak may overshoot by at most the one batch admitted at the edge.
   EXPECT_LE(stats.retained_bytes_peak, options.max_retained_bytes + 8 * 1024);
   EXPECT_EQ(daemon.shard_load(0).retained_bytes, 0u);  // Drain truncates all.
-}
-
-TEST(ServiceOverload, DegradedEwmaTriggersOutOfBandSnapshotPerEpisode) {
-  const auto& analyzer = test_analyzer();
-  auto options = quick_options(1);
-  options.degraded_ms = std::chrono::milliseconds(50);
-  LocprivService daemon(options, analyzer, fresh_dir("degraded"), false);
-
-  daemon.inject_turnaround_sample_for_testing(0, 200.0);
-  EXPECT_EQ(daemon.stats().degraded_events, 1u);
-  EXPECT_TRUE(daemon.shard_load(0).degraded);
-  // Staying slow extends the same episode; no double-count.
-  daemon.inject_turnaround_sample_for_testing(0, 200.0);
-  EXPECT_EQ(daemon.stats().degraded_events, 1u);
-  // Recovery needs the EWMA below half the threshold (hysteresis)...
-  for (int i = 0; i < 16; ++i)
-    daemon.inject_turnaround_sample_for_testing(0, 0.0);
-  EXPECT_FALSE(daemon.shard_load(0).degraded);
-  // ...after which a new slow spell is a second episode.
-  daemon.inject_turnaround_sample_for_testing(0, 400.0);
-  EXPECT_EQ(daemon.stats().degraded_events, 2u);
-  tick_until(daemon, [&] { return daemon.stats().snapshots >= 1u; });
-  daemon.drain();
 }
 
 TEST(ServiceGauges, DrainRefreshesStateBytesInsideOneHeartbeat) {
@@ -859,26 +825,6 @@ TEST(ServiceTick, BackToBackReportsDoNotWaitForWholeTicks) {
       << " ms for 20 reports";
   expect_parity(analyzer, options, traffic, expected);
   daemon.drain();
-}
-
-TEST(ServiceOverload, SlowEwmaRestartsTheShardThroughTheRespawnPath) {
-  const auto& analyzer = test_analyzer();
-  auto options = quick_options(1);
-  options.slow_restart_ms = std::chrono::milliseconds(50);
-  LocprivService daemon(options, analyzer, fresh_dir("slow_restart"), false);
-
-  EXPECT_EQ(daemon.submit("user_s", tiny_batch(2, 1496641200), false),
-            Admission::kAccepted);
-  daemon.inject_turnaround_sample_for_testing(0, 500.0);
-  EXPECT_EQ(daemon.stats().slow_restarts, 1u);
-  tick_until(daemon, [&] {
-    return daemon.stats().shard_deaths >= 1 && daemon.stats().respawns >= 1;
-  });
-  daemon.drain();
-  // The restart rode the normal death/replay path: nothing was lost.
-  EXPECT_EQ(daemon.stats().batches_submitted, 1u);
-  EXPECT_EQ(daemon.stats().batches_shed, 0u);
-  EXPECT_TRUE(daemon.quarantined_shards().empty());
 }
 
 }  // namespace

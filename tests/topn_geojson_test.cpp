@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "android/fused.hpp"
 #include "geo/geodesy.hpp"
 #include "poi/geojson.hpp"
 #include "privacy/topn.hpp"
@@ -116,87 +115,6 @@ TEST(GeoJson, EmptyTraceYieldsEmptyCollection) {
   trace::UserTrace user;
   user.user_id = "empty";
   EXPECT_EQ(poi::to_geojson(user), R"({"type":"FeatureCollection","features":[]})");
-}
-
-// ---------------------------------------------------------------- fused --
-
-using android::FusedPriority;
-using android::Granularity;
-using android::LocationProvider;
-using android::Permission;
-using android::PermissionSet;
-
-TEST(FusedPlan, PriorityToProviderMapping) {
-  const PermissionSet both({Permission::kAccessFineLocation,
-                            Permission::kAccessCoarseLocation});
-  const PermissionSet coarse({Permission::kAccessCoarseLocation});
-
-  auto plan = android::plan_fused_request(FusedPriority::kHighAccuracy, both);
-  EXPECT_EQ(plan.provider, LocationProvider::kFused);
-  EXPECT_EQ(plan.granularity, Granularity::kFine);
-
-  plan = android::plan_fused_request(FusedPriority::kBalancedPowerAccuracy, coarse);
-  EXPECT_EQ(plan.granularity, Granularity::kCoarse);
-  plan = android::plan_fused_request(FusedPriority::kBalancedPowerAccuracy, both);
-  EXPECT_EQ(plan.granularity, Granularity::kFine);
-
-  plan = android::plan_fused_request(FusedPriority::kNoPower, coarse);
-  EXPECT_EQ(plan.provider, LocationProvider::kPassive);
-}
-
-TEST(FusedPlan, PermissionFailures) {
-  const PermissionSet none;
-  const PermissionSet coarse({Permission::kAccessCoarseLocation});
-  EXPECT_THROW(android::plan_fused_request(FusedPriority::kHighAccuracy, coarse),
-               android::SecurityException);
-  EXPECT_THROW(android::plan_fused_request(FusedPriority::kLowPower, none),
-               android::SecurityException);
-}
-
-TEST(FusedClient, RequestReplaceAndRemove) {
-  android::LocationManager manager((stats::Rng(1)));
-  const PermissionSet both({Permission::kAccessFineLocation,
-                            Permission::kAccessCoarseLocation});
-  android::FusedLocationClient client(manager, "com.fused.app", both);
-
-  client.request_updates(FusedPriority::kHighAccuracy, 10, 0);
-  ASSERT_EQ(manager.active_requests().size(), 1u);
-  EXPECT_EQ(manager.active_requests()[0].provider, LocationProvider::kFused);
-  EXPECT_EQ(manager.active_requests()[0].granularity, Granularity::kFine);
-
-  // Switching to NO_POWER replaces the fused request with a passive one.
-  client.request_updates(FusedPriority::kNoPower, 30, 5);
-  ASSERT_EQ(manager.active_requests().size(), 1u);
-  EXPECT_EQ(manager.active_requests()[0].provider, LocationProvider::kPassive);
-
-  client.remove_updates();
-  EXPECT_TRUE(manager.active_requests().empty());
-}
-
-TEST(FusedClient, DeliversAndExposesLastLocation) {
-  android::LocationManager manager((stats::Rng(1)));
-  const PermissionSet fine({Permission::kAccessFineLocation});
-  android::FusedLocationClient client(manager, "com.fused.app", fine);
-  client.request_updates(FusedPriority::kHighAccuracy, 5, 0);
-
-  android::Location fix;
-  EXPECT_FALSE(client.last_location(fix));
-  manager.tick(1, kAnchor);
-  ASSERT_TRUE(client.last_location(fix));
-  EXPECT_EQ(fix.provider, LocationProvider::kFused);
-  EXPECT_LT(fix.accuracy_m, 15.0);  // Fine-grade accuracy.
-}
-
-TEST(FusedClient, FusedRequestsAppearInDumpsysAsTableOneExpects) {
-  android::LocationManager manager((stats::Rng(1)));
-  const PermissionSet both({Permission::kAccessFineLocation,
-                            Permission::kAccessCoarseLocation});
-  android::FusedLocationClient client(manager, "com.fused.app", both);
-  client.request_updates(FusedPriority::kBalancedPowerAccuracy, 60, 0);
-  const auto requests = manager.requests_of("com.fused.app");
-  ASSERT_EQ(requests.size(), 1u);
-  EXPECT_EQ(requests[0].provider, LocationProvider::kFused);
-  EXPECT_EQ(requests[0].interval_s, 60);
 }
 
 }  // namespace

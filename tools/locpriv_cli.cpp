@@ -70,8 +70,7 @@ int usage() {
       "                [--shard-rlimit-mb N] [--shard-cpu-s N]\n"
       "                [--fault-shards SPEC] [--fault-after N]\n"
       "                [--max-inflight-batches N] [--max-retained-mb N]\n"
-      "                [--shed-policy reject-new|drop-oldest] [--admit block|shed]\n"
-      "                [--degraded-ms MS] [--slow-restart-ms MS]\n"
+      "                [--admit block|shed]\n"
       "  scrub         RUN_DIR [--repair]\n"
       "\n"
       "scrub verifies a run directory offline: every ledger record against\n"
@@ -90,14 +89,13 @@ int usage() {
       "e.g. \"crash@shard0,hang:2@shard1\".\n"
       "\n"
       "Overload control: each shard acks applied batches; the parent stops\n"
-      "encoding past --max-inflight-batches unacked batches and forces an\n"
-      "early snapshot when retained replay bytes cross --max-retained-mb.\n"
-      "--admit block (default) gives lossless backpressure; --admit shed\n"
-      "sheds at the window edge per --shed-policy, with per-user\n"
-      "offered/accepted/shed columns appended to the --csv rows and\n"
-      "per-shard shed counters journaled to the ledger. --degraded-ms /\n"
-      "--slow-restart-ms set turnaround-EWMA thresholds for out-of-band\n"
-      "snapshots and slow-shard respawns.\n"
+      "encoding past --max-inflight-batches (at least 1) unacked batches and\n"
+      "forces an early snapshot when retained replay bytes cross\n"
+      "--max-retained-mb (0 = no byte cap). A shard that does not ack a\n"
+      "batch within --ping-timeout-ms is restarted. --admit block (default)\n"
+      "gives lossless backpressure; --admit shed sheds the incoming batch at\n"
+      "the window edge, with per-user offered/accepted/shed columns appended\n"
+      "to the --csv rows and per-shard shed counters journaled to the ledger.\n"
       "\n"
       "--lenient quarantines corrupt .plt files instead of aborting, prints the\n"
       "ingest report, and exits with code 3 when anything was quarantined.\n"
@@ -116,6 +114,9 @@ int usage() {
 /// Exit code for a lenient run that had to quarantine files: the command
 /// produced results, but the corpus was incomplete.
 constexpr int kExitQuarantined = 3;
+
+/// Upper bound of a count flag stored in an `int`.
+constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 /// A dataset plus the ingest outcome the lenient commands report on.
 struct LoadedDataset {
@@ -172,8 +173,8 @@ int cmd_gen_dataset(int argc, const char* const* argv) {
   if (args.get("--out").empty()) return usage();
 
   mobility::DatasetConfig config;
-  config.user_count = static_cast<int>(args.get_int("--users"));
-  config.synthesis.days = static_cast<int>(args.get_int("--days"));
+  config.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
+  config.synthesis.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
   const auto dataset = mobility::generate_dataset(config);
   trace::write_geolife_dataset(args.get("--out"), dataset.users);
@@ -212,12 +213,12 @@ int cmd_market_study(int argc, const char* const* argv) {
   args.declare("--limits", "0");
   args.declare("--seed", std::to_string(core::kCatalogSeed));
   args.parse(argc, argv, 2);
+  const std::int64_t limits_s = args.get_int("--limits", 0, harness::kMaxFlagSeconds);
 
   market::CatalogConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
   const auto catalog = market::generate_catalog(config);
-  const auto report =
-      market::run_market_study(catalog, 7, args.get_int("--limits"));
+  const auto report = market::run_market_study(catalog, 7, limits_s);
 
   util::ConsoleTable table({"statistic", "value"});
   table.add_row({"declaring", std::to_string(report.declaring)});
@@ -253,16 +254,22 @@ int cmd_extract_pois(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
   const std::int64_t interval_s = interval_arg(args);
+  // The extraction parameters are checked before the corpus loads: a
+  // positive radius up to half the Earth's circumference, a visit of at
+  // least one minute whose length in seconds fits the harness's bound.
+  poi::ExtractionParams params;
+  params.radius_m = args.get_double("--radius", 0.0, 2.0e7);
+  params.min_visit_s =
+      args.get_int("--visit", 1, harness::kMaxFlagSeconds / 60) * 60;
+  if (!params.valid())
+    throw Error(ErrorCode::kUsage,
+                "--radius must be positive, got " + args.get("--radius"));
 
   const auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const auto& users = loaded.users;
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
   if (user_index >= users.size())
     throw Error(ErrorCode::kUsage, "user index out of range");
-
-  poi::ExtractionParams params;
-  params.radius_m = args.get_double("--radius");
-  params.min_visit_s = args.get_int("--visit") * 60;
 
   const auto points = trace::collect(users[user_index].points(), interval_s);
   const auto stays = poi::extract_stay_points(points, params);
@@ -453,6 +460,9 @@ int cmd_identify(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
   const std::int64_t interval_s = interval_arg(args);
+  const privacy::Pattern pattern = args.get_int("--pattern", 1, 2) == 1
+                                       ? privacy::Pattern::kVisits
+                                       : privacy::Pattern::kMovements;
 
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const core::PrivacyAnalyzer analyzer(core::experiment_analyzer_config(),
@@ -460,9 +470,6 @@ int cmd_identify(int argc, const char* const* argv) {
   const auto user_index = static_cast<std::size_t>(args.get_int("--user"));
   if (user_index >= analyzer.user_count())
     throw Error(ErrorCode::kUsage, "user index out of range");
-  const privacy::Pattern pattern = args.get_int("--pattern") == 1
-                                       ? privacy::Pattern::kVisits
-                                       : privacy::Pattern::kMovements;
   const auto outcome =
       analyzer.earliest_identification(user_index, pattern, interval_s);
   if (outcome.detected) {
@@ -535,10 +542,7 @@ int cmd_serve(int argc, const char* const* argv) {
   args.declare("--fault-after", "3");
   args.declare("--max-inflight-batches", "64");
   args.declare("--max-retained-mb", "64");
-  args.declare("--shed-policy", "reject-new");
   args.declare("--admit", "block");
-  args.declare("--degraded-ms", "0");
-  args.declare("--slow-restart-ms", "0");
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   const std::int64_t interval_s = interval_arg(args);
@@ -551,8 +555,8 @@ int cmd_serve(int argc, const char* const* argv) {
       resume ? args.get("--resume") : args.get("--run-dir");
 
   // Every number is range-checked before any analyzer, shard or worker
-  // exists; 0 stays legal wherever it means "off" or "unbounded".
-  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  // exists; 0 stays legal wherever it means "off" or "unbounded" (never for
+  // the credit window, which bounds every container on the submit path).
   const auto ms = [&](const char* flag, long long max = harness::kMaxFlagSeconds * 1000) {
     return std::chrono::milliseconds(args.get_int(flag, 0, max));
   };
@@ -577,20 +581,10 @@ int cmd_serve(int argc, const char* const* argv) {
     options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
   options.fault_after_batches = static_cast<int>(args.get_int("--fault-after", 0, kIntMax));
   options.max_inflight_batches =
-      static_cast<std::size_t>(args.get_int("--max-inflight-batches", 0, kIntMax));
+      static_cast<std::size_t>(args.get_int("--max-inflight-batches", 1, kIntMax));
   options.max_retained_bytes =
       static_cast<std::size_t>(args.get_int("--max-retained-mb", 0, harness::kMaxFlagMiB)) *
       1024 * 1024;
-  if (args.get("--shed-policy") == "reject-new") {
-    options.shed_policy = service::ShedPolicy::kRejectNew;
-  } else if (args.get("--shed-policy") == "drop-oldest") {
-    options.shed_policy = service::ShedPolicy::kDropOldest;
-  } else {
-    throw Error(ErrorCode::kUsage,
-                "--shed-policy must be reject-new or drop-oldest");
-  }
-  options.degraded_ms = ms("--degraded-ms");
-  options.slow_restart_ms = ms("--slow-restart-ms");
 
   service::TrafficOptions traffic;
   traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch", 0, kIntMax));
@@ -727,8 +721,8 @@ int cmd_report(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
 
   tools::ReportOptions options;
-  options.user_count = static_cast<int>(args.get_int("--users"));
-  options.days = static_cast<int>(args.get_int("--days"));
+  options.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
+  options.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
   if (args.get("--out").empty()) {
     tools::write_reproduction_report(std::cout, options);
     return 0;
