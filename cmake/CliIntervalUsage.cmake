@@ -2,10 +2,10 @@
 # --interval refuses a value below 1 s with exit 2 (usage); so do an unknown
 # flag, a non-integer value, an out-of-range --user, out-of-range numbers
 # for audit-all's harness flags, for serve and for the dataset, report,
-# market-study, extract-pois and identify commands, and serve's removed
-# overload flags. The largest interval collects one fix instead of wrapping
-# past INT64_MAX. Run against a 2-user corpus written by `locpriv
-# gen-dataset`:
+# market-study, extract-pois and identify commands, and shedding-policy and
+# turnaround-EWMA flags, which serve does not take. The largest interval
+# collects one fix instead of wrapping past INT64_MAX. Run against a 2-user
+# corpus written by `locpriv gen-dataset`:
 #
 #   cmake -DLOCPRIV=<locpriv binary> -DWORK_DIR=<work dir>
 #         -P cmake/CliIntervalUsage.cmake
@@ -70,8 +70,8 @@ endforeach()
 
 # serve range-checks every number before any analyzer, shard or worker
 # exists: a negative count would wrap to a huge unsigned value. The credit
-# window has no "off" value, and the shedding-policy and turnaround-EWMA
-# flags no longer exist.
+# window has no "off" value, and serve sheds by one rule and finds slow
+# shards by the ack deadline, so it takes no flag to choose either.
 foreach(misuse "--shards;-1" "--shards;0" "--batch;-1" "--max-inflight-batches;-1"
                "--max-inflight-batches;0" "--max-retained-mb;-1" "--heartbeat-ms;-5"
                "--op-timeout-ms;-1" "--grace-ms;-1" "--backoff-ms;9223372036854775807"
