@@ -4,9 +4,10 @@
 //     baseline extractor;
 //  2. chi-square tail (upper = default vs the paper-literal lower tail);
 //  3. unseen-key smoothing (0 = paper Formula 1 vs 0.5 Laplace);
-//  4. posterior weighting (paper Formula 2 chi^2 vs inverse-chi^2);
+//  4. the matcher's test (chi-square vs Kolmogorov-Smirnov);
 //  5. the location-coarsening defense (grid snapping a la LP-Guardian /
-//     truncation) vs what a 1 s background app still learns.
+//     truncation) vs what a 1 s background app still learns;
+//  6. co-located populations (users per home building).
 #include <array>
 #include <iostream>
 

@@ -8,24 +8,25 @@
 // regression anchor: its delivery path is byte-identical to an
 // uninstrumented replay.
 //
-// The sweep runs under the run harness (E17 is the longest campaign in the
-// suite): with `--run-dir DIR` every completed (intensity, interval) cell is
-// journaled to DIR/ledger.jsonl, and a crashed or SIGKILLed run rerun with
-// `--resume DIR` skips the completed cells and produces a final CSV byte-
-// identical to an uninterrupted run. `--heartbeat/--soft-deadline/
-// --hard-deadline` supervise the sweep stage; a blown hard deadline aborts
-// with exit 5. Under `--isolate` each cell attempt runs in a forked,
-// rlimit-capped child supervised by harness::Supervisor: a segfaulting,
-// hanging, or memory-bombing cell is retried with deterministic backoff and
-// finally quarantined (exit 3) while the rest of the sweep completes.
-// `--fault-cells crash@i0.50_t60,...` injects process-level faults for
-// exercising exactly that path.
+// Each (intensity, interval) pair is one cell of harness::run_sweep, which
+// takes the standard harness flags (core/harness/sweep.hpp). With
+// `--run-dir DIR` every completed cell is journaled to DIR/ledger.jsonl, and
+// a crashed or SIGKILLed run rerun with `--resume DIR` skips the completed
+// cells and produces a final CSV byte-identical to an uninterrupted run.
+// `--heartbeat/--hard-deadline` supervise the sweep stage; a blown hard
+// deadline aborts with exit 5 before the next cell attempt. `--workers N`
+// runs N cells at once; under `--isolate` each cell attempt runs in a
+// forked, rlimit-capped child, so a segfaulting, hanging, or memory-bombing
+// cell is retried with deterministic backoff and finally quarantined
+// (exit 3) while the rest of the sweep completes. `--fault-cells
+// crash@i0.50_t60,...` injects process-level faults for exercising exactly
+// that path.
 //
 // Output: one row per (intensity, interval) pair, averaged over users, as a
 // console table, a CSV block on stdout, atomically written CSV/JSON
 // artifacts in the run dir (with --run-dir/--resume), and CSV/JSON files
 // under LOCPRIV_CSV_DIR. Everything derives from kDatasetSeed, so two runs
-// produce identical bytes.
+// produce identical bytes, whichever mode ran the cells.
 #include <iostream>
 #include <string>
 #include <utility>
@@ -34,10 +35,7 @@
 #include "android/replay.hpp"
 #include "bench_common.hpp"
 #include "core/analyzer.hpp"
-#include "core/harness/run_ledger.hpp"
-#include "core/harness/supervisor.hpp"
 #include "core/harness/sweep.hpp"
-#include "core/harness/watchdog.hpp"
 #include "sim/faults/injector.hpp"
 #include "sim/faults/process_plan.hpp"
 #include "util/args.hpp"
@@ -152,14 +150,11 @@ SweepRow parse_fields(const std::vector<std::string>& fields) {
 /// Replays every user through the faulted framework path for one sweep
 /// cell. Users run under parallel_for (the analyzer is read-only after
 /// construction); the reduction stays in user order, so the averages are
-/// identical to the sequential loop at any thread count. Each user starts
-/// with a watchdog checkpoint, which is how a blown hard deadline surfaces
-/// here via the loop's exception aggregation.
+/// identical to the sequential loop at any thread count.
 SweepRow compute_cell(const core::PrivacyAnalyzer& analyzer, double intensity,
-                      std::int64_t interval_s, harness::StageWatchdog& watchdog) {
+                      std::int64_t interval_s) {
   std::vector<SweepRow> partial(analyzer.user_count());
   util::parallel_for(analyzer.user_count(), [&](std::size_t user) {
-    watchdog.checkpoint();
     SweepRow& slot = partial[user];
     const auto& points = analyzer.reference(user).points;
     if (points.empty()) return;
@@ -231,7 +226,6 @@ int run(int argc, char** argv) {
   util::Args args;
   harness::declare_run_flags(args);
   args.declare("--fault-cells", "");
-  harness::RunOptions options;
   sim::ProcessFaultPlan fault_plan;
   try {
     args.parse(argc, argv, 1);
@@ -239,13 +233,7 @@ int run(int argc, char** argv) {
   } catch (const std::runtime_error& error) {
     throw Error(ErrorCode::kUsage, error.what());
   }
-  options = harness::run_options_from(args, "fault sweep");
-  if (!options.active() &&
-      (options.supervisor.isolate || options.supervisor.workers > 1))
-    throw Error(ErrorCode::kUsage,
-                "--isolate/--workers need a journal to report into; pass "
-                "--run-dir or --resume");
-  options.supervisor.backoff_seed = core::kDatasetSeed;
+  const harness::RunOptions options = harness::run_options_from(args);
 
   bench::print_header("fault degradation: leakage metrics vs substrate faults",
                       /*uses_mobility_corpus=*/false);
@@ -262,16 +250,8 @@ int run(int argc, char** argv) {
   const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
       core::experiment_analyzer_config(), dataset_config);
 
-  const harness::RunInfo run_info{
-      "bench_fault_degradation", core::kDatasetSeed,
-      std::to_string(kUserCount) + "u" + std::to_string(kDays) + "d",
-      options.mode_string()};
-  const std::unique_ptr<harness::RunLedger> ledger =
-      harness::open_ledger(options, run_info);
-
-  // Enumerate the sweep once; every downstream consumer (dispatch, row
-  // assembly, artifacts) walks this order, so artifact bytes do not depend
-  // on which worker finished first.
+  // Enumerate the sweep once; run_sweep returns the rows in this order, so
+  // artifact bytes do not depend on which worker finished first.
   std::vector<std::pair<double, std::int64_t>> cell_specs;
   std::vector<std::string> cell_keys;
   for (const double intensity : kIntensities)
@@ -279,45 +259,21 @@ int run(int argc, char** argv) {
       cell_specs.emplace_back(intensity, interval_s);
       cell_keys.push_back(cell_key(intensity, interval_s));
     }
-  const std::size_t cell_count = cell_keys.size();
-  if (ledger != nullptr && ledger->completed_count() > 0)
-    std::cout << "resume: " << ledger->completed_count() << "/" << cell_count
-              << " cells already journaled in " << ledger->path().string()
-              << "\n\n";
 
-  harness::StageWatchdog watchdog(options.stage);
-  watchdog.set_total(cell_count);
-  if (ledger != nullptr) watchdog.add_progress(ledger->completed_count());
-
-  const harness::CellFn cell_fn = [&](std::size_t index, const std::string& key,
-                                      int attempt) {
-    // Injected process faults fire first: crash/hang take the child down
-    // before any work, the alloc bomb dies against the cell rlimit.
-    fault_plan.trigger(key, attempt);
-    const auto [intensity, interval_s] = cell_specs[index];
-    return csv_fields(compute_cell(analyzer, intensity, interval_s, watchdog));
-  };
-
-  std::vector<std::string> quarantined;
+  const harness::SweepResult sweep = harness::run_sweep(
+      options,
+      {"bench_fault_degradation", core::kDatasetSeed,
+       std::to_string(kUserCount) + "u" + std::to_string(kDays) + "d"},
+      cell_keys, [&](std::size_t index, const std::string& key, int attempt) {
+        // Injected process faults fire first: crash/hang take the child down
+        // before any work, the alloc bomb dies against the cell rlimit.
+        fault_plan.trigger(key, attempt);
+        const auto [intensity, interval_s] = cell_specs[index];
+        return csv_fields(compute_cell(analyzer, intensity, interval_s));
+      });
   std::vector<SweepRow> rows;
-  if (ledger != nullptr) {
-    harness::Supervisor supervisor(options.supervisor);
-    const harness::SupervisorOutcome outcome =
-        supervisor.run(cell_keys, cell_fn, *ledger, &watchdog);
-    quarantined = outcome.quarantined;
-    // Rows assemble from the ledger in enumeration order — computed,
-    // replayed, and isolated cells are indistinguishable here, which is the
-    // byte-identity argument. Quarantined cells are simply absent.
-    for (const std::string& key : cell_keys)
-      if (const auto* fields = ledger->fields(key); fields != nullptr)
-        rows.push_back(parse_fields(*fields));
-  } else {
-    for (std::size_t i = 0; i < cell_count; ++i) {
-      const std::vector<std::string> fields = cell_fn(i, cell_keys[i], 1);
-      rows.push_back(parse_fields(fields));
-      watchdog.add_progress();
-    }
-  }
+  for (const std::vector<std::string>& fields : sweep.rows)
+    rows.push_back(parse_fields(fields));
 
   util::ConsoleTable table({"intensity", "interval (s)", "fixes", "outage-held",
                             "lost", "net-degraded", "stale", "PoI_total",
@@ -388,18 +344,17 @@ int run(int argc, char** argv) {
     std::cout << "(json -> " << path << ")\n";
   }
 
-  if (!quarantined.empty()) {
-    std::cout << "\nquarantined cells (" << quarantined.size() << "/"
-              << cell_count << "):\n";
-    for (const std::string& key : quarantined) {
-      std::cout << "  " << key << "\n";
-      if (const auto* details = ledger->quarantine_details(key);
-          details != nullptr)
-        for (const std::string& detail : *details)
-          std::cout << "    " << detail << "\n";
+  if (!sweep.quarantined.empty()) {
+    std::cout << "\nquarantined cells (" << sweep.quarantined.size() << "/"
+              << cell_keys.size() << "):\n";
+    for (const auto& cell : sweep.quarantined) {
+      std::cout << "  " << cell.key << "\n";
+      for (const std::string& detail : cell.details)
+        std::cout << "    " << detail << "\n";
     }
-    std::cout << "(rerun with --resume " << options.run_dir.string()
-              << " to retry them)\n";
+    if (options.active())
+      std::cout << "(rerun with --resume " << options.run_dir.string()
+                << " to retry them)\n";
     return exit_code(ErrorCode::kQuarantined);
   }
   return artifact_rc;

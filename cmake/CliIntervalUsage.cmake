@@ -2,10 +2,11 @@
 # --interval refuses a value below 1 s with exit 2 (usage); so do an unknown
 # flag, a non-integer value, an out-of-range --user, out-of-range numbers
 # for audit-all's harness flags, for serve and for the dataset, report,
-# market-study, extract-pois and identify commands, and shedding-policy and
-# turnaround-EWMA flags, which serve does not take. The largest interval
-# collects one fix instead of wrapping past INT64_MAX. Run against a 2-user
-# corpus written by `locpriv gen-dataset`:
+# market-study, extract-pois and identify commands, --users above the
+# seeded city's home sites, and flags the commands do not take (audit-all's
+# --soft-deadline; serve's shedding-policy and turnaround-EWMA flags). The
+# largest interval collects one fix instead of wrapping past INT64_MAX. Run
+# against a 2-user corpus written by `locpriv gen-dataset`:
 #
 #   cmake -DLOCPRIV=<locpriv binary> -DWORK_DIR=<work dir>
 #         -P cmake/CliIntervalUsage.cmake
@@ -59,11 +60,12 @@ endforeach()
 
 # Numbers the sweep harness cannot represent (non-finite or huge seconds, a
 # worker count above UINT_MAX, a backoff that overflows its shift) are
-# refused before any cell runs.
+# refused before any cell runs, and so is --soft-deadline, a flag the
+# harness does not take.
 foreach(misuse "--cell-deadline;nan" "--cell-deadline;inf" "--cell-deadline;1e300"
                "--cell-grace;nan" "--cell-grace;inf" "--workers;4294967297"
                "--cell-cpu-s;4294967297" "--cell-backoff-ms;9223372036854775807"
-               "--heartbeat;9300000000000000" "--hard-deadline;-1")
+               "--heartbeat;9300000000000000" "--hard-deadline;-1" "--soft-deadline;5")
   expect_usage_exit("audit-all ${misuse}" audit-all --root "${WORK_DIR}/corpus"
                     --run-dir "${WORK_DIR}/audit_all" --isolate ${misuse})
 endforeach()
@@ -76,6 +78,7 @@ foreach(misuse "--shards;-1" "--shards;0" "--batch;-1" "--max-inflight-batches;-
                "--max-inflight-batches;0" "--max-retained-mb;-1" "--heartbeat-ms;-5"
                "--op-timeout-ms;-1" "--grace-ms;-1" "--backoff-ms;9223372036854775807"
                "--rounds;-1" "--max-respawns;-1" "--shard-cpu-s;4294967297" "--users;0"
+               "--users;270;--days;1"
                "--shed-policy;reject-new" "--degraded-ms;5" "--slow-restart-ms;5")
   expect_usage_exit("serve ${misuse}" serve --run-dir "${WORK_DIR}/serve_usage" ${misuse})
 endforeach()
@@ -84,17 +87,19 @@ if(EXISTS "${WORK_DIR}/audit_all/ledger.jsonl" OR EXISTS "${WORK_DIR}/serve_usag
 endif()
 
 # The corpus-building commands refuse a count that does not fit an int (it
-# would wrap to a small one) or is below 1 before generating anything, and
-# the analysis commands refuse parameters their pipeline cannot take before
-# loading the corpus.
-foreach(misuse "--users;4294967298;--days;1" "--users;-3" "--users;2;--days;0")
+# would wrap to a small one) or is below 1, and more users than the seeded
+# city has home sites (269 at the default seed), before generating
+# anything; the analysis commands refuse parameters their pipeline cannot
+# take before loading the corpus.
+foreach(misuse "--users;4294967298;--days;1" "--users;-3" "--users;2;--days;0"
+               "--users;270;--days;1")
   expect_usage_exit("gen-dataset ${misuse}" gen-dataset --out "${WORK_DIR}/gen_usage"
                     ${misuse})
 endforeach()
 if(EXISTS "${WORK_DIR}/gen_usage")
   list(APPEND failed "a refused gen-dataset wrote its output directory")
 endif()
-foreach(misuse "--users;4294967297;--days;1" "--users;0" "--days;-1")
+foreach(misuse "--users;4294967297;--days;1" "--users;0" "--days;-1" "--users;270;--days;1")
   expect_usage_exit("report ${misuse}" report ${misuse})
 endforeach()
 expect_usage_exit("market-study --limits -5" market-study --limits -5)

@@ -58,9 +58,6 @@ class DeviceSimulator {
   /// attack surface. Precondition: min_interval_s >= 1.
   void enable_background_location_limits(std::int64_t min_interval_s = 1800);
 
-  /// True if the policy is active.
-  bool background_location_limits() const { return background_min_interval_s_ > 0; }
-
   /// Installs an app, granting its declared permissions (Android 4.4
   /// install-time model). Throws ContractViolation if already installed.
   void install(AndroidManifest manifest, AppBehavior behavior);

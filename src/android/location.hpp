@@ -19,8 +19,6 @@ enum class LocationProvider {
   kFused,    ///< Google Play services interface over the others.
 };
 
-inline constexpr int kLocationProviderCount = 4;
-
 /// Provider name as dumpsys prints it ("gps", "network", "passive", "fused").
 std::string_view provider_name(LocationProvider provider);
 

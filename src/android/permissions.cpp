@@ -4,16 +4,6 @@
 
 namespace locpriv::android {
 
-std::string_view permission_name(Permission permission) {
-  switch (permission) {
-    case Permission::kAccessFineLocation:
-      return "android.permission.ACCESS_FINE_LOCATION";
-    case Permission::kAccessCoarseLocation:
-      return "android.permission.ACCESS_COARSE_LOCATION";
-  }
-  return "?";
-}
-
 PermissionSet::PermissionSet(std::vector<Permission> permissions)
     : permissions_(std::move(permissions)) {}
 

@@ -6,7 +6,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace locpriv::android {
@@ -16,9 +15,6 @@ enum class Permission {
   kAccessFineLocation,
   kAccessCoarseLocation,
 };
-
-/// Full Android permission string ("android.permission.ACCESS_FINE_LOCATION").
-std::string_view permission_name(Permission permission);
 
 /// The set of permissions an app holds.
 class PermissionSet {

@@ -104,18 +104,11 @@ std::string header_line(const RunInfo& info) {
 
 bool parse_header(std::string_view line, RunInfo& out) {
   LineReader reader(line);
-  if (!(reader.literal("{\"experiment\":") && reader.quoted(out.experiment) &&
-        reader.literal(",\"seed\":") && reader.unsigned_number(out.seed) &&
-        reader.literal(",\"scale\":") && reader.quoted(out.scale)))
-    return false;
-  // Ledgers from before mode pinning end right after the scale; they were
-  // all written by the single-threaded in-process path.
-  if (reader.literal(",\"mode\":")) {
-    if (!reader.quoted(out.mode)) return false;
-  } else {
-    out.mode = "inproc-w1";
-  }
-  return reader.literal("}") && reader.at_end();
+  return reader.literal("{\"experiment\":") && reader.quoted(out.experiment) &&
+         reader.literal(",\"seed\":") && reader.unsigned_number(out.seed) &&
+         reader.literal(",\"scale\":") && reader.quoted(out.scale) &&
+         reader.literal(",\"mode\":") && reader.quoted(out.mode) &&
+         reader.literal("}") && reader.at_end();
 }
 
 /// Parses the cell-shaped body shared by completed and quarantine lines:
@@ -176,27 +169,23 @@ bool is_hex_digit(char c) {
   return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
 }
 
-/// Detects and verifies the trailing `,"crc":"xxxxxxxx"}` member. `base`
+/// Verifies the trailing `,"crc":"xxxxxxxx"}` member. On a match `base`
 /// receives the line as it was checksummed (member stripped, `}` restored)
-/// or the line verbatim when no member is present. Returns 0 for no CRC
-/// member (a pre-CRC ledger line), 1 for a matching CRC, -1 for a mismatch.
-int check_line_crc(std::string_view line, std::string& base) {
+/// and the result is true; a missing, malformed or mismatched member is
+/// false.
+bool check_line_crc(std::string_view line, std::string& base) {
   constexpr std::string_view kKey = ",\"crc\":\"";
   constexpr std::size_t kSuffix = kKey.size() + 8 + 2;  // key + hex + `"}`.
-  const auto plain = [&] {
-    base.assign(line);
-    return 0;
-  };
   if (line.size() < kSuffix + 1 || line.substr(line.size() - 2) != "\"}")
-    return plain();
+    return false;
   const std::size_t key_pos = line.size() - kSuffix;
-  if (line.substr(key_pos, kKey.size()) != kKey) return plain();
+  if (line.substr(key_pos, kKey.size()) != kKey) return false;
   const std::string_view hex = line.substr(key_pos + kKey.size(), 8);
   for (const char c : hex)
-    if (!is_hex_digit(c)) return plain();
+    if (!is_hex_digit(c)) return false;
   base.assign(line.substr(0, key_pos));
   base += '}';
-  return crc32c_hex(base) == hex ? 1 : -1;
+  return crc32c_hex(base) == hex;
 }
 
 }  // namespace
@@ -219,36 +208,23 @@ LedgerReplay replay_ledger(std::string_view content) {
       out.bad_line = line_number;
       return out;
     };
+    // Appends are single-write, so a terminated line that fails its CRC or
+    // does not parse is damage, not a crash artifact, wherever it sits.
     std::string base;
-    const int crc = check_line_crc(raw, base);
-    if (crc < 0) return corrupt_here();
+    if (!check_line_crc(raw, base)) return corrupt_here();
+    std::string cell;
+    std::vector<std::string> fields;
     if (line_number == 1) {
-      // Line 1 must be the run header. Appends are single-write, so a
-      // terminated-but-unparsable header is damage, not a crash artifact.
+      // Line 1 must be the run header.
       if (!parse_header(base, out.header)) return corrupt_here();
       out.has_header = true;
-    } else if (!base.empty()) {
-      std::string cell;
-      std::vector<std::string> fields;
-      if (parse_cell(base, cell, fields)) {
-        out.quarantine.erase(cell);
-        out.cells[cell] = std::move(fields);
-      } else if (parse_quarantine(base, cell, fields)) {
-        out.quarantine[cell] = std::move(fields);
-      } else if (crc == 0 &&
-                 content.find_first_not_of(" \t\r\n", newline + 1) ==
-                     std::string_view::npos) {
-        // A malformed final line from a pre-CRC writer is indistinguishable
-        // from a torn append that happened to include a newline in its
-        // payload-free tail: truncate, don't refuse. A CRC-verified line
-        // that fails to parse is writer corruption regardless of position.
-        out.status = LedgerScan::kTorn;
-        return out;
-      } else {
-        // A malformed line with more intact data after it is real
-        // corruption, not a crash artifact — refuse to guess.
-        return corrupt_here();
-      }
+    } else if (parse_cell(base, cell, fields)) {
+      out.quarantine.erase(cell);
+      out.cells[cell] = std::move(fields);
+    } else if (parse_quarantine(base, cell, fields)) {
+      out.quarantine[cell] = std::move(fields);
+    } else {
+      return corrupt_here();
     }
     ++out.lines;
     pos = newline + 1;
@@ -370,6 +346,7 @@ void RunLedger::sync() {
 }
 
 void RunLedger::append_line(const std::string& line) {
+  if (fd_ < 0) return;  // Held in memory: nothing to journal.
   FileOps& ops = file_ops();
   std::string buffer = with_crc(line);
   buffer += '\n';

@@ -11,11 +11,12 @@
 // Every line additionally carries a CRC-32C of itself (a trailing
 // `,"crc":"xxxxxxxx"` member computed over the line with that member
 // removed), so replay can tell the two damage classes apart: a torn tail
-// (no terminator — truncated silently, by design) versus mid-file bit-rot
-// (a terminated line whose CRC or syntax fails — refused with
-// kLedgerCorrupt; `locpriv scrub --repair` truncates to the last intact
-// record). Pre-CRC ledgers replay unchanged. All I/O flows through the
-// injectable harness::FileOps layer.
+// (no terminator — truncated silently, by design) versus damage (a
+// terminated line whose CRC is missing or wrong, or that does not parse —
+// refused with kLedgerCorrupt; `locpriv scrub --repair` truncates to the
+// last intact record). All I/O flows through the injectable
+// harness::FileOps layer. A sweep without a run directory keeps the same
+// ledger in memory only.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,7 @@ struct RunInfo {
   std::string experiment;  ///< e.g. "bench_fault_degradation".
   std::uint64_t seed = 0;  ///< The seed every cell derives from.
   std::string scale;       ///< Free-form corpus descriptor, e.g. "8u3d".
-  /// Execution mode descriptor, e.g. "inproc-w1" or "isolate-w4". Ledgers
-  /// written before mode pinning existed replay as "inproc-w1".
+  /// Execution mode descriptor, e.g. "inproc-w1" or "isolate-w4".
   std::string mode = "inproc-w1";
 };
 
@@ -47,7 +47,7 @@ struct RunInfo {
 enum class LedgerScan {
   kClean,    ///< Every line intact and parsed.
   kTorn,     ///< The final append was cut short; valid_bytes excludes it.
-  kCorrupt,  ///< An interior record failed its CRC or cannot be parsed.
+  kCorrupt,  ///< A terminated line lacks a matching CRC or cannot be parsed.
 };
 
 /// The result of replaying raw ledger bytes: the latest-state view of every
@@ -66,12 +66,16 @@ struct LedgerReplay {
 
 /// Pure replay over raw ledger bytes. Touches no filesystem state and never
 /// throws on damage (the status field reports it) — shared by RunLedger,
-/// the scrubber, and the fuzz harness. CRC-suffixed lines are verified;
-/// lines without a CRC (pre-CRC ledgers) are accepted on syntax alone.
+/// the scrubber, and the fuzz harness. Every terminated line must carry a
+/// matching CRC and parse; only an unterminated final line is torn.
 LedgerReplay replay_ledger(std::string_view content);
 
 class RunLedger {
  public:
+  /// A ledger held in memory: it keeps records and quarantines for the run
+  /// but journals them nowhere, so nothing survives the process.
+  RunLedger() = default;
+
   /// Opens (creating if needed) `run_dir/ledger.jsonl`. An existing ledger
   /// is replayed: the header must match `info` (Error kResume otherwise),
   /// completed cells are loaded, and a torn trailing line is truncated
@@ -114,6 +118,7 @@ class RunLedger {
   /// explicit before the process exits. Throws Error(kIo) on failure.
   void sync();
 
+  /// The journal file; empty for a ledger held in memory.
   const std::filesystem::path& path() const { return path_; }
 
  private:

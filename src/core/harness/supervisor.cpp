@@ -123,6 +123,18 @@ std::string describe_failure(const Attempt& attempt, int status,
   return detail;
 }
 
+/// The exit-7 error after a graceful shutdown. Only a journal on disk can
+/// be resumed, so the message promises a resume only when there is one.
+Error interrupted_error(std::size_t computed, const RunLedger& ledger) {
+  std::string message = "run interrupted by signal after " +
+                         std::to_string(computed) + " cells; ";
+  message += ledger.path().empty()
+                 ? "no run directory was given, so nothing was journaled"
+                 : "ledger is durable, continue with --resume " +
+                       ledger.path().parent_path().string();
+  return Error(ErrorCode::kInterrupted, message);
+}
+
 std::chrono::milliseconds clamp_to_ms(Clock::duration d) {
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(d);
   return ms.count() < 0 ? std::chrono::milliseconds(0) : ms;
@@ -160,19 +172,19 @@ bool Supervisor::shutdown_requested() {
   return g_shutdown_signal.load(std::memory_order_relaxed) != 0;
 }
 
-SupervisorOutcome Supervisor::run(const std::vector<std::string>& cells,
-                                  const CellFn& fn, RunLedger& ledger,
-                                  StageWatchdog* watchdog) {
+std::size_t Supervisor::run(const std::vector<std::string>& cells,
+                            const CellFn& fn, RunLedger& ledger,
+                            StageWatchdog* watchdog) {
   g_shutdown_signal.store(0, std::memory_order_relaxed);
   const ScopedSignalHandlers handlers;
   return options_.isolate ? run_isolated(cells, fn, ledger, watchdog)
                           : run_in_process(cells, fn, ledger, watchdog);
 }
 
-SupervisorOutcome Supervisor::run_isolated(const std::vector<std::string>& cells,
-                                           const CellFn& fn, RunLedger& ledger,
-                                           StageWatchdog* watchdog) {
-  SupervisorOutcome outcome;
+std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
+                                     const CellFn& fn, RunLedger& ledger,
+                                     StageWatchdog* watchdog) {
+  std::size_t computed = 0;
   std::deque<PendingCell> queue;
   const auto start = Clock::now();
   for (std::size_t i = 0; i < cells.size(); ++i)
@@ -181,7 +193,6 @@ SupervisorOutcome Supervisor::run_isolated(const std::vector<std::string>& cells
 
   // Per-cell log of every failed attempt; becomes the quarantine record.
   std::map<std::string, std::vector<std::string>> failure_log;
-  std::vector<std::pair<std::size_t, std::string>> quarantined;
   // Destroying an Attempt SIGKILLs and reaps its child, so an exception out
   // of this function leaves no child behind.
   std::vector<Attempt> running;
@@ -289,7 +300,7 @@ SupervisorOutcome Supervisor::run_isolated(const std::vector<std::string>& cells
                             result.buffered() == 0;
       if (frame_ok) {
         ledger.record(attempt.key, fields);
-        ++outcome.computed;
+        ++computed;
         if (watchdog != nullptr) watchdog->add_progress();
       } else {
         const std::string detail = describe_failure(attempt, *status, options_);
@@ -305,7 +316,6 @@ SupervisorOutcome Supervisor::run_isolated(const std::vector<std::string>& cells
                            Clock::now() + delay});
         } else {
           ledger.record_quarantine(attempt.key, failure_log[attempt.key]);
-          quarantined.emplace_back(attempt.index, attempt.key);
           LOCPRIV_LOG(kError, "supervisor")
               << "cell " << attempt.key << " quarantined after "
               << options_.max_attempts << " attempts (" << detail << ")";
@@ -332,31 +342,20 @@ SupervisorOutcome Supervisor::run_isolated(const std::vector<std::string>& cells
       }
     }
     ledger.sync();
-    throw Error(ErrorCode::kInterrupted,
-                "run interrupted by signal after " +
-                    std::to_string(outcome.computed) +
-                    " cells; ledger is durable, resume with the same "
-                    "--run-dir");
+    throw interrupted_error(computed, ledger);
   }
-
-  std::sort(quarantined.begin(), quarantined.end());
-  for (auto& [index, key] : quarantined)
-    // One entry per quarantined cell, bounded by the sweep plan.
-    // locpriv-lint: allow(unbounded-growth)
-    outcome.quarantined.push_back(std::move(key));
-  return outcome;
+  return computed;
 }
 
-SupervisorOutcome Supervisor::run_in_process(
-    const std::vector<std::string>& cells, const CellFn& fn, RunLedger& ledger,
-    StageWatchdog* watchdog) {
+std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
+                                       const CellFn& fn, RunLedger& ledger,
+                                       StageWatchdog* watchdog) {
   std::vector<std::pair<std::size_t, std::string>> todo;
   for (std::size_t i = 0; i < cells.size(); ++i)
     if (!ledger.completed(cells[i])) todo.emplace_back(i, cells[i]);
 
-  SupervisorOutcome outcome;
-  std::vector<std::pair<std::size_t, std::string>> quarantined;
-  util::Mutex mutex;  // Guards ledger appends and the outcome counters.
+  std::size_t computed = 0;
+  util::Mutex mutex;  // Guards ledger appends and the computed count.
 
   util::parallel_for(
       todo.size(),
@@ -377,7 +376,7 @@ SupervisorOutcome Supervisor::run_in_process(
             const std::vector<std::string> fields = fn(index, key, attempt);
             const util::MutexLock lock(mutex);
             ledger.record(key, fields);
-            ++outcome.computed;
+            ++computed;
             if (watchdog != nullptr) watchdog->add_progress();
             return;
           } catch (const Error&) {
@@ -394,7 +393,6 @@ SupervisorOutcome Supervisor::run_in_process(
         }
         const util::MutexLock lock(mutex);
         ledger.record_quarantine(key, details);
-        quarantined.emplace_back(index, key);
         LOCPRIV_LOG(kError, "supervisor")
             << "cell " << key << " quarantined after " << options_.max_attempts
             << " attempts";
@@ -403,19 +401,9 @@ SupervisorOutcome Supervisor::run_in_process(
 
   if (shutdown_requested()) {
     ledger.sync();
-    throw Error(ErrorCode::kInterrupted,
-                "run interrupted by signal after " +
-                    std::to_string(outcome.computed) +
-                    " cells; ledger is durable, resume with the same "
-                    "--run-dir");
+    throw interrupted_error(computed, ledger);
   }
-
-  std::sort(quarantined.begin(), quarantined.end());
-  for (auto& [index, key] : quarantined)
-    // One entry per quarantined cell, bounded by the sweep plan.
-    // locpriv-lint: allow(unbounded-growth)
-    outcome.quarantined.push_back(std::move(key));
-  return outcome;
+  return computed;
 }
 
 }  // namespace locpriv::harness

@@ -1,14 +1,15 @@
-// Process-isolated supervised execution of sweep cells. A Supervisor runs
-// each cell either in-process (the historical path, now with work-stealing
-// dispatch and retry/quarantine bookkeeping) or — under --isolate — in a
-// forked child per attempt (a harness::ChildProcess), so a segfault, runaway
-// allocation, or busy-hang in one cell cannot take down the run. Children
-// are capped with setrlimit(2) (RLIMIT_AS, RLIMIT_CPU) and a preemptive
+// The two engines behind harness::run_sweep, the one runner of sweep
+// cells. A Supervisor runs each cell either in-process, on up to `workers`
+// threads, or — under --isolate — in a forked child per attempt (a
+// harness::ChildProcess), so a segfault, runaway allocation, or busy-hang
+// in one cell cannot take down the run. The engines are not twins: a fork
+// per attempt buys crash containment at the price of copying the parent's
+// page tables, so the in-process engine stays the default. Children are
+// capped with setrlimit(2) (RLIMIT_AS, RLIMIT_CPU) and a preemptive
 // wall-clock deadline (SIGTERM, a grace period, then SIGKILL); results
 // travel back over a pipe as one frame (core/harness/frame.hpp) and land in
-// the same RunLedger / AtomicFileWriter path as in-process runs, so
-// isolated, resumed, and in-process executions of the same sweep produce
-// byte-identical artifacts.
+// the same RunLedger as in-process results, so isolated, resumed, and
+// in-process executions of the same sweep produce byte-identical artifacts.
 //
 // Failed attempts retry with deterministic exponential backoff (jitter is
 // derived from the run seed and cell key, never from wall-clock entropy).
@@ -19,8 +20,8 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: dispatch stops, running
 // children are terminated and reaped, the ledger is fsync'd, and run()
-// throws Error(kInterrupted) (exit 7) — the run directory is left in a
-// clean resumable state.
+// throws Error(kInterrupted) (exit 7) — a run directory is left in a clean
+// resumable state; a ledger held in memory is simply dropped.
 #pragma once
 
 #include <chrono>
@@ -57,8 +58,8 @@ struct SupervisorOptions {
   /// Base of the exponential backoff between attempts; retry attempt k
   /// (k >= 2) waits base * 2^(k-2) plus deterministic jitter in [0, base).
   std::chrono::milliseconds backoff_base{100};
-  /// Seed for the backoff jitter, normally the run seed: identical runs
-  /// schedule identical retries.
+  /// Seed for the backoff jitter; run_sweep sets it to the run seed, so
+  /// identical runs schedule identical retries.
   std::uint64_t backoff_seed = 0;
 };
 
@@ -70,14 +71,6 @@ struct SupervisorOptions {
 /// (kDeadline, kIo, ...) propagate and abort the run.
 using CellFn = std::function<std::vector<std::string>(
     std::size_t index, const std::string& key, int attempt)>;
-
-struct SupervisorOutcome {
-  /// Cells computed this run (resumed cells replayed from the ledger are
-  /// not counted).
-  std::size_t computed = 0;
-  /// Cells quarantined this run, in sweep order.
-  std::vector<std::string> quarantined;
-};
 
 /// The deterministic retry delay before attempt `attempt` (2-based: the
 /// first retry) of `key` (a cell, or a locprivd shard): `base` times
@@ -92,15 +85,16 @@ class Supervisor {
   explicit Supervisor(SupervisorOptions options);
 
   /// Runs every not-yet-completed cell of `cells` through `fn`, journaling
-  /// successes and quarantines to `ledger`. Cells already completed in the
-  /// ledger are skipped (resume); previously quarantined cells are retried.
+  /// successes and quarantines to `ledger`, and returns how many cells it
+  /// computed. Cells already completed in the ledger are skipped (resume)
+  /// and not counted; previously quarantined cells are retried.
   /// `watchdog`, when given, receives progress ticks and its hard deadline
   /// is enforced even over non-cooperative children (they are SIGKILLed and
   /// Error(kDeadline) is thrown). Throws Error(kInterrupted) after a clean
   /// shutdown on SIGINT/SIGTERM. Installs its own SIGINT/SIGTERM handlers
   /// for the duration of the call and restores the previous ones on exit.
-  SupervisorOutcome run(const std::vector<std::string>& cells, const CellFn& fn,
-                        RunLedger& ledger, StageWatchdog* watchdog = nullptr);
+  std::size_t run(const std::vector<std::string>& cells, const CellFn& fn,
+                  RunLedger& ledger, StageWatchdog* watchdog = nullptr);
 
   /// Async-signal-safe shutdown request; the signal-number argument makes it
   /// directly installable as a handler. Tests may call it to simulate ^C.
@@ -109,15 +103,13 @@ class Supervisor {
   /// True once a shutdown has been requested (cleared at the top of run()).
   static bool shutdown_requested();
 
-  const SupervisorOptions& options() const { return options_; }
-
  private:
-  SupervisorOutcome run_isolated(const std::vector<std::string>& cells,
-                                 const CellFn& fn, RunLedger& ledger,
-                                 StageWatchdog* watchdog);
-  SupervisorOutcome run_in_process(const std::vector<std::string>& cells,
-                                   const CellFn& fn, RunLedger& ledger,
-                                   StageWatchdog* watchdog);
+  std::size_t run_isolated(const std::vector<std::string>& cells,
+                           const CellFn& fn, RunLedger& ledger,
+                           StageWatchdog* watchdog);
+  std::size_t run_in_process(const std::vector<std::string>& cells,
+                             const CellFn& fn, RunLedger& ledger,
+                             StageWatchdog* watchdog);
 
   SupervisorOptions options_;
 };

@@ -1,17 +1,44 @@
 #include "core/harness/sweep.hpp"
 
+#include <memory>
+
+#include "util/logging.hpp"
+
 namespace locpriv::harness {
 
-std::string RunOptions::mode_string() const {
+namespace {
+
+/// Execution-mode descriptor pinned into the ledger header (e.g.
+/// "isolate-w4", "inproc-w1"): a resume under a different mode or worker
+/// count is refused, because dispatch differences could change which
+/// cells were attempted and make "byte-identical resume" unfalsifiable.
+std::string mode_string(const SupervisorOptions& supervisor) {
   return (supervisor.isolate ? "isolate-w" : "inproc-w") +
          std::to_string(supervisor.workers);
 }
+
+/// The run dir's journal, or a ledger held in memory when there is none. A
+/// fresh `--run-dir` refuses to reuse a directory that already holds a
+/// ledger; `--resume` accepts both an existing ledger (header must match
+/// `info`) and an empty directory (starts from scratch).
+std::unique_ptr<RunLedger> open_ledger(const RunOptions& options,
+                                       const RunInfo& info) {
+  if (!options.active()) return std::make_unique<RunLedger>();
+  const auto ledger_path = options.run_dir / "ledger.jsonl";
+  if (!options.resume && std::filesystem::exists(ledger_path))
+    throw Error(ErrorCode::kResume,
+                options.run_dir.string() +
+                    " already holds a ledger; pass --resume to continue that "
+                    "run or choose a fresh --run-dir");
+  return std::make_unique<RunLedger>(options.run_dir, info);
+}
+
+}  // namespace
 
 void declare_run_flags(util::Args& args) {
   args.declare("--run-dir", "");
   args.declare("--resume", "");
   args.declare("--heartbeat", "30");
-  args.declare("--soft-deadline", "0");
   args.declare("--hard-deadline", "0");
   args.declare_bool("--isolate");
   args.declare("--workers", "1");
@@ -23,7 +50,7 @@ void declare_run_flags(util::Args& args) {
   args.declare("--cell-backoff-ms", "100");
 }
 
-RunOptions run_options_from(const util::Args& args, std::string stage_name) {
+RunOptions run_options_from(const util::Args& args) {
   RunOptions options;
   const auto seconds = [&](const char* flag) {
     return std::chrono::seconds(args.get_int(flag, 0, kMaxFlagSeconds));
@@ -33,7 +60,6 @@ RunOptions run_options_from(const util::Args& args, std::string stage_name) {
         args.get_double(flag, 0, static_cast<double>(kMaxFlagSeconds)) * 1000.0));
   };
   options.stage.heartbeat = seconds("--heartbeat");
-  options.stage.soft_deadline = seconds("--soft-deadline");
   options.stage.hard_deadline = seconds("--hard-deadline");
   options.supervisor.isolate = args.get_bool("--isolate");
   options.supervisor.workers =
@@ -50,7 +76,6 @@ RunOptions run_options_from(const util::Args& args, std::string stage_name) {
       std::chrono::milliseconds(args.get_int("--cell-backoff-ms", 0, kMaxFlagBackoffMs));
   if (!args.get("--run-dir").empty() && !args.get("--resume").empty())
     throw Error(ErrorCode::kUsage, "--run-dir and --resume are mutually exclusive");
-  options.stage.name = std::move(stage_name);
   if (!args.get("--resume").empty()) {
     options.run_dir = args.get("--resume");
     options.resume = true;
@@ -60,16 +85,36 @@ RunOptions run_options_from(const util::Args& args, std::string stage_name) {
   return options;
 }
 
-std::unique_ptr<RunLedger> open_ledger(const RunOptions& options,
-                                       const RunInfo& info) {
-  if (!options.active()) return nullptr;
-  const auto ledger_path = options.run_dir / "ledger.jsonl";
-  if (!options.resume && std::filesystem::exists(ledger_path))
-    throw Error(ErrorCode::kResume,
-                options.run_dir.string() +
-                    " already holds a ledger; pass --resume to continue that "
-                    "run or choose a fresh --run-dir");
-  return std::make_unique<RunLedger>(options.run_dir, info);
+SweepResult run_sweep(const RunOptions& options, RunInfo info,
+                      const std::vector<std::string>& cells, const CellFn& fn) {
+  info.mode = mode_string(options.supervisor);
+  const std::unique_ptr<RunLedger> ledger = open_ledger(options, info);
+  if (ledger->completed_count() > 0)
+    LOCPRIV_LOG(kWarn, "harness")
+        << "resume: " << ledger->completed_count() << "/" << cells.size()
+        << " cells already journaled in " << ledger->path().string();
+
+  StageOptions stage = options.stage;
+  stage.name = info.experiment;
+  StageWatchdog watchdog(stage);
+  watchdog.set_total(cells.size());
+  watchdog.add_progress(ledger->completed_count());
+  SupervisorOptions supervisor = options.supervisor;
+  supervisor.backoff_seed = info.seed;
+  Supervisor(supervisor).run(cells, fn, *ledger, &watchdog);
+
+  // Rows assemble from the ledger in cell order, so computed, replayed and
+  // isolated cells are indistinguishable here: that is the byte-identity
+  // argument for resumed and isolated runs.
+  std::vector<std::vector<std::string>> rows;
+  std::vector<QuarantinedCell> quarantined;
+  for (const std::string& key : cells) {
+    if (const auto* fields = ledger->fields(key); fields != nullptr)
+      rows.push_back(*fields);
+    else if (const auto* details = ledger->quarantine_details(key); details != nullptr)
+      quarantined.push_back({key, *details});
+  }
+  return {std::move(rows), std::move(quarantined)};
 }
 
 }  // namespace locpriv::harness

@@ -1,10 +1,16 @@
-// Front end tying the harness together for the bench binaries: the shared
-// run-supervision command line, and the policy for opening a run ledger.
+// The one runner of sweep cells, and the run-supervision command line it
+// takes. Every sweep (audit-all's users, bench_fault_degradation's
+// intensity x interval grid) hands its cell keys and a CellFn to
+// run_sweep(), which opens the ledger, drives the stage watchdog and one of
+// the Supervisor's two engines, and returns the completed rows in cell
+// order. Without a run directory the ledger is held in memory, so a run
+// with or without --run-dir retries, quarantines, honours --workers and
+// --isolate, and stops on SIGINT/SIGTERM in the same way; only a run
+// directory makes the cells durable and resumable.
 //
 //   --run-dir DIR       checkpointed run; artifacts + ledger land in DIR
 //   --resume DIR        continue a previous run, skipping completed cells
 //   --heartbeat S       progress log cadence in seconds (default 30, 0 = off)
-//   --soft-deadline S   warn when the sweep stage runs longer than S seconds
 //   --hard-deadline S   abort with exit 5 when the stage exceeds S seconds
 //   --isolate           fork one child per sweep-cell attempt (crash isolation)
 //   --workers N         concurrent cells (children or threads; default 1)
@@ -17,8 +23,8 @@
 #pragma once
 
 #include <filesystem>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/harness/run_ledger.hpp"
 #include "core/harness/supervisor.hpp"
@@ -28,19 +34,13 @@
 namespace locpriv::harness {
 
 struct RunOptions {
-  std::filesystem::path run_dir;  ///< Empty = unsupervised legacy run.
+  std::filesystem::path run_dir;  ///< Empty = the ledger is held in memory.
   bool resume = false;
   StageOptions stage;
   SupervisorOptions supervisor;
 
   /// True when a run directory (fresh or resumed) was requested.
   bool active() const { return !run_dir.empty(); }
-
-  /// Execution-mode descriptor pinned into the RunLedger header (e.g.
-  /// "isolate-w4", "inproc-w1"): a resume under a different mode or worker
-  /// count is refused, because dispatch differences could change which
-  /// cells were attempted and make "byte-identical resume" unfalsifiable.
-  std::string mode_string() const;
 };
 
 /// Ceilings for command-line numbers, so that what is derived from them stays
@@ -62,14 +62,34 @@ void declare_run_flags(util::Args& args);
 /// declared the flags via declare_run_flags(). Throws Error(kUsage) on a
 /// value outside its range (negative or above the kMaxFlag* ceilings, zero
 /// workers or retries, a non-finite number) and on --run-dir with --resume.
-RunOptions run_options_from(const util::Args& args, std::string stage_name);
+RunOptions run_options_from(const util::Args& args);
 
-/// Opens the ledger for a supervised run, or returns nullptr when no run
-/// dir was requested. A fresh `--run-dir` refuses to reuse a directory that
-/// already holds a ledger (Error kResume: pass `--resume` to continue it);
-/// `--resume` accepts both an existing ledger (header must match `info`)
-/// and an empty directory (starts from scratch).
-std::unique_ptr<RunLedger> open_ledger(const RunOptions& options,
-                                       const RunInfo& info);
+/// A cell that exhausted its attempts, with one journaled detail per attempt.
+struct QuarantinedCell {
+  std::string key;
+  std::vector<std::string> details;
+};
+
+struct SweepResult {
+  /// The fields of every completed cell, in cell order (fresh and resumed
+  /// cells alike); quarantined cells are absent.
+  std::vector<std::vector<std::string>> rows;
+  /// Every quarantined cell, in cell order.
+  std::vector<QuarantinedCell> quarantined;
+};
+
+/// Runs every cell of `cells` through `fn` and returns the rows. The ledger
+/// is `options.run_dir`'s journal or, without a run dir, one held in
+/// memory. A fresh --run-dir that already holds a ledger is refused with
+/// Error(kResume) before any cell runs; --resume replays the journaled
+/// cells (and logs how many) and runs the rest. `info` names the run: its
+/// experiment names the watchdog's stage, its seed seeds the retry backoff,
+/// and its mode is set here from `options` ("inproc-wN" / "isolate-wN"), so
+/// a resume under other --isolate/--workers settings is refused. A cell that
+/// throws std::exception is retried and then quarantined; a harness Error
+/// thrown by `fn` in-process ends the run, as do a blown hard deadline
+/// (kDeadline) and SIGINT/SIGTERM (kInterrupted).
+SweepResult run_sweep(const RunOptions& options, RunInfo info,
+                      const std::vector<std::string>& cells, const CellFn& fn);
 
 }  // namespace locpriv::harness

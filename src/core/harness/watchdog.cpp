@@ -20,8 +20,7 @@ std::string seconds_text(std::chrono::milliseconds ms) {
 StageWatchdog::StageWatchdog(StageOptions options)
     : options_(std::move(options)), start_(Clock::now()) {
   // The thread exists only to log; expiry is clock-derived in checkpoint().
-  if (options_.heartbeat.count() > 0 || options_.soft_deadline.count() > 0 ||
-      options_.hard_deadline.count() > 0)
+  if (options_.heartbeat.count() > 0 || options_.hard_deadline.count() > 0)
     thread_ = std::thread([this] { watch(); });
 }
 
@@ -61,14 +60,11 @@ void StageWatchdog::watch() {
   auto next_heartbeat = options_.heartbeat.count() > 0
                             ? start_ + options_.heartbeat
                             : Clock::time_point::max();
-  auto soft_at = options_.soft_deadline.count() > 0
-                     ? start_ + options_.soft_deadline
-                     : Clock::time_point::max();
   auto hard_at = options_.hard_deadline.count() > 0
                      ? start_ + options_.hard_deadline
                      : Clock::time_point::max();
   while (!stop_) {
-    const auto wake = std::min({next_heartbeat, soft_at, hard_at});
+    const auto wake = std::min(next_heartbeat, hard_at);
     if (wake == Clock::time_point::max()) {
       // Nothing left to announce; sleep until the destructor stops us.
       cv_.wait(mutex_);
@@ -85,17 +81,12 @@ void StageWatchdog::watch() {
       hard_at = Clock::time_point::max();
       continue;
     }
-    if (now >= soft_at) {
-      LOCPRIV_LOG(kWarn, "harness")
-          << "stage '" << options_.name << "' passed its soft deadline ("
-          << seconds_text(options_.soft_deadline) << " s); still running";
-      soft_at = Clock::time_point::max();
-      continue;
-    }
     if (now >= next_heartbeat) {
       const std::uint64_t done = done_.load();
       const std::uint64_t total = total_.load();
-      auto message = LOCPRIV_LOG(kInfo, "harness");
+      // Warn level, the default threshold: the heartbeat is how a long
+      // stage announces itself, so it must show without a log setting.
+      auto message = LOCPRIV_LOG(kWarn, "harness");
       message << "stage '" << options_.name << "': " << done;
       if (total > 0) message << "/" << total;
       message << " units done, " << seconds_text(elapsed()) << " s elapsed";

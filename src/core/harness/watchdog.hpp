@@ -1,12 +1,13 @@
-// Stage supervision: progress heartbeats plus soft/hard deadlines for the
-// long sweep stages of the bench binaries. The hard deadline is enforced
-// cooperatively — worker loops call checkpoint() once per unit of work and
-// get Error(kDeadline) thrown at them when time is up, which propagates
-// through parallel_for's existing exception aggregation instead of leaving
-// detached threads or a hung process. A background thread only does the
-// talking (heartbeat logs, the soft-deadline warning, the hard-deadline
-// announcement); expiry itself is computed from the monotonic clock, so it
-// does not depend on that thread being scheduled.
+// Stage supervision for a sweep: progress heartbeats plus a hard deadline.
+// harness::run_sweep owns the one watchdog of a sweep; the Supervisor
+// checks it before every cell attempt. The hard deadline is enforced
+// cooperatively: the in-process engine calls checkpoint() and gets
+// Error(kDeadline) thrown at it when time is up, which propagates through
+// parallel_for's exception aggregation instead of leaving detached threads
+// or a hung process; the isolated engine polls expired() and kills its
+// children. A background thread only does the talking (heartbeat logs and
+// the hard-deadline announcement); expiry itself is computed from the
+// monotonic clock, so it does not depend on that thread being scheduled.
 #pragma once
 
 #include <atomic>
@@ -23,10 +24,9 @@ namespace locpriv::harness {
 
 struct StageOptions {
   std::string name = "stage";
-  /// Cadence of "still alive, N/M units done" info logs; zero disables.
+  /// Cadence of "still alive, N/M units done" logs (at warn level, so they
+  /// show by default); zero disables.
   std::chrono::milliseconds heartbeat{std::chrono::seconds(30)};
-  /// Past this, one warning is logged; the stage keeps running. Zero = none.
-  std::chrono::milliseconds soft_deadline{0};
   /// Past this, checkpoint() throws Error(kDeadline). Zero = none.
   std::chrono::milliseconds hard_deadline{0};
 };

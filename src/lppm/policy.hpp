@@ -5,8 +5,8 @@
 // already collected), the policy sits *inside* the platform: every fix
 // about to be delivered is classified by (app, lifecycle state, place) and
 // released as-is, coarsened, replaced by a fixed anchor, or blocked. Wire
-// it into the simulated framework via LocationManager::set_release_hook
-// (see GuardianPolicy::make_hook).
+// it into the simulated framework with a LocationManager::set_release_hook
+// callback that calls GuardianPolicy::apply (examples/lp_guardian.cpp).
 #pragma once
 
 #include <cstdint>

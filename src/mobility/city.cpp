@@ -7,22 +7,6 @@
 
 namespace locpriv::mobility {
 
-std::string_view poi_category_name(PoiCategory category) {
-  switch (category) {
-    case PoiCategory::kHome: return "home";
-    case PoiCategory::kWork: return "work";
-    case PoiCategory::kRestaurant: return "restaurant";
-    case PoiCategory::kShop: return "shop";
-    case PoiCategory::kGym: return "gym";
-    case PoiCategory::kPark: return "park";
-    case PoiCategory::kSchool: return "school";
-    case PoiCategory::kHospital: return "hospital";
-    case PoiCategory::kEntertainment: return "entertainment";
-    case PoiCategory::kTransit: return "transit";
-  }
-  return "?";
-}
-
 namespace {
 
 // Relative frequency of each category in the city pool. Homes dominate

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "geo/latlon.hpp"
@@ -28,9 +27,6 @@ enum class PoiCategory {
 };
 
 inline constexpr int kPoiCategoryCount = 10;
-
-/// Human-readable category name ("home", "work", ...).
-std::string_view poi_category_name(PoiCategory category);
 
 /// One place in the city.
 struct PoiSite {

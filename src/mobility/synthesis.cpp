@@ -97,6 +97,13 @@ std::int64_t draw_dwell_s(const CityModel& city, const UserProfile& profile,
   return std::clamp<std::int64_t>(static_cast<std::int64_t>(dwell), 360, 5 * 3600);
 }
 
+/// The dataset's city, built from the first fork of the seed's generator:
+/// max_user_count counts the homes of the city generate_dataset populates.
+CityModel dataset_city(const DatasetConfig& config, stats::Rng& root) {
+  stats::Rng city_rng = root.fork();
+  return CityModel(config.city, city_rng);
+}
+
 }  // namespace
 
 SimulatedUser simulate_user(const CityModel& city, const UserProfile& profile,
@@ -163,12 +170,18 @@ const geo::LatLon& SyntheticDataset::poi_position(int id) const {
   return poi_sites[static_cast<std::size_t>(id)].position;
 }
 
+std::int64_t max_user_count(const DatasetConfig& config) {
+  LOCPRIV_EXPECT(config.users_per_home >= 1);
+  stats::Rng root(config.seed);
+  const CityModel city = dataset_city(config, root);
+  return static_cast<std::int64_t>(city.pois_of_category(PoiCategory::kHome).size()) *
+         config.users_per_home;
+}
+
 SyntheticDataset generate_dataset(const DatasetConfig& config) {
   LOCPRIV_EXPECT(config.user_count > 0);
   stats::Rng root(config.seed);
-
-  stats::Rng city_rng = root.fork();
-  const CityModel city(config.city, city_rng);
+  const CityModel city = dataset_city(config, root);
 
   LOCPRIV_EXPECT(config.users_per_home >= 1);
   auto homes = city.pois_of_category(PoiCategory::kHome);

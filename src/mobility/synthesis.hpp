@@ -69,6 +69,11 @@ struct DatasetConfig {
   DatasetConfig() { city.poi_count = 700; }
 };
 
+/// The most users generate_dataset(config) can place: the kHome sites of
+/// the city that `config.seed` and `config.city` generate, times
+/// users_per_home. The city is seeded, so no constant bound is right.
+std::int64_t max_user_count(const DatasetConfig& config);
+
 /// Generates the whole dataset deterministically from `config.seed`.
 /// Throws ContractViolation if the city has fewer kHome sites than users.
 SyntheticDataset generate_dataset(const DatasetConfig& config);

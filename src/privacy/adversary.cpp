@@ -57,8 +57,8 @@ std::vector<std::size_t> Adversary::candidates(const PatternHistogram& observed,
 }
 
 IdentificationResult Adversary::identify(const PatternHistogram& observed,
-                                         Pattern pattern, const MatchParams& params,
-                                         PosteriorWeighting weighting) const {
+                                         Pattern pattern,
+                                         const MatchParams& params) const {
   // match_histograms checks these too, but it may run on no profile at all.
   LOCPRIV_EXPECT(params.alpha > 0.0 && params.alpha < 1.0);
   LOCPRIV_EXPECT(params.unseen_key_pseudo_count >= 0.0);
@@ -75,11 +75,8 @@ IdentificationResult Adversary::identify(const PatternHistogram& observed,
         match_histograms(observed, profiles_[i].histogram(pattern), params);
     if (!match.attempted || !match.matches) continue;
     result.matched.push_back(i);
-    const double weight = weighting == PosteriorWeighting::kChiSquare
-                              ? match.chi.statistic
-                              : 1.0 / (1.0 + match.chi.statistic);
-    weights[i] = weight;
-    weight_total += weight;
+    weights[i] = match.chi.statistic;
+    weight_total += match.chi.statistic;
   }
 
   if (result.matched.empty()) {

@@ -25,15 +25,6 @@ struct UserProfileHistograms {
   }
 };
 
-/// How posterior weights are assigned to matching profiles.
-enum class PosteriorWeighting {
-  /// Paper Formula 2, literal: p_i proportional to chi_i^2 among matches.
-  kChiSquare,
-  /// Principled alternative (ablation): p_i proportional to 1 / (1 + chi_i^2),
-  /// so better-fitting profiles get more mass.
-  kInverseChiSquare,
-};
-
 /// Result of one identification attempt.
 struct IdentificationResult {
   /// Per-profile posterior, aligned with the adversary's profile order;
@@ -67,13 +58,12 @@ class Adversary {
 
   /// Matches `observed` (built with `pattern`) against every stored
   /// profile that could match it, then forms the posterior over the
-  /// matching set using `weighting` and computes the anonymity metrics.
+  /// matching set and computes the anonymity metrics. The posterior is
+  /// paper Formula 2, literal: p_i proportional to chi_i^2 among matches.
   /// The result is bit-identical to testing every profile in order: every
   /// profile skipped is one match_histograms would not attempt.
   IdentificationResult identify(const PatternHistogram& observed, Pattern pattern,
-                                const MatchParams& params,
-                                PosteriorWeighting weighting =
-                                    PosteriorWeighting::kChiSquare) const;
+                                const MatchParams& params) const;
 
  private:
   /// Profile indices, ascending and without duplicates, that include every

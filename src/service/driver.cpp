@@ -10,11 +10,13 @@ namespace locpriv::service {
 
 namespace {
 
-/// Per-round timestamp offset: rounds replay the corpus shifted so each
-/// user's stream stays strictly increasing (evaluate_collected requires
-/// non-decreasing time order).
-std::int64_t round_offset(const core::PrivacyAnalyzer& analyzer, int round,
-                          std::int64_t gap_s) {
+/// Gap inserted between rounds on top of the corpus span.
+constexpr std::int64_t kRoundGapS = 86400;
+
+/// Per-round timestamp offset: rounds replay the corpus shifted by its span
+/// plus kRoundGapS, so each user's stream stays strictly increasing
+/// (evaluate_collected requires non-decreasing time order).
+std::int64_t round_offset(const core::PrivacyAnalyzer& analyzer, int round) {
   if (round == 0) return 0;
   std::int64_t min_ts = 0;
   std::int64_t max_ts = 0;
@@ -28,7 +30,7 @@ std::int64_t round_offset(const core::PrivacyAnalyzer& analyzer, int round,
       max_ts = points.back().timestamp_s;
     first = false;
   }
-  const std::int64_t span = (max_ts - min_ts) + gap_s;
+  const std::int64_t span = (max_ts - min_ts) + kRoundGapS;
   return static_cast<std::int64_t>(round) * span;
 }
 
@@ -41,8 +43,7 @@ TrafficOutcome drive_traffic(LocprivService& service,
   TrafficOutcome outcome;
   const std::size_t batch = std::max<std::size_t>(options.batch_size, 1);
   for (int round = 0; round < options.rounds; ++round) {
-    const std::int64_t offset =
-        round_offset(analyzer, round, options.round_gap_s);
+    const std::int64_t offset = round_offset(analyzer, round);
     // Round-robin across users: cursor[i] is the next unsent fix of user i.
     std::vector<std::size_t> cursor(analyzer.user_count(), 0);
     bool pending = true;
@@ -106,8 +107,7 @@ std::vector<trace::TracePoint> scheduled_fixes(
   std::vector<trace::TracePoint> fixes;
   fixes.reserve(points.size() * static_cast<std::size_t>(options.rounds));
   for (int round = 0; round < options.rounds; ++round) {
-    const std::int64_t offset =
-        round_offset(analyzer, round, options.round_gap_s);
+    const std::int64_t offset = round_offset(analyzer, round);
     for (trace::TracePoint fix : points) {
       fix.timestamp_s += offset;
       fixes.push_back(fix);

@@ -24,9 +24,6 @@ namespace locpriv::service {
 struct TrafficOptions {
   std::size_t batch_size = 64;  ///< Fixes per submit batch.
   int rounds = 1;               ///< Dataset passes (soak length control).
-  /// Gap inserted between rounds on top of the corpus span, so timestamps
-  /// stay strictly increasing per user across rounds.
-  std::int64_t round_gap_s = 86400;
   /// Sleep between submitted batches (paces a soak over wall-clock time).
   std::chrono::milliseconds pace{0};
   /// Admission mode. false = lossless corpus semantics: submits block for

@@ -165,8 +165,7 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
           slot.failed = true;
           slot.error = error.what();
         }
-      },
-      options.max_threads);
+      });
 
   const auto quarantine = [&](FileSlot& slot) {
     ingest.quarantined.push_back({std::move(slot.path), std::move(slot.error)});

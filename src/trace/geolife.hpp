@@ -65,8 +65,6 @@ struct ReadOptions {
   /// such files are quarantined into the report and the rest of the corpus
   /// still loads — how a production ingest survives a damaged download.
   bool lenient = false;
-  /// Worker cap for per-file parsing (0 = hardware concurrency).
-  unsigned max_threads = 0;
 };
 
 /// Reads a whole Geolife-layout dataset: root/<user_id>/Trajectory/*.plt.

@@ -2,7 +2,7 @@
 // inverted key index yields, and must return exactly what a scan that
 // matches every profile returns — the matched set equal, the posterior,
 // degree of anonymity and entropy equal bit for bit — across corpus seeds x
-// prefixes x intervals x patterns x match parameters x weightings, and on
+// prefixes x intervals x patterns x match parameters, and on
 // hand-built profile sets. Bad match parameters must still throw when no
 // profile is a candidate. A metamorphic test checks that the order users
 // are loaded in changes no per-user result.
@@ -36,22 +36,18 @@ using privacy::IdentificationResult;
 using privacy::MatchParams;
 using privacy::Pattern;
 using privacy::PatternHistogram;
-using privacy::PosteriorWeighting;
 using privacy::UserProfileHistograms;
 
 constexpr std::uint64_t kSeeds[] = {11, 12, 13};
 constexpr double kFractions[] = {0.1, 0.3, 1.0};
 constexpr std::int64_t kIntervals[] = {1, 60, 600};
 constexpr Pattern kPatterns[] = {Pattern::kVisits, Pattern::kMovements};
-constexpr PosteriorWeighting kWeightings[] = {PosteriorWeighting::kChiSquare,
-                                              PosteriorWeighting::kInverseChiSquare};
 
 // The oracle: Adversary::identify as it ran before the key index, matching
 // every stored profile in order and then forming the posterior.
 IdentificationResult scan_identify(const Adversary& adversary,
                                    const PatternHistogram& observed, Pattern pattern,
-                                   const MatchParams& params,
-                                   PosteriorWeighting weighting) {
+                                   const MatchParams& params) {
   const std::size_t profile_count = adversary.profile_count();
   IdentificationResult result;
   result.posterior.assign(profile_count, 0.0);
@@ -63,11 +59,9 @@ IdentificationResult scan_identify(const Adversary& adversary,
         observed, adversary.profile(i).histogram(pattern), params);
     if (!match.attempted || !match.matches) continue;
     result.matched.push_back(i);
-    const double weight = weighting == PosteriorWeighting::kChiSquare
-                              ? match.chi.statistic
-                              : 1.0 / (1.0 + match.chi.statistic);
-    weights[i] = weight;
-    weight_total += weight;
+    // Paper Formula 2: weight proportional to chi^2 among the matches.
+    weights[i] = match.chi.statistic;
+    weight_total += match.chi.statistic;
   }
 
   if (result.matched.empty()) {
@@ -139,17 +133,13 @@ std::vector<std::pair<std::string, MatchParams>> param_cases() {
           {"min total 0", no_minimum}, {"min total 1e9", unreachable_minimum}};
 }
 
-// Every (params, weighting) identification of `observed` equals the scan's.
+// Every params identification of `observed` equals the scan's.
 void expect_same_as_scan(const Adversary& adversary, const PatternHistogram& observed,
                          Pattern pattern) {
   for (const auto& [name, params] : param_cases()) {
-    for (const PosteriorWeighting weighting : kWeightings) {
-      SCOPED_TRACE(::testing::Message()
-                   << name << ", pattern " << static_cast<int>(pattern) << ", weighting "
-                   << static_cast<int>(weighting));
-      EXPECT_TRUE(same_result(adversary.identify(observed, pattern, params, weighting),
-                              scan_identify(adversary, observed, pattern, params, weighting)));
-    }
+    SCOPED_TRACE(::testing::Message() << name << ", pattern " << static_cast<int>(pattern));
+    EXPECT_TRUE(same_result(adversary.identify(observed, pattern, params),
+                            scan_identify(adversary, observed, pattern, params)));
   }
 }
 

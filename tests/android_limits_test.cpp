@@ -39,7 +39,6 @@ AppBehavior fast_background_behavior() {
 TEST(BackgroundLimits, ThrottlesBackgroundedApp) {
   DeviceSimulator device(1, kDesk);
   device.enable_background_location_limits(1800);
-  EXPECT_TRUE(device.background_location_limits());
   device.install(fine_manifest("com.fast"), fast_background_behavior());
   device.launch("com.fast");
   // Foreground: full rate.

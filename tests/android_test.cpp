@@ -20,11 +20,6 @@ AndroidManifest manifest_with(std::vector<Permission> permissions,
   return manifest;
 }
 
-TEST(Permissions, NamesAndParsing) {
-  EXPECT_EQ(permission_name(Permission::kAccessFineLocation),
-            "android.permission.ACCESS_FINE_LOCATION");
-}
-
 TEST(Permissions, SetSemantics) {
   PermissionSet set;
   EXPECT_FALSE(set.any_location());

@@ -1,13 +1,16 @@
 // Run harness: atomic artifact writer (commit, abandon, racing publishers),
-// run ledger (journal replay, torn tails, identity mismatch), kill-and-resume
-// byte identity, stage watchdog deadlines through parallel_for's exception
-// aggregation, and the error taxonomy's exit-code mapping.
+// run ledger (journal replay, torn tails, identity mismatch), the sweep
+// runner (the same rows in every mode, quarantine without a run dir, the
+// fresh-run-dir refusal), kill-and-resume byte identity, stage watchdog
+// deadlines through parallel_for's exception aggregation, and the error
+// taxonomy's exit-code mapping.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,72 +284,179 @@ TEST(RunLedger, MismatchedExecutionModeRefusesResume) {
   RunLedger matched(dir, isolate_info);  // The pinned mode still resumes.
 }
 
-TEST(OpenLedger, FreshRunDirRefusesExistingLedger) {
-  const fs::path dir = fresh_dir("open_ledger");
+// ---- the sweep runner --------------------------------------------------
+
+/// A miniature deterministic sweep over 12 cells standing in for audit-all
+/// and bench_fault_degradation.
+const RunInfo kSweepInfo{"mini_sweep", 7, "12cells"};
+
+std::vector<std::string> sweep_cells() {
+  std::vector<std::string> cells;
+  for (int a = 0; a < 4; ++a)
+    for (int b = 0; b < 3; ++b)
+      cells.push_back("a" + std::to_string(a) + "_b" + std::to_string(b));
+  return cells;
+}
+
+std::vector<std::string> sweep_cell(std::size_t index, const std::string& key,
+                                    int /*attempt*/) {
+  return {key, std::to_string(index),
+          util::format_fixed(static_cast<double>(index) / 3.0, 4)};
+}
+
+/// No heartbeat thread (so an isolated run forks a single-threaded parent)
+/// and no real backoff waits.
+RunOptions sweep_options(fs::path run_dir, unsigned workers = 1, bool isolate = false) {
   RunOptions options;
-  options.run_dir = dir;
-  ASSERT_NE(open_ledger(options, kInfo), nullptr);  // Creates the ledger.
-  EXPECT_THROW(open_ledger(options, kInfo), Error);
+  options.run_dir = std::move(run_dir);
+  options.stage.heartbeat = std::chrono::milliseconds(0);
+  options.supervisor.workers = workers;
+  options.supervisor.isolate = isolate;
+  options.supervisor.backoff_base = std::chrono::milliseconds(1);
+  return options;
+}
+
+/// The rows every mode must return: each cell's fields, in cell order.
+std::vector<std::vector<std::string>> reference_rows() {
+  std::vector<std::vector<std::string>> rows;
+  const std::vector<std::string> cells = sweep_cells();
+  for (std::size_t i = 0; i < cells.size(); ++i) rows.push_back(sweep_cell(i, cells[i], 1));
+  return rows;
+}
+
+/// The execution mode pinned in `run_dir`'s ledger header.
+std::string ledger_mode(const fs::path& run_dir) {
+  return replay_ledger(slurp(run_dir / "ledger.jsonl")).header.mode;
+}
+
+/// Runs the sweep into `run_dir` until the cell function ends it with a
+/// harness Error after five cells, then appends a torn record, as a SIGKILL
+/// mid-write(2) would leave it.
+void crash_after_five_cells(const fs::path& run_dir) {
+  std::size_t calls = 0;  // One worker: the cells run in order on this thread.
+  const CellFn crashing = [&](std::size_t index, const std::string& key, int attempt) {
+    if (calls++ == 5) throw Error(ErrorCode::kIo, "simulated crash");
+    return sweep_cell(index, key, attempt);
+  };
+  EXPECT_THROW(run_sweep(sweep_options(run_dir), kSweepInfo, sweep_cells(), crashing), Error);
+  // locpriv-lint: allow(raw-write) torn tail planted on purpose.
+  std::ofstream out(run_dir / "ledger.jsonl", std::ios::binary | std::ios::app);
+  out << "{\"cell\":\"a1_b2\",\"fie";
+}
+
+RunOptions resume_options(const fs::path& run_dir) {
+  RunOptions options = sweep_options(run_dir);
   options.resume = true;
-  EXPECT_NE(open_ledger(options, kInfo), nullptr);  // Resume is allowed.
-  EXPECT_EQ(open_ledger(RunOptions{}, kInfo), nullptr);  // Unsupervised.
+  return options;
+}
+
+TEST(RunSweep, SameRowsWithAndWithoutARunDir) {
+  const SweepResult in_memory = run_sweep(sweep_options({}), kSweepInfo, sweep_cells(), sweep_cell);
+  EXPECT_EQ(in_memory.rows, reference_rows());
+  EXPECT_TRUE(in_memory.quarantined.empty());
+
+  const fs::path dir = fresh_dir("sweep_fresh");
+  EXPECT_EQ(run_sweep(sweep_options(dir), kSweepInfo, sweep_cells(), sweep_cell).rows,
+            reference_rows());
+  EXPECT_EQ(ledger_mode(dir), "inproc-w1");
+}
+
+TEST(RunSweep, ResumingATornLedgerGivesTheSameRows) {
+  const fs::path dir = fresh_dir("sweep_torn");
+  crash_after_five_cells(dir);
+  std::size_t computed = 0;
+  const SweepResult resumed =
+      run_sweep(resume_options(dir), kSweepInfo, sweep_cells(),
+                [&](std::size_t index, const std::string& key, int attempt) {
+                  ++computed;
+                  return sweep_cell(index, key, attempt);
+                });
+  EXPECT_EQ(resumed.rows, reference_rows());
+  EXPECT_EQ(computed, 7u);  // The five journaled cells were replayed.
+}
+
+TEST(RunSweep, InProcessWorkersGiveTheSameRows) {
+  EXPECT_EQ(run_sweep(sweep_options({}, 3), kSweepInfo, sweep_cells(), sweep_cell).rows,
+            reference_rows());
+  const fs::path dir = fresh_dir("sweep_inproc_w3");
+  EXPECT_EQ(run_sweep(sweep_options(dir, 3), kSweepInfo, sweep_cells(), sweep_cell).rows,
+            reference_rows());
+  EXPECT_EQ(ledger_mode(dir), "inproc-w3");
+}
+
+TEST(RunSweep, IsolatedWorkersGiveTheSameRows) {
+  const fs::path dir = fresh_dir("sweep_isolate_w2");
+  EXPECT_EQ(run_sweep(sweep_options(dir, 2, true), kSweepInfo, sweep_cells(), sweep_cell).rows,
+            reference_rows());
+  EXPECT_EQ(ledger_mode(dir), "isolate-w2");
+}
+
+TEST(RunSweep, ThrowingCellIsQuarantinedWithoutARunDir) {
+  const SweepResult result = run_sweep(
+      sweep_options({}), kSweepInfo, sweep_cells(),
+      [](std::size_t index, const std::string& key, int attempt) {
+        if (key == "a1_b1") throw std::runtime_error("boom");
+        return sweep_cell(index, key, attempt);
+      });
+  std::vector<std::vector<std::string>> expected = reference_rows();
+  expected.erase(expected.begin() + 4);
+  EXPECT_EQ(result.rows, expected);
+  ASSERT_EQ(result.quarantined.size(), 1u);
+  EXPECT_EQ(result.quarantined[0].key, "a1_b1");
+  EXPECT_EQ(result.quarantined[0].details,
+            (std::vector<std::string>{"attempt 1: exception: boom",
+                                      "attempt 2: exception: boom",
+                                      "attempt 3: exception: boom"}));
+}
+
+TEST(RunSweep, FreshRunDirHoldingALedgerIsRefusedBeforeAnyCell) {
+  const fs::path dir = fresh_dir("sweep_refuse");
+  run_sweep(sweep_options(dir), kSweepInfo, sweep_cells(), sweep_cell);
+  std::size_t calls = 0;
+  const CellFn counting = [&](std::size_t index, const std::string& key, int attempt) {
+    ++calls;
+    return sweep_cell(index, key, attempt);
+  };
+  try {
+    run_sweep(sweep_options(dir), kSweepInfo, sweep_cells(), counting);
+    FAIL() << "a fresh run dir holding a ledger should have been refused";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kResume);
+  }
+  EXPECT_EQ(calls, 0u);
+  // --resume continues the same directory: every cell is already journaled.
+  EXPECT_EQ(run_sweep(resume_options(dir), kSweepInfo, sweep_cells(), counting).rows,
+            reference_rows());
+  EXPECT_EQ(calls, 0u);
 }
 
 // ---- kill-and-resume byte identity ------------------------------------
 
-/// A miniature deterministic sweep over 12 cells standing in for the bench
-/// binaries: compute (or replay) every cell, journal fresh ones, and
-/// publish the final CSV atomically.
-std::string run_mini_sweep(const fs::path& run_dir, std::size_t stop_after) {
-  const RunInfo info{"mini_sweep", 7, "12cells"};
-  RunLedger ledger(run_dir, info);
-  std::vector<std::vector<std::string>> rows;
-  std::size_t computed = 0;
-  for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 3; ++b) {
-      const std::string key = "a" + std::to_string(a) + "_b" + std::to_string(b);
-      if (ledger.completed(key)) {
-        rows.push_back(*ledger.fields(key));
-        continue;
-      }
-      if (computed == stop_after) return {};  // Simulated crash point.
-      ++computed;
-      const std::vector<std::string> fields = {
-          std::to_string(a), std::to_string(b),
-          util::format_fixed(a * 10.0 + b / 3.0, 4)};
-      ledger.record(key, fields);
-      rows.push_back(fields);
-    }
-  }
+/// Publishes `rows` as `run_dir`/sweep.csv through the atomic writer and
+/// returns the published bytes.
+std::string publish_csv(const fs::path& run_dir, const SweepResult& sweep) {
   AtomicFileWriter writer(run_dir / "sweep.csv");
   util::CsvWriter csv(writer.stream());
-  csv.write_row({"a", "b", "value"});
-  for (const auto& row : rows) csv.write_row(row);
+  csv.write_row({"key", "index", "value"});
+  for (const auto& row : sweep.rows) csv.write_row(row);
   writer.commit();
   return slurp(run_dir / "sweep.csv");
 }
 
 TEST(KillAndResume, FinalCsvIsByteIdenticalToUninterruptedRun) {
   const fs::path uninterrupted = fresh_dir("resume_reference");
-  const std::string reference =
-      run_mini_sweep(uninterrupted, /*stop_after=*/100);
-  ASSERT_FALSE(reference.empty());
+  const std::string reference = publish_csv(
+      uninterrupted,
+      run_sweep(sweep_options(uninterrupted), kSweepInfo, sweep_cells(), sweep_cell));
 
   const fs::path crashed = fresh_dir("resume_crashed");
-  // Abandon mid-ledger after 5 of 12 cells...
-  EXPECT_EQ(run_mini_sweep(crashed, /*stop_after=*/5), "");
-  // ...with the last append torn, as a SIGKILL mid-write(2) would leave it.
-  {
-    // locpriv-lint: allow(raw-write) torn tail planted on purpose.
-    std::ofstream out(crashed / "ledger.jsonl",
-                      std::ios::binary | std::ios::app);
-    out << "{\"cell\":\"a1_b2\",\"fie";
-  }
+  // Abandon the run after 5 of 12 cells, with the last append torn.
+  crash_after_five_cells(crashed);
   EXPECT_FALSE(fs::exists(crashed / "sweep.csv"));
 
-  const std::string resumed = run_mini_sweep(crashed, /*stop_after=*/100);
+  const std::string resumed = publish_csv(
+      crashed, run_sweep(resume_options(crashed), kSweepInfo, sweep_cells(), sweep_cell));
   EXPECT_EQ(resumed, reference);
-  EXPECT_EQ(slurp(crashed / "sweep.csv"), slurp(uninterrupted / "sweep.csv"));
 }
 
 // ---- stage watchdog ----------------------------------------------------
@@ -402,14 +512,13 @@ TEST(Watchdog, HeartbeatThreadStartsAndStopsCleanly) {
   StageOptions options;
   options.name = "chatty";
   options.heartbeat = std::chrono::milliseconds(5);
-  options.soft_deadline = std::chrono::milliseconds(10);
   StageWatchdog watchdog(options);
   watchdog.set_total(100);
   for (int i = 0; i < 10; ++i) {
     watchdog.add_progress(10);
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
   }
-  EXPECT_FALSE(watchdog.expired());  // Soft deadline only warns.
+  EXPECT_FALSE(watchdog.expired());  // No hard deadline: never expires.
 }
 
 // ---- error taxonomy ----------------------------------------------------
@@ -445,7 +554,7 @@ RunOptions parse_run_flags(std::vector<const char*> argv) {
   util::Args args;
   declare_run_flags(args);
   args.parse(static_cast<int>(argv.size()), argv.data(), 1);
-  return run_options_from(args, "stage");
+  return run_options_from(args);
 }
 
 void expect_usage_error(std::vector<const char*> argv) {
@@ -462,7 +571,6 @@ TEST(ErrorTaxonomy, ParseRunOptionsValidates) {
   EXPECT_TRUE(options.active());
   EXPECT_TRUE(options.resume);
   EXPECT_EQ(options.run_dir, fs::path("/tmp/run"));
-  EXPECT_EQ(options.stage.name, "stage");
   EXPECT_EQ(options.stage.hard_deadline, std::chrono::seconds(60));
   EXPECT_EQ(options.stage.heartbeat, std::chrono::seconds(30));
 
@@ -480,8 +588,6 @@ TEST(ErrorTaxonomy, ParseRunOptionsCoversSupervisorFlags) {
   EXPECT_EQ(options.supervisor.cell_deadline, std::chrono::milliseconds(2500));
   EXPECT_EQ(options.supervisor.max_attempts, 5);
   EXPECT_EQ(options.supervisor.backoff_base, std::chrono::milliseconds(250));
-  EXPECT_EQ(options.mode_string(), "isolate-w4");
-  EXPECT_EQ(RunOptions{}.mode_string(), "inproc-w1");
 
   // 0 keeps meaning "off" for every limit and deadline.
   const RunOptions off = parse_run_flags(
@@ -508,7 +614,7 @@ TEST(ErrorTaxonomy, RunOptionsRefuseNumbersTheHarnessCannotRepresent) {
   expect_usage_error({"--cell-cpu-s", "4294967297"});
   // The backoff shift and the seconds-to-clock conversions overflow.
   expect_usage_error({"--cell-backoff-ms", "9223372036854775807"});
-  for (const char* flag : {"--heartbeat", "--soft-deadline", "--hard-deadline"}) {
+  for (const char* flag : {"--heartbeat", "--hard-deadline"}) {
     expect_usage_error({flag, "9300000000000000"});
     expect_usage_error({flag, "-1"});
   }

@@ -239,21 +239,6 @@ TEST(Adversary, MultipleMatchesYieldIntermediateAnonymity) {
   EXPECT_NEAR(posterior_sum, 1.0, 1e-12);
 }
 
-TEST(Adversary, WeightingVariantsBothNormalise) {
-  auto profiles = three_profiles();
-  profiles[1].visits = profiles[0].visits;
-  const Adversary adversary(std::move(profiles));
-  const auto observed = histogram_from({{1, 11.0, }, {2, 7.0}, {3, 2.0}});
-  for (const auto weighting :
-       {PosteriorWeighting::kChiSquare, PosteriorWeighting::kInverseChiSquare}) {
-    const auto result =
-        adversary.identify(observed, Pattern::kVisits, MatchParams{}, weighting);
-    double sum = 0.0;
-    for (const double p : result.posterior) sum += p;
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-  }
-}
-
 TEST(Adversary, EmptyProfileSetRejected) {
   EXPECT_THROW(Adversary({}), util::ContractViolation);
 }

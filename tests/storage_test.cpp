@@ -473,28 +473,6 @@ TEST(RunLedgerCrc, ReadPathBitRotIsCaughtByTheRecordCrc) {
   EXPECT_GE(faulty.injected().bit_flips, 1u);
 }
 
-TEST(RunLedgerCrc, PreCrcLedgersReplayUnchanged) {
-  const fs::path dir = fresh_dir("crc_legacy");
-  {
-    RunLedger ledger(dir, kInfo);
-    ledger.record("cell_a", {"1", "2"});
-  }
-  // Rewrite the ledger as an old writer would have produced it: identical
-  // lines minus the trailing `,"crc":"xxxxxxxx"` member.
-  std::string stripped;
-  std::istringstream lines(slurp(dir / "ledger.jsonl"));
-  std::string line;
-  while (std::getline(lines, line)) {
-    ASSERT_GE(line.size(), 19u);
-    stripped += line.substr(0, line.size() - 18);
-    stripped += "}\n";
-  }
-  write_raw(dir / "ledger.jsonl", stripped);
-  RunLedger resumed(dir, kInfo);
-  ASSERT_TRUE(resumed.completed("cell_a"));
-  EXPECT_EQ(*resumed.fields("cell_a"), (std::vector<std::string>{"1", "2"}));
-}
-
 std::string crc_line(const std::string& base) {
   return base.substr(0, base.size() - 1) + ",\"crc\":\"" +
          harness::crc32c_hex(base) + "\"}";
@@ -511,13 +489,19 @@ TEST(RunLedgerCrc, ReplayClassifiesTornVersusCorrupt) {
   EXPECT_EQ(replay.status, LedgerScan::kTorn);
   EXPECT_EQ(replay.valid_bytes, header.size() + 1);
 
-  // A terminated legacy (no-CRC) junk line with nothing after it could be a
-  // torn pre-CRC append whose payload held a newline: truncate, don't refuse.
+  // A terminated line without a CRC is damage, even in final position:
+  // only an unterminated tail is torn.
   replay = harness::replay_ledger(header + "\n{\"cell\":junk}\n");
-  EXPECT_EQ(replay.status, LedgerScan::kTorn);
+  EXPECT_EQ(replay.status, LedgerScan::kCorrupt);
+  EXPECT_EQ(replay.bad_line, 2u);
   EXPECT_EQ(replay.valid_bytes, header.size() + 1);
 
-  // The same junk with intact data after it is mid-file damage.
+  // So is a well-formed record that lacks its CRC.
+  replay = harness::replay_ledger(header + "\n{\"cell\":\"a\",\"fields\":[\"1\"]}\n");
+  EXPECT_EQ(replay.status, LedgerScan::kCorrupt);
+  EXPECT_EQ(replay.bad_line, 2u);
+
+  // The same junk with intact data after it is mid-file damage too.
   replay = harness::replay_ledger(header + "\n{\"cell\":junk}\n" + cell + "\n");
   EXPECT_EQ(replay.status, LedgerScan::kCorrupt);
   EXPECT_EQ(replay.bad_line, 2u);
@@ -532,6 +516,13 @@ TEST(RunLedgerCrc, ReplayClassifiesTornVersusCorrupt) {
   // A terminated garbage header is damage: appends are single-write, so a
   // crash cannot leave a terminated-but-unparsable line 1.
   replay = harness::replay_ledger("garbage\n");
+  EXPECT_EQ(replay.status, LedgerScan::kCorrupt);
+  EXPECT_EQ(replay.bad_line, 1u);
+
+  // A header without the execution mode, even with a matching CRC, does not
+  // parse: every writer pins the mode.
+  replay = harness::replay_ledger(
+      crc_line("{\"experiment\":\"x\",\"seed\":1,\"scale\":\"s\"}") + "\n" + cell + "\n");
   EXPECT_EQ(replay.status, LedgerScan::kCorrupt);
   EXPECT_EQ(replay.bad_line, 1u);
 

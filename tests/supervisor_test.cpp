@@ -68,10 +68,13 @@ std::vector<std::string> make_cells(std::size_t count) {
   return cells;
 }
 
-bool none_quarantined(const RunLedger& ledger, const std::vector<std::string>& cells) {
+/// The cells whose latest ledger state is "quarantined", in sweep order.
+std::vector<std::string> quarantined(const RunLedger& ledger,
+                                     const std::vector<std::string>& cells) {
+  std::vector<std::string> keys;
   for (const std::string& cell : cells)
-    if (ledger.quarantine_details(cell) != nullptr) return false;
-  return true;
+    if (ledger.quarantine_details(cell) != nullptr) keys.push_back(cell);
+  return keys;
 }
 
 /// The deterministic result every well-behaved test cell returns, so two
@@ -188,7 +191,7 @@ TEST(SupervisorInProcess, ComputesJournalsAndSkipsCompletedCells) {
 
   std::atomic<int> calls{0};
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       cells,
       [&](std::size_t index, const std::string& key, int) {
         calls.fetch_add(1);
@@ -196,9 +199,9 @@ TEST(SupervisorInProcess, ComputesJournalsAndSkipsCompletedCells) {
       },
       ledger);
 
-  EXPECT_EQ(outcome.computed, 10u);
+  EXPECT_EQ(computed, 10u);
   EXPECT_EQ(calls.load(), 10);  // Resumed cells are never recomputed.
-  EXPECT_TRUE(outcome.quarantined.empty());
+  EXPECT_TRUE(quarantined(ledger, cells).empty());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_NE(ledger.fields(cells[i]), nullptr) << cells[i];
     EXPECT_EQ(*ledger.fields(cells[i]), expected_fields(i, cells[i]));
@@ -212,7 +215,7 @@ TEST(SupervisorInProcess, TransientFailureRetriesThenSucceeds) {
 
   std::atomic<int> flaky_attempts{0};
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       make_cells(4),
       [&](std::size_t index, const std::string& key, int attempt) {
         if (key == "cell_2") {
@@ -223,8 +226,8 @@ TEST(SupervisorInProcess, TransientFailureRetriesThenSucceeds) {
       },
       ledger);
 
-  EXPECT_EQ(outcome.computed, 4u);
-  EXPECT_TRUE(outcome.quarantined.empty());
+  EXPECT_EQ(computed, 4u);
+  EXPECT_TRUE(quarantined(ledger, make_cells(4)).empty());
   EXPECT_EQ(flaky_attempts.load(), 3);
   EXPECT_TRUE(ledger.completed("cell_2"));
   EXPECT_EQ(ledger.quarantine_details("cell_2"), nullptr);
@@ -237,7 +240,7 @@ TEST(SupervisorInProcess, ExhaustedRetriesQuarantineWithPerAttemptDetails) {
   RunLedger ledger(dir, test_info(options));
 
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       make_cells(5),
       [&](std::size_t index, const std::string& key, int) {
         if (key == "cell_1") throw std::runtime_error("poisoned input row");
@@ -245,8 +248,8 @@ TEST(SupervisorInProcess, ExhaustedRetriesQuarantineWithPerAttemptDetails) {
       },
       ledger);
 
-  EXPECT_EQ(outcome.computed, 4u);
-  ASSERT_EQ(outcome.quarantined, std::vector<std::string>{"cell_1"});
+  EXPECT_EQ(computed, 4u);
+  ASSERT_EQ(quarantined(ledger, make_cells(5)), std::vector<std::string>{"cell_1"});
   const std::vector<std::string>* details = ledger.quarantine_details("cell_1");
   ASSERT_NE(details, nullptr);
   ASSERT_EQ(details->size(), 3u);  // One structured line per attempt.
@@ -283,7 +286,7 @@ TEST(SupervisorInProcess, HarnessErrorsAbortTheRunWithoutRetry) {
   // kIo is a run failure, not a cell failure: exactly one attempt, no
   // retries, nothing quarantined.
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_TRUE(none_quarantined(ledger, make_cells(3)));
+  EXPECT_TRUE(quarantined(ledger, make_cells(3)).empty());
 }
 
 TEST(SupervisorInProcess, ShutdownRequestLeavesAResumableLedger) {
@@ -323,13 +326,13 @@ TEST(SupervisorInProcess, ShutdownRequestLeavesAResumableLedger) {
   // fields an uninterrupted run would have produced.
   RunLedger resumed(dir, info);
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       cells,
       [&](std::size_t index, const std::string& key, int) {
         return expected_fields(index, key);
       },
       resumed);
-  EXPECT_EQ(outcome.computed, cells.size() - completed_at_interrupt);
+  EXPECT_EQ(computed, cells.size() - completed_at_interrupt);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_NE(resumed.fields(cells[i]), nullptr) << cells[i];
     EXPECT_EQ(*resumed.fields(cells[i]), expected_fields(i, cells[i]));
@@ -352,7 +355,7 @@ TEST(SupervisorIsolate, CrashingCellIsQuarantinedWhileOthersComplete) {
   plan.add("cell_4", {ProcessFaultKind::kCrash, 1});
 
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       cells,
       [&](std::size_t index, const std::string& key, int attempt) {
         plan.trigger(key, attempt);
@@ -360,8 +363,8 @@ TEST(SupervisorIsolate, CrashingCellIsQuarantinedWhileOthersComplete) {
       },
       ledger);
 
-  EXPECT_EQ(outcome.quarantined, std::vector<std::string>{"cell_1"});
-  EXPECT_EQ(outcome.computed, 5u);
+  EXPECT_EQ(quarantined(ledger, cells), std::vector<std::string>{"cell_1"});
+  EXPECT_EQ(computed, 5u);
   const std::vector<std::string>* details = ledger.quarantine_details("cell_1");
   ASSERT_NE(details, nullptr);
   ASSERT_EQ(details->size(), 2u);
@@ -388,7 +391,7 @@ TEST(SupervisorIsolate, BusyHangIsKilledByDeadlineEscalation) {
   plan.add("cell_0", {ProcessFaultKind::kHang, std::numeric_limits<int>::max()});
 
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       make_cells(3),
       [&](std::size_t index, const std::string& key, int attempt) {
         plan.trigger(key, attempt);
@@ -396,8 +399,8 @@ TEST(SupervisorIsolate, BusyHangIsKilledByDeadlineEscalation) {
       },
       ledger);
 
-  EXPECT_EQ(outcome.quarantined, std::vector<std::string>{"cell_0"});
-  EXPECT_EQ(outcome.computed, 2u);
+  EXPECT_EQ(quarantined(ledger, make_cells(3)), std::vector<std::string>{"cell_0"});
+  EXPECT_EQ(computed, 2u);
   const std::vector<std::string>* details = ledger.quarantine_details("cell_0");
   ASSERT_NE(details, nullptr);
   ASSERT_EQ(details->size(), 1u);
@@ -418,7 +421,7 @@ TEST(SupervisorIsolate, AllocBombIsContainedByAddressSpaceRlimit) {
   plan.add("cell_2", {ProcessFaultKind::kAllocBomb, std::numeric_limits<int>::max()});
 
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  const std::size_t computed = supervisor.run(
       make_cells(4),
       [&](std::size_t index, const std::string& key, int attempt) {
         plan.trigger(key, attempt);
@@ -428,8 +431,8 @@ TEST(SupervisorIsolate, AllocBombIsContainedByAddressSpaceRlimit) {
 
   // The rlimit stops the bomb inside the child (bad_alloc -> exit 1) while
   // the siblings — and the parent — stay untouched.
-  EXPECT_EQ(outcome.quarantined, std::vector<std::string>{"cell_2"});
-  EXPECT_EQ(outcome.computed, 3u);
+  EXPECT_EQ(quarantined(ledger, make_cells(4)), std::vector<std::string>{"cell_2"});
+  EXPECT_EQ(computed, 3u);
   const std::vector<std::string>* details = ledger.quarantine_details("cell_2");
   ASSERT_NE(details, nullptr);
   EXPECT_NE((*details)[0].find("bad_alloc"), std::string::npos)
@@ -443,14 +446,14 @@ TEST(SupervisorIsolate, StderrTailLandsInTheQuarantineRecord) {
   RunLedger ledger(dir, test_info(options));
 
   Supervisor supervisor(options);
-  const SupervisorOutcome outcome = supervisor.run(
+  supervisor.run(
       {"cell_0"},
       [&](std::size_t, const std::string&, int) -> std::vector<std::string> {
         throw std::runtime_error("wombat overflow in decoder");
       },
       ledger);
 
-  ASSERT_EQ(outcome.quarantined, std::vector<std::string>{"cell_0"});
+  ASSERT_EQ(quarantined(ledger, {"cell_0"}), std::vector<std::string>{"cell_0"});
   const std::vector<std::string>* details = ledger.quarantine_details("cell_0");
   ASSERT_NE(details, nullptr);
   // The child exits 1 (kInternal) and its what() text, captured from the
@@ -554,13 +557,12 @@ TEST(SupervisorIsolate, ShutdownRequestTerminatesChildrenAndStaysResumable) {
     // In-flight children were terminated and reaped: some cells computed,
     // some not, none half-written.
     EXPECT_LT(ledger.completed_count(), cells.size());
-    EXPECT_TRUE(none_quarantined(ledger, cells));
+    EXPECT_TRUE(quarantined(ledger, cells).empty());
   }
 
   RunLedger resumed(dir, info);
-  const SupervisorOutcome outcome =
-      Supervisor(options).run(cells, slow_fn, resumed);
-  EXPECT_TRUE(outcome.quarantined.empty());
+  Supervisor(options).run(cells, slow_fn, resumed);
+  EXPECT_TRUE(quarantined(resumed, cells).empty());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_NE(resumed.fields(cells[i]), nullptr) << cells[i];
     EXPECT_EQ(*resumed.fields(cells[i]), expected_fields(i, cells[i]));

@@ -18,7 +18,6 @@
 
 #include "core/harness/atomic_file.hpp"
 #include "core/harness/error.hpp"
-#include "core/harness/supervisor.hpp"
 #include "core/harness/sweep.hpp"
 
 #include "core/analyzer.hpp"
@@ -56,9 +55,10 @@ int usage() {
       "                [--lenient]\n"
       "  audit         --root DIR --user INDEX [--interval S] [--lenient]\n"
       "  audit-all     --root DIR [--interval S] [--csv FILE] [--lenient]\n"
-      "                [--run-dir DIR | --resume DIR] [--isolate] [--workers N]\n"
+      "                [--run-dir DIR | --resume DIR] [--heartbeat S]\n"
+      "                [--hard-deadline S] [--isolate] [--workers N]\n"
       "                [--cell-rlimit-mb N] [--cell-cpu-s N] [--cell-deadline S]\n"
-      "                [--cell-retries N]\n"
+      "                [--cell-grace S] [--cell-retries N] [--cell-backoff-ms N]\n"
       "  identify      --root DIR --user INDEX [--interval S] [--pattern 1|2] [--lenient]\n"
       "  export-geojson --root DIR --user INDEX --out FILE [--interval S]\n"
       "  report        [--out FILE] [--users N] [--days D]\n"
@@ -99,8 +99,13 @@ int usage() {
       "\n"
       "--lenient quarantines corrupt .plt files instead of aborting, prints the\n"
       "ingest report, and exits with code 3 when anything was quarantined.\n"
-      "audit-all audits every user; with --isolate each user runs in a forked,\n"
-      "rlimit-capped worker and a crashing user is retried, then quarantined.\n"
+      "audit-all audits every user as one sweep cell each: a user whose\n"
+      "evaluation fails is tried up to --cell-retries times with backoff, then\n"
+      "quarantined. --workers N audits N users at once; --isolate runs each\n"
+      "attempt in a forked worker capped by the --cell-* limits; --run-dir\n"
+      "journals every cell, so --resume continues an interrupted audit.\n"
+      "--heartbeat logs progress every S seconds; --hard-deadline ends the\n"
+      "audit with exit 5.\n"
       "\n"
       "exit codes: 0 ok, 1 internal error, 2 usage, 3 quarantine (lenient ingest\n"
       "or supervised cells), 4 artifact I/O failure, 5 deadline exceeded,\n"
@@ -157,6 +162,23 @@ std::int64_t interval_arg(const util::Args& args) {
   return interval_s;
 }
 
+/// The synthetic corpus of --users and --days, generated from `seed`. The
+/// user count is checked against the home sites of the city that seed
+/// generates, before anything is generated or written.
+mobility::DatasetConfig synthetic_corpus(const util::Args& args, std::uint64_t seed) {
+  mobility::DatasetConfig config;
+  config.seed = seed;
+  config.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
+  config.synthesis.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
+  const std::int64_t limit = mobility::max_user_count(config);
+  if (config.user_count > limit)
+    throw Error(ErrorCode::kUsage,
+                "--users must be at most " + std::to_string(limit) +
+                    ", the home sites of the city seed " + std::to_string(seed) +
+                    " generates; got " + args.get("--users"));
+  return config;
+}
+
 /// Maps a command's own exit code through the quarantine signal.
 int finish(int code, const LoadedDataset& loaded) {
   if (code == 0 && loaded.lenient && !loaded.report.clean()) return kExitQuarantined;
@@ -172,11 +194,8 @@ int cmd_gen_dataset(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   if (args.get("--out").empty()) return usage();
 
-  mobility::DatasetConfig config;
-  config.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
-  config.synthesis.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
-  config.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
-  const auto dataset = mobility::generate_dataset(config);
+  const auto dataset = mobility::generate_dataset(
+      synthetic_corpus(args, static_cast<std::uint64_t>(args.get_int("--seed"))));
   trace::write_geolife_dataset(args.get("--out"), dataset.users);
   std::cout << "wrote " << dataset.users.size() << " users ("
             << trace::compute_dataset_stats(dataset.users).point_count
@@ -343,12 +362,13 @@ int cmd_audit(int argc, const char* const* argv) {
   return finish(0, loaded);
 }
 
-/// Audits every user of the dataset, one supervised sweep cell per user.
-/// With --run-dir/--resume the per-user results are journaled and the audit
-/// is resumable; with --isolate each user's evaluation runs in a forked,
-/// rlimit-capped child, so one pathological trace cannot take down the whole
-/// audit — it is retried and finally quarantined (exit 3) with a structured
-/// failure record while the other users complete.
+/// Audits every user of the dataset, one sweep cell per user, through
+/// harness::run_sweep. With --run-dir/--resume the per-user results are
+/// journaled and the audit is resumable; with --isolate each user's
+/// evaluation runs in a forked, rlimit-capped child, so one pathological
+/// trace cannot take down the whole audit. A user whose evaluation fails is
+/// retried and finally quarantined (exit 3) with a structured failure record
+/// while the other users complete.
 int cmd_audit_all(int argc, const char* const* argv) {
   util::Args args;
   args.declare("--root", "");
@@ -359,13 +379,7 @@ int cmd_audit_all(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
   const std::int64_t interval_s = interval_arg(args);
-  const harness::RunOptions options =
-      harness::run_options_from(args, "audit-all");
-  if (!options.active() &&
-      (options.supervisor.isolate || options.supervisor.workers > 1))
-    throw Error(ErrorCode::kUsage,
-                "--isolate/--workers need a journal to report into; pass "
-                "--run-dir or --resume");
+  const harness::RunOptions options = harness::run_options_from(args);
 
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const core::PrivacyAnalyzer analyzer(core::experiment_analyzer_config(),
@@ -379,38 +393,18 @@ int cmd_audit_all(int argc, const char* const* argv) {
   for (std::size_t i = 0; i < analyzer.user_count(); ++i)
     cells.push_back(analyzer.reference(i).user_id);
 
-  const harness::CellFn cell_fn = [&](std::size_t index, const std::string& key,
-                                      int /*attempt*/) {
-    return service::exposure_fields(key, interval_s,
-                                    analyzer.evaluate_exposure(index, interval_s));
-  };
-
-  const harness::RunInfo run_info{"audit-all", 0,
-                                  std::to_string(analyzer.user_count()) + "u_t" +
-                                      std::to_string(interval_s),
-                                  options.mode_string()};
-  const std::unique_ptr<harness::RunLedger> ledger =
-      harness::open_ledger(options, run_info);
-
-  std::vector<std::string> quarantined;
-  std::vector<std::vector<std::string>> rows;
-  if (ledger != nullptr) {
-    harness::StageWatchdog watchdog(options.stage);
-    watchdog.set_total(cells.size());
-    watchdog.add_progress(ledger->completed_count());
-    harness::Supervisor supervisor(options.supervisor);
-    quarantined = supervisor.run(cells, cell_fn, *ledger, &watchdog).quarantined;
-    for (const std::string& key : cells)
-      if (const auto* fields = ledger->fields(key); fields != nullptr)
-        rows.push_back(*fields);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      rows.push_back(cell_fn(i, cells[i], 1));
-  }
+  const harness::SweepResult sweep = harness::run_sweep(
+      options,
+      {"audit-all", 0,
+       std::to_string(analyzer.user_count()) + "u_t" + std::to_string(interval_s)},
+      cells, [&](std::size_t index, const std::string& key, int /*attempt*/) {
+        return service::exposure_fields(key, interval_s,
+                                        analyzer.evaluate_exposure(index, interval_s));
+      });
 
   util::ConsoleTable table({"user", "fixes", "PoIs", "PoI_total", "PoI_sens",
                             "His_bin", "breach", "Deg_anon (p2)"});
-  for (const auto& fields : rows)
+  for (const auto& fields : sweep.rows)
     table.add_row({fields[0], fields[2], fields[3], fields[4], fields[5],
                    fields[6] + "/" + fields[7], fields[8] == "1" ? "YES" : "no",
                    fields[9]});
@@ -419,7 +413,7 @@ int cmd_audit_all(int argc, const char* const* argv) {
   const auto write_csv = [&](std::ostream& out) {
     util::CsvWriter csv(out);
     csv.write_row(header);
-    for (const auto& fields : rows) csv.write_row(fields);
+    for (const auto& fields : sweep.rows) csv.write_row(fields);
   };
   if (!args.get("--csv").empty()) {
     harness::AtomicFileWriter out(args.get("--csv"));
@@ -435,15 +429,13 @@ int cmd_audit_all(int argc, const char* const* argv) {
               << ")\n";
   }
 
-  if (!quarantined.empty()) {
-    std::cerr << "quarantined users (" << quarantined.size() << "/"
+  if (!sweep.quarantined.empty()) {
+    std::cerr << "quarantined users (" << sweep.quarantined.size() << "/"
               << cells.size() << "):\n";
-    for (const std::string& key : quarantined) {
-      std::cerr << "  " << key << '\n';
-      if (const auto* details = ledger->quarantine_details(key);
-          details != nullptr)
-        for (const std::string& detail : *details)
-          std::cerr << "    " << detail << '\n';
+    for (const auto& cell : sweep.quarantined) {
+      std::cerr << "  " << cell.key << '\n';
+      for (const std::string& detail : cell.details)
+        std::cerr << "    " << detail << '\n';
     }
     return kExitQuarantined;
   }
@@ -604,13 +596,9 @@ int cmd_serve(int argc, const char* const* argv) {
     analyzer = std::make_unique<core::PrivacyAnalyzer>(
         core::experiment_analyzer_config(), std::move(loaded.users));
   } else {
-    mobility::DatasetConfig dataset;
-    dataset.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
-    dataset.synthesis.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
-    dataset.seed = options.seed;
     analyzer = std::make_unique<core::PrivacyAnalyzer>(
         core::PrivacyAnalyzer::from_synthetic(core::experiment_analyzer_config(),
-                                              dataset));
+                                              synthetic_corpus(args, options.seed)));
   }
   options.scale = std::to_string(analyzer->user_count()) + "u_t" +
                   std::to_string(options.interval_s);
@@ -721,8 +709,9 @@ int cmd_report(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
 
   tools::ReportOptions options;
-  options.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
-  options.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
+  const mobility::DatasetConfig corpus = synthetic_corpus(args, options.dataset_seed);
+  options.user_count = corpus.user_count;
+  options.days = corpus.synthesis.days;
   if (args.get("--out").empty()) {
     tools::write_reproduction_report(std::cout, options);
     return 0;
