@@ -214,7 +214,7 @@ int run(int argc, const char* const* argv) {
       analyzer, options.interval_s, traffic, rows, ignore);
 
   // Reconciliation: every offer is accounted for, exactly once, globally
-  // and per user (a fresh run has no resume dedupe, so dropped == deduped).
+  // and per user (dropped and deduped both count resume dedupe).
   const bool global_reconciles =
       stats.batches_offered ==
           stats.batches_submitted + stats.batches_dropped + stats.batches_shed &&
@@ -222,11 +222,13 @@ int run(int argc, const char* const* argv) {
       stats.batches_shed == stats.shed_reject_new + stats.shed_quarantined;
   bool users_reconcile = true;
   for (const auto& [user, load] : daemon.user_loads())
-    if (load.batches_offered != load.batches_accepted + load.batches_shed) {
+    if (load.batches_offered !=
+        load.batches_accepted + load.batches_shed + load.batches_deduped) {
       users_reconcile = false;
       std::cerr << "  user " << user << ": offered " << load.batches_offered
                 << " != accepted " << load.batches_accepted << " + shed "
-                << load.batches_shed << '\n';
+                << load.batches_shed << " + deduped " << load.batches_deduped
+                << '\n';
     }
 
   const std::size_t rss = max_rss_bytes();

@@ -4,9 +4,10 @@
 # for audit-all's harness flags, for serve and for the dataset, report,
 # market-study, extract-pois and identify commands, --users above the
 # seeded city's home sites, and flags the commands do not take (audit-all's
-# --soft-deadline; serve's shedding-policy and turnaround-EWMA flags). The
-# largest interval collects one fix instead of wrapping past INT64_MAX. Run
-# against a 2-user corpus written by `locpriv gen-dataset`:
+# --soft-deadline; serve's shedding-policy and turnaround-EWMA flags).
+# audit-all and serve refuse a reused --run-dir with exit 6 before they read
+# a corpus. The largest interval collects one fix instead of wrapping past
+# INT64_MAX. Run against a 2-user corpus written by `locpriv gen-dataset`:
 #
 #   cmake -DLOCPRIV=<locpriv binary> -DWORK_DIR=<work dir>
 #         -P cmake/CliIntervalUsage.cmake
@@ -111,6 +112,25 @@ endforeach()
 foreach(pattern 0 3)
   expect_usage_exit("identify --pattern ${pattern}" identify --root "${WORK_DIR}/corpus"
                     --pattern ${pattern})
+endforeach()
+
+# A fresh --run-dir that already holds a ledger exits 6 before any corpus is
+# read: with a --root that does not exist, reading the corpus first would
+# exit 1. Both refusals point at --resume and at a fresh --run-dir.
+file(MAKE_DIRECTORY "${WORK_DIR}/reused")
+file(WRITE "${WORK_DIR}/reused/ledger.jsonl" "")
+foreach(command audit-all serve)
+  execute_process(COMMAND "${LOCPRIV}" ${command} --root "${WORK_DIR}/no_such_corpus"
+                          --run-dir "${WORK_DIR}/reused"
+                  OUTPUT_VARIABLE output
+                  ERROR_VARIABLE errors
+                  RESULT_VARIABLE exit_code)
+  if(exit_code EQUAL 6 AND errors MATCHES "--resume" AND errors MATCHES "--run-dir")
+    message(STATUS "cli_interval_usage: ${command} refuses a reused --run-dir with exit 6")
+  else()
+    message("${output}${errors}")
+    list(APPEND failed "${command} on a reused --run-dir (exit ${exit_code})")
+  endif()
 endforeach()
 
 execute_process(COMMAND "${LOCPRIV}" audit --root "${WORK_DIR}/corpus" --user 0

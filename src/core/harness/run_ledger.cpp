@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 
@@ -231,6 +232,36 @@ LedgerReplay replay_ledger(std::string_view content) {
     out.valid_bytes = pos;
   }
   return out;
+}
+
+std::string ledger_without_cells(std::string_view content,
+                                 const std::function<bool(const std::string&)>& drop) {
+  std::string kept;
+  for (std::size_t pos = 0, end = 0; pos < content.size(); pos = end) {
+    end = std::min(content.find('\n', pos), content.size() - 1) + 1;
+    const std::string_view line = content.substr(pos, end - pos);
+    std::string base;
+    std::string cell;
+    std::vector<std::string> fields;
+    if (!check_line_crc(line.substr(0, line.find('\n')), base) ||
+        !parse_cell(base, cell, fields) || !drop(cell))
+      kept.append(line);
+  }
+  return kept;
+}
+
+void refuse_reused_run_dir(const fs::path& run_dir, bool resume) {
+  if (!resume && fs::exists(run_dir / kLedgerName))
+    throw Error(ErrorCode::kResume,
+                run_dir.string() +
+                    " already holds a ledger; pass --resume to continue that "
+                    "run or choose a fresh --run-dir");
+}
+
+std::unique_ptr<RunLedger> open_run_ledger(const fs::path& run_dir, bool resume,
+                                           const RunInfo& info) {
+  refuse_reused_run_dir(run_dir, resume);
+  return std::make_unique<RunLedger>(run_dir, info);
 }
 
 RunLedger::RunLedger(fs::path run_dir, const RunInfo& info) {

@@ -21,7 +21,9 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,6 +72,12 @@ struct LedgerReplay {
 /// matching CRC and parse; only an unterminated final line is torn.
 LedgerReplay replay_ledger(std::string_view content);
 
+/// An intact ledger image (replay_ledger's valid_bytes prefix) without the
+/// completed-cell records whose key `drop` selects. Every other line is
+/// kept byte for byte, its CRC included.
+std::string ledger_without_cells(std::string_view content,
+                                 const std::function<bool(const std::string&)>& drop);
+
 class RunLedger {
  public:
   /// A ledger held in memory: it keeps records and quarantines for the run
@@ -113,6 +121,11 @@ class RunLedger {
 
   std::size_t completed_count() const { return cells_.size(); }
 
+  /// Every completed cell's fields, by key.
+  const std::map<std::string, std::vector<std::string>>& cells() const {
+    return cells_;
+  }
+
   /// Forces the journal to stable storage. Every append already fsyncs;
   /// this exists so a graceful-shutdown path can make the guarantee
   /// explicit before the process exits. Throws Error(kIo) on failure.
@@ -129,5 +142,16 @@ class RunLedger {
   std::map<std::string, std::vector<std::string>> quarantine_;
   int fd_ = -1;  ///< Closed through the FileOps layer, not FdGuard.
 };
+
+/// Throws Error(kResume) when a fresh run (`resume` false) names a
+/// `run_dir` that already holds a ledger. It reads only the directory, so
+/// run_dir_from() calls it before a command reads its corpus.
+void refuse_reused_run_dir(const std::filesystem::path& run_dir, bool resume);
+
+/// Opens `run_dir`'s journal, fresh or resumed: the one way a run directory
+/// is opened. A fresh run is refused as above; a resume takes an existing
+/// ledger (its header must match `info`) or starts from scratch.
+std::unique_ptr<RunLedger> open_run_ledger(const std::filesystem::path& run_dir,
+                                           bool resume, const RunInfo& info);
 
 }  // namespace locpriv::harness

@@ -3,7 +3,6 @@
 #include <sys/wait.h>
 
 #include <algorithm>
-#include <atomic>
 #include <csignal>
 #include <deque>
 #include <map>
@@ -13,6 +12,7 @@
 #include <utility>
 
 #include "core/harness/child_process.hpp"
+#include "core/harness/interrupt.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -23,42 +23,6 @@ namespace locpriv::harness {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// Shutdown flag. A plain lock-free atomic written from the signal handler;
-// cleared at the top of every run() so a stale ^C from a previous stage
-// cannot abort a fresh one.
-// ---------------------------------------------------------------------------
-
-std::atomic<int> g_shutdown_signal{0};
-
-extern "C" void locpriv_supervisor_on_signal(int signal) {
-  Supervisor::request_shutdown(signal);
-}
-
-/// Installs the shutdown handler for SIGINT/SIGTERM and restores whatever
-/// was there before on destruction, so a Supervisor::run() nested inside a
-/// larger program does not permanently hijack its signal disposition.
-class ScopedSignalHandlers {
- public:
-  ScopedSignalHandlers() {
-    struct sigaction action {};
-    action.sa_handler = &locpriv_supervisor_on_signal;
-    ::sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, &old_int_);
-    ::sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~ScopedSignalHandlers() {
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-  }
-  ScopedSignalHandlers(const ScopedSignalHandlers&) = delete;
-  ScopedSignalHandlers& operator=(const ScopedSignalHandlers&) = delete;
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
 
 // ---------------------------------------------------------------------------
 // Deterministic backoff jitter. splitmix64 over (seed ^ key-hash ^ attempt)
@@ -123,18 +87,6 @@ std::string describe_failure(const Attempt& attempt, int status,
   return detail;
 }
 
-/// The exit-7 error after a graceful shutdown. Only a journal on disk can
-/// be resumed, so the message promises a resume only when there is one.
-Error interrupted_error(std::size_t computed, const RunLedger& ledger) {
-  std::string message = "run interrupted by signal after " +
-                         std::to_string(computed) + " cells; ";
-  message += ledger.path().empty()
-                 ? "no run directory was given, so nothing was journaled"
-                 : "ledger is durable, continue with --resume " +
-                       ledger.path().parent_path().string();
-  return Error(ErrorCode::kInterrupted, message);
-}
-
 std::chrono::milliseconds clamp_to_ms(Clock::duration d) {
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(d);
   return ms.count() < 0 ? std::chrono::milliseconds(0) : ms;
@@ -163,20 +115,9 @@ Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
                 "supervisor requires at least one attempt per cell");
 }
 
-void Supervisor::request_shutdown(int signal) {
-  g_shutdown_signal.store(signal == 0 ? SIGTERM : signal,
-                          std::memory_order_relaxed);
-}
-
-bool Supervisor::shutdown_requested() {
-  return g_shutdown_signal.load(std::memory_order_relaxed) != 0;
-}
-
 std::size_t Supervisor::run(const std::vector<std::string>& cells,
                             const CellFn& fn, RunLedger& ledger,
                             StageWatchdog* watchdog) {
-  g_shutdown_signal.store(0, std::memory_order_relaxed);
-  const ScopedSignalHandlers handlers;
   return options_.isolate ? run_isolated(cells, fn, ledger, watchdog)
                           : run_in_process(cells, fn, ledger, watchdog);
 }
@@ -219,7 +160,7 @@ std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
   };
 
   while (!queue.empty() || !running.empty()) {
-    if (shutdown_requested()) {
+    if (interrupt_requested()) {
       interrupted = true;
       break;
     }
@@ -342,7 +283,8 @@ std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
       }
     }
     ledger.sync();
-    throw interrupted_error(computed, ledger);
+    throw interrupted_error(std::to_string(computed) + " cells",
+                            ledger.path().parent_path());
   }
   return computed;
 }
@@ -362,7 +304,7 @@ std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
       [&](std::size_t i) {
         // A requested shutdown skips cells rather than aborting mid-cell;
         // skipped cells stay uncomputed in the ledger, i.e. resumable.
-        if (shutdown_requested()) return;
+        if (interrupt_requested()) return;
         const std::size_t index = todo[i].first;
         const std::string& key = todo[i].second;
         std::vector<std::string> details;
@@ -371,7 +313,7 @@ std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
           if (attempt > 1)
             std::this_thread::sleep_for(backoff_delay(
                 options_.backoff_base, options_.backoff_seed, key, attempt));
-          if (shutdown_requested()) return;
+          if (interrupt_requested()) return;
           try {
             const std::vector<std::string> fields = fn(index, key, attempt);
             const util::MutexLock lock(mutex);
@@ -399,9 +341,10 @@ std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
       },
       options_.workers);
 
-  if (shutdown_requested()) {
+  if (interrupt_requested()) {
     ledger.sync();
-    throw interrupted_error(computed, ledger);
+    throw interrupted_error(std::to_string(computed) + " cells",
+                            ledger.path().parent_path());
   }
   return computed;
 }

@@ -18,10 +18,10 @@
 // per attempt) is journaled to the ledger, the rest of the sweep proceeds,
 // and the run completes with ErrorCode::kQuarantined (exit 3).
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: dispatch stops, running
-// children are terminated and reaped, the ledger is fsync'd, and run()
-// throws Error(kInterrupted) (exit 7) — a run directory is left in a clean
-// resumable state; a ledger held in memory is simply dropped.
+// SIGINT/SIGTERM, caught by the InterruptScope run_sweep opens, trigger a
+// graceful shutdown: dispatch stops, running children are terminated and
+// reaped, the ledger is fsync'd, and run() throws Error(kInterrupted) (exit
+// 7) — a run directory is left resumable; a memory ledger is dropped.
 #pragma once
 
 #include <chrono>
@@ -91,17 +91,9 @@ class Supervisor {
   /// `watchdog`, when given, receives progress ticks and its hard deadline
   /// is enforced even over non-cooperative children (they are SIGKILLed and
   /// Error(kDeadline) is thrown). Throws Error(kInterrupted) after a clean
-  /// shutdown on SIGINT/SIGTERM. Installs its own SIGINT/SIGTERM handlers
-  /// for the duration of the call and restores the previous ones on exit.
+  /// shutdown once interrupt_requested() turns true.
   std::size_t run(const std::vector<std::string>& cells, const CellFn& fn,
                   RunLedger& ledger, StageWatchdog* watchdog = nullptr);
-
-  /// Async-signal-safe shutdown request; the signal-number argument makes it
-  /// directly installable as a handler. Tests may call it to simulate ^C.
-  static void request_shutdown(int signal);
-
-  /// True once a shutdown has been requested (cleared at the top of run()).
-  static bool shutdown_requested();
 
  private:
   std::size_t run_isolated(const std::vector<std::string>& cells,

@@ -1,7 +1,9 @@
 #include "core/harness/sweep.hpp"
 
 #include <memory>
+#include <tuple>
 
+#include "core/harness/interrupt.hpp"
 #include "util/logging.hpp"
 
 namespace locpriv::harness {
@@ -15,22 +17,6 @@ namespace {
 std::string mode_string(const SupervisorOptions& supervisor) {
   return (supervisor.isolate ? "isolate-w" : "inproc-w") +
          std::to_string(supervisor.workers);
-}
-
-/// The run dir's journal, or a ledger held in memory when there is none. A
-/// fresh `--run-dir` refuses to reuse a directory that already holds a
-/// ledger; `--resume` accepts both an existing ledger (header must match
-/// `info`) and an empty directory (starts from scratch).
-std::unique_ptr<RunLedger> open_ledger(const RunOptions& options,
-                                       const RunInfo& info) {
-  if (!options.active()) return std::make_unique<RunLedger>();
-  const auto ledger_path = options.run_dir / "ledger.jsonl";
-  if (!options.resume && std::filesystem::exists(ledger_path))
-    throw Error(ErrorCode::kResume,
-                options.run_dir.string() +
-                    " already holds a ledger; pass --resume to continue that "
-                    "run or choose a fresh --run-dir");
-  return std::make_unique<RunLedger>(options.run_dir, info);
 }
 
 }  // namespace
@@ -74,21 +60,25 @@ RunOptions run_options_from(const util::Args& args) {
       static_cast<int>(args.get_int("--cell-retries", 1, kMaxFlagRetries));
   options.supervisor.backoff_base =
       std::chrono::milliseconds(args.get_int("--cell-backoff-ms", 0, kMaxFlagBackoffMs));
-  if (!args.get("--run-dir").empty() && !args.get("--resume").empty())
-    throw Error(ErrorCode::kUsage, "--run-dir and --resume are mutually exclusive");
-  if (!args.get("--resume").empty()) {
-    options.run_dir = args.get("--resume");
-    options.resume = true;
-  } else {
-    options.run_dir = args.get("--run-dir");
-  }
+  std::tie(options.run_dir, options.resume) = run_dir_from(args);
   return options;
+}
+
+std::pair<std::filesystem::path, bool> run_dir_from(const util::Args& args) {
+  const bool resume = !args.get("--resume").empty();
+  if (resume && !args.get("--run-dir").empty())
+    throw Error(ErrorCode::kUsage, "--run-dir and --resume are mutually exclusive");
+  const std::filesystem::path run_dir = args.get(resume ? "--resume" : "--run-dir");
+  if (!run_dir.empty()) refuse_reused_run_dir(run_dir, resume);
+  return {run_dir, resume};
 }
 
 SweepResult run_sweep(const RunOptions& options, RunInfo info,
                       const std::vector<std::string>& cells, const CellFn& fn) {
   info.mode = mode_string(options.supervisor);
-  const std::unique_ptr<RunLedger> ledger = open_ledger(options, info);
+  const std::unique_ptr<RunLedger> ledger =
+      options.active() ? open_run_ledger(options.run_dir, options.resume, info)
+                       : std::make_unique<RunLedger>();
   if (ledger->completed_count() > 0)
     LOCPRIV_LOG(kWarn, "harness")
         << "resume: " << ledger->completed_count() << "/" << cells.size()
@@ -101,7 +91,10 @@ SweepResult run_sweep(const RunOptions& options, RunInfo info,
   watchdog.add_progress(ledger->completed_count());
   SupervisorOptions supervisor = options.supervisor;
   supervisor.backoff_seed = info.seed;
-  Supervisor(supervisor).run(cells, fn, *ledger, &watchdog);
+  {
+    const InterruptScope interrupts;
+    Supervisor(supervisor).run(cells, fn, *ledger, &watchdog);
+  }
 
   // Rows assemble from the ledger in cell order, so computed, replayed and
   // isolated cells are indistinguishable here: that is the byte-identity

@@ -2,11 +2,11 @@
 // takes. Every sweep (audit-all's users, bench_fault_degradation's
 // intensity x interval grid) hands its cell keys and a CellFn to
 // run_sweep(), which opens the ledger, drives the stage watchdog and one of
-// the Supervisor's two engines, and returns the completed rows in cell
-// order. Without a run directory the ledger is held in memory, so a run
-// with or without --run-dir retries, quarantines, honours --workers and
-// --isolate, and stops on SIGINT/SIGTERM in the same way; only a run
-// directory makes the cells durable and resumable.
+// the Supervisor's two engines under an InterruptScope, and returns the
+// completed rows in cell order. Without a run directory the ledger is held
+// in memory, so a run with or without --run-dir retries, quarantines,
+// honours --workers and --isolate, and stops on SIGINT/SIGTERM in the same
+// way; only a run directory makes the cells durable and resumable.
 //
 //   --run-dir DIR       checkpointed run; artifacts + ledger land in DIR
 //   --resume DIR        continue a previous run, skipping completed cells
@@ -24,6 +24,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/harness/run_ledger.hpp"
@@ -61,8 +62,14 @@ void declare_run_flags(util::Args& args);
 /// Extracts and validates RunOptions from a parsed command line that
 /// declared the flags via declare_run_flags(). Throws Error(kUsage) on a
 /// value outside its range (negative or above the kMaxFlag* ceilings, zero
-/// workers or retries, a non-finite number) and on --run-dir with --resume.
+/// workers or retries, a non-finite number), then what run_dir_from() does.
 RunOptions run_options_from(const util::Args& args);
+
+/// The run directory named by --run-dir DIR (fresh) or --resume DIR, and
+/// whether it resumes; an empty path when neither was given. Throws
+/// Error(kUsage) for both, and Error(kResume) for a fresh DIR that already
+/// holds a ledger, so a command refuses it before reading its corpus.
+std::pair<std::filesystem::path, bool> run_dir_from(const util::Args& args);
 
 /// A cell that exhausted its attempts, with one journaled detail per attempt.
 struct QuarantinedCell {
@@ -79,16 +86,17 @@ struct SweepResult {
 };
 
 /// Runs every cell of `cells` through `fn` and returns the rows. The ledger
-/// is `options.run_dir`'s journal or, without a run dir, one held in
-/// memory. A fresh --run-dir that already holds a ledger is refused with
-/// Error(kResume) before any cell runs; --resume replays the journaled
-/// cells (and logs how many) and runs the rest. `info` names the run: its
-/// experiment names the watchdog's stage, its seed seeds the retry backoff,
-/// and its mode is set here from `options` ("inproc-wN" / "isolate-wN"), so
-/// a resume under other --isolate/--workers settings is refused. A cell that
-/// throws std::exception is retried and then quarantined; a harness Error
-/// thrown by `fn` in-process ends the run, as do a blown hard deadline
-/// (kDeadline) and SIGINT/SIGTERM (kInterrupted).
+/// is `options.run_dir`'s journal (open_run_ledger) or, without a run dir,
+/// one held in memory. A fresh --run-dir that already holds a ledger is
+/// refused with Error(kResume) before any cell runs; --resume replays the
+/// journaled cells (and logs how many) and runs the rest. `info` names the
+/// run: its experiment names the watchdog's stage, its seed seeds the retry
+/// backoff, and its mode is set here from `options` ("inproc-wN" /
+/// "isolate-wN"), so a resume under other --isolate/--workers settings is
+/// refused. A cell that throws std::exception is retried and then
+/// quarantined; a harness Error thrown by `fn` in-process ends the run, as
+/// do a blown hard deadline (kDeadline) and SIGINT/SIGTERM (kInterrupted,
+/// through the InterruptScope open around the engine).
 SweepResult run_sweep(const RunOptions& options, RunInfo info,
                       const std::vector<std::string>& cells, const CellFn& fn);
 

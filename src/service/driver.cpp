@@ -4,6 +4,7 @@
 #include <map>
 #include <thread>
 
+#include "core/harness/interrupt.hpp"
 #include "util/strings.hpp"
 
 namespace locpriv::service {
@@ -53,7 +54,7 @@ TrafficOutcome drive_traffic(LocprivService& service,
         const auto& reference = analyzer.reference(i);
         if (cursor[i] >= reference.points.size()) continue;
         pending = true;
-        if (should_stop && should_stop()) {
+        if (harness::interrupt_requested() || (should_stop && should_stop())) {
           outcome.interrupted = true;
           return outcome;
         }
@@ -84,8 +85,8 @@ TrafficOutcome drive_traffic(LocprivService& service,
             ++outcome.shed;
             break;
           case Admission::kBlocked:
-            // The abort predicate fired while waiting for window credit;
-            // the batch never entered the system and a resumed run
+            // An interrupt or the abort predicate fired while waiting for
+            // credit; the batch never entered the system and a resumed run
             // re-offers it. Uncount the offer to keep the tallies honest.
             --outcome.batches;
             outcome.interrupted = true;

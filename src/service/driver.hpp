@@ -44,12 +44,13 @@ struct TrafficOutcome {
   std::uint64_t deduped = 0;   ///< Batches dropped by resume dedupe.
   std::uint64_t shed = 0;      ///< Batches the service shed at the window edge.
   std::uint64_t fixes = 0;     ///< Fixes inside accepted batches.
-  bool interrupted = false;    ///< should_stop fired before the schedule ended.
+  bool interrupted = false;    ///< Stopped early (interrupt or should_stop).
 };
 
 /// Streams the canonical schedule into the service, ticking it between
-/// batches. `should_stop` (optional) is polled per batch; when it returns
-/// true the drive stops early with interrupted = true.
+/// batches. harness::interrupt_requested() and `should_stop` (optional) are
+/// polled per batch; when either is true the drive stops early with
+/// interrupted = true.
 TrafficOutcome drive_traffic(LocprivService& service,
                              const core::PrivacyAnalyzer& analyzer,
                              const TrafficOptions& options,

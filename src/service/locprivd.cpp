@@ -4,6 +4,7 @@
 #include <csignal>
 
 #include "core/harness/child_process.hpp"
+#include "core/harness/interrupt.hpp"
 #include "core/harness/supervisor.hpp"
 #include "service/shard_child.hpp"
 #include "service/snapshot.hpp"
@@ -15,8 +16,6 @@ namespace locpriv::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-volatile std::sig_atomic_t g_shutdown = 0;
 
 constexpr std::size_t kMaxRecoveryRecords = 4096;
 /// Smoothing factor of the per-shard batch-turnaround EWMA.
@@ -138,20 +137,14 @@ LocprivService::LocprivService(ServiceOptions options,
   // A dead shard's pipe must not kill the whole service with SIGPIPE; the
   // write's EPIPE is handled and the reaper classifies the death.
   ::signal(SIGPIPE, SIG_IGN);
-  std::error_code ec;
-  std::filesystem::create_directories(run_dir_, ec);
 
   // The ledger header pins seed, scale, AND shard topology: resuming a
   // run directory journaled under a different shard count would scatter the
   // user->shard mapping across snapshots, so it is refused (exit 6).
-  const harness::RunInfo info{"locprivd", options_.seed, options_.scale,
-                              "serve-s" + std::to_string(options_.shards)};
-  if (!resume && std::filesystem::exists(run_dir_ / "ledger.jsonl"))
-    throw Error(ErrorCode::kResume,
-                run_dir_.string() +
-                    " already holds a ledger; pass resume to continue that "
-                    "run or choose a fresh run directory");
-  ledger_ = std::make_unique<harness::RunLedger>(run_dir_, info);
+  ledger_ = harness::open_run_ledger(
+      run_dir_, resume,
+      {"locprivd", options_.seed, options_.scale,
+       "serve-s" + std::to_string(options_.shards)});
 
   for (unsigned k = 0; k < options_.shards; ++k)
     // One Shard per configured shard, fixed for the service lifetime.
@@ -179,34 +172,18 @@ unsigned LocprivService::shard_of(const std::string& user_id) const {
 }
 
 void LocprivService::resume_pointer(Shard& shard) {
-  // Snapshot seqs are dense (1, 2, ...) per shard, so the newest journaled
-  // snapshot is found by probing upward from the last known seq.
-  std::uint64_t newest = 0;
-  while (ledger_->completed(shard.name + "/snap/" +
-                            std::to_string(newest + 1)))
-    ++newest;
-  if (newest == 0) return;  // Shard never snapshotted; resumes fresh.
-
-  // Validate before trusting: the newest snapshot file, falling back to the
-  // previous one (the service keeps two on disk) if the newest is missing
-  // or corrupt. The ledger-recorded checksum ties the file to the journal.
-  for (std::uint64_t seq = newest; seq > 0 && seq + 2 > newest; --seq) {
-    const std::vector<std::string>* fields =
-        ledger_->fields(shard.name + "/snap/" + std::to_string(seq));
-    if (fields == nullptr ||
-        !check_journaled_snapshot(*fields, shard.index, seq).empty())
-      continue;
-    shard.restore_file = (*fields)[0];
-    shard.restore_expect_seq = seq;
-    shard.restored_seq = wire::field_u64((*fields)[1]);
-    shard.snap_seq = newest;
-    shard.queued_snap_seq = newest;
-    shard.snap_last_seq = shard.restored_seq;
-    return;
-  }
-  throw Error(ErrorCode::kResume,
-              shard.name + ": no journaled snapshot is loadable; the run "
-                           "directory cannot be resumed without divergence");
+  const RestorePoint point = restore_point(ledger_->cells(), shard.name);
+  if (point.newest == 0) return;  // Shard never snapshotted; resumes fresh.
+  if (point.record == nullptr)
+    throw Error(ErrorCode::kResume,
+                shard.name + ": no journaled snapshot is loadable; the run "
+                             "directory cannot be resumed without divergence");
+  shard.restore_file = (*point.record)[0];
+  shard.restore_expect_seq = point.seq;
+  shard.restored_seq = wire::field_u64((*point.record)[1]);
+  shard.snap_seq = point.newest;
+  shard.queued_snap_seq = point.newest;
+  shard.snap_last_seq = shard.restored_seq;
 }
 
 void LocprivService::spawn(Shard& shard) {
@@ -308,6 +285,7 @@ Admission LocprivService::submit(const std::string& user_id,
     ++stats_.batches_offered;
     ++shard.offered;
     ++user_loads_[user_id].batches_offered;
+    ++user_loads_[user_id].batches_deduped;
     ++stats_.batches_dropped;
     return Admission::kDeduped;
   }
@@ -321,7 +299,7 @@ Admission LocprivService::submit(const std::string& user_id,
     // it as the same offer ordinal.
     ++stats_.blocked_waits;
     while (window_full(shard) && shard.state != Shard::State::kQuarantined) {
-      if (shutdown_requested() || (abort && abort()))
+      if (harness::interrupt_requested() || (abort && abort()))
         return Admission::kBlocked;
       tick(std::chrono::milliseconds(5));
     }
@@ -685,7 +663,7 @@ void LocprivService::handle_snapshot_failure(Shard& shard,
                                              bool was_drain) {
   ++stats_.snapshots_shed;
   // Rewind the handed-out seq so the retry reuses it: journaled snapshot
-  // seqs must stay dense (1, 2, ...) per shard or resume_pointer's upward
+  // seqs must stay dense (1, 2, ...) per shard or restore_point's upward
   // probe would stop short of snapshots journaled after a failure.
   shard.queued_snap_seq = shard.snap_seq;
   // Retry on the normal cadence; the successful publish re-arms the shard.
@@ -751,7 +729,7 @@ void LocprivService::record_snapshot(Shard& shard,
   const std::string file = snapshot_path(shard, snap_seq).string();
   // Key per seq — the ledger refuses duplicate cells, which is exactly the
   // invariant: one journal line per published snapshot.
-  ledger_->record(shard.name + "/snap/" + std::to_string(snap_seq),
+  ledger_->record(snapshot_key(shard.name, snap_seq),
                   {file, fields[2], fields[3], fields[4], fields[5]});
   ++stats_.snapshots;
   if (shard.storage_degraded) {
@@ -784,9 +762,9 @@ void LocprivService::record_snapshot(Shard& shard,
          shard.sent_times.front().first <= last_seq)
     shard.sent_times.pop_front();
   // Keep the previous snapshot as the resume fallback; reclaim older ones.
-  if (snap_seq >= 3) {
+  if (snap_seq > kKeptSnapshots) {
     std::error_code ec;
-    std::filesystem::remove(snapshot_path(shard, snap_seq - 2), ec);
+    std::filesystem::remove(snapshot_path(shard, snap_seq - kKeptSnapshots), ec);
   }
 }
 
@@ -941,11 +919,5 @@ std::vector<std::string> LocprivService::quarantined_shards() const {
 std::uint64_t LocprivService::restored_seq(unsigned shard) const {
   return shards_.at(shard)->restored_seq;
 }
-
-void LocprivService::request_shutdown(int /*signal*/) { g_shutdown = 1; }
-
-bool LocprivService::shutdown_requested() { return g_shutdown != 0; }
-
-void LocprivService::clear_shutdown() { g_shutdown = 0; }
 
 }  // namespace locpriv::service

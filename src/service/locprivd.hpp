@@ -14,10 +14,10 @@
 // and has the retained suffix replayed; the shard applies a batch exactly
 // once (sequence-number dedupe), so each user's fix count and stay-point
 // stream — and therefore the PoI/pattern/metric pipeline outputs — are
-// bit-identical to an unfailing run's. SIGINT/SIGTERM drain snapshots every
-// shard and leave the run directory resumable (exit 7); a resume under a
-// different shard count is refused (exit 6) because the user->shard mapping
-// would scatter the journaled state.
+// bit-identical to an unfailing run's. A signal caught by the caller's
+// harness::InterruptScope stops the traffic; a drain then leaves the run
+// directory resumable (exit 7). A resume under a different shard count is
+// refused (exit 6): the user->shard mapping would scatter journaled state.
 //
 // Overload control keeps one rule per job. A per-shard credit window
 // (max_inflight_batches unacked batches, max_retained_bytes of replay)
@@ -54,9 +54,9 @@
 namespace locpriv::service {
 
 /// Outcome of one submit() offer. kBlocked is only returned for lossless
-/// admission when the caller's abort predicate (or a drain request) fired
-/// while waiting for window credit — the batch was neither applied nor
-/// shed, so a resumed run re-offers it.
+/// admission when the caller's abort predicate (or an interrupt, see
+/// harness::InterruptScope) fired while waiting for window credit — the
+/// batch was neither applied nor shed, so a resumed run re-offers it.
 enum class Admission { kAccepted, kDeduped, kShed, kBlocked };
 
 /// One step of an exponentially weighted moving average. Exposed as a free
@@ -163,12 +163,13 @@ struct ShardLoad {
   bool quarantined = false;
 };
 
-/// Per-user offered/accepted/shed accounting, for the parity CSV. Users a
-/// run never offered to do not appear.
+/// Per-user offer accounting, for the parity CSV: offered == accepted + shed
+/// + deduped. Users a run never offered to do not appear.
 struct UserLoad {
   std::uint64_t batches_offered = 0;
   std::uint64_t batches_accepted = 0;
   std::uint64_t batches_shed = 0;
+  std::uint64_t batches_deduped = 0;  ///< Covered by a restored snapshot.
   std::uint64_t fixes_shed = 0;
 };
 
@@ -198,7 +199,7 @@ class LocprivService {
   /// unacked batches, max_retained replay bytes). Lossless callers
   /// (may_shed = false, the corpus path) block inside submit — ticking the
   /// event loop — until credit opens; they return kBlocked only when the
-  /// abort predicate or a drain request fires first, and the batch is then
+  /// abort predicate or an interrupt fires first, and the batch is then
   /// neither applied nor counted shed, so a resumed run re-offers it.
   /// Shed-eligible callers (may_shed = true, the synthetic/soak path) never
   /// block: at the window edge the incoming batch is shed (reject-new);
@@ -246,8 +247,8 @@ class LocprivService {
   /// submit watermarks, retained footprint, turnaround EWMA).
   ShardLoad shard_load(unsigned shard) const;
 
-  /// Per-user offered/accepted/shed accounting, keyed by user id. Only
-  /// users this run offered batches for appear.
+  /// Per-user offered/accepted/shed/deduped accounting, keyed by user id.
+  /// Only users this run offered batches for appear.
   const std::map<std::string, UserLoad>& user_loads() const {
     return user_loads_;
   }
@@ -259,12 +260,6 @@ class LocprivService {
   /// Submit-batch watermark a shard restored from its snapshot at startup
   /// (0 = fresh). Exposed for resume-aware drivers and tests.
   std::uint64_t restored_seq(unsigned shard) const;
-
-  /// Async-signal-safe drain request, installable as a SIGINT/SIGTERM
-  /// handler by the serve front end. Checked by drivers between batches.
-  static void request_shutdown(int signal);
-  static bool shutdown_requested();
-  static void clear_shutdown();
 
  private:
   struct PendingOp {

@@ -1,19 +1,19 @@
 // Offline integrity scrubber for a locprivd run directory. Verifies the
 // run ledger record by record (per-line CRC-32C + syntax) and every
-// journaled shard snapshot (FNV-1a content checksum against the ledger
-// record, shard/seq identity), and reports whether the directory would
-// resume without divergence — each shard must have at least one loadable
-// snapshot within its newest-two retention window, mirroring the service's
-// own resume fallback.
+// journaled shard snapshot of the retention window (FNV-1a content
+// checksum against the ledger record, shard/seq identity), and reports
+// whether the directory would resume without divergence: every shard needs
+// a restore point, decided by the same restore_point() the service resumes
+// through.
 //
-// With `repair`, the scrubber truncates a torn or corrupt ledger back to
-// its longest intact prefix, unlinks snapshot files that are corrupt or no
-// longer referenced by the (possibly truncated) journal, and — when a
-// shard's entire retention window failed verification — drops that shard's
-// snapshot records so it legitimately resumes fresh instead of tripping the
-// resume refusal. The result is a directory `locpriv serve --resume`
-// accepts. Repair never invents data: it only discards what cannot be
-// trusted.
+// With `repair`, the scrubber unlinks snapshot files that are corrupt or no
+// longer referenced by the journal's intact prefix, and atomically
+// republishes the ledger as that prefix (truncating a torn or corrupt
+// tail), without the snapshot records of any shard with no restore point
+// (harness::ledger_without_cells), so that shard legitimately resumes
+// fresh instead of tripping the resume refusal. The result is a directory
+// `locpriv serve --resume` accepts. Repair never invents data: it only
+// discards what cannot be trusted.
 #pragma once
 
 #include <cstdint>
@@ -22,16 +22,9 @@
 #include <vector>
 
 #include "core/harness/run_ledger.hpp"
+#include "service/snapshot.hpp"
 
 namespace locpriv::service {
-
-/// Verdict on one journaled snapshot record.
-struct SnapshotCheck {
-  std::string cell;    ///< Ledger key, e.g. "shard0/snap/3".
-  std::string file;    ///< Snapshot path the record points at.
-  bool ok = false;
-  std::string detail;  ///< "ok", or why the snapshot cannot be trusted.
-};
 
 struct ScrubReport {
   harness::LedgerScan ledger_status = harness::LedgerScan::kClean;
@@ -40,8 +33,8 @@ struct ScrubReport {
   std::size_t ledger_records = 0;      ///< Intact cell records replayed.
   std::vector<SnapshotCheck> snapshots;
   std::vector<std::string> repairs;    ///< Actions taken (repair mode only).
-  /// Every shard with journaled snapshots has a loadable one inside the
-  /// newest-two retention window (after repairs, when repair ran).
+  /// Every shard with journaled snapshots has a restore point (after
+  /// repairs, when repair ran).
   bool resumable = false;
 
   /// Nothing wrong anywhere: ledger clean and every snapshot verified.

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string_view>
 #include <type_traits>
 
@@ -187,6 +189,10 @@ ShardSnapshot load_snapshot(const std::string& path) {
   }
 }
 
+namespace {
+
+/// Why the snapshot a "<shard>/snap/<seq>" record vouches for will not
+/// load (record fields: file, last_seq, ..., checksum), or "" when it will.
 std::string check_journaled_snapshot(const std::vector<std::string>& record,
                                      std::optional<unsigned> shard,
                                      std::uint64_t seq) {
@@ -204,6 +210,42 @@ std::string check_journaled_snapshot(const std::vector<std::string>& record,
     return e.message();
   }
   return "";
+}
+
+}  // namespace
+
+std::string snapshot_key(const std::string& shard_name, std::uint64_t seq) {
+  return shard_name + "/snap/" + std::to_string(seq);
+}
+
+RestorePoint restore_point(
+    const std::map<std::string, std::vector<std::string>>& cells,
+    const std::string& shard_name) {
+  std::optional<unsigned> shard;  // Foreign names skip the identity check.
+  if (util::starts_with(shard_name, "shard"))
+    if (const auto k = wire::parse_u64(std::string_view(shard_name).substr(5));
+        k && *k <= std::numeric_limits<unsigned>::max())
+      shard = static_cast<unsigned>(*k);
+  RestorePoint point;
+  while (cells.count(snapshot_key(shard_name, point.newest + 1)) != 0)
+    ++point.newest;
+  for (std::uint64_t seq = point.newest;
+       seq > 0 && seq + kKeptSnapshots > point.newest; --seq) {
+    SnapshotCheck check;
+    check.cell = snapshot_key(shard_name, seq);
+    const std::vector<std::string>& record = cells.at(check.cell);
+    if (record.size() >= 5) check.file = record[0];
+    check.detail = check_journaled_snapshot(record, shard, seq);
+    check.ok = check.detail.empty();
+    if (check.ok) check.detail = "ok";
+    if (check.ok && point.record == nullptr) {
+      point.seq = seq;
+      point.record = &record;
+    }
+    // locpriv-lint: allow(unbounded-growth) one check per kept snapshot
+    point.checks.push_back(std::move(check));
+  }
+  return point;
 }
 
 }  // namespace locpriv::service

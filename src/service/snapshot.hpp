@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,12 +77,38 @@ ShardSnapshot parse_snapshot(const std::string& encoded);
 /// missing, unreadable, or fails parse_snapshot().
 ShardSnapshot load_snapshot(const std::string& path);
 
-/// Whether the snapshot a "<shard>/snap/<seq>" ledger record vouches for
-/// will load: the file (record field 0) is readable through FileOps, its
-/// content checksum equals record field 4, it parses, and its seq and (when
-/// given) shard match. Returns why not, or "" when it loads.
-std::string check_journaled_snapshot(const std::vector<std::string>& record,
-                                     std::optional<unsigned> shard,
-                                     std::uint64_t seq);
+/// A shard keeps its newest journaled snapshot and, as the fallback when
+/// that one does not load, the one before it; older files are reclaimed.
+inline constexpr std::uint64_t kKeptSnapshots = 2;
+
+/// The ledger key "<shard>/snap/<seq>"; seqs are dense per shard, from 1.
+std::string snapshot_key(const std::string& shard_name, std::uint64_t seq);
+
+/// Verdict on one journaled snapshot record.
+struct SnapshotCheck {
+  std::string cell;    ///< Ledger key, e.g. "shard0/snap/3".
+  std::string file;    ///< Snapshot path the record points at.
+  bool ok = false;
+  std::string detail;  ///< "ok", or why the snapshot cannot be trusted.
+};
+
+/// Where a shard resumes from.
+struct RestorePoint {
+  std::uint64_t newest = 0;  ///< Newest journaled seq; 0 = resume fresh.
+  /// The newest kept snapshot whose file loads and its ledger record; 0 and
+  /// nullptr when none does.
+  std::uint64_t seq = 0;
+  const std::vector<std::string>* record = nullptr;
+  std::vector<SnapshotCheck> checks;  ///< Every kept snapshot, newest first.
+};
+
+/// Picks the restore point of shard `shard_name` from `cells`, a ledger's
+/// completed records by key: the newest journaled snapshot whose file
+/// loads (readable through FileOps, checksum as journaled, parses, and its
+/// seq and, for a "shardK" name, its shard match the key), else the one
+/// before it. Resume and the offline scrub both decide through it.
+RestorePoint restore_point(
+    const std::map<std::string, std::vector<std::string>>& cells,
+    const std::string& shard_name);
 
 }  // namespace locpriv::service

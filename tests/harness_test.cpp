@@ -430,6 +430,35 @@ TEST(RunSweep, FreshRunDirHoldingALedgerIsRefusedBeforeAnyCell) {
   EXPECT_EQ(calls, 0u);
 }
 
+// The same refusal, when the command line is parsed: audit-all and serve
+// exit 6 on a reused --run-dir before they read a corpus.
+TEST(RunSweep, ReusedRunDirIsRefusedWhenTheFlagsAreParsed) {
+  const fs::path dir = fresh_dir("sweep_refuse_at_parse");
+  util::Args args;
+  args.declare("--run-dir", "");
+  args.declare("--resume", "");
+  const std::string path = dir.string();
+  const std::vector<const char*> fresh = {"cmd", "--run-dir", path.c_str()};
+  args.parse(static_cast<int>(fresh.size()), fresh.data(), 1);
+  EXPECT_EQ(run_dir_from(args), std::make_pair(dir, false));  // No ledger yet.
+
+  run_sweep(sweep_options(dir), kSweepInfo, sweep_cells(), sweep_cell);
+  try {
+    run_dir_from(args);
+    FAIL() << "a fresh --run-dir holding a ledger should have been refused";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kResume);
+    EXPECT_NE(error.message().find("--resume"), std::string::npos) << error.message();
+    EXPECT_NE(error.message().find("--run-dir"), std::string::npos) << error.message();
+  }
+  util::Args resumed;
+  resumed.declare("--run-dir", "");
+  resumed.declare("--resume", "");
+  const std::vector<const char*> resume = {"cmd", "--resume", path.c_str()};
+  resumed.parse(static_cast<int>(resume.size()), resume.data(), 1);
+  EXPECT_EQ(run_dir_from(resumed), std::make_pair(dir, true));
+}
+
 // ---- kill-and-resume byte identity ------------------------------------
 
 /// Publishes `rows` as `run_dir`/sweep.csv through the atomic writer and
@@ -579,8 +608,11 @@ TEST(ErrorTaxonomy, ParseRunOptionsValidates) {
 }
 
 TEST(ErrorTaxonomy, ParseRunOptionsCoversSupervisorFlags) {
+  // A fresh --run-dir is checked for a ledger at parse time, so it names a
+  // directory this test just emptied.
+  const std::string run_dir = fresh_dir("parse_supervisor_flags").string();
   const RunOptions options = parse_run_flags(
-      {"--run-dir", "/tmp/run", "--isolate", "--workers", "4", "--cell-rlimit-mb", "512",
+      {"--run-dir", run_dir.c_str(), "--isolate", "--workers", "4", "--cell-rlimit-mb", "512",
        "--cell-deadline", "2.5", "--cell-retries", "5", "--cell-backoff-ms", "250"});
   EXPECT_TRUE(options.supervisor.isolate);
   EXPECT_EQ(options.supervisor.workers, 4u);

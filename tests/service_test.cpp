@@ -1,9 +1,11 @@
 // locprivd tests: the wire codec, the bounded stderr tail, the snapshot
 // codec, and the ServiceFailover battery (suite runs under the `chaos`
 // ctest label) — shard crash/hang recovery with byte-identical metric
-// parity against the batch pipeline, graceful drain + resume, torn-ledger
-// recovery to the previous snapshot, and shard-topology resume pinning.
+// parity against the batch pipeline, graceful drain + resume (after a real
+// SIGINT too), torn-ledger recovery to the previous snapshot, and
+// shard-topology resume pinning.
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,12 +17,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/harness/child_process.hpp"
 #include "core/harness/error.hpp"
+#include "core/harness/interrupt.hpp"
 #include "core/harness/run_ledger.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
@@ -296,6 +300,20 @@ TrafficOptions quick_traffic() {
   return traffic;
 }
 
+/// Every user's offers reconcile: each one was accepted, shed, or deduped
+/// against a restored snapshot. Returns the users' deduped batches.
+std::uint64_t expect_user_offers_reconcile(const LocprivService& daemon) {
+  std::uint64_t deduped = 0;
+  for (const auto& [user, load] : daemon.user_loads()) {
+    EXPECT_EQ(load.batches_offered,
+              load.batches_accepted + load.batches_shed + load.batches_deduped)
+        << user;
+    deduped += load.batches_deduped;
+  }
+  EXPECT_EQ(deduped, daemon.stats().batches_dropped);
+  return deduped;
+}
+
 void expect_parity(const core::PrivacyAnalyzer& analyzer,
                    const ServiceOptions& options,
                    const TrafficOptions& traffic,
@@ -444,6 +462,43 @@ TEST(ServiceFailover, DrainedRunResumesWithNoMetricDivergence) {
   const TrafficOutcome replay = drive_traffic(resumed, analyzer, traffic);
   EXPECT_GT(resumed.stats().batches_dropped, 0u) << "no resume dedupe hit";
   EXPECT_LT(replay.accepted, replay.batches);
+  EXPECT_GT(expect_user_offers_reconcile(resumed), 0u);
+  expect_parity(analyzer, options, traffic, resumed.collect_reports());
+  resumed.drain();
+}
+
+TEST(ServiceFailover, SigintMidTrafficDrainsAndResumesWithParity) {
+  const auto& analyzer = test_analyzer();
+  const auto options = quick_options(2);
+  auto traffic = quick_traffic();
+  traffic.pace = std::chrono::milliseconds(1);  // The schedule lasts > 1 s.
+  const fs::path run_dir = fresh_dir("sigint");
+
+  // Leg 1: the operator's ^C arrives as a real SIGINT while the traffic
+  // flows. Only the scope's flag stops the drive (no should_stop).
+  {
+    LocprivService daemon(options, analyzer, run_dir, false);
+    TrafficOutcome outcome;
+    {
+      const harness::InterruptScope interrupts;
+      std::thread operator_thread([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        ::raise(SIGINT);  // Handled on this thread; the flag is shared.
+      });
+      outcome = drive_traffic(daemon, analyzer, traffic);
+      operator_thread.join();
+    }
+    EXPECT_TRUE(outcome.interrupted);
+    EXPECT_GT(outcome.accepted, 0u);
+    daemon.drain();  // What serve does before it exits 7.
+  }
+
+  // Leg 2: the resume dedupes what the drained snapshots cover, applies the
+  // rest once, and every row matches the batch pipeline.
+  LocprivService resumed(options, analyzer, run_dir, true);
+  const TrafficOutcome replay = drive_traffic(resumed, analyzer, traffic);
+  EXPECT_FALSE(replay.interrupted);
+  EXPECT_GT(expect_user_offers_reconcile(resumed), 0u);
   expect_parity(analyzer, options, traffic, resumed.collect_reports());
   resumed.drain();
 }

@@ -1,9 +1,10 @@
 // Supervisor tests: deterministic backoff, process fault plans, the dynamic
 // work-stealing loop, and the in-process retry/quarantine/shutdown state
-// machine. The chaos half (suite names starting with SupervisorIsolate) forks
-// real children and proves crashes, busy-hangs, and allocation bombs are
-// contained per cell; those suites also run under the `chaos` ctest label
-// with AddressSanitizer in CI.
+// machine (the shutdown tests deliver real signals inside an
+// InterruptScope). The chaos half (suite names starting with
+// SupervisorIsolate) forks real children and proves crashes, busy-hangs,
+// and allocation bombs are contained per cell; those suites also run under
+// the `chaos` ctest label with AddressSanitizer in CI.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/harness/error.hpp"
+#include "core/harness/interrupt.hpp"
 #include "core/harness/run_ledger.hpp"
 #include "core/harness/supervisor.hpp"
 #include "core/harness/watchdog.hpp"
@@ -300,14 +302,15 @@ TEST(SupervisorInProcess, ShutdownRequestLeavesAResumableLedger) {
     RunLedger ledger(dir, info);
     std::atomic<int> calls{0};
     Supervisor supervisor(options);
+    const InterruptScope interrupts;
     try {
       supervisor.run(
           cells,
           [&](std::size_t index, const std::string& key, int) {
-            // The fourth computed cell simulates the operator's ^C; cells
-            // dispatched afterwards are skipped, not aborted mid-write.
-            if (calls.fetch_add(1) + 1 == 4)
-              Supervisor::request_shutdown(SIGINT);
+            // The fourth computed cell delivers the operator's ^C, a real
+            // SIGINT on this worker thread; cells dispatched afterwards are
+            // skipped, not aborted mid-write.
+            if (calls.fetch_add(1) + 1 == 4) ::raise(SIGINT);
             return expected_fields(index, key);
           },
           ledger);
@@ -540,11 +543,12 @@ TEST(SupervisorIsolate, ShutdownRequestTerminatesChildrenAndStaysResumable) {
   {
     RunLedger ledger(dir, info);
     Supervisor supervisor(options);
-    // The dispatch loop polls the shutdown flag; flip it from a sibling
-    // thread mid-run, exactly as the SIGINT handler would.
+    // The dispatch loop polls the interrupt flag; a sibling thread sends
+    // the process a real SIGTERM mid-run.
+    const InterruptScope interrupts;
     std::thread interrupter([] {
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      Supervisor::request_shutdown(SIGTERM);
+      ::raise(SIGTERM);  // Handled on this thread; the flag is shared.
     });
     try {
       supervisor.run(cells, slow_fn, ledger);

@@ -1,16 +1,9 @@
-// locpriv — command-line front end for the library.
-//
-//   locpriv gen-dataset   --out DIR [--users N] [--days D] [--seed S]
-//   locpriv dataset-stats --root DIR
-//   locpriv market-study  [--csv FILE] [--summary-csv FILE] [--limits S] [--seed S]
-//   locpriv extract-pois  --root DIR --user INDEX [--interval S] [--radius M]
-//                         [--visit MIN]
-//   locpriv audit         --root DIR --user INDEX [--interval S]
-//   locpriv identify      --root DIR --user INDEX [--interval S] [--pattern 1|2]
-//
-// Dataset-consuming commands read a Geolife-layout directory (as produced
-// by gen-dataset or a real Geolife download).
-#include <csignal>
+// locpriv — command-line front end for the library. gen-dataset writes a
+// synthetic Geolife-layout corpus; dataset-stats, extract-pois, audit,
+// audit-all, identify and export-geojson analyse such a corpus (or a real
+// Geolife download); market-study runs the §III market study; report writes
+// the reproduction report; serve runs the locprivd service, and scrub
+// checks a run directory offline. usage() lists every flag and exit code.
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -18,6 +11,7 @@
 
 #include "core/harness/atomic_file.hpp"
 #include "core/harness/error.hpp"
+#include "core/harness/interrupt.hpp"
 #include "core/harness/sweep.hpp"
 
 #include "core/analyzer.hpp"
@@ -85,8 +79,9 @@ int usage() {
       "periodically, and respawned from their last snapshot on a crash or hang.\n"
       "SIGINT/SIGTERM drain every shard and exit 7; re-running with --resume\n"
       "continues from the journaled snapshots (a different --shards count is\n"
-      "refused with exit 6). --fault-shards injects crash|hang|alloc faults,\n"
-      "e.g. \"crash@shard0,hang:2@shard1\".\n"
+      "refused with exit 6, as is a --run-dir that already holds a ledger).\n"
+      "--fault-shards injects crash|hang|alloc faults, e.g.\n"
+      "\"crash@shard0,hang:2@shard1\".\n"
       "\n"
       "Overload control: each shard acks applied batches; the parent stops\n"
       "encoding past --max-inflight-batches (at least 1) unacked batches and\n"
@@ -94,8 +89,9 @@ int usage() {
       "--max-retained-mb (0 = no byte cap). A shard that does not ack a\n"
       "batch within --ping-timeout-ms is restarted. --admit block (default)\n"
       "gives lossless backpressure; --admit shed sheds the incoming batch at\n"
-      "the window edge, with per-user offered/accepted/shed columns appended\n"
-      "to the --csv rows and per-shard shed counters journaled to the ledger.\n"
+      "the window edge and journals per-shard shed counters to the ledger.\n"
+      "Audit rows end with the user's batches offered, accepted, shed and\n"
+      "deduped (already in a restored snapshot): offered = the other three.\n"
       "\n"
       "--lenient quarantines corrupt .plt files instead of aborting, prints the\n"
       "ingest report, and exits with code 3 when anything was quarantined.\n"
@@ -539,13 +535,6 @@ int cmd_serve(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   const std::int64_t interval_s = interval_arg(args);
 
-  const bool resume = !args.get("--resume").empty();
-  if (resume == !args.get("--run-dir").empty())
-    throw Error(ErrorCode::kUsage,
-                "serve needs exactly one of --run-dir (fresh) or --resume");
-  const std::string run_dir =
-      resume ? args.get("--resume") : args.get("--run-dir");
-
   // Every number is range-checked before any analyzer, shard or worker
   // exists; 0 stays legal wherever it means "off" or "unbounded" (never for
   // the credit window, which bounds every container on the submit path).
@@ -588,6 +577,12 @@ int cmd_serve(int argc, const char* const* argv) {
     throw Error(ErrorCode::kUsage, "--admit must be block or shed");
   }
 
+  // A reused --run-dir is refused here, before the corpus is read.
+  const auto [run_dir, resume] = harness::run_dir_from(args);
+  if (run_dir.empty())
+    throw Error(ErrorCode::kUsage,
+                "serve needs exactly one of --run-dir (fresh) or --resume");
+
   // The corpus: a Geolife-layout directory, or the synthetic dataset (the
   // soak default — deterministic, so a resumed serve replays identically).
   std::unique_ptr<core::PrivacyAnalyzer> analyzer;
@@ -603,24 +598,17 @@ int cmd_serve(int argc, const char* const* argv) {
   options.scale = std::to_string(analyzer->user_count()) + "u_t" +
                   std::to_string(options.interval_s);
 
-  service::LocprivService::clear_shutdown();
-  std::signal(SIGINT, service::LocprivService::request_shutdown);
-  std::signal(SIGTERM, service::LocprivService::request_shutdown);
-
   service::LocprivService daemon(options, *analyzer, run_dir, resume);
-  const service::TrafficOutcome outcome = service::drive_traffic(
-      daemon, *analyzer, traffic,
-      [] { return service::LocprivService::shutdown_requested(); });
-
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  // SIGINT/SIGTERM stop the traffic between batches; the shards are then
+  // drained and the run directory stays resumable (exit 7).
+  const service::TrafficOutcome outcome = [&] {
+    const harness::InterruptScope interrupts;
+    return service::drive_traffic(daemon, *analyzer, traffic);
+  }();
   if (outcome.interrupted) {
     daemon.drain();
-    throw Error(ErrorCode::kInterrupted,
-                "serve interrupted after " +
-                    std::to_string(outcome.accepted) +
-                    " accepted batches; drained, resume with --resume " +
-                    run_dir);
+    throw harness::interrupted_error(
+        std::to_string(outcome.accepted) + " accepted batches", run_dir);
   }
 
   const auto rows = daemon.collect_reports();
@@ -628,20 +616,18 @@ int cmd_serve(int argc, const char* const* argv) {
       "user", "interval_s", "collected_fixes", "extracted_pois", "poi_total",
       "poi_sensitive", "hisbin_visits", "hisbin_movements", "breach",
       "deg_anonymity_p2", "batches_offered", "batches_accepted",
-      "batches_shed"};
-  // Shed accounting rides along as extra columns so the CSV alone shows
+      "batches_shed", "batches_deduped"};
+  // Offer accounting rides along as extra columns so the CSV alone shows
   // which users' metrics are complete (shed == 0) and reconciles
-  // offered == accepted + shed per user.
+  // offered == accepted + shed + deduped per user (deduped counts the
+  // offers a resumed run found covered by a restored snapshot).
   const auto& loads = daemon.user_loads();
   auto annotate = [&loads](std::vector<std::string> row) {
     const auto it = row.empty() ? loads.end() : loads.find(row.front());
-    if (it != loads.end()) {
-      row.push_back(std::to_string(it->second.batches_offered));
-      row.push_back(std::to_string(it->second.batches_accepted));
-      row.push_back(std::to_string(it->second.batches_shed));
-    } else {
-      row.insert(row.end(), {"0", "0", "0"});
-    }
+    const service::UserLoad load = it == loads.end() ? service::UserLoad{} : it->second;
+    for (const std::uint64_t batches : {load.batches_offered, load.batches_accepted,
+                                        load.batches_shed, load.batches_deduped})
+      row.push_back(std::to_string(batches));
     return row;
   };
   if (!args.get("--csv").empty()) {
