@@ -15,6 +15,7 @@
 
 namespace locpriv::harness {
 
+/// Holds the handler installed, and the flag live, for its lifetime.
 class InterruptScope {
  public:
   InterruptScope();
