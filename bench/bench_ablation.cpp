@@ -40,7 +40,7 @@ int main() {
   bench::print_header("E11: ablations over the pipeline's design choices",
                       /*uses_mobility_corpus=*/true);
 
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   int artifact_rc = 0;  // First failed CSV export wins the exit code.
   const auto export_rc = [&artifact_rc](const std::string& name,
                                         const locpriv::util::ConsoleTable& table) {

@@ -56,7 +56,7 @@ int main() {
 
   // Privacy consequence: PoI exposure of each population, weighting users
   // equally and apps by their observed background interval.
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   const double radius = analyzer.config().extraction.radius_m;
   const auto exposure_for = [&](const std::vector<std::int64_t>& intervals) {
     // Evaluate each distinct interval once, then average over apps.

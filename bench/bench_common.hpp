@@ -1,7 +1,9 @@
 // Shared helpers for the paper-reproduction bench binaries.
 #pragma once
 
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -9,6 +11,10 @@
 
 #include "core/experiment.hpp"
 #include "core/harness/atomic_file.hpp"
+#include "core/harness/error.hpp"
+#include "core/harness/sweep.hpp"
+#include "service/locprivd.hpp"
+#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -106,5 +112,74 @@ inline int export_table(const std::string& name, const util::ConsoleTable& table
   for (const auto& row : table.rows()) csv.row(row);
   return csv.commit();
 }
+
+/// Seconds of wall time since `start`.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// The service options the soak and overload benches share: --shards,
+/// --interval, --seed, --snapshot-every-ms, --fault-shards and --fault-after
+/// under serve's bounds, and shard failures detected within about a second.
+inline service::ServiceOptions soak_options(const util::Args& args,
+                                            const core::PrivacyAnalyzer& analyzer) {
+  service::ServiceOptions options;
+  options.shards =
+      static_cast<unsigned>(args.get_int("--shards", 1, harness::kMaxFlagWorkers));
+  options.interval_s = core::interval_arg(args);
+  options.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
+  options.scale = std::to_string(analyzer.user_count()) + "u_t" +
+                  std::to_string(options.interval_s);
+  options.heartbeat = std::chrono::milliseconds(100);
+  options.ping_timeout = std::chrono::milliseconds(1000);
+  options.term_grace = std::chrono::milliseconds(500);
+  options.snapshot_interval = std::chrono::milliseconds(
+      args.get_int("--snapshot-every-ms", 0, harness::kMaxFlagSeconds * 1000));
+  options.backoff_base = std::chrono::milliseconds(50);
+  options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
+  options.fault_after_batches =
+      static_cast<int>(args.get_int("--fault-after", 0, harness::kMaxFlagCount));
+  return options;
+}
+
+/// Where a service bench journals its run. A --run-dir belongs to the
+/// caller: the bench never deletes it, and the service's opener refuses one
+/// that already holds a ledger (exit 6). Without one, the run lives in a
+/// fresh directory under TMPDIR that this owner removes on every exit path.
+class RunDir {
+ public:
+  RunDir(const std::string& given, const std::string& stem) {
+    if (!given.empty()) {
+      path_ = given;
+      return;
+    }
+    std::string path =
+        (std::filesystem::temp_directory_path() / (stem + "_XXXXXX")).string();
+    if (::mkdtemp(path.data()) == nullptr)
+      throw Error(ErrorCode::kIo, "cannot create " + path + errno_detail());
+    path_ = path;
+    scratch_ = true;
+  }
+  ~RunDir() {
+    std::error_code ec;
+    if (scratch_) std::filesystem::remove_all(path_, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  /// The run directory, or `name` inside it.
+  std::filesystem::path path(const std::string& name = "") const {
+    return name.empty() ? path_ : path_ / name;
+  }
+  /// path(name) for an exit-7 message to name for `--resume`; empty for a
+  /// scratch run, which is removed.
+  std::filesystem::path resumable(const std::string& name = "") const {
+    return scratch_ ? std::filesystem::path() : path(name);
+  }
+
+ private:
+  std::filesystem::path path_;
+  bool scratch_ = false;
+};
 
 }  // namespace locpriv::bench

@@ -13,8 +13,7 @@ int main() {
   bench::print_header("E12: LPPM defenses vs the 1 s background app",
                       /*uses_mobility_corpus=*/true);
 
-  const core::CorpusTruth truth = core::shared_truth();
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const auto [analyzer, truth] = core::experiment_corpus();
 
   // Cloaking anchors: every user's true home (the population density the
   // k-anonymity cloak needs).

@@ -226,13 +226,18 @@ int run(int argc, char** argv) {
   util::Args args;
   harness::declare_run_flags(args);
   args.declare("--fault-cells", "");
-  sim::ProcessFaultPlan fault_plan;
-  try {
-    args.parse(argc, argv, 1);
-    fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-cells"));
-  } catch (const std::runtime_error& error) {
-    throw Error(ErrorCode::kUsage, error.what());
-  }
+  args.parse(argc, argv, 1);
+  // Enumerate the sweep once; run_sweep returns the rows in this order, so
+  // artifact bytes do not depend on which worker finished first.
+  std::vector<std::pair<double, std::int64_t>> cell_specs;
+  std::vector<std::string> cell_keys;
+  for (const double intensity : kIntensities)
+    for (const std::int64_t interval_s : kIntervals) {
+      cell_specs.emplace_back(intensity, interval_s);
+      cell_keys.push_back(cell_key(intensity, interval_s));
+    }
+  const auto fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-cells"));
+  fault_plan.require_targets(cell_keys, "--fault-cells");
   const harness::RunOptions options = harness::run_options_from(args);
 
   bench::print_header("fault degradation: leakage metrics vs substrate faults",
@@ -249,16 +254,6 @@ int run(int argc, char** argv) {
             << dataset_config.seed << ")\n\n";
   const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
       core::experiment_analyzer_config(), dataset_config);
-
-  // Enumerate the sweep once; run_sweep returns the rows in this order, so
-  // artifact bytes do not depend on which worker finished first.
-  std::vector<std::pair<double, std::int64_t>> cell_specs;
-  std::vector<std::string> cell_keys;
-  for (const double intensity : kIntensities)
-    for (const std::int64_t interval_s : kIntervals) {
-      cell_specs.emplace_back(intensity, interval_s);
-      cell_keys.push_back(cell_key(intensity, interval_s));
-    }
 
   const harness::SweepResult sweep = harness::run_sweep(
       options,
@@ -363,13 +358,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const Error& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return error.exit_code();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return exit_code(ErrorCode::kInternal);
-  }
+  return run_main([&] { return run(argc, argv); });
 }

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "mobility/synthesis.hpp"
 #include "poi/clustering.hpp"
 #include "poi/staypoint.hpp"
 #include "trace/trace_stats.hpp"
@@ -13,7 +14,7 @@ int main() {
   bench::print_header("E4: Table III / Figure 2 - PoIs vs extraction parameters",
                       /*uses_mobility_corpus=*/true);
 
-  const auto& dataset = core::shared_dataset();
+  const auto dataset = mobility::generate_dataset(core::experiment_dataset_config());
 
   // Corpus sanity next to the paper's Geolife description.
   const trace::DatasetStats stats = trace::compute_dataset_stats(dataset.users);

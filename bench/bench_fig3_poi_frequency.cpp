@@ -17,7 +17,7 @@ int main() {
   bench::print_header("E5/E6: Figure 3 - PoI exposure vs access interval",
                       /*uses_mobility_corpus=*/true);
 
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   const core::AnalyzerConfig& config = analyzer.config();
 
   // Reference totals at full rate.

@@ -69,7 +69,7 @@ int main() {
   bench::print_header("E7/E8: Figure 4 - identification speed, pattern 1 vs 2",
                       /*uses_mobility_corpus=*/true);
 
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   const std::size_t users = analyzer.user_count();
 
   // ---- (a) from the trace start at 1 s -------------------------------

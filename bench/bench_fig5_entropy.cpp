@@ -16,7 +16,7 @@ int main() {
   bench::print_header("E9: Figure 5 - entropy / degree of anonymity",
                       /*uses_mobility_corpus=*/true);
 
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   const auto& adversary = analyzer.adversary();
   const auto& config = analyzer.config();
 

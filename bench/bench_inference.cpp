@@ -18,8 +18,7 @@ int main() {
   bench::print_header("E14: home/work inference, pair anonymity, time to confusion",
                       /*uses_mobility_corpus=*/true);
 
-  const core::CorpusTruth truth = core::shared_truth();
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const auto [analyzer, truth] = core::experiment_corpus();
   const std::size_t users = analyzer.user_count();
 
   // Ground truth: home is the generator's labelled home; "work" is defined

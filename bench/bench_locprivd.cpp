@@ -13,12 +13,10 @@
 // with throughput (fixes/sec), resident state bytes per user, snapshot and
 // recovery counts, and recovery latency (detection -> post-replay pong).
 // Exit 1 when parity fails, a fault path did not fire, or a shard failed to
-// recover — CI runs this reduced as the `soak_smoke` chaos test.
-#include <unistd.h>
-
+// recover — CI runs this reduced as the `soak_smoke` chaos test. Bad numbers
+// (2), a reused --run-dir (6) and SIGINT/SIGTERM (7, after a drain) exit as
+// `locpriv serve` does.
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -28,10 +26,10 @@
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/harness/atomic_file.hpp"
+#include "core/harness/sweep.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
 #include "service/locprivd.hpp"
-#include "sim/faults/process_plan.hpp"
 #include "util/args.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -60,62 +58,33 @@ int run(int argc, const char* const* argv) {
   bench::print_header("locprivd soak: shard failover and snapshot recovery",
                       /*uses_mobility_corpus=*/false);
 
-  mobility::DatasetConfig dataset;
-  dataset.user_count = static_cast<int>(args.get_int("--users"));
-  dataset.synthesis.days = static_cast<int>(args.get_int("--days"));
-  dataset.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
+  const mobility::DatasetConfig dataset = core::synthetic_corpus(
+      args, static_cast<std::uint64_t>(args.get_int("--seed")));
+  service::TrafficOptions traffic;
+  traffic.batch_size =
+      static_cast<std::size_t>(args.get_int("--batch", 0, harness::kMaxFlagCount));
+  traffic.rounds = static_cast<int>(args.get_int("--rounds", 0, harness::kMaxFlagCount));
+  traffic.pace = std::chrono::milliseconds(
+      args.get_int("--pace-ms", 0, harness::kMaxFlagSeconds * 1000));
+
   const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
       core::experiment_analyzer_config(), dataset);
-
-  service::ServiceOptions options;
-  options.shards = static_cast<unsigned>(args.get_int("--shards"));
-  options.interval_s = args.get_int("--interval");
-  options.seed = dataset.seed;
-  options.scale = std::to_string(analyzer.user_count()) + "u_t" +
-                  std::to_string(options.interval_s);
-  options.heartbeat = std::chrono::milliseconds(100);
-  options.ping_timeout = std::chrono::milliseconds(1000);
-  options.term_grace = std::chrono::milliseconds(500);
-  options.snapshot_interval =
-      std::chrono::milliseconds(args.get_int("--snapshot-every-ms"));
-  options.backoff_base = std::chrono::milliseconds(50);
-  options.fault_plan =
-      sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
-  options.fault_after_batches = static_cast<int>(args.get_int("--fault-after"));
-
-  service::TrafficOptions traffic;
-  traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch"));
-  traffic.rounds = static_cast<int>(args.get_int("--rounds"));
-  traffic.pace = std::chrono::milliseconds(args.get_int("--pace-ms"));
-
-  std::filesystem::path run_dir = args.get("--run-dir");
-  if (run_dir.empty())
-    run_dir = std::filesystem::temp_directory_path() /
-              ("bench_locprivd_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(run_dir);
+  const service::ServiceOptions options = bench::soak_options(args, analyzer);
+  const bench::RunDir run_dir(args.get("--run-dir"), "bench_locprivd");
 
   const auto start = std::chrono::steady_clock::now();
-  service::LocprivService daemon(options, analyzer, run_dir, /*resume=*/false);
-  const service::TrafficOutcome outcome =
-      service::drive_traffic(daemon, analyzer, traffic);
-  const auto rows = daemon.collect_reports();
+  service::LocprivService daemon(options, analyzer, run_dir.path(),
+                                 /*resume=*/false);
+  std::vector<std::vector<std::string>> rows;
+  service::serve_traffic(daemon, analyzer, traffic, run_dir.resumable(),
+                         [&] { rows = daemon.collect_reports(); });
   daemon.drain();
-  const double duration_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+  const double duration_s = bench::seconds_since(start);
 
   // Parity oracle: the batch pipeline over the identical schedule. Users on
   // a quarantined shard (respawn budget exhausted — not expected with the
   // default single-incarnation faults) are excluded but reported.
-  std::vector<std::string> lost_users;
-  for (std::size_t i = 0; i < analyzer.user_count(); ++i) {
-    const std::string& user = analyzer.reference(i).user_id;
-    const std::string owner =
-        service::LocprivService::shard_name(daemon.shard_of(user));
-    for (const std::string& bad : daemon.quarantined_shards())
-      if (owner == bad) lost_users.push_back(user);
-  }
+  const std::vector<std::string> lost_users = daemon.lost_users();
   const std::vector<std::string> mismatched = service::parity_mismatches(
       analyzer, options.interval_s, traffic, rows, lost_users);
 
@@ -192,15 +161,8 @@ int run(int argc, const char* const* argv) {
                 static_cast<std::int64_t>(daemon.quarantined_shards().size()));
     json.member("parity_ok", parity_ok);
     json.end_object();
-    harness::AtomicFileWriter out(args.get("--json"));
-    out.stream() << json.str() << '\n';
-    out.commit();
+    harness::write_file_atomic(args.get("--json"), json.str() + "\n");
     std::cout << "json -> " << args.get("--json") << '\n';
-  }
-
-  if (args.get("--run-dir").empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(run_dir, ec);
   }
 
   if (!parity_ok) {
@@ -219,7 +181,6 @@ int run(int argc, const char* const* argv) {
     std::cerr << "FAIL: no snapshot was journaled before the faults fired\n";
     return 1;
   }
-  if (outcome.interrupted) return exit_code(ErrorCode::kInterrupted);
   std::cout << "\nOK: both injected failures (crash, hang) recovered from "
                "snapshots with byte-identical audit metrics\n";
   return 0;
@@ -228,13 +189,5 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const Error& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return error.exit_code();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return exit_code(ErrorCode::kInternal);
-  }
+  return run_main([&] { return run(argc, argv); });
 }

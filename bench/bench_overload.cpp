@@ -22,14 +22,13 @@
 //     (and the non-shed set is non-empty, so the parity claim is not
 //     vacuous).
 // Results land in BENCH_overload.json with the standardized header. CI runs
-// this reduced as the `overload_smoke` chaos test.
+// this reduced as the `overload_smoke` chaos test. Bad numbers (2), a reused
+// --run-dir (6) and SIGINT/SIGTERM (7, after a drain) exit as `locpriv
+// serve` does.
 #include <sys/resource.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,10 +38,9 @@
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/harness/atomic_file.hpp"
-#include "mobility/synthesis.hpp"
+#include "core/harness/sweep.hpp"
 #include "service/driver.hpp"
 #include "service/locprivd.hpp"
-#include "sim/faults/process_plan.hpp"
 #include "util/args.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -51,39 +49,12 @@ namespace {
 
 using namespace locpriv;
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// Peak resident set of this process (parent only; the shards are separate
 /// processes and their memory is bounded by RLIMIT_AS / their own caps).
 std::size_t max_rss_bytes() {
   struct rusage usage {};
   ::getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::size_t>(usage.ru_maxrss) * 1024;  // KiB on Linux.
-}
-
-service::ServiceOptions base_options(const core::PrivacyAnalyzer& analyzer,
-                                     const util::Args& args) {
-  service::ServiceOptions options;
-  options.shards = static_cast<unsigned>(args.get_int("--shards"));
-  options.interval_s = args.get_int("--interval");
-  options.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
-  options.scale = std::to_string(analyzer.user_count()) + "u_t" +
-                  std::to_string(options.interval_s);
-  options.heartbeat = std::chrono::milliseconds(100);
-  options.ping_timeout = std::chrono::milliseconds(1000);
-  options.term_grace = std::chrono::milliseconds(500);
-  options.snapshot_interval =
-      std::chrono::milliseconds(args.get_int("--snapshot-every-ms"));
-  options.backoff_base = std::chrono::milliseconds(50);
-  options.max_inflight_batches =
-      static_cast<std::size_t>(args.get_int("--max-inflight-batches"));
-  options.max_retained_bytes =
-      static_cast<std::size_t>(args.get_int("--max-retained-kb")) * 1024;
-  return options;
 }
 
 int run(int argc, const char* const* argv) {
@@ -115,34 +86,48 @@ int run(int argc, const char* const* argv) {
   bench::print_header("locprivd overload: bounded queues and load shedding",
                       /*uses_mobility_corpus=*/false);
 
-  mobility::DatasetConfig dataset;
-  dataset.user_count = static_cast<int>(args.get_int("--users"));
-  dataset.synthesis.days = static_cast<int>(args.get_int("--days"));
-  dataset.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
-  const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
-      core::experiment_analyzer_config(), dataset);
-
-  std::filesystem::path base_dir = args.get("--run-dir");
-  if (base_dir.empty())
-    base_dir = std::filesystem::temp_directory_path() /
-               ("bench_overload_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(base_dir);
-
   service::TrafficOptions traffic;
-  traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch"));
+  traffic.batch_size =
+      static_cast<std::size_t>(args.get_int("--batch", 0, harness::kMaxFlagCount));
   traffic.rounds = 1;
+  auto overload = traffic;
+  overload.may_shed = true;
+  overload.lossless_every = static_cast<std::size_t>(
+      args.get_int("--lossless-every", 0, harness::kMaxFlagCount));
+  // Offered as fast as the loop runs: shedding makes rejected offers nearly
+  // free, so the offered rate lands far above the calibrated sustainable
+  // rate; the factor is measured and asserted below rather than paced.
+  overload.pace = std::chrono::milliseconds(0);
+  const double overload_target = static_cast<double>(
+      args.get_int("--overload-factor", 1, harness::kMaxFlagCount));
+  const std::size_t rss_cap =
+      static_cast<std::size_t>(args.get_int("--max-rss-mb", 1, harness::kMaxFlagMiB)) *
+      1024 * 1024;
+
+  const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
+      core::experiment_analyzer_config(),
+      core::synthetic_corpus(args, static_cast<std::uint64_t>(args.get_int("--seed"))));
+  service::ServiceOptions options = bench::soak_options(args, analyzer);
+  options.max_inflight_batches = static_cast<std::size_t>(
+      args.get_int("--max-inflight-batches", 1, harness::kMaxFlagCount));
+  options.max_retained_bytes =
+      static_cast<std::size_t>(
+          args.get_int("--max-retained-kb", 0, harness::kMaxFlagMiB * 1024)) *
+      1024;
+  const bench::RunDir run_dir(args.get("--run-dir"), "bench_overload");
 
   // ---- Phase A: calibrate the sustainable rate (no faults, lossless). ----
   double sustainable_batches_per_s = 0.0;
   {
-    const auto options = base_options(analyzer, args);
-    service::LocprivService daemon(options, analyzer, base_dir / "calibrate",
+    service::ServiceOptions calibrate = options;
+    calibrate.fault_plan = {};
+    service::LocprivService daemon(calibrate, analyzer, run_dir.path("calibrate"),
                                    /*resume=*/false);
     const auto start = std::chrono::steady_clock::now();
-    const service::TrafficOutcome outcome =
-        service::drive_traffic(daemon, analyzer, traffic);
+    const service::TrafficOutcome outcome = service::serve_traffic(
+        daemon, analyzer, traffic, run_dir.resumable("calibrate"));
     daemon.drain();
-    const double duration_s = std::max(seconds_since(start), 1e-6);
+    const double duration_s = std::max(bench::seconds_since(start), 1e-6);
     sustainable_batches_per_s =
         static_cast<double>(outcome.accepted) / duration_s;
     std::cout << "calibration: " << outcome.accepted << " batches in "
@@ -152,26 +137,16 @@ int run(int argc, const char* const* argv) {
   }
 
   // ---- Phase B: overload with one wedged shard. ----
-  auto options = base_options(analyzer, args);
-  options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
-  options.fault_after_batches = static_cast<int>(args.get_int("--fault-after"));
-
-  auto overload = traffic;
-  overload.may_shed = true;
-  overload.lossless_every =
-      static_cast<std::size_t>(args.get_int("--lossless-every"));
-  // Offered as fast as the loop runs: shedding makes rejected offers nearly
-  // free, so the offered rate lands far above the calibrated sustainable
-  // rate; the factor is measured and asserted below rather than paced.
-  overload.pace = std::chrono::milliseconds(0);
-
-  service::LocprivService daemon(options, analyzer, base_dir / "overload",
+  service::LocprivService daemon(options, analyzer, run_dir.path("overload"),
                                  /*resume=*/false);
   const auto start = std::chrono::steady_clock::now();
-  const service::TrafficOutcome outcome =
-      service::drive_traffic(daemon, analyzer, overload);
-  const double offered_duration_s = std::max(seconds_since(start), 1e-6);
-  const auto rows = daemon.collect_reports();
+  double offered_duration_s = 0.0;
+  std::vector<std::vector<std::string>> rows;
+  const service::TrafficOutcome outcome = service::serve_traffic(
+      daemon, analyzer, overload, run_dir.resumable("overload"), [&] {
+        offered_duration_s = std::max(bench::seconds_since(start), 1e-6);
+        rows = daemon.collect_reports();
+      });
   daemon.drain();
 
   const service::ServiceStats& stats = daemon.stats();
@@ -192,19 +167,11 @@ int run(int argc, const char* const* argv) {
                               load.accepted, 1));
     peak_shard_demand = std::max(peak_shard_demand, demand);
   }
-  const double overload_target =
-      static_cast<double>(args.get_int("--overload-factor"));
 
   // Users to exclude from the parity oracle: anyone shed, plus anyone on a
   // quarantined shard. Everyone else must be byte-identical.
   std::vector<std::string> ignore = daemon.shed_users();
-  for (std::size_t i = 0; i < analyzer.user_count(); ++i) {
-    const std::string& user = analyzer.reference(i).user_id;
-    const std::string owner =
-        service::LocprivService::shard_name(daemon.shard_of(user));
-    for (const std::string& bad : daemon.quarantined_shards())
-      if (owner == bad) ignore.push_back(user);
-  }
+  for (const std::string& user : daemon.lost_users()) ignore.push_back(user);
   std::size_t parity_users = 0;
   for (std::size_t i = 0; i < analyzer.user_count(); ++i)
     if (std::find(ignore.begin(), ignore.end(),
@@ -232,8 +199,6 @@ int run(int argc, const char* const* argv) {
     }
 
   const std::size_t rss = max_rss_bytes();
-  const std::size_t rss_cap =
-      static_cast<std::size_t>(args.get_int("--max-rss-mb")) * 1024 * 1024;
   // Slack: one full batch frame can overshoot the byte cap at admission.
   const std::size_t retained_slack = 64 * 1024;
   const bool retained_ok =
@@ -315,15 +280,8 @@ int run(int argc, const char* const* argv) {
     json.member("reconcile_ok", global_reconciles && users_reconcile);
     json.member("caps_ok", retained_ok && pending_ok && rss_ok);
     json.end_object();
-    harness::AtomicFileWriter out(args.get("--json"));
-    out.stream() << json.str() << '\n';
-    out.commit();
+    harness::write_file_atomic(args.get("--json"), json.str() + "\n");
     std::cout << "json -> " << args.get("--json") << '\n';
-  }
-
-  if (args.get("--run-dir").empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(base_dir, ec);
   }
 
   if (!retained_ok || !pending_ok || !rss_ok) {
@@ -352,7 +310,6 @@ int run(int argc, const char* const* argv) {
                  "pipeline (or no user was left to check)\n";
     return 1;
   }
-  if (outcome.interrupted) return exit_code(ErrorCode::kInterrupted);
   std::cout << "\nOK: caps held, shed accounting reconciled exactly, and "
                "non-shed users kept byte-identical metrics under "
             << util::format_fixed(peak_shard_demand, 1)
@@ -363,13 +320,5 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const Error& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return error.exit_code();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return exit_code(ErrorCode::kInternal);
-  }
+  return run_main([&] { return run(argc, argv); });
 }

@@ -19,7 +19,7 @@ int main() {
   bench::print_header("E15: reconstruction error and next-place prediction",
                       /*uses_mobility_corpus=*/true);
 
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   const std::size_t users = analyzer.user_count();
 
   // --- (a) reconstruction error vs interval ---------------------------

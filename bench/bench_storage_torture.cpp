@@ -15,8 +15,6 @@
 // shard, recovering ENOSPC, and newest-snapshot bit-rot in one run and
 // demands recovery through the newest-two fallback. Output: console summary
 // plus BENCH_storage.json — CI runs this reduced as `storage_torture_smoke`.
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -33,6 +31,7 @@
 #include "core/experiment.hpp"
 #include "core/harness/atomic_file.hpp"
 #include "core/harness/file_ops.hpp"
+#include "core/harness/sweep.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
 #include "service/locprivd.hpp"
@@ -58,7 +57,6 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 struct SweepConfig {
-  mobility::DatasetConfig dataset;
   service::ServiceOptions options;
   service::TrafficOptions traffic;
   fs::path root;
@@ -156,7 +154,6 @@ SeedOutcome torture_one(const SweepConfig& config,
                         std::uint64_t seed) {
   SeedOutcome outcome;
   const fs::path run_dir = config.root / ("seed_" + std::to_string(seed));
-  fs::remove_all(run_dir);
   const harness::StorageFaultPlan plan = plan_for(seed, run_dir);
   harness::FaultyFileOps faulty(plan);
   {
@@ -203,7 +200,6 @@ SeedOutcome torture_one(const SweepConfig& config,
 bool combined_scenario(SweepConfig config,
                        const core::PrivacyAnalyzer& analyzer) {
   const fs::path run_dir = config.root / "combined";
-  fs::remove_all(run_dir);
   config.options.fault_plan = sim::ProcessFaultPlan::parse("crash:1@shard0");
   config.options.fault_after_batches = 12;
   // Paced traffic and a tight cadence so every shard fills its newest-two
@@ -270,37 +266,37 @@ int run(int argc, const char* const* argv) {
   bench::print_header("storage torture: locprivd under injected disk faults",
                       /*uses_mobility_corpus=*/false);
 
+  const auto seed = static_cast<std::uint64_t>(args.get_int("--seed"));
+  const mobility::DatasetConfig dataset = core::synthetic_corpus(args, seed);
+  const auto sweep_seeds =
+      static_cast<std::uint64_t>(args.get_int("--seeds", 0, harness::kMaxFlagCount));
   SweepConfig config;
-  config.dataset.user_count = static_cast<int>(args.get_int("--users"));
-  config.dataset.synthesis.days = static_cast<int>(args.get_int("--days"));
-  config.dataset.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
-  const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
-      core::experiment_analyzer_config(), config.dataset);
-
-  config.options.shards = static_cast<unsigned>(args.get_int("--shards"));
-  config.options.interval_s = args.get_int("--interval");
-  config.options.seed = config.dataset.seed;
-  config.options.scale = std::to_string(analyzer.user_count()) + "u_t" +
-                         std::to_string(config.options.interval_s);
+  config.options.shards =
+      static_cast<unsigned>(args.get_int("--shards", 1, harness::kMaxFlagWorkers));
+  config.options.interval_s = core::interval_arg(args);
+  config.options.seed = seed;
   config.options.heartbeat = std::chrono::milliseconds(50);
   config.options.ping_timeout = std::chrono::milliseconds(1000);
   config.options.term_grace = std::chrono::milliseconds(200);
   config.options.backoff_base = std::chrono::milliseconds(10);
-  config.traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch"));
+  config.traffic.batch_size =
+      static_cast<std::size_t>(args.get_int("--batch", 0, harness::kMaxFlagCount));
   // Pace the sweep legs just enough for the snapshot cadence to fire, so
   // retention windows fill and the bit-rot seeds have something to rot.
   config.options.snapshot_interval = std::chrono::milliseconds(60);
   config.traffic.pace = std::chrono::milliseconds(1);
-  config.root = fs::temp_directory_path() /
-                ("bench_storage_" + std::to_string(::getpid()));
-  fs::remove_all(config.root);
-  fs::create_directories(config.root);
+
+  const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
+      core::experiment_analyzer_config(), dataset);
+  config.options.scale = std::to_string(analyzer.user_count()) + "u_t" +
+                         std::to_string(config.options.interval_s);
+  const bench::RunDir scratch("", "bench_storage");
+  config.root = scratch.path();
 
   const std::vector<std::vector<std::string>> reference =
       service::batch_reference_rows(analyzer, config.options.interval_s,
                                     config.traffic);
 
-  const auto sweep_seeds = static_cast<std::uint64_t>(args.get_int("--seeds"));
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t clean_runs = 0, taxonomy_exits = 0, rogue_exits = 0;
   std::uint64_t parity_failures = 0, unrepairable = 0, resumed_runs = 0;
@@ -346,10 +342,7 @@ int run(int argc, const char* const* argv) {
   }
   const bool combined_ok =
       args.get_bool("--skip-combined") || combined_scenario(config, analyzer);
-  const double duration_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+  const double duration_s = bench::seconds_since(start);
 
   std::cout << "sweep: " << sweep_seeds << " seeds in "
             << util::format_fixed(duration_s, 1) << "s — " << clean_runs
@@ -373,8 +366,7 @@ int run(int argc, const char* const* argv) {
     json.begin_object();
     bench::write_bench_header(json, "storage_torture");
     json.member("users", static_cast<std::int64_t>(analyzer.user_count()));
-    json.member("days",
-                static_cast<std::int64_t>(config.dataset.synthesis.days));
+    json.member("days", static_cast<std::int64_t>(dataset.synthesis.days));
     json.member("shards", static_cast<std::int64_t>(config.options.shards));
     json.member("sweep_seeds", static_cast<std::int64_t>(sweep_seeds));
     json.member("duration_s", duration_s);
@@ -397,14 +389,9 @@ int run(int argc, const char* const* argv) {
     json.member("combined_scenario_ok", combined_ok);
     json.member("ok", ok);
     json.end_object();
-    harness::AtomicFileWriter out(args.get("--json"));
-    out.stream() << json.str() << '\n';
-    out.commit();
+    harness::write_file_atomic(args.get("--json"), json.str() + "\n");
     std::cout << "json -> " << args.get("--json") << '\n';
   }
-  std::error_code ec;
-  fs::remove_all(config.root, ec);
-
   if (!ok) {
     std::cerr << "FAIL: storage faults escaped the "
                  "byte-parity-or-taxonomy-exit contract\n";
@@ -418,13 +405,5 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const Error& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return error.exit_code();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return exit_code(ErrorCode::kInternal);
-  }
+  return run_main([&] { return run(argc, argv); });
 }

@@ -14,7 +14,7 @@ int main() {
   bench::print_header("E16: unique in the crowd - spatio-temporal unicity",
                       /*uses_mobility_corpus=*/true);
 
-  const core::PrivacyAnalyzer& analyzer = core::shared_analyzer();
+  const core::PrivacyAnalyzer analyzer = core::experiment_corpus().analyzer;
   const std::size_t users = analyzer.user_count();
   constexpr int kMaxPoints = 5;
   constexpr int kTrials = 20;

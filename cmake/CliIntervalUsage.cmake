@@ -3,8 +3,9 @@
 # flag, a non-integer value, an out-of-range --user, out-of-range numbers
 # for audit-all's harness flags, for serve and for the dataset, report,
 # market-study, extract-pois and identify commands, --users above the
-# seeded city's home sites, and flags the commands do not take (audit-all's
-# --soft-deadline; serve's shedding-policy and turnaround-EWMA flags).
+# seeded city's home sites, flags the commands do not take (audit-all's
+# --soft-deadline; serve's shedding-policy and turnaround-EWMA flags), and a
+# serve fault plan that does not parse or names a shard the run lacks.
 # audit-all and serve refuse a reused --run-dir with exit 6 before they read
 # a corpus. The largest interval collects one fix instead of wrapping past
 # INT64_MAX. Run against a 2-user corpus written by `locpriv gen-dataset`:
@@ -74,13 +75,19 @@ endforeach()
 # serve range-checks every number before any analyzer, shard or worker
 # exists: a negative count would wrap to a huge unsigned value. The credit
 # window has no "off" value, and serve sheds by one rule and finds slow
-# shards by the ack deadline, so it takes no flag to choose either.
+# shards by the ack deadline, so it takes no flag to choose either. A fault
+# plan is command-line input too: one that does not parse, or that names a
+# shard the run does not have (a typo would rehearse nothing), exits 2
+# before any shard or ledger exists.
 foreach(misuse "--shards;-1" "--shards;0" "--batch;-1" "--max-inflight-batches;-1"
                "--max-inflight-batches;0" "--max-retained-mb;-1" "--heartbeat-ms;-5"
                "--op-timeout-ms;-1" "--grace-ms;-1" "--backoff-ms;9223372036854775807"
                "--rounds;-1" "--max-respawns;-1" "--shard-cpu-s;4294967297" "--users;0"
                "--users;270;--days;1"
-               "--shed-policy;reject-new" "--degraded-ms;5" "--slow-restart-ms;5")
+               "--shed-policy;reject-new" "--degraded-ms;5" "--slow-restart-ms;5"
+               "--users;2;--days;1;--fault-shards;bogus"
+               "--users;2;--days;1;--fault-shards;crash:0@shard0"
+               "--users;2;--days;1;--shards;2;--fault-shards;crash@shard9;--fault-after;1")
   expect_usage_exit("serve ${misuse}" serve --run-dir "${WORK_DIR}/serve_usage" ${misuse})
 endforeach()
 if(EXISTS "${WORK_DIR}/audit_all/ledger.jsonl" OR EXISTS "${WORK_DIR}/serve_usage")

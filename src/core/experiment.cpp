@@ -2,11 +2,10 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 
-#include "util/expect.hpp"
+#include "core/harness/error.hpp"
+#include "core/harness/sweep.hpp"
 #include "util/logging.hpp"
-#include "util/sync.hpp"
 
 namespace locpriv::core {
 
@@ -37,49 +36,36 @@ AnalyzerConfig experiment_analyzer_config() {
   return config;
 }
 
-namespace {
-/// Who holds the shared traces. They live in the dataset until one of the
-/// two readers claims them; the other is then refused.
-enum class TraceHolder { kDataset, kReader, kAnalyzer };
-
-util::Mutex g_mutex;
-std::optional<mobility::SyntheticDataset> g_dataset LOCPRIV_GUARDED_BY(g_mutex);
-std::optional<PrivacyAnalyzer> g_analyzer LOCPRIV_GUARDED_BY(g_mutex);
-TraceHolder g_traces LOCPRIV_GUARDED_BY(g_mutex) = TraceHolder::kDataset;
-
-mobility::SyntheticDataset& dataset_locked() LOCPRIV_REQUIRES(g_mutex) {
-  if (!g_dataset) {
-    LOCPRIV_LOG(kInfo, "experiment") << "generating shared dataset";
-    g_dataset = mobility::generate_dataset(experiment_dataset_config());
-  }
-  return *g_dataset;
-}
-}  // namespace
-
-const mobility::SyntheticDataset& shared_dataset() {
-  util::MutexLock lock(g_mutex);
-  // The analyzer owns the traces now, so `users` would read back empty.
-  LOCPRIV_EXPECT(g_traces != TraceHolder::kAnalyzer);
-  g_traces = TraceHolder::kReader;
-  return dataset_locked();
+ExperimentCorpus experiment_corpus() {
+  LOCPRIV_LOG(kInfo, "experiment") << "generating the experiment corpus";
+  mobility::SyntheticDataset dataset =
+      mobility::generate_dataset(experiment_dataset_config());
+  PrivacyAnalyzer analyzer(experiment_analyzer_config(), std::move(dataset.users));
+  return {std::move(analyzer), CorpusTruth(std::move(dataset))};
 }
 
-CorpusTruth shared_truth() {
-  util::MutexLock lock(g_mutex);
-  return CorpusTruth(dataset_locked());
+std::int64_t interval_arg(const util::Args& args) {
+  const std::int64_t interval_s = args.get_int("--interval");
+  if (interval_s < 1)
+    throw Error(ErrorCode::kUsage,
+                "--interval must be at least 1 s, got " + args.get("--interval"));
+  return interval_s;
 }
 
-const PrivacyAnalyzer& shared_analyzer() {
-  util::MutexLock lock(g_mutex);
-  if (!g_analyzer) {
-    // Taking the traces would empty the `users` a shared_dataset() reader
-    // holds.
-    LOCPRIV_EXPECT(g_traces != TraceHolder::kReader);
-    g_analyzer.emplace(experiment_analyzer_config(),
-                       std::move(dataset_locked().users));
-    g_traces = TraceHolder::kAnalyzer;
-  }
-  return *g_analyzer;
+mobility::DatasetConfig synthetic_corpus(const util::Args& args, std::uint64_t seed) {
+  mobility::DatasetConfig config;
+  config.seed = seed;
+  config.user_count =
+      static_cast<int>(args.get_int("--users", 1, harness::kMaxFlagCount));
+  config.synthesis.days =
+      static_cast<int>(args.get_int("--days", 1, harness::kMaxFlagCount));
+  const std::int64_t limit = mobility::max_user_count(config);
+  if (config.user_count > limit)
+    throw Error(ErrorCode::kUsage,
+                "--users must be at most " + std::to_string(limit) +
+                    ", the home sites of the city seed " + std::to_string(seed) +
+                    " generates; got " + args.get("--users"));
+  return config;
 }
 
 }  // namespace locpriv::core

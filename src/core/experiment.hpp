@@ -1,14 +1,16 @@
-// Shared experiment plumbing for the bench binaries: the canonical access-
-// interval ladder, a process-wide lazily built dataset + analyzer (several
-// benches sweep the same corpus; generating it once keeps the full bench
-// suite fast), and the standard seeds printed in every bench header.
+// Shared experiment plumbing for the bench binaries and the CLI: the
+// canonical access-interval ladder, the experiment corpus (analyzer plus the
+// generator's truth), the checked --users/--days corpus of the command-line
+// front ends, and the standard seeds printed in every bench header.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "mobility/synthesis.hpp"
+#include "util/args.hpp"
 
 namespace locpriv::core {
 
@@ -42,41 +44,46 @@ mobility::DatasetConfig experiment_dataset_config();
 /// 250 m cells, alpha = 0.05).
 AnalyzerConfig experiment_analyzer_config();
 
-/// Process-wide dataset (generated on first use), for a process that reads
-/// the traces themselves and never builds shared_analyzer(). The process
-/// holds the traces once, so the two exclude each other: this throws
-/// ContractViolation once the analyzer has taken the traces, and
-/// shared_analyzer() throws it once this has handed them out. Beside the
-/// analyzer, read the traces through reference(u).points and everything
-/// else through shared_truth().
-const mobility::SyntheticDataset& shared_dataset();
-
-/// The generator's truth about the shared corpus: every field of
-/// shared_dataset() except the traces. It never exposes `users`, so it
-/// stays valid beside shared_analyzer().
+/// The generator's truth about a corpus: every field of its
+/// SyntheticDataset except the traces, which the analyzer beside it holds.
 class CorpusTruth {
  public:
-  explicit CorpusTruth(const mobility::SyntheticDataset& dataset)
-      : dataset_(&dataset) {}
+  /// Takes the dataset and drops whatever is left of its `users`.
+  explicit CorpusTruth(mobility::SyntheticDataset dataset) : dataset_(std::move(dataset)) {
+    dataset_.users.clear();
+  }
 
-  const mobility::CityConfig& city_config() const { return dataset_->city_config; }
+  const mobility::CityConfig& city_config() const { return dataset_.city_config; }
   const std::vector<mobility::UserProfile>& profiles() const {
-    return dataset_->profiles;
+    return dataset_.profiles;
   }
   const std::vector<mobility::UserGroundTruth>& ground_truths() const {
-    return dataset_->ground_truths;
+    return dataset_.ground_truths;
   }
-  const geo::LatLon& poi_position(int id) const { return dataset_->poi_position(id); }
+  const geo::LatLon& poi_position(int id) const { return dataset_.poi_position(id); }
 
  private:
-  const mobility::SyntheticDataset* dataset_;
+  mobility::SyntheticDataset dataset_;
 };
 
-/// The shared corpus's truth (generating the dataset on first use).
-CorpusTruth shared_truth();
+/// The experiment corpus at experiment_scale(): the analyzer, which holds
+/// the traces, and the generator's truth. The process holds the traces once.
+struct ExperimentCorpus {
+  PrivacyAnalyzer analyzer;
+  CorpusTruth truth;
+};
 
-/// Process-wide analyzer over shared_dataset()'s traces (built on first
-/// use). It takes the traces, so the process holds them once.
-const PrivacyAnalyzer& shared_analyzer();
+/// Generates experiment_dataset_config() and builds the analyzer over it.
+ExperimentCorpus experiment_corpus();
+
+/// --interval, the app's polling period in seconds. The collection model
+/// starts at 1 s (the app receives every fix), so a smaller value is a
+/// usage error rather than a full-rate run labelled with it.
+std::int64_t interval_arg(const util::Args& args);
+
+/// The synthetic corpus of --users and --days, generated from `seed`: both
+/// at least 1, the user count at most the home sites of the city that seed
+/// generates. Checked before anything is generated; Error(kUsage) otherwise.
+mobility::DatasetConfig synthetic_corpus(const util::Args& args, std::uint64_t seed);
 
 }  // namespace locpriv::core

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -43,21 +44,28 @@ void note(std::string_view text) {
   write_all(STDERR_FILENO, std::string(text) + "\n");
 }
 
-[[noreturn]] void run_child(const ChildProcess::Body& body,
+[[noreturn]] void run_child(const ChildProcess::Body& body, pid_t parent,
                             std::size_t rlimit_mb, unsigned cpu_s, int in_fd,
                             int out_fd, int err_fd) {
   // Order matters: silence the logger before anything can log (kOff
   // short-circuits log_line before it touches the cloned sink mutex), then
-  // route stderr into the capture pipe, then drop the parent's handlers so
-  // SIGTERM actually terminates us, then cap the process.
+  // route stderr into the capture pipe, then set the signals, then cap the
+  // process. A ^C reaches the whole process group and stopping the run is
+  // the parent's job, so SIGINT is ignored; SIGTERM keeps its default for
+  // terminate(). An orphan would run on unstopped and unreaped, so the child
+  // dies with the thread that spawned it (every spawner is a dispatch or
+  // event loop); the ppid check covers a parent that is already gone.
   util::set_log_level(util::LogLevel::kOff);
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) ::_exit(exit_code(ErrorCode::kInternal));
   ::dup2(err_fd, STDERR_FILENO);
   if (err_fd != STDERR_FILENO) ::close(err_fd);
-  struct sigaction dfl {};
-  dfl.sa_handler = SIG_DFL;
-  ::sigemptyset(&dfl.sa_mask);
-  ::sigaction(SIGINT, &dfl, nullptr);
-  ::sigaction(SIGTERM, &dfl, nullptr);
+  struct sigaction action {};
+  ::sigemptyset(&action.sa_mask);
+  action.sa_handler = SIG_IGN;
+  ::sigaction(SIGINT, &action, nullptr);
+  action.sa_handler = SIG_DFL;
+  ::sigaction(SIGTERM, &action, nullptr);
   if (rlimit_mb > 0) set_rlimit(RLIMIT_AS, static_cast<rlim_t>(rlimit_mb) << 20);
   if (cpu_s > 0) set_rlimit(RLIMIT_CPU, cpu_s);
 
@@ -117,6 +125,7 @@ void ChildProcess::spawn(const Body& body, std::size_t rlimit_mb,
   auto [in_read, in_write] = make_pipe();
   auto [out_read, out_write] = make_pipe();
   auto [err_read, err_write] = make_pipe();
+  const pid_t parent = ::getpid();
   pid_t pid = -1;
   {
     // No other thread may be mid-log-emission at the instant of the fork,
@@ -130,7 +139,7 @@ void ChildProcess::spawn(const Body& body, std::size_t rlimit_mb,
     in_write.reset();
     out_read.reset();
     err_read.reset();
-    run_child(body, rlimit_mb, cpu_s, in_read.get(), out_write.get(),
+    run_child(body, parent, rlimit_mb, cpu_s, in_read.get(), out_write.get(),
               err_write.get());
   }
   if (pid < 0) throw Error(ErrorCode::kIo, "fork failed" + errno_detail());

@@ -2,9 +2,10 @@
 // supervisor's isolated cells and locprivd's shards.
 //
 // In the child, spawn() silences logging (the parent's sink mutex state was
-// cloned by fork), routes stderr into a capture pipe, restores the default
-// SIGINT/SIGTERM dispositions, applies RLIMIT_AS/RLIMIT_CPU, runs the body,
-// and _exits with the body's return value. An exception out of the body
+// cloned by fork), has the child killed when its parent dies, routes stderr
+// into a capture pipe, ignores SIGINT and restores SIGTERM's default,
+// applies RLIMIT_AS/RLIMIT_CPU, runs the body, and _exits with the body's
+// return value. An exception out of the body
 // becomes the exit-code taxonomy: Error -> its code, anything else -> 1,
 // with what() written to the captured stderr. The child never unwinds into
 // the cloned parent stack.

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iostream>
 
 namespace locpriv {
 
@@ -46,6 +47,18 @@ void Error::rebuild_what() {
 std::string errno_detail() {
   if (errno == 0) return {};
   return std::string(" (") + std::strerror(errno) + ")";
+}
+
+int run_main(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return error.exit_code();
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return exit_code(ErrorCode::kInternal);
+  }
 }
 
 }  // namespace locpriv

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <exception>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,5 +70,11 @@ class Error : public std::exception {
 /// " (Text for the current errno)" suffix for I/O error messages, or an
 /// empty string when errno is 0.
 std::string errno_detail();
+
+/// The body of a binary's main: returns body(), or, when an exception
+/// escapes it, prints "error: <what>" to stderr and returns the exit code of
+/// its failure class (kInternal for anything but an Error), so scripts can
+/// tell a full disk from a bad user index.
+int run_main(const std::function<int()>& body);
 
 }  // namespace locpriv

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,12 +48,14 @@ struct RunOptions {
 /// Ceilings for command-line numbers, so that what is derived from them stays
 /// representable: a duration is added to a nanosecond clock (or multiplied
 /// by a retry count first), a backoff base doubles up to 20 times, a MiB
-/// limit becomes a byte count, and every worker or shard is a process.
+/// limit becomes a byte count, every worker or shard is a process, and a
+/// count is stored in an `int`.
 inline constexpr long long kMaxFlagSeconds = 1'000'000;  // about 11.6 days
 inline constexpr long long kMaxFlagBackoffMs = 1'000'000;
 inline constexpr long long kMaxFlagMiB = 1LL << 30;
 inline constexpr long long kMaxFlagWorkers = 1024;
 inline constexpr long long kMaxFlagRetries = 1000;
+inline constexpr long long kMaxFlagCount = std::numeric_limits<int>::max();
 
 /// Declares the standard harness flags on a caller-owned parser, so bench
 /// binaries can mix them with their own experiment flags in one command

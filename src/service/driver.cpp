@@ -101,6 +101,24 @@ TrafficOutcome drive_traffic(LocprivService& service,
   return outcome;
 }
 
+TrafficOutcome serve_traffic(LocprivService& service,
+                             const core::PrivacyAnalyzer& analyzer,
+                             const TrafficOptions& options,
+                             const std::filesystem::path& run_dir,
+                             const std::function<void()>& then) {
+  // The drain runs inside the scope too, as a sweep's does: a second signal
+  // cannot cut it short.
+  const harness::InterruptScope interrupts;
+  const TrafficOutcome outcome = drive_traffic(service, analyzer, options);
+  if (!outcome.interrupted && then) then();
+  if (harness::interrupt_requested()) {
+    service.drain();
+    throw harness::interrupted_error(
+        std::to_string(outcome.accepted) + " accepted batches", run_dir);
+  }
+  return outcome;
+}
+
 std::vector<trace::TracePoint> scheduled_fixes(
     const core::PrivacyAnalyzer& analyzer, std::size_t user,
     const TrafficOptions& options) {

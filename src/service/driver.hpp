@@ -12,6 +12,7 @@
 #pragma once
 
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -56,6 +57,18 @@ TrafficOutcome drive_traffic(LocprivService& service,
                              const TrafficOptions& options,
                              const std::function<bool()>& should_stop = {});
 
+/// The serving step of every locprivd front end (serve and the service
+/// benches): drive_traffic, then `then` (collecting the reports, say), under
+/// one harness::InterruptScope. When SIGINT or SIGTERM arrives, the drive
+/// or the report wait stops, the service is drained, so `run_dir` stays
+/// resumable, and harness::interrupted_error is thrown (exit 7; an empty
+/// `run_dir` means a run with nothing to resume).
+TrafficOutcome serve_traffic(LocprivService& service,
+                             const core::PrivacyAnalyzer& analyzer,
+                             const TrafficOptions& options,
+                             const std::filesystem::path& run_dir,
+                             const std::function<void()>& then = {});
+
 /// Exactly the fixes the schedule submits for `user`, in submit order — the
 /// input to the batch-pipeline parity reference.
 std::vector<trace::TracePoint> scheduled_fixes(
@@ -78,7 +91,7 @@ std::vector<std::vector<std::string>> batch_reference_rows(
 
 /// Users whose service row differs from (or is missing against) the batch
 /// reference; empty means byte-identical parity. `ignore_users` skips users
-/// expected to be absent (quarantined shards).
+/// expected to be absent (LocprivService::lost_users(), shed users).
 std::vector<std::string> parity_mismatches(
     const core::PrivacyAnalyzer& analyzer, std::int64_t interval_s,
     const TrafficOptions& options,

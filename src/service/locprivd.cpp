@@ -134,6 +134,10 @@ LocprivService::LocprivService(ServiceOptions options,
   if (options_.max_inflight_batches == 0)
     throw Error(ErrorCode::kUsage,
                 "locprivd needs a credit window of at least one batch");
+  // A plan naming a shard this service lacks would rehearse nothing.
+  std::vector<std::string> names;
+  for (unsigned k = 0; k < options_.shards; ++k) names.push_back(shard_name(k));
+  options_.fault_plan.require_targets(names, "--fault-shards");
   // A dead shard's pipe must not kill the whole service with SIGPIPE; the
   // write's EPIPE is handled and the reaper classifies the death.
   ::signal(SIGPIPE, SIG_IGN);
@@ -796,7 +800,7 @@ std::vector<std::vector<std::string>> LocprivService::collect_reports() {
         shard.push_op(wire::kRspReports, token, options_.op_timeout);
       }
     }
-    if (all_ready) break;
+    if (all_ready || harness::interrupt_requested()) break;
     if (Clock::now() >= deadline)
       throw Error(ErrorCode::kDeadline,
                   "shard reports did not complete within the respawn budget");
@@ -914,6 +918,16 @@ std::vector<std::string> LocprivService::quarantined_shards() const {
     if (owned->state == Shard::State::kQuarantined)
       names.push_back(owned->name);
   return names;
+}
+
+std::vector<std::string> LocprivService::lost_users() const {
+  std::vector<std::string> users;
+  for (std::size_t i = 0; i < analyzer_.user_count(); ++i) {
+    const std::string& user = analyzer_.reference(i).user_id;
+    if (shards_[shard_of(user)]->state == Shard::State::kQuarantined)
+      users.push_back(user);
+  }
+  return users;
 }
 
 std::uint64_t LocprivService::restored_seq(unsigned shard) const {

@@ -14,10 +14,11 @@
 // and has the retained suffix replayed; the shard applies a batch exactly
 // once (sequence-number dedupe), so each user's fix count and stay-point
 // stream — and therefore the PoI/pattern/metric pipeline outputs — are
-// bit-identical to an unfailing run's. A signal caught by the caller's
-// harness::InterruptScope stops the traffic; a drain then leaves the run
-// directory resumable (exit 7). A resume under a different shard count is
-// refused (exit 6): the user->shard mapping would scatter journaled state.
+// bit-identical to an unfailing run's. A signal caught by the
+// InterruptScope of serve_traffic stops the traffic or the report wait; a
+// drain then leaves the run directory resumable (exit 7). A resume under a
+// different shard count is refused (exit 6): the user->shard mapping would
+// scatter journaled state.
 //
 // Overload control keeps one rule per job. A per-shard credit window
 // (max_inflight_batches unacked batches, max_retained_bytes of replay)
@@ -95,7 +96,8 @@ struct ServiceOptions {
   std::size_t shard_rlimit_mb = 0;
   unsigned shard_cpu_s = 0;
   /// Deterministic shard misbehaviour for failover rehearsal: plan keys are
-  /// shard names ("shard0"), the attempt window counts incarnations.
+  /// shard names ("shard0"), the attempt window counts incarnations. A key
+  /// naming no shard of this service is refused with Error(kUsage).
   sim::ProcessFaultPlan fault_plan;
   /// Submit batches into the sabotaged incarnation before the fault fires.
   int fault_after_batches = 3;
@@ -232,7 +234,8 @@ class LocprivService {
   /// are the audit-all field layout. Drives tick() internally; survives
   /// shard deaths mid-report by re-asking after recovery. Throws
   /// Error(kDeadline) if a shard cannot produce a report within its respawn
-  /// budget.
+  /// budget. An interrupt (harness::InterruptScope) ends the wait early with
+  /// the rows that have arrived; serve_traffic then drains and exits 7.
   std::vector<std::vector<std::string>> collect_reports();
 
   /// Graceful drain: final snapshot on every shard, clean child exits,
@@ -242,6 +245,10 @@ class LocprivService {
   const ServiceStats& stats() const { return stats_; }
   const ServiceOptions& options() const { return options_; }
   std::vector<std::string> quarantined_shards() const;
+
+  /// Users of the analyzer whose shard is quarantined, in analyzer order:
+  /// the rows collect_reports() omits, which a parity check must skip.
+  std::vector<std::string> lost_users() const;
 
   /// Flow-control snapshot of one shard (offered/accepted/shed, ack and
   /// submit watermarks, retained footprint, turnaround EWMA).

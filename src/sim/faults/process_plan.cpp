@@ -1,11 +1,11 @@
 #include "sim/faults/process_plan.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <new>
-#include <stdexcept>
-#include <vector>
 
+#include "core/harness/error.hpp"
 #include "util/strings.hpp"
 
 namespace locpriv::sim {
@@ -16,8 +16,8 @@ ProcessFaultKind parse_kind(const std::string& name) {
   if (name == "crash") return ProcessFaultKind::kCrash;
   if (name == "hang") return ProcessFaultKind::kHang;
   if (name == "alloc") return ProcessFaultKind::kAllocBomb;
-  throw std::runtime_error("unknown process fault kind '" + name +
-                           "' (expected crash | hang | alloc)");
+  throw Error(ErrorCode::kUsage, "unknown process fault kind '" + name +
+                                     "' (expected crash | hang | alloc)");
 }
 
 }  // namespace
@@ -29,8 +29,8 @@ ProcessFaultPlan ProcessFaultPlan::parse(const std::string& spec) {
     const std::string entry(field);
     const std::size_t at = entry.find('@');
     if (at == std::string::npos || at + 1 == entry.size()) {
-      throw std::runtime_error("process fault entry '" + entry +
-                               "' is not of the form kind[:attempts]@cell");
+      throw Error(ErrorCode::kUsage, "process fault entry '" + entry +
+                                         "' is not of the form kind[:attempts]@cell");
     }
     std::string head = entry.substr(0, at);
     ProcessFault fault;
@@ -41,12 +41,12 @@ ProcessFaultPlan ProcessFaultPlan::parse(const std::string& spec) {
       long long attempts = 0;
       if (!util::parse_int64(count, attempts) ||
           attempts > std::numeric_limits<int>::max()) {
-        throw std::runtime_error("process fault entry '" + entry +
-                                 "' has a non-numeric attempt count");
+        throw Error(ErrorCode::kUsage, "process fault entry '" + entry +
+                                           "' has a non-numeric attempt count");
       }
       if (attempts < 1) {
-        throw std::runtime_error("process fault entry '" + entry +
-                                 "' must sabotage at least one attempt");
+        throw Error(ErrorCode::kUsage, "process fault entry '" + entry +
+                                           "' must sabotage at least one attempt");
       }
       fault.attempts = static_cast<int>(attempts);
     }
@@ -58,6 +58,14 @@ ProcessFaultPlan ProcessFaultPlan::parse(const std::string& spec) {
 
 void ProcessFaultPlan::add(std::string cell, ProcessFault fault) {
   faults_[std::move(cell)] = fault;
+}
+
+void ProcessFaultPlan::require_targets(const std::vector<std::string>& targets,
+                                       const std::string& flag) const {
+  for (const auto& [cell, fault] : faults_)
+    if (std::find(targets.begin(), targets.end(), cell) == targets.end())
+      throw Error(ErrorCode::kUsage, flag + " names '" + cell +
+                                         "', which this run does not have");
 }
 
 const ProcessFault* ProcessFaultPlan::fault_for(const std::string& cell,

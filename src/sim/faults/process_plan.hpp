@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace locpriv::sim {
 
@@ -38,9 +39,15 @@ class ProcessFaultPlan {
   ProcessFaultPlan() = default;
 
   /// Parses a comma-separated spec: `kind[:attempts]@cell`, with kind one of
-  /// crash | hang | alloc, e.g. "crash@i0.25_t10,hang:2@i0.50_t60".
-  /// Throws std::runtime_error on malformed specs or unknown kinds.
+  /// crash | hang | alloc, e.g. "crash@i0.25_t10,hang:2@i0.50_t60". A spec
+  /// is command-line input, so a malformed one or an unknown kind throws
+  /// Error(kUsage).
   static ProcessFaultPlan parse(const std::string& spec);
+
+  /// Throws Error(kUsage), naming `flag`, when a planned cell is not one of
+  /// `targets`: a typo would otherwise rehearse nothing and run clean.
+  void require_targets(const std::vector<std::string>& targets,
+                       const std::string& flag) const;
 
   void add(std::string cell, ProcessFault fault);
 

@@ -6,8 +6,10 @@
 
 #include <chrono>
 #include <csignal>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/harness/child_process.hpp"
@@ -87,6 +89,63 @@ TEST(ChildProcess, SigtermIgnoringBodyIsReclaimedByEscalation) {
   EXPECT_EQ(ChildProcess::describe(status), "killed by SIGKILL");
   EXPECT_GE(took, grace);
   EXPECT_LT(took, grace + milliseconds(2000));
+}
+
+TEST(ChildProcess, SigintIsLeftToTheParentAndSigtermStillTerminates) {
+  // A terminal ^C reaches every process in the group; the child must leave
+  // stopping the run to its parent's drain.
+  ChildProcess interrupted;
+  interrupted.spawn([](int, int) {
+    std::raise(SIGINT);
+    return 0;
+  });
+  EXPECT_EQ(ChildProcess::describe(wait_for_exit(interrupted)), "exit 0");
+
+  // terminate() relies on SIGTERM's default disposition.
+  ChildProcess terminated;
+  terminated.spawn([](int, int) {
+    std::raise(SIGTERM);
+    return 0;
+  });
+  EXPECT_EQ(ChildProcess::describe(wait_for_exit(terminated)),
+            "killed by SIGTERM");
+}
+
+/// True once `pid` has exited: it is gone or a zombie awaiting its reaper.
+bool has_exited(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return true;
+  const std::size_t paren = line.rfind(')');
+  return paren != std::string::npos && line.size() > paren + 2 &&
+         line[paren + 2] == 'Z';
+}
+
+TEST(ChildProcess, AChildDoesNotOutliveItsParent) {
+  // The middle process spawns a grandchild that ignores SIGTERM (and, as
+  // every child does, SIGINT), reports its pid and dies of SIGKILL, so no
+  // destructor stops the grandchild: only the parent-death signal can. The
+  // grandchild's sleep bounds what a failing run leaves behind.
+  ChildProcess middle;
+  middle.spawn([](int, int out_fd) {
+    ChildProcess grandchild;
+    grandchild.spawn([](int, int) {
+      std::signal(SIGTERM, SIG_IGN);
+      std::this_thread::sleep_for(std::chrono::seconds(60));
+      return 0;
+    });
+    write_all(out_fd, encode_message({std::to_string(grandchild.pid())}));
+    std::raise(SIGKILL);
+    return 0;
+  });
+  EXPECT_EQ(ChildProcess::describe(wait_for_exit(middle)), "killed by SIGKILL");
+  std::vector<std::string> fields;
+  ASSERT_TRUE(middle.output().next(fields));
+  const pid_t orphan = static_cast<pid_t>(std::stol(fields.at(0)));
+  const auto give_up = ChildProcess::Clock::now() + std::chrono::seconds(10);
+  while (!has_exited(orphan) && ChildProcess::Clock::now() < give_up)
+    std::this_thread::sleep_for(milliseconds(10));
+  EXPECT_TRUE(has_exited(orphan)) << "pid " << orphan << " outlived its parent";
 }
 
 TEST(ChildProcess, StderrTailKeepsExactlyTheCap) {

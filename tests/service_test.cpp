@@ -2,8 +2,8 @@
 // codec, and the ServiceFailover battery (suite runs under the `chaos`
 // ctest label) — shard crash/hang recovery with byte-identical metric
 // parity against the batch pipeline, graceful drain + resume (after a real
-// SIGINT too), torn-ledger recovery to the previous snapshot, and
-// shard-topology resume pinning.
+// SIGINT too, in the traffic or the report wait), torn-ledger recovery to
+// the previous snapshot, and shard-topology resume pinning.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
@@ -326,6 +326,45 @@ void expect_parity(const core::PrivacyAnalyzer& analyzer,
       << (mismatched.empty() ? "" : mismatched.front());
 }
 
+/// Bitwise equality for doubles: a metamorphic relation that holds up to
+/// rounding does not hold.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Metamorphic: a multi-round schedule replays the corpus shifted in time
+// (round_offset), so round 1 of a user's scheduled fixes, scored alone,
+// must score exactly as round 0 does.
+TEST(TrafficSchedule, RoundTimeShiftChangesNoScore) {
+  const auto& analyzer = test_analyzer();
+  TrafficOptions traffic = quick_traffic();
+  traffic.rounds = 2;
+  for (std::size_t u = 0; u < analyzer.user_count(); ++u) {
+    const std::vector<trace::TracePoint> both = scheduled_fixes(analyzer, u, traffic);
+    const std::size_t half = analyzer.reference(u).points.size();
+    ASSERT_EQ(both.size(), 2 * half);
+    ASSERT_GT(both[half].timestamp_s, both[half - 1].timestamp_s);
+    const std::vector<trace::TracePoint> round0(both.begin(), both.begin() + half);
+    const std::vector<trace::TracePoint> round1(both.begin() + half, both.end());
+    const core::ExposureReport a = analyzer.evaluate_collected(u, 60, round0);
+    const core::ExposureReport b = analyzer.evaluate_collected(u, 60, round1);
+    const std::string& user = analyzer.reference(u).user_id;
+    EXPECT_EQ(a.interval_s, b.interval_s) << user;
+    EXPECT_EQ(a.collected_fixes, b.collected_fixes) << user;
+    EXPECT_EQ(a.extracted_pois, b.extracted_pois) << user;
+    EXPECT_EQ(a.poi_total.reference_count, b.poi_total.reference_count) << user;
+    EXPECT_EQ(a.poi_total.recovered_count, b.poi_total.recovered_count) << user;
+    EXPECT_EQ(a.poi_sensitive.reference_count, b.poi_sensitive.reference_count) << user;
+    EXPECT_EQ(a.poi_sensitive.recovered_count, b.poi_sensitive.recovered_count) << user;
+    EXPECT_EQ(a.hisbin_visits, b.hisbin_visits) << user;
+    EXPECT_EQ(a.hisbin_movements, b.hisbin_movements) << user;
+    EXPECT_TRUE(same_bits(a.anonymity_visits, b.anonymity_visits)) << user;
+    EXPECT_TRUE(same_bits(a.anonymity_movements, b.anonymity_movements)) << user;
+    EXPECT_EQ(a.matches_movements, b.matches_movements) << user;
+    EXPECT_EQ(a.identified_movements, b.identified_movements) << user;
+  }
+}
+
 // Parameterized by shard count (a metamorphic test): how users are spread
 // over shards must not change a single row, so every count yields exactly
 // the batch pipeline's rows.
@@ -431,8 +470,9 @@ TEST(ServiceFailover, FlappingShardIsQuarantinedAndTheRestSurvive) {
   for (std::size_t i = 0; i < analyzer.user_count(); ++i)
     if (daemon.shard_of(analyzer.reference(i).user_id) == 0)
       lost.push_back(analyzer.reference(i).user_id);
+  EXPECT_EQ(daemon.lost_users(), lost);
   EXPECT_TRUE(parity_mismatches(analyzer, options.interval_s, traffic, rows,
-                                lost)
+                                daemon.lost_users())
                   .empty());
 }
 
@@ -475,22 +515,28 @@ TEST(ServiceFailover, SigintMidTrafficDrainsAndResumesWithParity) {
   const fs::path run_dir = fresh_dir("sigint");
 
   // Leg 1: the operator's ^C arrives as a real SIGINT while the traffic
-  // flows. Only the scope's flag stops the drive (no should_stop).
+  // flows, through serve's own traffic step: the scope it opens stops the
+  // drive, the service is drained and the step throws exit 7.
   {
     LocprivService daemon(options, analyzer, run_dir, false);
-    TrafficOutcome outcome;
-    {
-      const harness::InterruptScope interrupts;
-      std::thread operator_thread([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        ::raise(SIGINT);  // Handled on this thread; the flag is shared.
-      });
-      outcome = drive_traffic(daemon, analyzer, traffic);
-      operator_thread.join();
+    std::thread operator_thread([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      ::raise(SIGINT);  // Handled on this thread; the flag is shared.
+    });
+    try {
+      serve_traffic(daemon, analyzer, traffic, run_dir);
+      ADD_FAILURE() << "the schedule ran to the end through a SIGINT";
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kInterrupted);
+      EXPECT_NE(error.message().find("--resume " + run_dir.string()),
+                std::string::npos)
+          << error.message();
     }
-    EXPECT_TRUE(outcome.interrupted);
-    EXPECT_GT(outcome.accepted, 0u);
-    daemon.drain();  // What serve does before it exits 7.
+    operator_thread.join();
+    EXPECT_GT(daemon.stats().batches_submitted, 0u);
+    for (unsigned k = 0; k < options.shards; ++k)
+      EXPECT_EQ(daemon.shard_load(k).retained_batches, 0u)
+          << "shard" << k << " was not drained";
   }
 
   // Leg 2: the resume dedupes what the drained snapshots cover, applies the
@@ -499,6 +545,33 @@ TEST(ServiceFailover, SigintMidTrafficDrainsAndResumesWithParity) {
   const TrafficOutcome replay = drive_traffic(resumed, analyzer, traffic);
   EXPECT_FALSE(replay.interrupted);
   EXPECT_GT(expect_user_offers_reconcile(resumed), 0u);
+  expect_parity(analyzer, options, traffic, resumed.collect_reports());
+  resumed.drain();
+}
+
+TEST(ServiceFailover, SigintDuringTheReportWaitDrainsAndExitsSeven) {
+  const auto& analyzer = test_analyzer();
+  const auto options = quick_options(2);
+  const auto traffic = quick_traffic();
+  const fs::path run_dir = fresh_dir("sigint_report");
+  {
+    LocprivService daemon(options, analyzer, run_dir, false);
+    std::vector<std::vector<std::string>> rows;
+    try {
+      serve_traffic(daemon, analyzer, traffic, run_dir, [&] {
+        ::raise(SIGINT);  // Arrives as the report wait begins.
+        rows = daemon.collect_reports();
+      });
+      ADD_FAILURE() << "a SIGINT during the report wait was ignored";
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kInterrupted);
+    }
+    // The wait stopped before any shard answered.
+    EXPECT_TRUE(rows.empty());
+  }
+  // The drain left the run directory resumable with parity.
+  LocprivService resumed(options, analyzer, run_dir, true);
+  drive_traffic(resumed, analyzer, traffic);
   expect_parity(analyzer, options, traffic, resumed.collect_reports());
   resumed.drain();
 }
@@ -623,6 +696,25 @@ TEST(ServiceOverload, ZeroCreditWindowIsAUsageError) {
     ADD_FAILURE() << "a zero credit window was accepted";
   } catch (const Error& error) {
     EXPECT_EQ(error.code(), ErrorCode::kUsage);
+  }
+  EXPECT_FALSE(fs::exists(run_dir));
+}
+
+TEST(ServiceOverload, FaultPlanNamingAMissingShardIsAUsageError) {
+  // A typo in --fault-shards would otherwise turn a failover rehearsal into
+  // a clean run; it is refused before any shard or ledger exists.
+  auto options = quick_options(2);
+  options.fault_plan = sim::ProcessFaultPlan::parse("crash@shard9");
+  const fs::path run_dir =
+      fs::temp_directory_path() /
+      ("locpriv_service_missing_shard_" + std::to_string(::getpid()));
+  fs::remove_all(run_dir);
+  try {
+    LocprivService daemon(options, test_analyzer(), run_dir, false);
+    ADD_FAILURE() << "a plan naming shard9 was accepted for two shards";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kUsage);
+    EXPECT_NE(error.message().find("shard9"), std::string::npos);
   }
   EXPECT_FALSE(fs::exists(run_dir));
 }

@@ -163,12 +163,30 @@ TEST(ProcessFaultPlanSpec, ParsesKindsAndAttemptWindows) {
 }
 
 TEST(ProcessFaultPlanSpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(ProcessFaultPlan::parse("crash"), std::runtime_error);
-  EXPECT_THROW(ProcessFaultPlan::parse("crash@"), std::runtime_error);
-  EXPECT_THROW(ProcessFaultPlan::parse("explode@cell"), std::runtime_error);
-  EXPECT_THROW(ProcessFaultPlan::parse("hang:x@cell"), std::runtime_error);
-  EXPECT_THROW(ProcessFaultPlan::parse("hang:0@cell"), std::runtime_error);
-  EXPECT_THROW(ProcessFaultPlan::parse("hang:2x@cell"), std::runtime_error);
+  // A spec is command-line input: each refusal is a usage error (exit 2).
+  for (const char* spec : {"crash", "crash@", "explode@cell", "hang:x@cell",
+                           "hang:0@cell", "hang:2x@cell", "bogus", "crash:0@shard0"}) {
+    try {
+      ProcessFaultPlan::parse(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kUsage) << spec;
+    }
+  }
+}
+
+TEST(ProcessFaultPlanSpec, RequireTargetsRefusesACellTheRunDoesNotHave) {
+  const ProcessFaultPlan plan = ProcessFaultPlan::parse("crash@shard0,hang@shard9");
+  try {
+    plan.require_targets({"shard0", "shard1"}, "--fault-shards");
+    ADD_FAILURE() << "a plan naming shard9 was accepted for two shards";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kUsage);
+    EXPECT_NE(error.message().find("--fault-shards"), std::string::npos);
+    EXPECT_NE(error.message().find("shard9"), std::string::npos);
+  }
+  plan.require_targets({"shard9", "shard0"}, "--fault-shards");
+  ProcessFaultPlan().require_targets({}, "--fault-cells");
 }
 
 TEST(ProcessFaultPlanSpec, AllocBombCapRaisesBadAllocWithoutRlimit) {

@@ -6,12 +6,10 @@
 // checks a run directory offline. usage() lists every flag and exit code.
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 
 #include "core/harness/atomic_file.hpp"
 #include "core/harness/error.hpp"
-#include "core/harness/interrupt.hpp"
 #include "core/harness/sweep.hpp"
 
 #include "core/analyzer.hpp"
@@ -116,9 +114,6 @@ int usage() {
 /// produced results, but the corpus was incomplete.
 constexpr int kExitQuarantined = 3;
 
-/// Upper bound of a count flag stored in an `int`.
-constexpr long long kIntMax = std::numeric_limits<int>::max();
-
 /// A dataset plus the ingest outcome the lenient commands report on.
 struct LoadedDataset {
   std::vector<trace::UserTrace> users;
@@ -147,34 +142,6 @@ LoadedDataset load_dataset(const std::string& root, bool lenient) {
   return loaded;
 }
 
-/// --interval, the app's polling period in seconds. The collection model
-/// starts at 1 s (the app receives every fix), so a smaller value is a
-/// usage error rather than a full-rate run labelled with it.
-std::int64_t interval_arg(const util::Args& args) {
-  const std::int64_t interval_s = args.get_int("--interval");
-  if (interval_s < 1)
-    throw Error(ErrorCode::kUsage,
-                "--interval must be at least 1 s, got " + args.get("--interval"));
-  return interval_s;
-}
-
-/// The synthetic corpus of --users and --days, generated from `seed`. The
-/// user count is checked against the home sites of the city that seed
-/// generates, before anything is generated or written.
-mobility::DatasetConfig synthetic_corpus(const util::Args& args, std::uint64_t seed) {
-  mobility::DatasetConfig config;
-  config.seed = seed;
-  config.user_count = static_cast<int>(args.get_int("--users", 1, kIntMax));
-  config.synthesis.days = static_cast<int>(args.get_int("--days", 1, kIntMax));
-  const std::int64_t limit = mobility::max_user_count(config);
-  if (config.user_count > limit)
-    throw Error(ErrorCode::kUsage,
-                "--users must be at most " + std::to_string(limit) +
-                    ", the home sites of the city seed " + std::to_string(seed) +
-                    " generates; got " + args.get("--users"));
-  return config;
-}
-
 /// Maps a command's own exit code through the quarantine signal.
 int finish(int code, const LoadedDataset& loaded) {
   if (code == 0 && loaded.lenient && !loaded.report.clean()) return kExitQuarantined;
@@ -191,7 +158,7 @@ int cmd_gen_dataset(int argc, const char* const* argv) {
   if (args.get("--out").empty()) return usage();
 
   const auto dataset = mobility::generate_dataset(
-      synthetic_corpus(args, static_cast<std::uint64_t>(args.get_int("--seed"))));
+      core::synthetic_corpus(args, static_cast<std::uint64_t>(args.get_int("--seed"))));
   trace::write_geolife_dataset(args.get("--out"), dataset.users);
   std::cout << "wrote " << dataset.users.size() << " users ("
             << trace::compute_dataset_stats(dataset.users).point_count
@@ -268,7 +235,7 @@ int cmd_extract_pois(int argc, const char* const* argv) {
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
-  const std::int64_t interval_s = interval_arg(args);
+  const std::int64_t interval_s = core::interval_arg(args);
   // The extraction parameters are checked before the corpus loads: a
   // positive radius up to half the Earth's circumference, a visit of at
   // least one minute whose length in seconds fits the harness's bound.
@@ -315,7 +282,7 @@ int cmd_audit(int argc, const char* const* argv) {
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
-  const std::int64_t interval_s = interval_arg(args);
+  const std::int64_t interval_s = core::interval_arg(args);
 
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
   const core::PrivacyAnalyzer analyzer(core::experiment_analyzer_config(),
@@ -374,7 +341,7 @@ int cmd_audit_all(int argc, const char* const* argv) {
   harness::declare_run_flags(args);
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
-  const std::int64_t interval_s = interval_arg(args);
+  const std::int64_t interval_s = core::interval_arg(args);
   const harness::RunOptions options = harness::run_options_from(args);
 
   auto loaded = load_dataset(args.get("--root"), args.get_bool("--lenient"));
@@ -447,7 +414,7 @@ int cmd_identify(int argc, const char* const* argv) {
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty()) return usage();
-  const std::int64_t interval_s = interval_arg(args);
+  const std::int64_t interval_s = core::interval_arg(args);
   const privacy::Pattern pattern = args.get_int("--pattern", 1, 2) == 1
                                        ? privacy::Pattern::kVisits
                                        : privacy::Pattern::kMovements;
@@ -481,7 +448,7 @@ int cmd_export_geojson(int argc, const char* const* argv) {
   args.declare("--interval", "1");
   args.parse(argc, argv, 2);
   if (args.get("--root").empty() || args.get("--out").empty()) return usage();
-  const std::int64_t interval_s = interval_arg(args);
+  const std::int64_t interval_s = core::interval_arg(args);
 
   const auto loaded = load_dataset(args.get("--root"), /*lenient=*/false);
   const auto& users = loaded.users;
@@ -533,7 +500,7 @@ int cmd_serve(int argc, const char* const* argv) {
   args.declare("--admit", "block");
   args.declare_bool("--lenient");
   args.parse(argc, argv, 2);
-  const std::int64_t interval_s = interval_arg(args);
+  const std::int64_t interval_s = core::interval_arg(args);
 
   // Every number is range-checked before any analyzer, shard or worker
   // exists; 0 stays legal wherever it means "off" or "unbounded" (never for
@@ -560,16 +527,16 @@ int cmd_serve(int argc, const char* const* argv) {
       static_cast<unsigned>(args.get_int("--shard-cpu-s", 0, harness::kMaxFlagSeconds));
   if (!args.get("--fault-shards").empty())
     options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
-  options.fault_after_batches = static_cast<int>(args.get_int("--fault-after", 0, kIntMax));
+  options.fault_after_batches = static_cast<int>(args.get_int("--fault-after", 0, harness::kMaxFlagCount));
   options.max_inflight_batches =
-      static_cast<std::size_t>(args.get_int("--max-inflight-batches", 1, kIntMax));
+      static_cast<std::size_t>(args.get_int("--max-inflight-batches", 1, harness::kMaxFlagCount));
   options.max_retained_bytes =
       static_cast<std::size_t>(args.get_int("--max-retained-mb", 0, harness::kMaxFlagMiB)) *
       1024 * 1024;
 
   service::TrafficOptions traffic;
-  traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch", 0, kIntMax));
-  traffic.rounds = static_cast<int>(args.get_int("--rounds", 0, kIntMax));
+  traffic.batch_size = static_cast<std::size_t>(args.get_int("--batch", 0, harness::kMaxFlagCount));
+  traffic.rounds = static_cast<int>(args.get_int("--rounds", 0, harness::kMaxFlagCount));
   traffic.pace = ms("--pace-ms");
   if (args.get("--admit") == "shed") {
     traffic.may_shed = true;
@@ -593,25 +560,15 @@ int cmd_serve(int argc, const char* const* argv) {
   } else {
     analyzer = std::make_unique<core::PrivacyAnalyzer>(
         core::PrivacyAnalyzer::from_synthetic(core::experiment_analyzer_config(),
-                                              synthetic_corpus(args, options.seed)));
+                                              core::synthetic_corpus(args, options.seed)));
   }
   options.scale = std::to_string(analyzer->user_count()) + "u_t" +
                   std::to_string(options.interval_s);
 
   service::LocprivService daemon(options, *analyzer, run_dir, resume);
-  // SIGINT/SIGTERM stop the traffic between batches; the shards are then
-  // drained and the run directory stays resumable (exit 7).
-  const service::TrafficOutcome outcome = [&] {
-    const harness::InterruptScope interrupts;
-    return service::drive_traffic(daemon, *analyzer, traffic);
-  }();
-  if (outcome.interrupted) {
-    daemon.drain();
-    throw harness::interrupted_error(
-        std::to_string(outcome.accepted) + " accepted batches", run_dir);
-  }
-
-  const auto rows = daemon.collect_reports();
+  std::vector<std::vector<std::string>> rows;
+  service::serve_traffic(daemon, *analyzer, traffic, run_dir,
+                         [&] { rows = daemon.collect_reports(); });
   const std::vector<std::string> header = {
       "user", "interval_s", "collected_fixes", "extracted_pois", "poi_total",
       "poi_sensitive", "hisbin_visits", "hisbin_movements", "breach",
@@ -695,7 +652,7 @@ int cmd_report(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
 
   tools::ReportOptions options;
-  const mobility::DatasetConfig corpus = synthetic_corpus(args, options.dataset_seed);
+  const mobility::DatasetConfig corpus = core::synthetic_corpus(args, options.dataset_seed);
   options.user_count = corpus.user_count;
   options.days = corpus.synthesis.days;
   if (args.get("--out").empty()) {
@@ -714,7 +671,7 @@ int cmd_report(int argc, const char* const* argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  try {
+  return run_main([&] {
     if (command == "gen-dataset") return cmd_gen_dataset(argc, argv);
     if (command == "dataset-stats") return cmd_dataset_stats(argc, argv);
     if (command == "market-study") return cmd_market_study(argc, argv);
@@ -726,15 +683,7 @@ int main(int argc, char** argv) {
     if (command == "report") return cmd_report(argc, argv);
     if (command == "serve") return cmd_serve(argc, argv);
     if (command == "scrub") return cmd_scrub(argc, argv);
-  } catch (const Error& error) {
-    // Harness failures carry their own exit code (4 I/O, 5 deadline, ...),
-    // so scripts can distinguish a full disk from a bad user index.
-    std::cerr << "error: " << error.what() << '\n';
-    return error.exit_code();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return exit_code(ErrorCode::kInternal);
-  }
-  std::cerr << "unknown command: " << command << "\n";
-  return usage();
+    std::cerr << "unknown command: " << command << "\n";
+    return usage();
+  });
 }
