@@ -13,6 +13,7 @@
 #include "core/harness/atomic_file.hpp"
 #include "core/harness/error.hpp"
 #include "core/harness/sweep.hpp"
+#include "service/driver.hpp"
 #include "service/locprivd.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
@@ -120,16 +121,17 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// The service options the soak and overload benches share: --shards,
 /// --interval, --seed, --snapshot-every-ms, --fault-shards and --fault-after
-/// under serve's bounds, and shard failures detected within about a second.
+/// under serve's bounds, the run scale of `traffic`, and shard failures
+/// detected within about a second.
 inline service::ServiceOptions soak_options(const util::Args& args,
-                                            const core::PrivacyAnalyzer& analyzer) {
+                                            const core::PrivacyAnalyzer& analyzer,
+                                            const service::TrafficOptions& traffic) {
   service::ServiceOptions options;
   options.shards =
       static_cast<unsigned>(args.get_int("--shards", 1, harness::kMaxFlagWorkers));
   options.interval_s = core::interval_arg(args);
   options.seed = static_cast<std::uint64_t>(args.get_int("--seed"));
-  options.scale = std::to_string(analyzer.user_count()) + "u_t" +
-                  std::to_string(options.interval_s);
+  options.scale = service::run_scale(analyzer, options.interval_s, traffic);
   options.heartbeat = std::chrono::milliseconds(100);
   options.ping_timeout = std::chrono::milliseconds(1000);
   options.term_grace = std::chrono::milliseconds(500);

@@ -13,12 +13,13 @@
 // `--run-dir DIR` every completed cell is journaled to DIR/ledger.jsonl, and
 // a crashed or SIGKILLed run rerun with `--resume DIR` skips the completed
 // cells and produces a final CSV byte-identical to an uninterrupted run.
-// `--heartbeat/--hard-deadline` supervise the sweep stage; a blown hard
-// deadline aborts with exit 5 before the next cell attempt. `--workers N`
-// runs N cells at once; under `--isolate` each cell attempt runs in a
-// forked, rlimit-capped child, so a segfaulting, hanging, or memory-bombing
-// cell is retried with deterministic backoff and finally quarantined
-// (exit 3) while the rest of the sweep completes. `--fault-cells
+// The sweep has no time bound of its own: SIGINT/SIGTERM stop it with exit
+// 7 (`timeout --preserve-status -s TERM S` bounds a run), and progress is
+// logged every 30 s. `--workers N` runs N cells at once; under `--isolate`
+// each cell attempt runs in a forked, rlimit-capped child under
+// `--cell-deadline`, so a segfaulting, hanging, or memory-bombing cell is
+// retried with deterministic backoff and finally quarantined (exit 3)
+// while the rest of the sweep completes. `--fault-cells
 // crash@i0.50_t60,...` injects process-level faults for exercising exactly
 // that path.
 //

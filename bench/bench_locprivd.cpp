@@ -69,7 +69,7 @@ int run(int argc, const char* const* argv) {
 
   const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
       core::experiment_analyzer_config(), dataset);
-  const service::ServiceOptions options = bench::soak_options(args, analyzer);
+  const service::ServiceOptions options = bench::soak_options(args, analyzer, traffic);
   const bench::RunDir run_dir(args.get("--run-dir"), "bench_locprivd");
 
   const auto start = std::chrono::steady_clock::now();

@@ -107,7 +107,7 @@ int run(int argc, const char* const* argv) {
   const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
       core::experiment_analyzer_config(),
       core::synthetic_corpus(args, static_cast<std::uint64_t>(args.get_int("--seed"))));
-  service::ServiceOptions options = bench::soak_options(args, analyzer);
+  service::ServiceOptions options = bench::soak_options(args, analyzer, traffic);
   options.max_inflight_batches = static_cast<std::size_t>(
       args.get_int("--max-inflight-batches", 1, harness::kMaxFlagCount));
   options.max_retained_bytes =

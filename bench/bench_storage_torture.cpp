@@ -13,8 +13,10 @@
 // A silent wrong answer, an escape outside the taxonomy, or an unrepairable
 // directory fails the bench. A final combined scenario stacks a SIGKILL'd
 // shard, recovering ENOSPC, and newest-snapshot bit-rot in one run and
-// demands recovery through the newest-two fallback. Output: console summary
-// plus BENCH_storage.json — CI runs this reduced as `storage_torture_smoke`.
+// demands recovery through the newest-two fallback. SIGINT/SIGTERM stop the
+// sweep: the running leg drains, the scratch directory is removed, and the
+// bench exits 7. Output: console summary plus BENCH_storage.json — CI runs
+// this reduced as `storage_torture_smoke`.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -31,6 +33,7 @@
 #include "core/experiment.hpp"
 #include "core/harness/atomic_file.hpp"
 #include "core/harness/file_ops.hpp"
+#include "core/harness/interrupt.hpp"
 #include "core/harness/sweep.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
@@ -136,15 +139,30 @@ struct SeedOutcome {
 };
 
 /// Drives one full schedule and returns the audit rows; throws the
-/// service's own taxonomy errors through.
+/// service's own taxonomy errors through. A signal stops the traffic or the
+/// report wait, and the leg then drains and throws
+/// harness::interrupted_error (exit 7) whatever the drain met under the
+/// leg's fault plan: every run directory lives under the scratch root,
+/// which goes with the bench, so none is left to resume.
 std::vector<std::vector<std::string>> run_leg(const SweepConfig& config,
                                               const core::PrivacyAnalyzer& analyzer,
                                               const fs::path& run_dir,
                                               bool resume) {
-  service::LocprivService daemon(config.options, analyzer, run_dir, resume);
-  service::drive_traffic(daemon, analyzer, config.traffic);
-  auto rows = daemon.collect_reports();
-  daemon.drain();
+  std::vector<std::vector<std::string>> rows;
+  std::uint64_t accepted = 0;
+  try {
+    service::LocprivService daemon(config.options, analyzer, run_dir, resume);
+    const service::TrafficOutcome traffic =
+        service::drive_traffic(daemon, analyzer, config.traffic);
+    accepted = traffic.accepted;
+    if (!traffic.interrupted) rows = daemon.collect_reports();
+    daemon.drain();
+  } catch (const Error&) {
+    if (!harness::interrupt_requested()) throw;
+  }
+  if (harness::interrupt_requested())
+    throw harness::interrupted_error(
+        std::to_string(accepted) + " accepted batches of a leg", {});
   return rows;
 }
 
@@ -162,6 +180,7 @@ SeedOutcome torture_one(const SweepConfig& config,
       outcome.parity_ok = run_leg(config, analyzer, run_dir, false) == reference;
       outcome.completed = true;
     } catch (const Error& error) {
+      if (error.code() == ErrorCode::kInterrupted) throw;  // Not a taxonomy exit.
       outcome.exit = error.exit_code();
     }
   }
@@ -224,6 +243,7 @@ bool combined_scenario(SweepConfig config,
     try {
       first_leg_ok = run_leg(config, analyzer, run_dir, false) == reference;
     } catch (const Error& error) {
+      if (error.code() == ErrorCode::kInterrupted) throw;
       std::cerr << "combined: first leg exited " << error.exit_code() << " ("
                 << error.what() << ")\n";
       return false;
@@ -288,8 +308,13 @@ int run(int argc, const char* const* argv) {
 
   const core::PrivacyAnalyzer analyzer = core::PrivacyAnalyzer::from_synthetic(
       core::experiment_analyzer_config(), dataset);
-  config.options.scale = std::to_string(analyzer.user_count()) + "u_t" +
-                         std::to_string(config.options.interval_s);
+  config.options.scale =
+      service::run_scale(analyzer, config.options.interval_s, config.traffic);
+  // One scope for the seed sweep and the combined scenario, open before the
+  // scratch directory exists so no signal can kill the bench with it on
+  // disk: run_leg's drive_traffic and collect_reports poll it, and scopes
+  // do not nest.
+  const harness::InterruptScope interrupts;
   const bench::RunDir scratch("", "bench_storage");
   config.root = scratch.path();
 
@@ -304,11 +329,15 @@ int run(int argc, const char* const* argv) {
   harness::InjectedFaults totals;
   std::map<int, std::uint64_t> exits_by_code;
   for (std::uint64_t seed = 1; seed <= sweep_seeds; ++seed) {
+    if (harness::interrupt_requested())
+      throw harness::interrupted_error(std::to_string(seed - 1) + " seeds", {});
     SeedOutcome outcome;
     try {
       outcome = torture_one(config, analyzer, reference, seed);
     } catch (const std::exception& error) {
-      // The clean legs (scrub, resume) must not throw at all.
+      // An interrupted leg ends the sweep; otherwise the clean legs (scrub,
+      // resume) must not throw at all.
+      if (harness::interrupt_requested()) throw;
       std::cerr << "seed " << seed << ": escaped the taxonomy: "
                 << error.what() << '\n';
       ++rogue_exits;

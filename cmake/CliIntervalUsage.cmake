@@ -4,11 +4,14 @@
 # for audit-all's harness flags, for serve and for the dataset, report,
 # market-study, extract-pois and identify commands, --users above the
 # seeded city's home sites, flags the commands do not take (audit-all's
-# --soft-deadline; serve's shedding-policy and turnaround-EWMA flags), and a
-# serve fault plan that does not parse or names a shard the run lacks.
-# audit-all and serve refuse a reused --run-dir with exit 6 before they read
-# a corpus. The largest interval collects one fix instead of wrapping past
-# INT64_MAX. Run against a 2-user corpus written by `locpriv gen-dataset`:
+# --soft-deadline, --heartbeat, --hard-deadline and --cell-cpu-s; serve's
+# shedding-policy and turnaround-EWMA flags and --shard-cpu-s), a serve
+# fault plan that does not parse or names a shard the run lacks, and a
+# malformed LOCPRIV_STORAGE_FAULTS spec. audit-all and serve refuse a reused
+# --run-dir with exit 6 before they read a corpus, and serve refuses to
+# resume under another --batch with exit 6. The largest interval collects
+# one fix instead of wrapping past INT64_MAX. Run against a 2-user corpus
+# written by `locpriv gen-dataset`:
 #
 #   cmake -DLOCPRIV=<locpriv binary> -DWORK_DIR=<work dir>
 #         -P cmake/CliIntervalUsage.cmake
@@ -62,12 +65,15 @@ endforeach()
 
 # Numbers the sweep harness cannot represent (non-finite or huge seconds, a
 # worker count above UINT_MAX, a backoff that overflows its shift) are
-# refused before any cell runs, and so is --soft-deadline, a flag the
-# harness does not take.
+# refused before any cell runs, and so are flags the harness does not take:
+# --soft-deadline, and --heartbeat, --hard-deadline and --cell-cpu-s, since
+# a sweep is bounded only by a signal and a cell attempt only by
+# --cell-deadline.
 foreach(misuse "--cell-deadline;nan" "--cell-deadline;inf" "--cell-deadline;1e300"
                "--cell-grace;nan" "--cell-grace;inf" "--workers;4294967297"
                "--cell-cpu-s;4294967297" "--cell-backoff-ms;9223372036854775807"
-               "--heartbeat;9300000000000000" "--hard-deadline;-1" "--soft-deadline;5")
+               "--heartbeat;9300000000000000" "--hard-deadline;-1" "--soft-deadline;5"
+               "--hard-deadline;5" "--heartbeat;5" "--cell-cpu-s;5")
   expect_usage_exit("audit-all ${misuse}" audit-all --root "${WORK_DIR}/corpus"
                     --run-dir "${WORK_DIR}/audit_all" --isolate ${misuse})
 endforeach()
@@ -75,7 +81,8 @@ endforeach()
 # serve range-checks every number before any analyzer, shard or worker
 # exists: a negative count would wrap to a huge unsigned value. The credit
 # window has no "off" value, and serve sheds by one rule and finds slow
-# shards by the ack deadline, so it takes no flag to choose either. A fault
+# shards by the ack deadline, so it takes no flag to choose either; that
+# deadline is a shard's one time bound, so --shard-cpu-s is unknown. A fault
 # plan is command-line input too: one that does not parse, or that names a
 # shard the run does not have (a typo would rehearse nothing), exits 2
 # before any shard or ledger exists.
@@ -83,6 +90,7 @@ foreach(misuse "--shards;-1" "--shards;0" "--batch;-1" "--max-inflight-batches;-
                "--max-inflight-batches;0" "--max-retained-mb;-1" "--heartbeat-ms;-5"
                "--op-timeout-ms;-1" "--grace-ms;-1" "--backoff-ms;9223372036854775807"
                "--rounds;-1" "--max-respawns;-1" "--shard-cpu-s;4294967297" "--users;0"
+               "--shard-cpu-s;1"
                "--users;270;--days;1"
                "--shed-policy;reject-new" "--degraded-ms;5" "--slow-restart-ms;5"
                "--users;2;--days;1;--fault-shards;bogus"
@@ -106,6 +114,21 @@ foreach(misuse "--users;4294967298;--days;1" "--users;-3" "--users;2;--days;0"
 endforeach()
 if(EXISTS "${WORK_DIR}/gen_usage")
   list(APPEND failed "a refused gen-dataset wrote its output directory")
+endif()
+# A malformed storage-fault plan is refused before anything is written: a
+# typo in a fault-injection run must not pass fault-free.
+execute_process(COMMAND "${CMAKE_COMMAND}" -E env
+                        "LOCPRIV_STORAGE_FAULTS=seed=20170301,shrt=0.35"
+                        "${LOCPRIV}" gen-dataset --out "${WORK_DIR}/gen_faults"
+                        --users 1 --days 1
+                OUTPUT_VARIABLE output
+                ERROR_VARIABLE errors
+                RESULT_VARIABLE exit_code)
+if(exit_code EQUAL 2 AND NOT EXISTS "${WORK_DIR}/gen_faults")
+  message(STATUS "cli_interval_usage: a malformed LOCPRIV_STORAGE_FAULTS exits 2")
+else()
+  message("${output}${errors}")
+  list(APPEND failed "gen-dataset under a malformed LOCPRIV_STORAGE_FAULTS (exit ${exit_code})")
 endif()
 foreach(misuse "--users;4294967297;--days;1" "--users;0" "--days;-1" "--users;270;--days;1")
   expect_usage_exit("report ${misuse}" report ${misuse})
@@ -137,6 +160,26 @@ foreach(command audit-all serve)
   else()
     message("${output}${errors}")
     list(APPEND failed "${command} on a reused --run-dir (exit ${exit_code})")
+  endif()
+endforeach()
+
+# The batch size decides which batch each per-shard sequence number names,
+# so the ledger pins it: a resume under another --batch exits 6, and one
+# under the original batch size continues.
+set(serve_run --users 2 --days 1)
+foreach(step "fresh;0;--run-dir" "other batch;6;--resume;--batch;32"
+             "same batch;0;--resume")
+  list(POP_FRONT step label expected flag)
+  execute_process(COMMAND "${LOCPRIV}" serve ${serve_run} ${flag} "${WORK_DIR}/serve_batch"
+                          ${step}
+                  OUTPUT_VARIABLE output
+                  ERROR_VARIABLE errors
+                  RESULT_VARIABLE exit_code)
+  if(exit_code EQUAL expected)
+    message(STATUS "cli_interval_usage: serve ${label} exits ${expected}")
+  else()
+    message("${output}${errors}")
+    list(APPEND failed "serve ${label} (exit ${exit_code}, expected ${expected})")
   endif()
 endforeach()
 

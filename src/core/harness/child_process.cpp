@@ -45,8 +45,8 @@ void note(std::string_view text) {
 }
 
 [[noreturn]] void run_child(const ChildProcess::Body& body, pid_t parent,
-                            std::size_t rlimit_mb, unsigned cpu_s, int in_fd,
-                            int out_fd, int err_fd) {
+                            std::size_t rlimit_mb, int in_fd, int out_fd,
+                            int err_fd) {
   // Order matters: silence the logger before anything can log (kOff
   // short-circuits log_line before it touches the cloned sink mutex), then
   // route stderr into the capture pipe, then set the signals, then cap the
@@ -67,7 +67,6 @@ void note(std::string_view text) {
   action.sa_handler = SIG_DFL;
   ::sigaction(SIGTERM, &action, nullptr);
   if (rlimit_mb > 0) set_rlimit(RLIMIT_AS, static_cast<rlim_t>(rlimit_mb) << 20);
-  if (cpu_s > 0) set_rlimit(RLIMIT_CPU, cpu_s);
 
   int code = exit_code(ErrorCode::kInternal);
   try {
@@ -120,8 +119,7 @@ ChildProcess::~ChildProcess() {
   reap();
 }
 
-void ChildProcess::spawn(const Body& body, std::size_t rlimit_mb,
-                         unsigned cpu_s) {
+void ChildProcess::spawn(const Body& body, std::size_t rlimit_mb) {
   auto [in_read, in_write] = make_pipe();
   auto [out_read, out_write] = make_pipe();
   auto [err_read, err_write] = make_pipe();
@@ -139,7 +137,7 @@ void ChildProcess::spawn(const Body& body, std::size_t rlimit_mb,
     in_write.reset();
     out_read.reset();
     err_read.reset();
-    run_child(body, parent, rlimit_mb, cpu_s, in_read.get(), out_write.get(),
+    run_child(body, parent, rlimit_mb, in_read.get(), out_write.get(),
               err_write.get());
   }
   if (pid < 0) throw Error(ErrorCode::kIo, "fork failed" + errno_detail());

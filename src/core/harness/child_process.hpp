@@ -4,8 +4,9 @@
 // In the child, spawn() silences logging (the parent's sink mutex state was
 // cloned by fork), has the child killed when its parent dies, routes stderr
 // into a capture pipe, ignores SIGINT and restores SIGTERM's default,
-// applies RLIMIT_AS/RLIMIT_CPU, runs the body, and _exits with the body's
-// return value. An exception out of the body
+// applies RLIMIT_AS, runs the body, and _exits with the body's return
+// value. A child's time is bounded from the parent (a deadline, then
+// terminate()), never by a CPU rlimit. An exception out of the body
 // becomes the exit-code taxonomy: Error -> its code, anything else -> 1,
 // with what() written to the captured stderr. The child never unwinds into
 // the cloned parent stack.
@@ -90,12 +91,12 @@ class ChildProcess {
   ChildProcess(const ChildProcess&) = delete;
   ChildProcess& operator=(const ChildProcess&) = delete;
 
-  /// Forks a child running `body` under RLIMIT_AS = `rlimit_mb` MiB and
-  /// RLIMIT_CPU = `cpu_s` seconds (0 leaves a limit untouched). No child may
-  /// be running. Resets the output decoder and the write queue; the stderr
-  /// tail carries over. The logging sink is held across fork(2). Throws
-  /// Error(kIo) when the pipes or the fork fail.
-  void spawn(const Body& body, std::size_t rlimit_mb = 0, unsigned cpu_s = 0);
+  /// Forks a child running `body` under RLIMIT_AS = `rlimit_mb` MiB (0
+  /// leaves the limit untouched). No child may be running. Resets the
+  /// output decoder and the write queue; the stderr tail carries over. The
+  /// logging sink is held across fork(2). Throws Error(kIo) when the pipes
+  /// or the fork fail.
+  void spawn(const Body& body, std::size_t rlimit_mb = 0);
 
   bool running() const { return pid_ > 0; }
   pid_t pid() const { return pid_; }

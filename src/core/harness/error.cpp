@@ -4,6 +4,8 @@
 #include <cstring>
 #include <iostream>
 
+#include "core/harness/file_ops.hpp"
+
 namespace locpriv {
 
 std::string_view error_code_name(ErrorCode code) {
@@ -51,6 +53,9 @@ std::string errno_detail() {
 
 int run_main(const std::function<int()>& body) {
   try {
+    // A malformed LOCPRIV_STORAGE_FAULTS is refused before the body writes
+    // anything (exit 2), not at its first durable write.
+    harness::file_ops();
     return body();
   } catch (const Error& error) {
     std::cerr << "error: " << error.what() << '\n';

@@ -22,7 +22,9 @@ enum class ErrorCode : int {
   kUsage = 2,        ///< Bad command line.
   kQuarantined = 3,  ///< Lenient ingest / sweep cells quarantined (results partial).
   kIo = 4,           ///< Artifact / ledger I/O failure (ENOSPC, EPERM, ...).
-  kDeadline = 5,     ///< A stage exceeded its hard deadline.
+  /// A locprivd report or drain did not complete within its budget
+  /// (op_timeout times the respawn allowance).
+  kDeadline = 5,
   kResume = 6,       ///< Resume mismatch or unloadable run state.
   kInterrupted = 7,  ///< SIGINT/SIGTERM: run stopped cleanly, resumable.
   /// Mid-file ledger corruption (a CRC-failed or unparsable interior
@@ -71,10 +73,11 @@ class Error : public std::exception {
 /// empty string when errno is 0.
 std::string errno_detail();
 
-/// The body of a binary's main: returns body(), or, when an exception
-/// escapes it, prints "error: <what>" to stderr and returns the exit code of
-/// its failure class (kInternal for anything but an Error), so scripts can
-/// tell a full disk from a bad user index.
+/// The body of a binary's main: checks LOCPRIV_STORAGE_FAULTS (through
+/// harness::file_ops()), then returns body(), or, when an exception escapes
+/// either, prints "error: <what>" to stderr and returns the exit code of its
+/// failure class (kInternal for anything but an Error), so scripts can tell
+/// a full disk from a bad user index.
 int run_main(const std::function<int()>& body);
 
 }  // namespace locpriv

@@ -129,10 +129,11 @@ StorageFaultPlan StorageFaultPlan::parse(const std::string& spec) {
 // ---------------------------------------------------------------------------
 
 FaultyFileOps::FaultyFileOps(StorageFaultPlan plan, FileOps* base)
-    : plan_(std::move(plan)), base_(base) {
+    : plan_(std::move(plan)),
+      base_(base),
+      rng_state_(plan_.seed == 0 ? 1 : plan_.seed) {
   static RealFileOps real;
   if (base_ == nullptr) base_ = &real;
-  rng_state_ = plan_.seed == 0 ? 1 : plan_.seed;
 }
 
 bool FaultyFileOps::matches(const std::string& path) const {
@@ -161,7 +162,7 @@ bool FaultyFileOps::inject_eio() {
 int FaultyFileOps::open(const char* path, int flags, ::mode_t mode) {
   const int fd = base_->open(path, flags, mode);
   if (fd < 0) return fd;
-  std::lock_guard<std::mutex> lock(mutex_);
+  const util::MutexLock lock(mutex_);
   if (matches(path)) {
     TrackedFd tracked;
     tracked.path = path;
@@ -176,7 +177,7 @@ int FaultyFileOps::open(const char* path, int flags, ::mode_t mode) {
 ::ssize_t FaultyFileOps::read(int fd, void* buf, std::size_t count) {
   bool tracked = false;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     tracked = fds_.count(fd) != 0;
   }
   if (!tracked || !plan_.flip_read) return base_->read(fd, buf, count);
@@ -189,7 +190,7 @@ int FaultyFileOps::open(const char* path, int flags, ::mode_t mode) {
       // Persistent single-bit rot: every read of that offset sees the flip,
       // like a bad sector, so retries cannot paper over it.
       static_cast<unsigned char*>(buf)[plan_.flip_offset - offset] ^= 0x01u;
-      std::lock_guard<std::mutex> lock(mutex_);
+      const util::MutexLock lock(mutex_);
       ++injected_.bit_flips;
     }
   }
@@ -199,7 +200,7 @@ int FaultyFileOps::open(const char* path, int flags, ::mode_t mode) {
 ::ssize_t FaultyFileOps::write(int fd, const void* buf, std::size_t count) {
   std::size_t effective = count;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     if (fds_.count(fd) != 0) {
       if (inject_eio()) return -1;
       ++write_count_;
@@ -227,7 +228,7 @@ int FaultyFileOps::open(const char* path, int flags, ::mode_t mode) {
 
 int FaultyFileOps::sync_common(int fd, bool data_only) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     const auto it = fds_.find(fd);
     if (it != fds_.end()) {
       if (inject_eio()) return -1;
@@ -245,7 +246,7 @@ int FaultyFileOps::sync_common(int fd, bool data_only) {
   }
   const int rc = data_only ? base_->fdatasync(fd) : base_->fsync(fd);
   if (rc == 0 && plan_.drop_tail_at_fsync != 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     const auto it = fds_.find(fd);
     if (it != fds_.end() && !it->second.lying) {
       struct ::stat st {};
@@ -261,7 +262,7 @@ int FaultyFileOps::fdatasync(int fd) { return sync_common(fd, true); }
 
 int FaultyFileOps::rename(const char* from, const char* to) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     if (matches(from) || matches(to)) {
       if (inject_eio()) return -1;
       ++rename_count_;
@@ -277,7 +278,7 @@ int FaultyFileOps::rename(const char* from, const char* to) {
 
 int FaultyFileOps::unlink(const char* path) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     if (matches(path) && inject_eio()) return -1;
   }
   return base_->unlink(path);
@@ -285,7 +286,7 @@ int FaultyFileOps::unlink(const char* path) {
 
 int FaultyFileOps::ftruncate(int fd, ::off_t length) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     if (fds_.count(fd) != 0 && inject_eio()) return -1;
   }
   return base_->ftruncate(fd, length);
@@ -294,7 +295,7 @@ int FaultyFileOps::ftruncate(int fd, ::off_t length) {
 int FaultyFileOps::close(int fd) {
   ::off_t truncate_to = -1;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const util::MutexLock lock(mutex_);
     const auto it = fds_.find(fd);
     if (it != fds_.end()) {
       if (it->second.lying) truncate_to = it->second.synced_size;
@@ -306,7 +307,7 @@ int FaultyFileOps::close(int fd) {
 }
 
 InjectedFaults FaultyFileOps::injected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const util::MutexLock lock(mutex_);
   return injected_;
 }
 
@@ -324,20 +325,23 @@ RealFileOps& real_file_ops() {
 }
 
 /// One-time env-var activation. Returns true (the value is unused; the
-/// static init is the "once").
+/// static init is the "once"). Throws Error(kUsage) for a malformed spec;
+/// a throwing initialiser runs again on the next call, so every call
+/// throws it.
 bool install_env_file_ops() {
   const char* spec = std::getenv("LOCPRIV_STORAGE_FAULTS");
   if (spec == nullptr || *spec == '\0') return true;
+  StorageFaultPlan plan;
   try {
-    // Leaked by design: the override must outlive every consumer,
-    // including static destructors.
-    auto* faulty = new FaultyFileOps(StorageFaultPlan::parse(spec));
-    FileOps* expected = nullptr;
-    g_file_ops.compare_exchange_strong(expected, faulty);
-  } catch (const Error& e) {
-    std::fprintf(stderr,
-                 "locpriv: ignoring LOCPRIV_STORAGE_FAULTS (%s)\n", e.what());
+    plan = StorageFaultPlan::parse(spec);
+  } catch (Error& error) {
+    throw error.add_context("LOCPRIV_STORAGE_FAULTS");
   }
+  // Leaked by design: the override must outlive every consumer, including
+  // static destructors.
+  auto* faulty = new FaultyFileOps(std::move(plan));
+  FileOps* expected = nullptr;
+  g_file_ops.compare_exchange_strong(expected, faulty);
   return true;
 }
 

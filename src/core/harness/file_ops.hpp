@@ -12,7 +12,8 @@
 // by locprivd see the same fault plan as the parent. Setting the
 // LOCPRIV_STORAGE_FAULTS environment variable to a StorageFaultPlan spec
 // installs a FaultyFileOps lazily on first use, which is how CI injects
-// faults into unmodified test binaries.
+// faults into unmodified test binaries; a malformed spec is a usage error,
+// never a fault-free run.
 #pragma once
 
 #include <sys/types.h>
@@ -20,10 +21,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "core/harness/error.hpp"
+#include "util/sync.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace locpriv::harness {
 
@@ -110,8 +112,8 @@ struct InjectedFaults {
 };
 
 /// Wraps a base FileOps and injects the plan's faults deterministically.
-/// Thread-safe: all mutable state is behind one mutex (the durable paths
-/// are not hot enough for contention to matter).
+/// Thread-safe: all mutable state is behind one annotated mutex (the
+/// durable paths are not hot enough for contention to matter).
 class FaultyFileOps : public FileOps {
  public:
   explicit FaultyFileOps(StorageFaultPlan plan, FileOps* base = nullptr);
@@ -141,28 +143,32 @@ class FaultyFileOps : public FileOps {
   bool matches(const std::string& path) const;
   int sync_common(int fd, bool data_only);
   /// Injects EIO if this (1-based) mutating op is the planned one.
-  bool inject_eio();
-  std::uint64_t next_random();
+  bool inject_eio() LOCPRIV_REQUIRES(mutex_);
+  std::uint64_t next_random() LOCPRIV_REQUIRES(mutex_);
 
+  // plan_ and base_ are set once in the constructor and read-only after.
   const StorageFaultPlan plan_;
   FileOps* base_;
-  mutable std::mutex mutex_;
-  std::map<int, TrackedFd> fds_;
-  std::uint64_t op_count_ = 0;
-  std::uint64_t write_count_ = 0;
-  std::uint64_t fsync_count_ = 0;
-  std::uint64_t rename_count_ = 0;
-  std::uint64_t enospc_failures_ = 0;
-  std::uint64_t rng_state_;
-  InjectedFaults injected_;
+  mutable util::Mutex mutex_;
+  std::map<int, TrackedFd> fds_ LOCPRIV_GUARDED_BY(mutex_);
+  std::uint64_t op_count_ LOCPRIV_GUARDED_BY(mutex_) = 0;
+  std::uint64_t write_count_ LOCPRIV_GUARDED_BY(mutex_) = 0;
+  std::uint64_t fsync_count_ LOCPRIV_GUARDED_BY(mutex_) = 0;
+  std::uint64_t rename_count_ LOCPRIV_GUARDED_BY(mutex_) = 0;
+  std::uint64_t enospc_failures_ LOCPRIV_GUARDED_BY(mutex_) = 0;
+  std::uint64_t rng_state_ LOCPRIV_GUARDED_BY(mutex_);
+  InjectedFaults injected_ LOCPRIV_GUARDED_BY(mutex_);
 };
 
 /// The process-global FileOps every durable path uses. Defaults to a
 /// RealFileOps singleton; on the very first call, a set
 /// LOCPRIV_STORAGE_FAULTS environment variable installs a FaultyFileOps
-/// built from its spec (a malformed spec is reported on stderr and
-/// ignored — CI fault injection must never turn into silent passthrough of
-/// a *crash*). The returned reference is valid for the process lifetime.
+/// built from its spec. A malformed spec throws Error(kUsage) from that
+/// call and from every later one, so no durable operation runs fault-free
+/// under a mistyped plan, and no writer whose destructor calls file_ops()
+/// is ever constructed; run_main() calls it before a binary's body, so the
+/// binary exits 2 before it writes anything. The returned reference is
+/// valid for the process lifetime.
 FileOps& file_ops();
 
 /// Replaces the global FileOps; returns the previous override (nullptr if

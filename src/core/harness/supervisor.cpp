@@ -3,7 +3,6 @@
 #include <sys/wait.h>
 
 #include <algorithm>
-#include <csignal>
 #include <deque>
 #include <map>
 #include <memory>
@@ -23,6 +22,10 @@ namespace locpriv::harness {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Cadence of the warn-level progress line; warn is the default threshold,
+/// so a long sweep announces itself without a log setting.
+constexpr auto kProgressEvery = std::chrono::seconds(30);
 
 // ---------------------------------------------------------------------------
 // Deterministic backoff jitter. splitmix64 over (seed ^ key-hash ^ attempt)
@@ -64,7 +67,7 @@ std::vector<ChildProcess*> processes(const std::vector<Attempt>& running) {
 }
 
 /// One structured line describing a failed attempt: what ended the child
-/// (deadline / signal with an rlimit note / exit code) plus its stderr tail.
+/// (deadline / signal / exit code) plus its stderr tail.
 std::string describe_failure(const Attempt& attempt, int status,
                              const SupervisorOptions& options) {
   std::string detail = "attempt " + std::to_string(attempt.attempt) + ": ";
@@ -77,10 +80,6 @@ std::string describe_failure(const Attempt& attempt, int status,
     detail += "exit 0 but the result frame was truncated or corrupt";
   } else {
     detail += ChildProcess::describe(status);
-    if (WIFSIGNALED(status) &&
-        (WTERMSIG(status) == SIGXCPU || WTERMSIG(status) == SIGKILL))
-      detail += " (rlimit candidate: cpu=" + std::to_string(options.cell_cpu_s) +
-                "s as=" + std::to_string(options.cell_rlimit_mb) + "MiB)";
   }
   const std::string tail = attempt.proc->stderr_tail().one_line();
   if (!tail.empty()) detail += "; stderr: " + tail;
@@ -91,6 +90,30 @@ std::chrono::milliseconds clamp_to_ms(Clock::duration d) {
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(d);
   return ms.count() < 0 ? std::chrono::milliseconds(0) : ms;
 }
+
+/// The "N/M cells done" line, logged at most once per kProgressEvery by the
+/// engine itself: the isolated poll loop, or the in-process worker that
+/// completes a cell. `done` counts completed cells, resumed ones included.
+class ProgressLog {
+ public:
+  explicit ProgressLog(std::size_t total)
+      : total_(total), start_(Clock::now()), next_(start_ + kProgressEvery) {}
+
+  void tick(std::size_t done) {
+    const auto now = Clock::now();
+    if (now < next_) return;
+    next_ = now + kProgressEvery;
+    LOCPRIV_LOG(kWarn, "supervisor")
+        << done << "/" << total_ << " cells done, "
+        << util::format_fixed(std::chrono::duration<double>(now - start_).count(), 1)
+        << " s elapsed";
+  }
+
+ private:
+  std::size_t total_;
+  Clock::time_point start_;
+  Clock::time_point next_;
+};
 
 }  // namespace
 
@@ -116,16 +139,15 @@ Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
 }
 
 std::size_t Supervisor::run(const std::vector<std::string>& cells,
-                            const CellFn& fn, RunLedger& ledger,
-                            StageWatchdog* watchdog) {
-  return options_.isolate ? run_isolated(cells, fn, ledger, watchdog)
-                          : run_in_process(cells, fn, ledger, watchdog);
+                            const CellFn& fn, RunLedger& ledger) {
+  return options_.isolate ? run_isolated(cells, fn, ledger)
+                          : run_in_process(cells, fn, ledger);
 }
 
 std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
-                                     const CellFn& fn, RunLedger& ledger,
-                                     StageWatchdog* watchdog) {
+                                     const CellFn& fn, RunLedger& ledger) {
   std::size_t computed = 0;
+  ProgressLog progress(cells.size());
   std::deque<PendingCell> queue;
   const auto start = Clock::now();
   for (std::size_t i = 0; i < cells.size(); ++i)
@@ -153,7 +175,7 @@ std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
                         "cannot write the result frame" + errno_detail());
           return 0;
         },
-        options_.cell_rlimit_mb, options_.cell_cpu_s);
+        options_.cell_rlimit_mb);
     if (options_.cell_deadline.count() > 0)
       attempt.deadline = Clock::now() + options_.cell_deadline;
     running.push_back(std::move(attempt));
@@ -164,13 +186,7 @@ std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
       interrupted = true;
       break;
     }
-    if (watchdog != nullptr && watchdog->expired()) {
-      // Children may be non-cooperative (that is the point of isolation);
-      // the stage deadline is enforced on them from out here.
-      for (Attempt& attempt : running) attempt.proc->kill();
-      running.clear();
-      watchdog->checkpoint();  // Throws Error(kDeadline).
-    }
+    progress.tick(ledger.completed_count());
 
     auto now = Clock::now();
     // Dispatch every eligible pending cell into free worker slots, in
@@ -242,7 +258,6 @@ std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
       if (frame_ok) {
         ledger.record(attempt.key, fields);
         ++computed;
-        if (watchdog != nullptr) watchdog->add_progress();
       } else {
         const std::string detail = describe_failure(attempt, *status, options_);
         failure_log[attempt.key].push_back(detail);
@@ -290,14 +305,14 @@ std::size_t Supervisor::run_isolated(const std::vector<std::string>& cells,
 }
 
 std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
-                                       const CellFn& fn, RunLedger& ledger,
-                                       StageWatchdog* watchdog) {
+                                       const CellFn& fn, RunLedger& ledger) {
   std::vector<std::pair<std::size_t, std::string>> todo;
   for (std::size_t i = 0; i < cells.size(); ++i)
     if (!ledger.completed(cells[i])) todo.emplace_back(i, cells[i]);
 
   std::size_t computed = 0;
-  util::Mutex mutex;  // Guards ledger appends and the computed count.
+  ProgressLog progress(cells.size());
+  util::Mutex mutex;  // Guards ledger appends, the computed count and progress.
 
   util::parallel_for(
       todo.size(),
@@ -309,7 +324,6 @@ std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
         const std::string& key = todo[i].second;
         std::vector<std::string> details;
         for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-          if (watchdog != nullptr) watchdog->checkpoint();
           if (attempt > 1)
             std::this_thread::sleep_for(backoff_delay(
                 options_.backoff_base, options_.backoff_seed, key, attempt));
@@ -319,11 +333,11 @@ std::size_t Supervisor::run_in_process(const std::vector<std::string>& cells,
             const util::MutexLock lock(mutex);
             ledger.record(key, fields);
             ++computed;
-            if (watchdog != nullptr) watchdog->add_progress();
+            progress.tick(ledger.completed_count());
             return;
           } catch (const Error&) {
-            // Harness-level failures (deadline, I/O, resume) are run
-            // failures, not cell failures: no retry, no quarantine.
+            // Harness-level failures (I/O, resume) are run failures, not
+            // cell failures: no retry, no quarantine.
             throw;
           } catch (const std::exception& e) {
             details.push_back("attempt " + std::to_string(attempt) +

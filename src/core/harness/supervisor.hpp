@@ -5,23 +5,30 @@
 // in one cell cannot take down the run. The engines are not twins: a fork
 // per attempt buys crash containment at the price of copying the parent's
 // page tables, so the in-process engine stays the default. Children are
-// capped with setrlimit(2) (RLIMIT_AS, RLIMIT_CPU) and a preemptive
-// wall-clock deadline (SIGTERM, a grace period, then SIGKILL); results
-// travel back over a pipe as one frame (core/harness/frame.hpp) and land in
-// the same RunLedger as in-process results, so isolated, resumed, and
-// in-process executions of the same sweep produce byte-identical artifacts.
+// capped with setrlimit(2) (RLIMIT_AS) and a preemptive wall-clock deadline
+// per attempt (SIGTERM, a grace period, then SIGKILL); results travel back
+// over a pipe as one frame (core/harness/frame.hpp) and land in the same
+// RunLedger as in-process results, so isolated, resumed, and in-process
+// executions of the same sweep produce byte-identical artifacts.
 //
 // Failed attempts retry with deterministic exponential backoff (jitter is
 // derived from the run seed and cell key, never from wall-clock entropy).
 // A cell that exhausts its attempts is *quarantined*: a structured failure
-// record (signal, exit code, rlimit/deadline classification, stderr tail
-// per attempt) is journaled to the ledger, the rest of the sweep proceeds,
-// and the run completes with ErrorCode::kQuarantined (exit 3).
+// record (signal, exit code, deadline classification, stderr tail per
+// attempt) is journaled to the ledger, the rest of the sweep proceeds, and
+// the run completes with ErrorCode::kQuarantined (exit 3).
 //
-// SIGINT/SIGTERM, caught by the InterruptScope run_sweep opens, trigger a
-// graceful shutdown: dispatch stops, running children are terminated and
-// reaped, the ledger is fsync'd, and run() throws Error(kInterrupted) (exit
-// 7) — a run directory is left resumable; a memory ledger is dropped.
+// Each unit of work has one time bound. A cell attempt has --cell-deadline
+// (isolate only); the sweep as a whole has none of its own: SIGINT/SIGTERM,
+// caught by the InterruptScope run_sweep opens, trigger a graceful
+// shutdown: dispatch stops, running children are terminated and reaped, the
+// ledger is fsync'd, and run() throws Error(kInterrupted) (exit 7) — a run
+// directory is left resumable; a memory ledger is dropped. So a sweep is
+// time-boxed from outside, e.g. `timeout --preserve-status -s TERM 600
+// locpriv audit-all ...`. Both engines log the warn-level "N/M cells done"
+// progress line every 30 s themselves (the isolated engine from its poll
+// loop, the in-process engine when a cell completes), so no helper thread
+// exists when the isolated engine forks.
 #pragma once
 
 #include <chrono>
@@ -33,7 +40,6 @@
 
 #include "core/harness/error.hpp"
 #include "core/harness/run_ledger.hpp"
-#include "core/harness/watchdog.hpp"
 
 namespace locpriv::harness {
 
@@ -45,8 +51,6 @@ struct SupervisorOptions {
   /// RLIMIT_AS for each child, in MiB; 0 leaves the limit untouched.
   /// Ignored in-process (rlimits are per-process, not per-thread).
   std::size_t cell_rlimit_mb = 0;
-  /// RLIMIT_CPU (seconds of CPU time) for each child; 0 leaves it untouched.
-  unsigned cell_cpu_s = 0;
   /// Preemptive wall-clock deadline per attempt; past it the child gets
   /// SIGTERM, then SIGKILL after `term_grace`. 0 disables. Isolate only —
   /// threads cannot be preempted safely.
@@ -68,7 +72,7 @@ struct SupervisorOptions {
 /// Under isolate the call runs in a forked child. Throwing std::exception
 /// marks the attempt failed (retry, then quarantine); throwing Error is
 /// treated the same way except in-process, where harness-level codes
-/// (kDeadline, kIo, ...) propagate and abort the run.
+/// (kIo, kResume, ...) propagate and abort the run.
 using CellFn = std::function<std::vector<std::string>(
     std::size_t index, const std::string& key, int attempt)>;
 
@@ -87,21 +91,17 @@ class Supervisor {
   /// Runs every not-yet-completed cell of `cells` through `fn`, journaling
   /// successes and quarantines to `ledger`, and returns how many cells it
   /// computed. Cells already completed in the ledger are skipped (resume)
-  /// and not counted; previously quarantined cells are retried.
-  /// `watchdog`, when given, receives progress ticks and its hard deadline
-  /// is enforced even over non-cooperative children (they are SIGKILLed and
-  /// Error(kDeadline) is thrown). Throws Error(kInterrupted) after a clean
-  /// shutdown once interrupt_requested() turns true.
+  /// and not counted; previously quarantined cells are retried. Throws
+  /// Error(kInterrupted) after a clean shutdown once interrupt_requested()
+  /// turns true.
   std::size_t run(const std::vector<std::string>& cells, const CellFn& fn,
-                  RunLedger& ledger, StageWatchdog* watchdog = nullptr);
+                  RunLedger& ledger);
 
  private:
   std::size_t run_isolated(const std::vector<std::string>& cells,
-                           const CellFn& fn, RunLedger& ledger,
-                           StageWatchdog* watchdog);
+                           const CellFn& fn, RunLedger& ledger);
   std::size_t run_in_process(const std::vector<std::string>& cells,
-                             const CellFn& fn, RunLedger& ledger,
-                             StageWatchdog* watchdog);
+                             const CellFn& fn, RunLedger& ledger);
 
   SupervisorOptions options_;
 };

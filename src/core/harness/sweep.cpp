@@ -24,12 +24,9 @@ std::string mode_string(const SupervisorOptions& supervisor) {
 void declare_run_flags(util::Args& args) {
   args.declare("--run-dir", "");
   args.declare("--resume", "");
-  args.declare("--heartbeat", "30");
-  args.declare("--hard-deadline", "0");
   args.declare_bool("--isolate");
   args.declare("--workers", "1");
   args.declare("--cell-rlimit-mb", "0");
-  args.declare("--cell-cpu-s", "0");
   args.declare("--cell-deadline", "0");
   args.declare("--cell-grace", "2");
   args.declare("--cell-retries", "3");
@@ -38,22 +35,15 @@ void declare_run_flags(util::Args& args) {
 
 RunOptions run_options_from(const util::Args& args) {
   RunOptions options;
-  const auto seconds = [&](const char* flag) {
-    return std::chrono::seconds(args.get_int(flag, 0, kMaxFlagSeconds));
-  };
   const auto seconds_as_ms = [&](const char* flag) {
     return std::chrono::milliseconds(static_cast<long long>(
         args.get_double(flag, 0, static_cast<double>(kMaxFlagSeconds)) * 1000.0));
   };
-  options.stage.heartbeat = seconds("--heartbeat");
-  options.stage.hard_deadline = seconds("--hard-deadline");
   options.supervisor.isolate = args.get_bool("--isolate");
   options.supervisor.workers =
       static_cast<unsigned>(args.get_int("--workers", 1, kMaxFlagWorkers));
   options.supervisor.cell_rlimit_mb =
       static_cast<std::size_t>(args.get_int("--cell-rlimit-mb", 0, kMaxFlagMiB));
-  options.supervisor.cell_cpu_s =
-      static_cast<unsigned>(args.get_int("--cell-cpu-s", 0, kMaxFlagSeconds));
   options.supervisor.cell_deadline = seconds_as_ms("--cell-deadline");
   options.supervisor.term_grace = seconds_as_ms("--cell-grace");
   options.supervisor.max_attempts =
@@ -84,16 +74,11 @@ SweepResult run_sweep(const RunOptions& options, RunInfo info,
         << "resume: " << ledger->completed_count() << "/" << cells.size()
         << " cells already journaled in " << ledger->path().string();
 
-  StageOptions stage = options.stage;
-  stage.name = info.experiment;
-  StageWatchdog watchdog(stage);
-  watchdog.set_total(cells.size());
-  watchdog.add_progress(ledger->completed_count());
   SupervisorOptions supervisor = options.supervisor;
   supervisor.backoff_seed = info.seed;
   {
     const InterruptScope interrupts;
-    Supervisor(supervisor).run(cells, fn, *ledger, &watchdog);
+    Supervisor(supervisor).run(cells, fn, *ledger);
   }
 
   // Rows assemble from the ledger in cell order, so computed, replayed and

@@ -1,21 +1,22 @@
 // The one runner of sweep cells, and the run-supervision command line it
 // takes. Every sweep (audit-all's users, bench_fault_degradation's
 // intensity x interval grid) hands its cell keys and a CellFn to
-// run_sweep(), which opens the ledger, drives the stage watchdog and one of
-// the Supervisor's two engines under an InterruptScope, and returns the
-// completed rows in cell order. Without a run directory the ledger is held
-// in memory, so a run with or without --run-dir retries, quarantines,
-// honours --workers and --isolate, and stops on SIGINT/SIGTERM in the same
-// way; only a run directory makes the cells durable and resumable.
+// run_sweep(), which opens the ledger, runs one of the Supervisor's two
+// engines under an InterruptScope, and returns the completed rows in cell
+// order. Without a run directory the ledger is held in memory, so a run
+// with or without --run-dir retries, quarantines, honours --workers and
+// --isolate, and stops on SIGINT/SIGTERM in the same way; only a run
+// directory makes the cells durable and resumable. A sweep has no time
+// bound of its own: SIGTERM stops it (exit 7), so a time-boxed run is
+// `timeout --preserve-status -s TERM S <command> --run-dir DIR ...`,
+// continued later with --resume DIR. The one time bound inside a sweep is
+// --cell-deadline, per cell attempt.
 //
 //   --run-dir DIR       checkpointed run; artifacts + ledger land in DIR
 //   --resume DIR        continue a previous run, skipping completed cells
-//   --heartbeat S       progress log cadence in seconds (default 30, 0 = off)
-//   --hard-deadline S   abort with exit 5 when the stage exceeds S seconds
 //   --isolate           fork one child per sweep-cell attempt (crash isolation)
 //   --workers N         concurrent cells (children or threads; default 1)
 //   --cell-rlimit-mb N  RLIMIT_AS per isolated cell, MiB (0 = off)
-//   --cell-cpu-s N      RLIMIT_CPU per isolated cell, seconds (0 = off)
 //   --cell-deadline S   per-attempt wall deadline, seconds (0 = off; isolate)
 //   --cell-grace S      SIGTERM->SIGKILL grace, seconds (default 2)
 //   --cell-retries N    attempts per cell before quarantine (default 3)
@@ -30,7 +31,6 @@
 
 #include "core/harness/run_ledger.hpp"
 #include "core/harness/supervisor.hpp"
-#include "core/harness/watchdog.hpp"
 #include "util/args.hpp"
 
 namespace locpriv::harness {
@@ -38,7 +38,6 @@ namespace locpriv::harness {
 struct RunOptions {
   std::filesystem::path run_dir;  ///< Empty = the ledger is held in memory.
   bool resume = false;
-  StageOptions stage;
   SupervisorOptions supervisor;
 
   /// True when a run directory (fresh or resumed) was requested.
@@ -93,12 +92,11 @@ struct SweepResult {
 /// one held in memory. A fresh --run-dir that already holds a ledger is
 /// refused with Error(kResume) before any cell runs; --resume replays the
 /// journaled cells (and logs how many) and runs the rest. `info` names the
-/// run: its experiment names the watchdog's stage, its seed seeds the retry
-/// backoff, and its mode is set here from `options` ("inproc-wN" /
-/// "isolate-wN"), so a resume under other --isolate/--workers settings is
-/// refused. A cell that throws std::exception is retried and then
-/// quarantined; a harness Error thrown by `fn` in-process ends the run, as
-/// do a blown hard deadline (kDeadline) and SIGINT/SIGTERM (kInterrupted,
+/// run: its seed seeds the retry backoff, and its mode is set here from
+/// `options` ("inproc-wN" / "isolate-wN"), so a resume under other
+/// --isolate/--workers settings is refused. A cell that throws
+/// std::exception is retried and then quarantined; a harness Error thrown
+/// by `fn` in-process ends the run, as does SIGINT/SIGTERM (kInterrupted,
 /// through the InterruptScope open around the engine).
 SweepResult run_sweep(const RunOptions& options, RunInfo info,
                       const std::vector<std::string>& cells, const CellFn& fn);

@@ -35,6 +35,11 @@ std::int64_t round_offset(const core::PrivacyAnalyzer& analyzer, int round) {
   return static_cast<std::int64_t>(round) * span;
 }
 
+/// Fixes per submitted batch: a batch size of 0 sends one fix at a time.
+std::size_t effective_batch(const TrafficOptions& options) {
+  return std::max<std::size_t>(options.batch_size, 1);
+}
+
 }  // namespace
 
 TrafficOutcome drive_traffic(LocprivService& service,
@@ -42,7 +47,7 @@ TrafficOutcome drive_traffic(LocprivService& service,
                              const TrafficOptions& options,
                              const std::function<bool()>& should_stop) {
   TrafficOutcome outcome;
-  const std::size_t batch = std::max<std::size_t>(options.batch_size, 1);
+  const std::size_t batch = effective_batch(options);
   for (int round = 0; round < options.rounds; ++round) {
     const std::int64_t offset = round_offset(analyzer, round);
     // Round-robin across users: cursor[i] is the next unsent fix of user i.
@@ -117,6 +122,12 @@ TrafficOutcome serve_traffic(LocprivService& service,
         std::to_string(outcome.accepted) + " accepted batches", run_dir);
   }
   return outcome;
+}
+
+std::string run_scale(const core::PrivacyAnalyzer& analyzer,
+                      std::int64_t interval_s, const TrafficOptions& options) {
+  return std::to_string(analyzer.user_count()) + "u_t" + std::to_string(interval_s) +
+         "_b" + std::to_string(effective_batch(options));
 }
 
 std::vector<trace::TracePoint> scheduled_fixes(

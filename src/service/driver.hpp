@@ -69,6 +69,14 @@ TrafficOutcome serve_traffic(LocprivService& service,
                              const std::filesystem::path& run_dir,
                              const std::function<void()>& then = {});
 
+/// The scale a locprivd run pins in its ledger identity (ServiceOptions::
+/// scale), e.g. "6u_t60_b64": users, audit interval and batch size. The
+/// batch size decides which batch each per-shard sequence number names, so
+/// a resume under another --batch is refused (exit 6) instead of deduping
+/// the wrong batches.
+std::string run_scale(const core::PrivacyAnalyzer& analyzer,
+                      std::int64_t interval_s, const TrafficOptions& options);
+
 /// Exactly the fixes the schedule submits for `user`, in submit order — the
 /// input to the batch-pipeline parity reference.
 std::vector<trace::TracePoint> scheduled_fixes(

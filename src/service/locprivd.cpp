@@ -199,7 +199,7 @@ void LocprivService::spawn(Shard& shard) {
                                  shard.incarnation + 1, cmd_fd, resp_fd},
                                 analyzer_, options_);
       },
-      options_.shard_rlimit_mb, options_.shard_cpu_s);
+      options_.shard_rlimit_mb);
   ++shard.incarnation;
   if (shard.incarnation > 1) ++stats_.respawns;
   shard.state = Shard::State::kRunning;

@@ -92,9 +92,10 @@ struct ServiceOptions {
   /// Base of the deterministic respawn backoff (supervisor's backoff_delay
   /// over `seed`, the shard name and the incarnation).
   std::chrono::milliseconds backoff_base{100};
-  /// RLIMIT_AS (MiB) / RLIMIT_CPU (s) applied inside each shard; 0 = off.
+  /// RLIMIT_AS (MiB) applied inside each shard; 0 = off. A shard's time
+  /// is bounded by its ack and ping deadlines, not by a CPU limit: a
+  /// long-running service would outlive any lifetime CPU cap.
   std::size_t shard_rlimit_mb = 0;
-  unsigned shard_cpu_s = 0;
   /// Deterministic shard misbehaviour for failover rehearsal: plan keys are
   /// shard names ("shard0"), the attempt window counts incarnations. A key
   /// naming no shard of this service is refused with Error(kUsage).

@@ -17,9 +17,6 @@ class Ecdf {
   /// Fraction of samples <= x.
   double operator()(double x) const;
 
-  /// Smallest sample value v with ECDF(v) >= q; q in (0, 1].
-  double inverse(double q) const;
-
   std::size_t size() const { return sorted_.size(); }
 
  private:

@@ -104,8 +104,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log1p(-uniform01());
 }
 
-double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   LOCPRIV_EXPECT(!weights.empty());
   double total = 0.0;

@@ -61,9 +61,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Log-normal: exp(Normal(mu, sigma)).
-  double lognormal(double mu, double sigma);
-
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Preconditions: weights non-empty, all weights >= 0, sum > 0.
   std::size_t weighted_index(const std::vector<double>& weights);

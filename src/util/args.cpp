@@ -19,12 +19,10 @@ Error out_of_range(const std::string& flag, const std::string& min, const std::s
 
 void Args::declare(const std::string& flag, std::string default_value) {
   values_[flag] = std::move(default_value);
-  supplied_[flag] = false;
 }
 
 void Args::declare_bool(const std::string& flag) {
   booleans_[flag] = false;
-  supplied_[flag] = false;
 }
 
 void Args::parse(int argc, const char* const* argv, int begin) {
@@ -44,7 +42,6 @@ void Args::parse(int argc, const char* const* argv, int begin) {
     if (booleans_.contains(flag)) {
       if (inline_value) throw Error(ErrorCode::kUsage, "boolean flag takes no value: " + flag);
       booleans_[flag] = true;
-      supplied_[flag] = true;
       continue;
     }
     const auto it = values_.find(flag);
@@ -55,7 +52,6 @@ void Args::parse(int argc, const char* const* argv, int begin) {
       if (i + 1 >= argc) throw Error(ErrorCode::kUsage, "missing value for flag: " + flag);
       it->second = argv[++i];
     }
-    supplied_[flag] = true;
   }
 }
 
@@ -99,11 +95,6 @@ bool Args::get_bool(const std::string& flag) const {
   const auto it = booleans_.find(flag);
   if (it == booleans_.end()) throw std::runtime_error("undeclared flag: " + flag);
   return it->second;
-}
-
-bool Args::supplied(const std::string& flag) const {
-  const auto it = supplied_.find(flag);
-  return it != supplied_.end() && it->second;
 }
 
 }  // namespace locpriv::util

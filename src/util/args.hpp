@@ -38,15 +38,11 @@ class Args {
   long long get_int(const std::string& flag, long long min, long long max) const;
   double get_double(const std::string& flag, double min, double max) const;
 
-  /// True if the user explicitly supplied the flag.
-  bool supplied(const std::string& flag) const;
-
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::map<std::string, std::string> values_;     // flag -> current value.
   std::map<std::string, bool> booleans_;          // flag -> present.
-  std::map<std::string, bool> supplied_;
   std::vector<std::string> positional_;
 };
 

@@ -4,10 +4,9 @@
 //
 // These only do something on capability-annotated types. libstdc++'s
 // std::mutex carries no annotations, so code that wants the analysis uses
-// the wrappers in util/sync.hpp (util::Mutex / util::MutexLock /
-// util::CondVar) instead of std::mutex directly. Build with
-// -DLOCPRIV_STATIC_ANALYSIS=ON under clang to turn violations into errors
-// (-Wthread-safety -Werror=thread-safety).
+// the wrappers in util/sync.hpp (util::Mutex / util::MutexLock) instead of
+// std::mutex directly. Build with -DLOCPRIV_STATIC_ANALYSIS=ON under clang
+// to turn violations into errors (-Wthread-safety -Werror=thread-safety).
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))

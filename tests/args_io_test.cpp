@@ -26,7 +26,6 @@ TEST(Args, DefaultsApplyWhenNotSupplied) {
   args.parse(1, argv);
   EXPECT_EQ(args.get("--users"), "12");
   EXPECT_EQ(args.get_int("--users"), 12);
-  EXPECT_FALSE(args.supplied("--users"));
   EXPECT_FALSE(args.get_bool("--verbose"));
 }
 
@@ -37,7 +36,6 @@ TEST(Args, SpaceAndEqualsSyntax) {
   EXPECT_EQ(args.get_int("--users"), 30);
   EXPECT_EQ(args.get("--out"), "/tmp/x");
   EXPECT_TRUE(args.get_bool("--verbose"));
-  EXPECT_TRUE(args.supplied("--users"));
 }
 
 TEST(Args, PositionalCollected) {

@@ -1,10 +1,11 @@
 // Run harness: atomic artifact writer (commit, abandon, racing publishers),
 // run ledger (journal replay, torn tails, identity mismatch), the sweep
 // runner (the same rows in every mode, quarantine without a run dir, the
-// fresh-run-dir refusal), kill-and-resume byte identity, stage watchdog
-// deadlines through parallel_for's exception aggregation, and the error
-// taxonomy's exit-code mapping.
+// fresh-run-dir refusal, a single-threaded parent at every fork),
+// kill-and-resume byte identity, and the error taxonomy's exit-code mapping
+// and run-flag validation.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -19,10 +20,8 @@
 #include "core/harness/error.hpp"
 #include "core/harness/run_ledger.hpp"
 #include "core/harness/sweep.hpp"
-#include "core/harness/watchdog.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace locpriv::harness {
@@ -304,12 +303,10 @@ std::vector<std::string> sweep_cell(std::size_t index, const std::string& key,
           util::format_fixed(static_cast<double>(index) / 3.0, 4)};
 }
 
-/// No heartbeat thread (so an isolated run forks a single-threaded parent)
-/// and no real backoff waits.
+/// No real backoff waits.
 RunOptions sweep_options(fs::path run_dir, unsigned workers = 1, bool isolate = false) {
   RunOptions options;
   options.run_dir = std::move(run_dir);
-  options.stage.heartbeat = std::chrono::milliseconds(0);
   options.supervisor.workers = workers;
   options.supervisor.isolate = isolate;
   options.supervisor.backoff_base = std::chrono::milliseconds(1);
@@ -389,6 +386,32 @@ TEST(RunSweep, IsolatedWorkersGiveTheSameRows) {
   EXPECT_EQ(run_sweep(sweep_options(dir, 2, true), kSweepInfo, sweep_cells(), sweep_cell).rows,
             reference_rows());
   EXPECT_EQ(ledger_mode(dir), "isolate-w2");
+}
+
+/// The "Threads:" line of /proc/<pid>/status, e.g. "1".
+std::string thread_count(pid_t pid) {
+  std::istringstream status(slurp("/proc/" + std::to_string(pid) + "/status"));
+  for (std::string line; std::getline(status, line);)
+    if (util::starts_with(line, "Threads:")) return std::string(util::trim(line.substr(8)));
+  return "no Threads: line";
+}
+
+// Under the default options an isolated cell is forked by a parent running
+// no thread of the harness's own, so a child never inherits a lock some
+// other thread held at fork(2): the progress line is logged by the
+// dispatching thread itself. The parent's count is the test process's
+// before the sweep: 1, or 2 under ThreadSanitizer, whose runtime keeps a
+// background thread.
+TEST(RunSweep, IsolatedCellsForkFromASingleThreadedParent) {
+  const std::string before = thread_count(::getpid());
+  RunOptions options;
+  options.supervisor.isolate = true;
+  const SweepResult result =
+      run_sweep(options, kSweepInfo, {"threads"}, [](std::size_t, const std::string&, int) {
+        return std::vector<std::string>{thread_count(::getppid())};
+      });
+  EXPECT_EQ(result.rows, (std::vector<std::vector<std::string>>{{before}}));
+  EXPECT_TRUE(result.quarantined.empty());
 }
 
 TEST(RunSweep, ThrowingCellIsQuarantinedWithoutARunDir) {
@@ -488,68 +511,6 @@ TEST(KillAndResume, FinalCsvIsByteIdenticalToUninterruptedRun) {
   EXPECT_EQ(resumed, reference);
 }
 
-// ---- stage watchdog ----------------------------------------------------
-
-TEST(Watchdog, NoDeadlinesNeverExpires) {
-  StageOptions options;
-  options.name = "quiet";
-  options.heartbeat = std::chrono::milliseconds(0);
-  StageWatchdog watchdog(options);
-  watchdog.set_total(10);
-  watchdog.add_progress(3);
-  EXPECT_EQ(watchdog.progress(), 3u);
-  EXPECT_FALSE(watchdog.expired());
-  EXPECT_NO_THROW(watchdog.checkpoint());
-}
-
-TEST(Watchdog, HardDeadlineThrowsAtCheckpoint) {
-  StageOptions options;
-  options.name = "doomed";
-  options.heartbeat = std::chrono::milliseconds(0);
-  options.hard_deadline = std::chrono::milliseconds(10);
-  StageWatchdog watchdog(options);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_TRUE(watchdog.expired());
-  try {
-    watchdog.checkpoint();
-    FAIL() << "checkpoint should have thrown";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kDeadline);
-    EXPECT_EQ(error.exit_code(), 5);
-    EXPECT_NE(std::string(error.what()).find("doomed"), std::string::npos);
-  }
-}
-
-TEST(Watchdog, DeadlinePropagatesThroughParallelFor) {
-  StageOptions options;
-  options.name = "sweep";
-  options.heartbeat = std::chrono::milliseconds(0);
-  options.hard_deadline = std::chrono::milliseconds(5);
-  StageWatchdog watchdog(options);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Every worker hits the checkpoint; parallel_for joins them all and
-  // rethrows the first Error with its code (and exit code) intact.
-  try {
-    util::parallel_for(64, [&](std::size_t) { watchdog.checkpoint(); });
-    FAIL() << "parallel_for should have rethrown the deadline error";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kDeadline);
-  }
-}
-
-TEST(Watchdog, HeartbeatThreadStartsAndStopsCleanly) {
-  StageOptions options;
-  options.name = "chatty";
-  options.heartbeat = std::chrono::milliseconds(5);
-  StageWatchdog watchdog(options);
-  watchdog.set_total(100);
-  for (int i = 0; i < 10; ++i) {
-    watchdog.add_progress(10);
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  }
-  EXPECT_FALSE(watchdog.expired());  // No hard deadline: never expires.
-}
-
 // ---- error taxonomy ----------------------------------------------------
 
 TEST(ErrorTaxonomy, CodesMapToDistinctExitCodes) {
@@ -596,15 +557,18 @@ void expect_usage_error(std::vector<const char*> argv) {
 }
 
 TEST(ErrorTaxonomy, ParseRunOptionsValidates) {
-  const RunOptions options = parse_run_flags({"--resume", "/tmp/run", "--hard-deadline", "60"});
+  const RunOptions options = parse_run_flags({"--resume", "/tmp/run", "--cell-grace", "5"});
   EXPECT_TRUE(options.active());
   EXPECT_TRUE(options.resume);
   EXPECT_EQ(options.run_dir, fs::path("/tmp/run"));
-  EXPECT_EQ(options.stage.hard_deadline, std::chrono::seconds(60));
-  EXPECT_EQ(options.stage.heartbeat, std::chrono::seconds(30));
+  EXPECT_EQ(options.supervisor.term_grace, std::chrono::seconds(5));
 
   expect_usage_error({"--frobnicate"});
   expect_usage_error({"--run-dir", "a", "--resume", "b"});
+  // A sweep's only time bound is a signal, a cell's is --cell-deadline: the
+  // stage deadline, its heartbeat and the CPU rlimit are unknown flags.
+  for (const char* flag : {"--hard-deadline", "--heartbeat", "--cell-cpu-s"})
+    expect_usage_error({flag, "5"});
 }
 
 TEST(ErrorTaxonomy, ParseRunOptionsCoversSupervisorFlags) {
@@ -623,10 +587,11 @@ TEST(ErrorTaxonomy, ParseRunOptionsCoversSupervisorFlags) {
 
   // 0 keeps meaning "off" for every limit and deadline.
   const RunOptions off = parse_run_flags(
-      {"--heartbeat", "0", "--hard-deadline", "0", "--cell-deadline", "0", "--cell-grace",
-       "0", "--cell-rlimit-mb", "0", "--cell-cpu-s", "0", "--cell-backoff-ms", "0"});
+      {"--cell-deadline", "0", "--cell-grace", "0", "--cell-rlimit-mb", "0",
+       "--cell-backoff-ms", "0"});
   EXPECT_EQ(off.supervisor.cell_deadline.count(), 0);
-  EXPECT_EQ(off.stage.heartbeat.count(), 0);
+  EXPECT_EQ(off.supervisor.term_grace.count(), 0);
+  EXPECT_EQ(off.supervisor.cell_rlimit_mb, 0u);
 
   expect_usage_error({"--workers", "0"});
   expect_usage_error({"--cell-retries", "0"});
@@ -643,18 +608,18 @@ TEST(ErrorTaxonomy, RunOptionsRefuseNumbersTheHarnessCannotRepresent) {
   // workers would be 1), and every worker is a process.
   expect_usage_error({"--workers", "4294967297"});
   expect_usage_error({"--workers", "1025"});
-  expect_usage_error({"--cell-cpu-s", "4294967297"});
-  // The backoff shift and the seconds-to-clock conversions overflow.
+  expect_usage_error({"--cell-retries", "1001"});
+  // The backoff shift and the MiB-to-bytes conversion overflow.
   expect_usage_error({"--cell-backoff-ms", "9223372036854775807"});
-  for (const char* flag : {"--heartbeat", "--hard-deadline"}) {
-    expect_usage_error({flag, "9300000000000000"});
-    expect_usage_error({flag, "-1"});
-  }
+  expect_usage_error({"--cell-backoff-ms", "-1"});
+  expect_usage_error({"--cell-rlimit-mb", "9300000000000000"});
   const RunOptions ceiling =
-      parse_run_flags({"--hard-deadline", "1000000", "--cell-deadline", "1000000",
-                       "--cell-backoff-ms", "1000000", "--workers", "1024"});
-  EXPECT_EQ(ceiling.stage.hard_deadline, std::chrono::seconds(kMaxFlagSeconds));
+      parse_run_flags({"--cell-deadline", "1000000", "--cell-grace", "1000000",
+                       "--cell-backoff-ms", "1000000", "--workers", "1024",
+                       "--cell-retries", "1000"});
   EXPECT_EQ(ceiling.supervisor.cell_deadline, std::chrono::seconds(kMaxFlagSeconds));
+  EXPECT_EQ(ceiling.supervisor.term_grace, std::chrono::seconds(kMaxFlagSeconds));
+  EXPECT_EQ(ceiling.supervisor.max_attempts, 1000);
 }
 
 }  // namespace

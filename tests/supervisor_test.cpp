@@ -23,7 +23,6 @@
 #include "core/harness/interrupt.hpp"
 #include "core/harness/run_ledger.hpp"
 #include "core/harness/supervisor.hpp"
-#include "core/harness/watchdog.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
 #include "service/locprivd.hpp"
@@ -485,40 +484,6 @@ TEST(SupervisorIsolate, StderrTailLandsInTheQuarantineRecord) {
       << (*details)[0];
 }
 
-TEST(SupervisorIsolate, WatchdogHardDeadlineKillsNonCooperativeChildren) {
-  SupervisorOptions options = quick_options(true, 1);
-  options.max_attempts = 1;  // No per-cell deadline: only the stage watchdog.
-  const fs::path dir = fresh_dir("iso_watchdog");
-  RunLedger ledger(dir, test_info(options));
-
-  ProcessFaultPlan plan;
-  plan.add("cell_0", {ProcessFaultKind::kHang, std::numeric_limits<int>::max()});
-
-  StageOptions stage;
-  stage.name = "chaos-stage";
-  stage.heartbeat = std::chrono::milliseconds(0);
-  stage.hard_deadline = std::chrono::milliseconds(300);
-  StageWatchdog watchdog(stage);
-
-  Supervisor supervisor(options);
-  try {
-    supervisor.run(
-        {"cell_0"},
-        [&](std::size_t index, const std::string& key, int attempt) {
-          plan.trigger(key, attempt);
-          return expected_fields(index, key);
-        },
-        ledger, &watchdog);
-    FAIL() << "the stage deadline must fire over a hung child";
-  } catch (const Error& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kDeadline);
-  }
-  // The hung child was SIGKILLed before the throw; nothing is left to leak
-  // and the cell stays uncomputed (resumable), not quarantined.
-  EXPECT_FALSE(ledger.completed("cell_0"));
-  EXPECT_EQ(ledger.quarantine_details("cell_0"), nullptr);
-}
-
 TEST(SupervisorIsolate, FieldsMatchAnInProcessRunDespiteATransientFault) {
   const std::vector<std::string> cells = make_cells(8);
   auto cell_fn = [](std::size_t index, const std::string& key, int attempt)
@@ -557,6 +522,14 @@ TEST(SupervisorIsolate, ShutdownRequestTerminatesChildrenAndStaysResumable) {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     return expected_fields(index, key);
   };
+  // cell_0 ignores SIGTERM and spins, and no per-cell deadline is set: the
+  // signal alone must stop it, through the grace and SIGKILL.
+  ProcessFaultPlan plan;
+  plan.add("cell_0", {ProcessFaultKind::kHang, std::numeric_limits<int>::max()});
+  auto hanging_fn = [&](std::size_t index, const std::string& key, int attempt) {
+    plan.trigger(key, attempt);
+    return slow_fn(index, key, attempt);
+  };
 
   {
     RunLedger ledger(dir, info);
@@ -569,7 +542,7 @@ TEST(SupervisorIsolate, ShutdownRequestTerminatesChildrenAndStaysResumable) {
       ::raise(SIGTERM);  // Handled on this thread; the flag is shared.
     });
     try {
-      supervisor.run(cells, slow_fn, ledger);
+      supervisor.run(cells, hanging_fn, ledger);
       interrupter.join();
       FAIL() << "an interrupted isolated run must throw";
     } catch (const Error& error) {
@@ -580,6 +553,7 @@ TEST(SupervisorIsolate, ShutdownRequestTerminatesChildrenAndStaysResumable) {
     // some not, none half-written.
     EXPECT_LT(ledger.completed_count(), cells.size());
     EXPECT_TRUE(quarantined(ledger, cells).empty());
+    EXPECT_FALSE(ledger.completed("cell_0"));  // Resumable, not quarantined.
   }
 
   RunLedger resumed(dir, info);

@@ -47,10 +47,9 @@ int usage() {
       "                [--lenient]\n"
       "  audit         --root DIR --user INDEX [--interval S] [--lenient]\n"
       "  audit-all     --root DIR [--interval S] [--csv FILE] [--lenient]\n"
-      "                [--run-dir DIR | --resume DIR] [--heartbeat S]\n"
-      "                [--hard-deadline S] [--isolate] [--workers N]\n"
-      "                [--cell-rlimit-mb N] [--cell-cpu-s N] [--cell-deadline S]\n"
-      "                [--cell-grace S] [--cell-retries N] [--cell-backoff-ms N]\n"
+      "                [--run-dir DIR | --resume DIR] [--isolate] [--workers N]\n"
+      "                [--cell-rlimit-mb N] [--cell-deadline S] [--cell-grace S]\n"
+      "                [--cell-retries N] [--cell-backoff-ms N]\n"
       "  identify      --root DIR --user INDEX [--interval S] [--pattern 1|2] [--lenient]\n"
       "  export-geojson --root DIR --user INDEX --out FILE [--interval S]\n"
       "  report        [--out FILE] [--users N] [--days D]\n"
@@ -59,8 +58,7 @@ int usage() {
       "                [--pace-ms MS] [--csv FILE] [--heartbeat-ms MS]\n"
       "                [--ping-timeout-ms MS] [--op-timeout-ms MS] [--grace-ms MS]\n"
       "                [--snapshot-every-ms MS] [--max-respawns N] [--backoff-ms MS]\n"
-      "                [--shard-rlimit-mb N] [--shard-cpu-s N]\n"
-      "                [--fault-shards SPEC] [--fault-after N]\n"
+      "                [--shard-rlimit-mb N] [--fault-shards SPEC] [--fault-after N]\n"
       "                [--max-inflight-batches N] [--max-retained-mb N]\n"
       "                [--admit block|shed]\n"
       "  scrub         RUN_DIR [--repair]\n"
@@ -76,8 +74,8 @@ int usage() {
       "worker processes fed over pipes, supervised by heartbeat, snapshotted\n"
       "periodically, and respawned from their last snapshot on a crash or hang.\n"
       "SIGINT/SIGTERM drain every shard and exit 7; re-running with --resume\n"
-      "continues from the journaled snapshots (a different --shards count is\n"
-      "refused with exit 6, as is a --run-dir that already holds a ledger).\n"
+      "continues from the journaled snapshots (a different --shards or --batch\n"
+      "is refused with exit 6, as is a --run-dir that already holds a ledger).\n"
       "--fault-shards injects crash|hang|alloc faults, e.g.\n"
       "\"crash@shard0,hang:2@shard1\".\n"
       "\n"
@@ -97,14 +95,17 @@ int usage() {
       "evaluation fails is tried up to --cell-retries times with backoff, then\n"
       "quarantined. --workers N audits N users at once; --isolate runs each\n"
       "attempt in a forked worker capped by the --cell-* limits; --run-dir\n"
-      "journals every cell, so --resume continues an interrupted audit.\n"
-      "--heartbeat logs progress every S seconds; --hard-deadline ends the\n"
-      "audit with exit 5.\n"
+      "journals every cell, so --resume continues an interrupted audit; progress\n"
+      "is logged every 30 s. --cell-deadline bounds each isolated attempt; the\n"
+      "audit itself stops only on SIGINT/SIGTERM (exit 7, resumable), so\n"
+      "timeout --preserve-status -s TERM S locpriv audit-all --run-dir DIR ...\n"
+      "bounds a run to S seconds.\n"
       "\n"
       "exit codes: 0 ok, 1 internal error, 2 usage, 3 quarantine (lenient ingest\n"
-      "or supervised cells), 4 artifact I/O failure, 5 deadline exceeded,\n"
-      "6 resume mismatch, 7 interrupted by SIGINT/SIGTERM (resumable),\n"
-      "8 ledger corrupt (mid-file damage; recoverable with scrub --repair).\n"
+      "or supervised cells), 4 artifact I/O failure, 5 serve report or drain\n"
+      "budget exceeded, 6 resume mismatch, 7 interrupted by SIGINT/SIGTERM\n"
+      "(resumable), 8 ledger corrupt (mid-file damage; recoverable with scrub\n"
+      "--repair).\n"
       "File artifacts (--csv, --summary-csv, --out, gen-dataset) are written\n"
       "atomically: on failure the destination keeps its previous content.\n";
   return 2;
@@ -492,7 +493,6 @@ int cmd_serve(int argc, const char* const* argv) {
   args.declare("--max-respawns", "5");
   args.declare("--backoff-ms", "100");
   args.declare("--shard-rlimit-mb", "0");
-  args.declare("--shard-cpu-s", "0");
   args.declare("--fault-shards", "");
   args.declare("--fault-after", "3");
   args.declare("--max-inflight-batches", "64");
@@ -523,8 +523,6 @@ int cmd_serve(int argc, const char* const* argv) {
   options.backoff_base = ms("--backoff-ms", harness::kMaxFlagBackoffMs);
   options.shard_rlimit_mb =
       static_cast<std::size_t>(args.get_int("--shard-rlimit-mb", 0, harness::kMaxFlagMiB));
-  options.shard_cpu_s =
-      static_cast<unsigned>(args.get_int("--shard-cpu-s", 0, harness::kMaxFlagSeconds));
   if (!args.get("--fault-shards").empty())
     options.fault_plan = sim::ProcessFaultPlan::parse(args.get("--fault-shards"));
   options.fault_after_batches = static_cast<int>(args.get_int("--fault-after", 0, harness::kMaxFlagCount));
@@ -562,8 +560,7 @@ int cmd_serve(int argc, const char* const* argv) {
         core::PrivacyAnalyzer::from_synthetic(core::experiment_analyzer_config(),
                                               core::synthetic_corpus(args, options.seed)));
   }
-  options.scale = std::to_string(analyzer->user_count()) + "u_t" +
-                  std::to_string(options.interval_s);
+  options.scale = service::run_scale(*analyzer, options.interval_s, traffic);
 
   service::LocprivService daemon(options, *analyzer, run_dir, resume);
   std::vector<std::vector<std::string>> rows;
